@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     ContourThroughZero,
+    HoleWitnessNotFound,
     NoConvergence,
     SingularityInK,
     ZeroInK,
@@ -162,12 +163,6 @@ class CompactRegion:
     @staticmethod
     def disk(center, radius):
         return CompactRegion([complex(center)], [float(radius)])
-
-    @staticmethod
-    def from_disks(disks, check_connected=True):
-        cs = [complex(c) for c, _ in disks]
-        rs = [float(r) for _, r in disks]
-        return CompactRegion(cs, rs, check_connected=check_connected)
 
     def disks(self):
         return list(zip(self.centers.tolist(), self.radii.tolist()))
@@ -503,7 +498,7 @@ def hole_witness(centers, radii):
             vec[eidx[(min(u, v), max(u, v))]] = 1
         if not _gf2_in_rowspace(vec, ech, pivots):
             return tuple(int(verts[i]) for i in ring)
-    raise AssertionError("cycle space not spanned by fundamental cycles")
+    raise HoleWitnessNotFound("cycle space not spanned by fundamental cycles")
 
 
 def _circle_covered(c, r, centers, radii, tol):
@@ -660,17 +655,6 @@ class ComplexPoly:
         cs = [k * c / self.scale for k, c in enumerate(self.coeffs)][1:]
         return ComplexPoly(tuple(cs), self.center, self.scale)
 
-    def trim(self, tol=0.0):
-        cs = list(self.coeffs)
-        while len(cs) > 1 and abs(cs[-1]) <= tol:
-            cs.pop()
-        return ComplexPoly(tuple(cs), self.center, self.scale)
-
-    def add_constant(self, c):
-        cs = list(self.coeffs)
-        cs[0] += complex(c)
-        return ComplexPoly(tuple(cs), self.center, self.scale)
-
     def as_sampled(self):
         d = self.derivative()
         return SampledFunction(evaluator=self.__call__, deriv=d.__call__,
@@ -710,15 +694,6 @@ def sup_seminorm(f, K: CompactRegion, density=64) -> float:
     if not np.all(np.isfinite(vals)):
         raise SingularityInK("evaluator not finite on K")
     return float(np.max(vals))
-
-
-def seminorm_slack(f, K: CompactRegion, density=64) -> float:
-    """Crude modulus-of-continuity bound for the sampling gap of sup_seminorm:
-    max |f'| over samples times half the sample spacing."""
-    f = as_sampled(f)
-    spacing = 2 * np.pi / density
-    d = np.abs(f.derivative_at(K.samples(density)))
-    return float(np.max(d) * spacing / 2)
 
 
 def log_seminorm(f, K: CompactRegion, density=64) -> float:

@@ -27,6 +27,10 @@ class NoConvergence(EquiliftError):
     """Iterative refinement failed to meet its tolerance."""
 
 
+class HoleWitnessNotFound(EquiliftError):
+    """Ranks show a complement pocket, but no fundamental cycle rings it."""
+
+
 # divisors -------------------------------------------------------------------
 
 class EmptyWindow(EquiliftError):
@@ -49,6 +53,10 @@ class NonFreeInput(EquiliftError):
 
 class WindowTooSmall(EquiliftError):
     """The window cannot hold even a base-scale region."""
+
+
+class PocketFillExhausted(EquiliftError):
+    """A region still has complement pockets after the pocket-fill budget."""
 
 
 # runge ----------------------------------------------------------------------

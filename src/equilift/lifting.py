@@ -5,7 +5,7 @@ anchor-relative coordinates u = z - anchor and built purely from difference
 data (data-point offsets, gauge offsets, anchor-to-anchor translations), so
 the whole recursion commutes with quantized shifts bit for bit; a global
 evaluation point is folded into the local frame only at the very end.
-Three instantiations share the recursion:
+Three instantiations share the recursion, one kernel each in `_KERNELS`:
 
   multiplicative   prescribed zeros; corrections exp(P); log-modulus rates
   additive         prescribed principal parts; corrections P; sup rates
@@ -38,14 +38,13 @@ factor, estimated by the fit and cancelled exactly in the assembled psi.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from . import runge
-from .builders import EntireApprox, Potential, verify_divisor_match
+from .builders import Potential, verify_divisor_match
 from .core import (CompactRegion, ComplexPoly, SampledFunction, Window,
                    log_seminorm, q26, sup_seminorm)
 from .divisors import Divisor, PrincipalParts
@@ -55,12 +54,6 @@ from .toast import ToastForest, build_covariant_toast
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 HARMONIC = "harmonic"
-
-_RUNGE_MODE = {
-    MULTIPLICATIVE: "multiplicative-log",
-    ADDITIVE: "additive",
-    HARMONIC: "harmonic",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +82,7 @@ class LocalSolution:
     def value(self, u):
         u = np.asarray(u, dtype=complex)
         with np.errstate(all="ignore"):
-            if self.mode == MULTIPLICATIVE:
-                return np.exp(self.log_value(u))
-            if self.mode == ADDITIVE:
-                out = self.correction(u)
-                for b, coeffs in zip(self.offsets, self.weights):
-                    du = u - b
-                    for j, c in enumerate(coeffs, start=1):
-                        out = out + c / du ** j
-                return out
-            out = np.real(self.correction(u))
-            for b, mass in zip(self.offsets, self.weights):
-                out = out + mass * np.log(np.abs(u - b)) / (2 * math.pi)
-            return out
+            return _KERNELS[self.mode].value(self, u)
 
     def log_value(self, u):
         u = np.asarray(u, dtype=complex)
@@ -118,30 +99,6 @@ class LocalSolution:
             for b, m in zip(self.offsets, self.weights):
                 out = out + m / (u - b)
         return out
-
-    def as_entire(self, window=None) -> EntireApprox:
-        """exp(gauge-poly) * genus-0 product form of a multiplicative
-        solution. The packed normalization constant grows like the full
-        log-potential of the data, so the product form is only usable for
-        small configurations; large ones should stay in log form."""
-        if self.mode != MULTIPLICATIVE:
-            raise ValueError("only multiplicative solutions are entire")
-        a = self.anchor
-        const = 0j
-        for b, m in zip(self.offsets, self.weights):
-            loc = a + b
-            if loc != 0:
-                const += m * np.log(complex(loc))
-            else:
-                const += m * 1j * math.pi   # (0 - z) = -1 * z
-            const -= m * np.log(b - self.gauge)
-        shifted = ComplexPoly(self.correction.coeffs,
-                              center=self.correction.center + a,
-                              scale=self.correction.scale)
-        gauge_poly = shifted.add_constant(const)
-        locs = tuple(complex(a + b) for b in self.offsets)
-        return EntireApprox(locs=locs, mults=tuple(self.weights),
-                            gauge=gauge_poly, window=window)
 
 
 def _gauge_offset(offsets, u0):
@@ -200,7 +157,27 @@ def _chain_entry(toast: ToastForest, base, n):
 
 
 # ---------------------------------------------------------------------------
-# consecutive deltas (rate certificates)
+# per-mode kernels: base terms, patch data and level steps
+
+
+def _product_value(sol, u):
+    return np.exp(sol.log_value(u))
+
+
+def _principal_value(sol, u):
+    out = sol.correction(u)
+    for b, coeffs in zip(sol.offsets, sol.weights):
+        du = u - b
+        for j, c in enumerate(coeffs, start=1):
+            out = out + c / du ** j
+    return out
+
+
+def _log_kernel_value(sol, u):
+    out = np.real(sol.correction(u))
+    for b, mass in zip(sol.offsets, sol.weights):
+        out = out + mass * np.log(np.abs(u - b)) / (2 * math.pi)
+    return out
 
 
 def _pair_log_constant(hi: LocalSolution, lo: LocalSolution):
@@ -213,32 +190,81 @@ def _pair_log_constant(hi: LocalSolution, lo: LocalSolution):
     return complex(total)
 
 
-def _step_delta(mode, hi, a_hi, lo, a_lo):
+def _ratio_step(hi, a_hi, lo, a_lo):
+    """psi_hi / psi_lo as exp of the two corrections and a constant."""
+    p_hi, p_lo = hi.correction, lo.correction
+    const = _pair_log_constant(hi, lo)
+
+    def log_delta(z):
+        z = np.asarray(z, dtype=complex)
+        return p_hi(z - a_hi) - p_lo(z - a_lo) + const
+
+    return SampledFunction(
+        evaluator=lambda z: np.exp(log_delta(z)), log_eval=log_delta,
+        label="level step ratio")
+
+
+def _difference_step(part):
+    """psi_hi - psi_lo as the difference of the two corrections."""
+    def step(hi, a_hi, lo, a_lo):
+        p_hi, p_lo = hi.correction, lo.correction
+
+        def delta(z):
+            z = np.asarray(z, dtype=complex)
+            return part(p_hi(z - a_hi) - p_lo(z - a_lo))
+
+        return SampledFunction(evaluator=delta, label="level step difference")
+    return step
+
+
+def _same(v):
+    return v
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    runge_mode: str
+    seminorm: Callable      # rate seminorm of a level step
+    config: Callable        # data -> (locations, weights)
+    declared: Callable      # locations -> (zeros, singularities) of psi
+    data_key: str           # to_json key of the data
+    value: Callable         # (LocalSolution, u) -> correction plus base terms
+    step: Callable          # (hi, a_hi, lo, a_lo) -> psi_hi vs psi_lo
+    product: bool = False   # gauged log form: psi carries log_eval and dlog
+
+
+_KERNELS = {
+    MULTIPLICATIVE: _Kernel(
+        runge_mode="multiplicative-log", seminorm=log_seminorm,
+        config=lambda d: (tuple(d.locs.tolist()),
+                          tuple(int(m) for m in d.mults)),
+        declared=lambda locs: (locs, ()), data_key="divisor",
+        value=_product_value, step=_ratio_step, product=True),
+    ADDITIVE: _Kernel(
+        runge_mode="additive", seminorm=sup_seminorm,
+        config=lambda pp: (tuple(p for p, _ in pp.entries),
+                           tuple(coeffs for _, coeffs in pp.entries)),
+        declared=lambda locs: ((), locs), data_key="principal_parts",
+        value=_principal_value, step=_difference_step(_same)),
+    HARMONIC: _Kernel(
+        runge_mode="harmonic", seminorm=sup_seminorm,
+        config=lambda mu: (tuple(complex(*loc) for loc, _ in mu.atoms),
+                           tuple(mass for _, mass in mu.atoms)),
+        declared=lambda locs: ((), locs), data_key="potential",
+        value=_log_kernel_value, step=_difference_step(np.real)),
+}
+
+
+def _chain_step(kernel, levels, n):
     """psi_n / psi_{n-1} (multiplicative) or psi_n - psi_{n-1} (additive /
     harmonic) as one closed-form zero-free expression: shared base data
     cancels exactly, leaving the two correction polynomials and, in the
-    multiplicative case, a constant."""
-    if hi is lo:
-        return None
-    p_hi, p_lo = hi.correction, lo.correction
-
-    if mode == MULTIPLICATIVE:
-        const = _pair_log_constant(hi, lo)
-
-        def log_delta(z):
-            z = np.asarray(z, dtype=complex)
-            return p_hi(z - a_hi) - p_lo(z - a_lo) + const
-
-        return SampledFunction(
-            evaluator=lambda z: np.exp(log_delta(z)), log_eval=log_delta,
-            label="level step ratio")
-
-    def delta(z):
-        z = np.asarray(z, dtype=complex)
-        out = p_hi(z - a_hi) - p_lo(z - a_lo)
-        return np.real(out) if mode == HARMONIC else out
-
-    return SampledFunction(evaluator=delta, label="level step difference")
+    multiplicative case, a constant. None when the chain is stagnant."""
+    hi_m, hi_a = levels[n].chain
+    lo_m, lo_a = levels[n - 1].chain
+    hi = levels[hi_m].solutions[hi_a]
+    lo = levels[lo_m].solutions[lo_a]
+    return None if hi is lo else kernel.step(hi, hi_a, lo, lo_a)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +301,6 @@ class LiftingTrace:
         m, anchor = self.levels[n].chain
         return m, anchor, self.levels[m].solutions[anchor]
 
-    def _declared(self):
-        if self.mode == MULTIPLICATIVE:
-            return tuple(self.data.locs.tolist()), ()
-        if self.mode == ADDITIVE:
-            return (), tuple(p for p, _ in self.data.entries)
-        return (), tuple(complex(*loc) for loc, _ in self.data.atoms)
-
     def psi(self, n=None) -> SampledFunction:
         """The stage-n solution as one global function on the window."""
         if not self.levels:
@@ -289,9 +308,10 @@ class LiftingTrace:
                 evaluator=lambda z: np.zeros(np.shape(z), dtype=complex),
                 window=self.window, label="psi empty")
         m, anchor, sol = self.solution(n)
-        zeros, sings = self._declared()
+        kernel = _KERNELS[self.mode]
+        zeros, sings = kernel.declared(kernel.config(self.data)[0])
         dlog = log_eval = None
-        if self.mode == MULTIPLICATIVE:
+        if kernel.product:
             dlog = lambda z: sol.dlog(np.asarray(z, dtype=complex) - anchor)
             log_eval = lambda z: sol.log_value(
                 np.asarray(z, dtype=complex) - anchor)
@@ -306,16 +326,11 @@ class LiftingTrace:
         at any sampling density. Zero exactly when the chain is stagnant."""
         if not 1 <= n <= self.depth:
             raise ValueError("rate needs 1 <= n <= depth")
-        m_hi, a_hi = self.levels[n].chain
-        m_lo, a_lo = self.levels[n - 1].chain
-        delta = _step_delta(self.mode,
-                            self.levels[m_hi].solutions[a_hi], a_hi,
-                            self.levels[m_lo].solutions[a_lo], a_lo)
+        kernel = _KERNELS[self.mode]
+        delta = _chain_step(kernel, self.levels, n)
         if delta is None:
             return 0.0
-        if self.mode == MULTIPLICATIVE:
-            return log_seminorm(delta, K, density=density)
-        return sup_seminorm(delta, K, density=density)
+        return kernel.seminorm(delta, K, density=density)
 
     def verify_membership(self, n=None, position_tol=1e-8):
         """Divisor of psi_n against the data on the inner window (argument
@@ -323,18 +338,12 @@ class LiftingTrace:
         if self.mode != MULTIPLICATIVE:
             raise ValueError("membership checks apply to zero prescriptions")
         inner = self.data.restrict(self.window.inner(0.15))
-        report = verify_divisor_match(self.psi(n), inner,
-                                      position_tol=position_tol,
-                                      check_total=False)
-        return report
+        return verify_divisor_match(self.psi(n), inner,
+                                    position_tol=position_tol,
+                                    check_total=False)
 
     def to_json(self):
-        if self.mode == MULTIPLICATIVE:
-            data = {"divisor": self.data.to_json()}
-        elif self.mode == ADDITIVE:
-            data = {"principal_parts": self.data.to_json()}
-        else:
-            data = {"potential": self.data.to_json()}
+        data = {_KERNELS[self.mode].data_key: self.data.to_json()}
         toast_meta = {}
         if self.toast is not None:
             toast_meta = {"r0": self.toast.r0, "gamma": self.toast.gamma,
@@ -393,81 +402,40 @@ class EquivarianceReport:
 # the recursion
 
 
-def _workers():
-    try:
-        return max(1, int(os.environ.get("EQUILIFT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_anchors(fn, anchors):
-    """Anchor-order result collection; worker count must not affect output."""
-    w = _workers()
-    if w == 1 or len(anchors) <= 1:
-        return {a: fn(a) for a in anchors}
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return dict(zip(anchors, ex.map(fn, anchors)))
-
-
-def _target(mode, prev: LocalSolution, tau, offsets, gauge):
-    """The patching datum on one predecessor region, in the current
-    anchor's coordinates: base terms cancel between anchors, so only the
-    predecessor's correction and, multiplicatively, a constant survive."""
-    if mode == MULTIPLICATIVE:
-        log_c = 0j
-        for b_cur, b_prev, m in zip(offsets, prev.offsets, prev.weights):
-            log_c += m * (np.log(b_cur - gauge) - np.log(b_prev - prev.gauge))
-
-        def log_q(u, _p=prev.correction, _t=tau, _c=log_c):
-            return _p(np.asarray(u, dtype=complex) - _t) + _c
-
-        return SampledFunction(evaluator=lambda u: np.exp(log_q(u)),
-                               log_eval=log_q, label="patch ratio")
-    if mode == ADDITIVE:
-        return SampledFunction(
-            evaluator=lambda u, _p=prev.correction, _t=tau:
-                _p(np.asarray(u, dtype=complex) - _t),
-            label="patch difference")
-    return SampledFunction(
-        evaluator=lambda u, _p=prev.correction, _t=tau:
-            np.real(_p(np.asarray(u, dtype=complex) - _t)),
-        label="patch difference")
-
-
 def _solve_anchor(mode, n, anchor, toast, prev_sols, locs, weights, epsilon,
                   gauge_pt):
-    offsets = tuple(complex(a) - anchor for a in locs)
-    gauge = complex(gauge_pt) - anchor if mode == MULTIPLICATIVE else 0j
+    kernel = _KERNELS[mode]
+    bare = LocalSolution(
+        anchor=anchor, mode=mode,
+        offsets=tuple(complex(a) - anchor for a in locs), weights=weights,
+        correction=ComplexPoly((0j,)),
+        gauge=complex(gauge_pt) - anchor if kernel.product else 0j)
     children = toast.children.get((n, anchor), ()) if n > 0 else ()
     if not children:
-        correction = ComplexPoly((0j,))
-    else:
-        targets = []
-        for _, ca in children:
-            prev = prev_sols[ca]
-            tau = complex(ca) - anchor
-            region = toast.region(n - 1, ca).translate(-anchor)
-            targets.append((region, _target(mode, prev, tau, offsets, gauge)))
-        problem = runge.RungeProblem(tuple(targets), epsilon=epsilon,
-                                     mode=_RUNGE_MODE[mode])
-        # taming on the full own region keeps this correction plateau-scale
-        # on the territory the next level will sample
-        tame = toast.region(n, anchor).translate(-anchor)
-        try:
-            cert = runge.solve(problem, tame_region=tame)
-        except DegreeCapExceeded:
-            # retry once with a doubled cap to separate conditioning
-            # trouble from genuine infeasibility
-            try:
-                cert = runge.solve(problem, tame_region=tame,
-                                   degree_cap=2 * runge.DEFAULT_CAP)
-            except DegreeCapExceeded as exc:
-                raise RungeFailure(
-                    f"patching failed at epsilon {epsilon}: {exc}",
-                    level=n, anchor=anchor) from exc
-        correction = cert.poly
-    return LocalSolution(anchor=anchor, mode=mode, offsets=offsets,
-                         weights=weights, correction=correction, gauge=gauge)
+        return bare
+    # the patching datum on a predecessor region is the step from this
+    # anchor's bare base up to the predecessor, in this anchor's
+    # coordinates: base terms cancel, so only the predecessor's correction
+    # and, multiplicatively, a constant survive
+    targets = tuple(
+        (toast.region(n - 1, ca).translate(-anchor),
+         kernel.step(prev_sols[ca], complex(ca) - anchor, bare, 0j))
+        for _, ca in children)
+    problem = runge.RungeProblem(targets, epsilon=epsilon,
+                                 mode=kernel.runge_mode)
+    # taming on the full own region keeps this correction plateau-scale
+    # on the territory the next level will sample
+    tame = toast.region(n, anchor).translate(-anchor)
+    # a doubled cap: its ladder runs past the default cap's rungs, to
+    # separate conditioning trouble from genuine infeasibility
+    try:
+        cert = runge.solve(problem, tame_region=tame,
+                           degree_cap=2 * runge.DEFAULT_CAP)
+    except DegreeCapExceeded as exc:
+        raise RungeFailure(
+            f"patching failed at epsilon {epsilon}: {exc}",
+            level=n, anchor=anchor) from exc
+    return replace(bare, correction=cert.poly)
 
 
 def _ladder(base):
@@ -480,17 +448,15 @@ def _certify_level(mode, levels, toast, n, ladder, epsilon):
     bound and must come in under epsilon."""
     hi_m, hi_a = levels[n].chain
     lo_m, lo_a = levels[n - 1].chain
-    hi = levels[hi_m].solutions[hi_a]
-    lo = levels[lo_m].solutions[lo_a]
-    delta = _step_delta(mode, hi, hi_a, lo, lo_a)
+    kernel = _KERNELS[mode]
+    delta = _chain_step(kernel, levels, n)
     region_lo = toast.region(lo_m, lo_a)
     controlled = (delta is None) or (
         hi_m == n and lo_m == n - 1
         and (lo_m, lo_a) in toast.children.get((hi_m, hi_a), ()))
-    norm = log_seminorm if mode == MULTIPLICATIVE else sup_seminorm
     rows = []
     for K in ladder:
-        value = 0.0 if delta is None else norm(delta, K)
+        value = 0.0 if delta is None else kernel.seminorm(delta, K)
         certified = bool(controlled and K.contained_in(region_lo))
         rows.append({"radius": float(K.radii[0]), "value": value,
                      "certified": certified})
@@ -499,16 +465,6 @@ def _certify_level(mode, levels, toast, n, ladder, epsilon):
                 f"certified rate {value} at radius {K.radii[0]} "
                 f"is not below {epsilon}", level=n, anchor=hi_a)
     return tuple(rows)
-
-
-def _config_locs(mode, data):
-    if mode == MULTIPLICATIVE:
-        return tuple(data.locs.tolist()), tuple(int(m) for m in data.mults)
-    if mode == ADDITIVE:
-        return (tuple(p for p, _ in data.entries),
-                tuple(coeffs for _, coeffs in data.entries))
-    locs = tuple(complex(*loc) for loc, _ in data.atoms)
-    return locs, tuple(mass for _, mass in data.atoms)
 
 
 def _check_toast_matches(toast, locs):
@@ -527,7 +483,7 @@ def _empty_trace(mode, data, window):
 
 
 def _lift(mode, data, toast, levels, check_membership=True):
-    locs, weights = _config_locs(mode, data)
+    locs, weights = _KERNELS[mode].config(data)
     N = int(levels)
     if N < 0:
         raise ValueError("levels must be nonnegative")
@@ -550,22 +506,18 @@ def _lift(mode, data, toast, levels, check_membership=True):
         chain_a = complex(chain[1])
         gauge_pt = chain_a + _gauge_offset(
             tuple(complex(a) - chain_a for a in locs), toast.u0)
-
-        def solve_one(anchor, _n=n, _prev=prev, _eps=epsilon, _g=gauge_pt):
-            return _solve_anchor(mode, _n, anchor, toast, _prev, locs,
-                                 weights, _eps, _g)
-
-        sols = _map_anchors(solve_one, toast.levels[n].anchors)
+        sols = {a: _solve_anchor(mode, n, a, toast, prev, locs, weights,
+                                 epsilon, gauge_pt)
+                for a in toast.levels[n].anchors}
         out_levels.append(LiftingLevel(n=n, epsilon=epsilon, solutions=sols,
                                        chain=chain, certificates=()))
         if n >= 1:
             certs = _certify_level(mode, out_levels, toast, n, ladder, epsilon)
-            out_levels[-1] = LiftingLevel(n=n, epsilon=epsilon, solutions=sols,
-                                          chain=chain, certificates=certs)
+            out_levels[-1] = replace(out_levels[-1], certificates=certs)
     trace = LiftingTrace(mode=mode, data=data, toast=toast,
                          levels=tuple(out_levels), tail_bound=2.0 ** (-N),
                          window=window, base_point=base)
-    if check_membership and mode == MULTIPLICATIVE:
+    if check_membership:
         report = trace.verify_membership()
         if not report["matched"]:
             raise DivisorMismatch(

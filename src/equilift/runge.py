@@ -1,6 +1,12 @@
-"""Polynomial patching engines: joint least-squares approximation of data
+"""Polynomial patching engine: joint least-squares approximation of data
 prescribed on disjoint compact disk unions, with escalating degree and
 resample-checked error certificates.
+
+One escalation loop (`solve`) serves every mode. The table `_MODES` holds
+all that differs between the additive, multiplicative-log and harmonic
+modes: how fit and check samples are read, which basis is fitted, how the
+coefficients are packed, which part of the polynomial the error is taken
+on, and which approximant is returned.
 
 Sampling is boundary-only: every mode here carries data that is analytic,
 zero-free analytic, or harmonic near the targets, so the maximum principle
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,6 +32,7 @@ DEGREE_LADDER = (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 120)
 DEFAULT_CAP = 120
 RCOND = 1e-13
 TAME_WEIGHT = 1e-3
+DENSITY = 64        # fit sampling; errors are re-measured at twice this
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class RungeProblem:
     mode: str = "additive"
 
     def __post_init__(self):
-        if self.mode not in ("additive", "multiplicative-log", "harmonic"):
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
@@ -74,7 +82,6 @@ class RungeCertificate:
     poly: ComplexPoly
     approximant: SampledFunction
     errors: tuple
-    density: float
 
     @property
     def epsilon(self):
@@ -86,7 +93,7 @@ class RungeCertificate:
 
 
 # ---------------------------------------------------------------------------
-# framing and fitting
+# framing
 
 
 def _frame(targets, sample_sets):
@@ -113,81 +120,20 @@ def _degrees(degree, cap):
     return ladder
 
 
-def _certify(problem, mode, deg, poly, approximant, errors, density):
-    return RungeCertificate(problem=problem, mode=mode, degree=deg, poly=poly,
-                            approximant=approximant, errors=tuple(errors),
-                            density=density)
-
-
-def _tame_points(tame_region, density):
-    if tame_region is None:
-        return None
-    return tame_region.boundary_samples(density)
-
-
-def solve_additive(problem: RungeProblem, degree_cap=DEFAULT_CAP, density=64,
-                   degree=None, tame_region=None,
-                   tame_weight=TAME_WEIGHT) -> RungeCertificate:
-    """Fit one polynomial to all targets' values jointly; escalate the degree
-    until every per-target boundary sup error at doubled sampling density is
-    below epsilon. Raises DegreeCapExceeded with the best error otherwise.
-
-    tame_region, when given, adds soft rows at weight tame_weight on that
-    region's boundary, with the mean of the target data as their value. The
-    fit error is still measured on the targets alone; the soft rows only
-    pick, among near-minimizers, one that stays plateau-flat on the tame
-    region. Callers that feed one level's approximant into the next level's
-    data use this to keep values tame on the territory sampled next."""
-    if problem.mode != "additive":
-        raise ValueError("solve_additive needs mode='additive'")
-    fit_sets = [K.boundary_samples(density) for K, _ in problem.targets]
-    fit_vals = [h(pts) for (K, h), pts in zip(problem.targets, fit_sets)]
-    check_sets = [K.boundary_samples(2 * density) for K, _ in problem.targets]
-    check_vals = [h(pts) for (K, h), pts in zip(problem.targets, check_sets)]
-    return _solve_on_samples(problem, "additive", fit_sets, fit_vals,
-                             check_sets, check_vals, degree_cap, density,
-                             degree, _tame_points(tame_region, density),
-                             tame_weight)
-
-
-def _solve_on_samples(problem, mode, fit_sets, fit_vals, check_sets,
-                      check_vals, degree_cap, density, degree, tame_pts,
-                      tame_weight):
-    for vals in fit_vals + check_vals:
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("target data is not finite on its region")
-    spread_sets = fit_sets if tame_pts is None else fit_sets + [tame_pts]
-    z0, scale = _frame(problem.targets, spread_sets)
-    pts = np.concatenate(fit_sets)
-    rhs = np.concatenate(fit_vals)
-    if tame_pts is not None:
-        flat = np.full(len(tame_pts), np.mean(rhs), dtype=rhs.dtype)
-        rhs = np.concatenate([rhs, tame_weight * flat])
-    best = math.inf
-    for deg in _degrees(degree, degree_cap):
-        A = _vandermonde(pts, z0, scale, deg)
-        if tame_pts is not None:
-            T = _vandermonde(tame_pts, z0, scale, deg)
-            A = np.concatenate([A, tame_weight * T])
-        col = np.max(np.abs(A), axis=0)
-        col[col == 0] = 1.0
-        coeffs, *_ = np.linalg.lstsq(A / col, rhs, rcond=RCOND)
-        coeffs = coeffs / col
-        poly = ComplexPoly(tuple(coeffs.tolist()), center=z0, scale=scale)
-        errors = [float(np.max(np.abs(poly(cp) - cv)))
-                  for cp, cv in zip(check_sets, check_vals)]
-        best = min(best, max(errors))
-        if max(errors) < problem.epsilon:
-            return _certify(problem, mode, deg, poly, poly.as_sampled(),
-                            errors, 2 * density)
-    raise DegreeCapExceeded(
-        f"degree cap {degree_cap} reached with error {best:.3e} "
-        f"(epsilon {problem.epsilon:.3e})",
-        cap=degree_cap, best_error=best)
-
-
 # ---------------------------------------------------------------------------
-# multiplicative mode: branch-consistent logarithms, then the additive engine
+# samples: plain values, real parts, branch-consistent logarithms
+
+
+def _pointwise(read):
+    """Samples of data read off pointwise on each target's boundary."""
+    def sample(targets, density):
+        sets = [K.boundary_samples(density) for K, _ in targets]
+        return sets, [read(h, pts) for (_, h), pts in zip(targets, sets)]
+    return sample
+
+
+_VALUES = _pointwise(lambda h, pts: h(pts))
+_REAL_PARTS = _pointwise(lambda h, pts: np.real(h(pts)))
 
 
 def _branch_log(K: CompactRegion, h, density):
@@ -250,141 +196,140 @@ def _branch_log(K: CompactRegion, h, density):
         "boundary sampling cannot connect the region for branch tracking")
 
 
-def solve_multiplicative(problem: RungeProblem, degree_cap=DEFAULT_CAP,
-                         density=64, degree=None, tame_region=None,
-                         tame_weight=TAME_WEIGHT) -> RungeCertificate:
-    """Zero-free patching: fit a polynomial to branch-consistent logs and
-    return exp(poly). Errors are log-modulus seminorms of approximant / data,
-    measured at doubled density. tame_region adds soft zero rows as in
-    solve_additive.
-
-    Each region's log branch is recentred by a multiple of 2 pi i toward the
-    first region's mean imaginary part. exp is unchanged, and without the
-    recentring per-region branch choices can sit whole turns apart, forcing
-    spurious winding into the joint fit and starving the real part of
-    accuracy."""
-    if problem.mode != "multiplicative-log":
-        raise ValueError("solve_multiplicative needs mode='multiplicative-log'")
-    fit_sets, fit_vals = [], []
+def _recentred_logs(targets, density):
+    """Branch logs per region, each recentred by a multiple of 2 pi i toward
+    the first region's mean imaginary part. exp is unchanged, and without
+    the recentring per-region branch choices can sit whole turns apart,
+    forcing spurious winding into the joint fit and starving the real part
+    of accuracy."""
+    sets, vals = [], []
     ref = None
-    for K, h in problem.targets:
+    for K, h in targets:
         pts, logs = _branch_log(K, h, density)
         mean_im = float(np.mean(logs.imag))
         if ref is None:
             ref = mean_im
         k = round((mean_im - ref) / (2 * math.pi))
-        fit_sets.append(pts)
-        fit_vals.append(logs - 2j * math.pi * k)
-    tame_pts = _tame_points(tame_region, density)
-    spread_sets = fit_sets if tame_pts is None else fit_sets + [tame_pts]
-    z0, scale = _frame(problem.targets, spread_sets)
-    pts = np.concatenate(fit_sets)
-    rhs = np.concatenate(fit_vals)
-    if tame_pts is not None:
-        flat = np.full(len(tame_pts), np.mean(rhs), dtype=complex)
-        rhs = np.concatenate([rhs, tame_weight * flat])
-    best = math.inf
-    for deg in _degrees(degree, degree_cap):
-        A = _vandermonde(pts, z0, scale, deg)
-        if tame_pts is not None:
-            T = _vandermonde(tame_pts, z0, scale, deg)
-            A = np.concatenate([A, tame_weight * T])
-        col = np.max(np.abs(A), axis=0)
-        col[col == 0] = 1.0
-        coeffs, *_ = np.linalg.lstsq(A / col, rhs, rcond=RCOND)
-        coeffs = coeffs / col
-        poly = ComplexPoly(tuple(coeffs.tolist()), center=z0, scale=scale)
-        errors = []
-        for K, h in problem.targets:
-            cp = K.boundary_samples(2 * density)
-            log_eval = getattr(h, "log_eval", None)
-            if log_eval is not None:
-                log_mod = np.real(np.asarray(log_eval(cp), dtype=complex))
-                if not np.all(np.isfinite(log_mod)):
-                    raise ZeroInK("declared log is not finite on a target region")
-            else:
-                hv = h(cp)
-                if np.any(hv == 0) or np.any(~np.isfinite(hv)):
-                    raise ZeroInK("data vanishes or blows up on a target region")
-                log_mod = np.log(np.abs(hv))
-            errors.append(float(np.max(np.abs(np.real(poly(cp)) - log_mod))))
-        best = min(best, max(errors))
-        if max(errors) < problem.epsilon:
-            approximant = SampledFunction(
-                evaluator=lambda z, _p=poly: np.exp(_p(z)),
-                log_eval=poly,
-                label=f"exp(degree-{deg} patch)")
-            return _certify(problem, "multiplicative-log", deg, poly,
-                            approximant, errors, 2 * density)
-    raise DegreeCapExceeded(
-        f"degree cap {degree_cap} reached with log error {best:.3e} "
-        f"(epsilon {problem.epsilon:.3e})",
-        cap=degree_cap, best_error=best)
+        sets.append(pts)
+        vals.append(logs - 2j * math.pi * k)
+    return sets, vals
+
+
+def _log_modulus(h, pts):
+    log_eval = getattr(h, "log_eval", None)
+    if log_eval is not None:
+        log_mod = np.real(np.asarray(log_eval(pts), dtype=complex))
+        if not np.all(np.isfinite(log_mod)):
+            raise ZeroInK("declared log is not finite on a target region")
+        return log_mod
+    hv = h(pts)
+    if np.any(hv == 0) or np.any(~np.isfinite(hv)):
+        raise ZeroInK("data vanishes or blows up on a target region")
+    return np.log(np.abs(hv))
 
 
 # ---------------------------------------------------------------------------
-# harmonic mode: real span of 1, Re z^k, Im z^k
+# bases and packing
 
 
-def solve_harmonic(problem: RungeProblem, degree_cap=DEFAULT_CAP, density=64,
-                   degree=None, tame_region=None,
-                   tame_weight=TAME_WEIGHT) -> RungeCertificate:
-    """Fit a real harmonic polynomial (the real part of a complex one) to
-    real data on the targets. tame_region adds soft zero rows as in
-    solve_additive."""
-    if problem.mode != "harmonic":
-        raise ValueError("solve_harmonic needs mode='harmonic'")
-    fit_sets = [K.boundary_samples(density) for K, _ in problem.targets]
-    fit_vals = [np.real(h(pts)) for (K, h), pts in zip(problem.targets, fit_sets)]
-    check_sets = [K.boundary_samples(2 * density) for K, _ in problem.targets]
-    check_vals = [np.real(h(pts)) for (K, h), pts in zip(problem.targets, check_sets)]
+def _harmonic_basis(V):
+    """Real span of 1, Re u^k, Im u^k."""
+    return np.concatenate([V.real, V[:, 1:].imag], axis=1)
+
+
+def _harmonic_pack(sol, deg):
+    """Re(sum q_k u^k) with q_0 = a_0, q_k = b_k - i c_k."""
+    q = np.zeros(deg + 1, dtype=complex)
+    q[0] = sol[0]
+    q[1:] = sol[1:deg + 1] - 1j * sol[deg + 1:]
+    return q
+
+
+@dataclass(frozen=True)
+class _Mode:
+    fit: Callable           # (targets, density) -> (sample sets, values)
+    check: Callable         # (targets, density) -> (sets, values) errors use
+    basis: Callable         # complex Vandermonde -> design columns
+    pack: Callable          # (solution, degree) -> complex coefficients
+    part: Callable          # poly values -> the part compared with check
+    approximant: Callable   # (poly, degree) -> SampledFunction
+
+
+def _same(v, *_):
+    return v
+
+
+_MODES = {
+    "additive": _Mode(
+        fit=_VALUES, check=_VALUES,
+        basis=_same, pack=_same, part=_same,
+        approximant=lambda poly, deg: poly.as_sampled()),
+    "multiplicative-log": _Mode(
+        fit=_recentred_logs, check=_pointwise(_log_modulus),
+        basis=_same, pack=_same, part=np.real,
+        approximant=lambda poly, deg: SampledFunction(
+            evaluator=lambda z: np.exp(poly(z)), log_eval=poly,
+            label=f"exp(degree-{deg} patch)")),
+    "harmonic": _Mode(
+        fit=_REAL_PARTS, check=_REAL_PARTS,
+        basis=_harmonic_basis, pack=_harmonic_pack, part=np.real,
+        approximant=lambda poly, deg: SampledFunction(
+            evaluator=lambda z: np.real(poly(z)) + 0j,
+            label=f"harmonic degree-{deg} patch")),
+}
+
+
+# ---------------------------------------------------------------------------
+# the escalation loop
+
+
+def solve(problem: RungeProblem, degree_cap=DEFAULT_CAP, degree=None,
+          tame_region=None) -> RungeCertificate:
+    """Fit one polynomial to all targets' data jointly; escalate the degree
+    until every per-target boundary sup error at doubled sampling density is
+    below epsilon. Raises DegreeCapExceeded with the best error otherwise.
+
+    tame_region, when given, adds soft rows at weight TAME_WEIGHT on that
+    region's boundary, with the mean of the fit data as their value. The
+    fit error is still measured on the targets alone; the soft rows only
+    pick, among near-minimizers, one that stays plateau-flat on the tame
+    region. Callers that feed one level's approximant into the next level's
+    data use this to keep values tame on the territory sampled next."""
+    mode = _MODES[problem.mode]
+    fit_sets, fit_vals = mode.fit(problem.targets, DENSITY)
+    check_sets, check_vals = mode.check(problem.targets, 2 * DENSITY)
     for vals in fit_vals + check_vals:
         if not np.all(np.isfinite(vals)):
             raise ValueError("target data is not finite on its region")
-    tame_pts = _tame_points(tame_region, density)
+    tame_pts = None
+    if tame_region is not None:
+        tame_pts = tame_region.boundary_samples(DENSITY)
     spread_sets = fit_sets if tame_pts is None else fit_sets + [tame_pts]
     z0, scale = _frame(problem.targets, spread_sets)
     pts = np.concatenate(fit_sets)
     rhs = np.concatenate(fit_vals)
     if tame_pts is not None:
         flat = np.full(len(tame_pts), np.mean(rhs))
-        rhs = np.concatenate([rhs, tame_weight * flat])
+        rhs = np.concatenate([rhs, TAME_WEIGHT * flat])
     best = math.inf
     for deg in _degrees(degree, degree_cap):
-        V = _vandermonde(pts, z0, scale, deg)
-        A = np.concatenate([V.real, V[:, 1:].imag], axis=1)
+        A = mode.basis(_vandermonde(pts, z0, scale, deg))
         if tame_pts is not None:
-            TV = _vandermonde(tame_pts, z0, scale, deg)
-            T = np.concatenate([TV.real, TV[:, 1:].imag], axis=1)
-            A = np.concatenate([A, tame_weight * T])
+            T = mode.basis(_vandermonde(tame_pts, z0, scale, deg))
+            A = np.concatenate([A, TAME_WEIGHT * T])
         col = np.max(np.abs(A), axis=0)
         col[col == 0] = 1.0
         sol, *_ = np.linalg.lstsq(A / col, rhs, rcond=RCOND)
-        sol = sol / col
-        # pack Re(sum q_k u^k): q_0 = a_0, q_k = b_k - i c_k
-        q = np.zeros(deg + 1, dtype=complex)
-        q[0] = sol[0]
-        q[1:] = sol[1:deg + 1] - 1j * sol[deg + 1:]
-        poly = ComplexPoly(tuple(q.tolist()), center=z0, scale=scale)
-        errors = [float(np.max(np.abs(np.real(poly(cp)) - cv)))
+        coeffs = mode.pack(sol / col, deg)
+        poly = ComplexPoly(tuple(coeffs.tolist()), center=z0, scale=scale)
+        errors = [float(np.max(np.abs(mode.part(poly(cp)) - cv)))
                   for cp, cv in zip(check_sets, check_vals)]
         best = min(best, max(errors))
         if max(errors) < problem.epsilon:
-            approximant = SampledFunction(
-                evaluator=lambda z, _p=poly: np.real(_p(z)) + 0j,
-                label=f"harmonic degree-{deg} patch")
-            return _certify(problem, "harmonic", deg, poly, approximant,
-                            errors, 2 * density)
+            return RungeCertificate(
+                problem=problem, mode=problem.mode, degree=deg, poly=poly,
+                approximant=mode.approximant(poly, deg), errors=tuple(errors))
     raise DegreeCapExceeded(
         f"degree cap {degree_cap} reached with error {best:.3e} "
         f"(epsilon {problem.epsilon:.3e})",
         cap=degree_cap, best_error=best)
-
-
-def solve(problem: RungeProblem, **kw) -> RungeCertificate:
-    """Dispatch on the problem's mode."""
-    if problem.mode == "additive":
-        return solve_additive(problem, **kw)
-    if problem.mode == "multiplicative-log":
-        return solve_multiplicative(problem, **kw)
-    return solve_harmonic(problem, **kw)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import CompactRegion, Window, circle_crossings, hole_witness, q26
 from .divisors import Divisor, detect_stabilizer
-from .errors import NonFreeInput, WindowTooSmall
+from .errors import NonFreeInput, PocketFillExhausted, WindowTooSmall
 
 GAP_FRACTION = 0.01      # pruning gap between genuine base disks, in units of r_n
 NEIGHBOR_SCALE = 2.0     # signature neighborhood radius, in units of the level scale
@@ -263,7 +263,7 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
                     break
                 fills += 1
                 if fills > 64:
-                    raise RuntimeError(
+                    raise PocketFillExhausted(
                         f"region at {a} still has pockets after 64 fills")
                 centers.append(a + plug[0])
                 radii.append(plug[1])

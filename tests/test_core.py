@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilift import core
 from equilift.core import (
     Circle,
     CompactRegion,
@@ -25,7 +26,9 @@ from equilift.core import (
     refine_zero,
     sup_seminorm,
 )
-from equilift.errors import ContourThroughZero, NoConvergence, SingularityInK, ZeroInK
+from equilift.errors import (ContourThroughZero, EquiliftError,
+                             HoleWitnessNotFound, NoConvergence,
+                             SingularityInK, ZeroInK)
 
 UNIT_DISK = CompactRegion.disk(0, 1)
 
@@ -217,6 +220,16 @@ def test_complement_disconnected_ring():
     centers = [2.5 * np.exp(2j * np.pi * k / 8) for k in range(8)]
     ring = CompactRegion(centers, [1.0] * 8)
     assert ring.complement_connected() is False
+
+
+def test_hole_without_witness_is_a_typed_error(monkeypatch):
+    # exact GF(2) ranks never leave the pocket without a ringing cycle; a
+    # row-space test that accepts every cycle forces the guard
+    monkeypatch.setattr(core, "_gf2_in_rowspace", lambda vec, ech, pivots: True)
+    centers = [2.5 * np.exp(2j * np.pi * k / 8) for k in range(8)]
+    with pytest.raises(HoleWitnessNotFound) as err:
+        core.hole_witness(centers, [1.0] * 8)
+    assert isinstance(err.value, EquiliftError)
 
 
 # ---------------------------------------------------------------------------

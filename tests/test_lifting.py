@@ -335,12 +335,3 @@ class TestTraceDump:
         want = np.asarray(six_trace.psi()(z))
         got = rebuilt(z)
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-9
-
-    def test_worker_count_does_not_change_the_dump(self, monkeypatch):
-        d = six_point_divisor()
-        monkeypatch.setenv("EQUILIFT_THREADS", "1")
-        one = lift(d).to_json()
-        monkeypatch.setenv("EQUILIFT_THREADS", "4")
-        four = lift(d).to_json()
-        assert json.dumps(one, sort_keys=True) == json.dumps(four,
-                                                             sort_keys=True)

@@ -7,13 +7,7 @@ import pytest
 
 from equilift.core import CompactRegion, SampledFunction, q26
 from equilift.errors import BranchInconsistency, DegreeCapExceeded, ZeroInK
-from equilift.runge import (
-    RungeProblem,
-    solve,
-    solve_additive,
-    solve_harmonic,
-    solve_multiplicative,
-)
+from equilift.runge import RungeProblem, solve
 
 DISK = CompactRegion.disk(0j, 1.0)
 LEFT = CompactRegion.disk(-4 + 0j, 1.0)
@@ -48,7 +42,7 @@ class TestAdditive:
     def test_degree5_polynomial_recovered(self):
         f = lambda z: 1 + 2 * z - z ** 3 + 0.5 * z ** 5
         prob = RungeProblem(((DISK, f),), epsilon=1e-8)
-        cert = solve_additive(prob)
+        cert = solve(prob)
         assert cert.degree <= 6
         assert cert.max_error < 1e-10
         pts = np.array([0.3 + 0.4j, -0.9j, 0.99 + 0j])
@@ -58,7 +52,7 @@ class TestAdditive:
         prob = RungeProblem(((LEFT, lambda z: np.zeros_like(z)),
                              (RIGHT, lambda z: np.ones_like(z))),
                             epsilon=1e-6)
-        cert = solve_additive(prob)
+        cert = solve(prob)
         assert cert.max_error < 1e-6
         assert abs(cert.approximant(np.array([-4 + 0j]))[0]) < 1e-6
         assert abs(cert.approximant(np.array([4 + 0j]))[0] - 1) < 1e-6
@@ -67,7 +61,7 @@ class TestAdditive:
         # best sup error of degree-n fits on the unit disk tracks 1/(n+1)!:
         # degree 8 sits near 2.8e-6, degree 12 near 1/13! ~ 1.6e-10 < 1e-8
         prob = RungeProblem(((DISK, np.exp),), epsilon=1e-8)
-        cert = solve_additive(prob)
+        cert = solve(prob)
         assert cert.degree == 12
         assert cert.max_error < 1e-8
 
@@ -76,7 +70,7 @@ class TestAdditive:
                              (RIGHT, lambda z: np.ones_like(z))),
                             epsilon=1e-6)
         with pytest.raises(DegreeCapExceeded) as err:
-            solve_additive(prob, degree_cap=16)
+            solve(prob, degree_cap=16)
         assert err.value.cap == 16
         assert 0 < err.value.best_error < 1.0
 
@@ -86,7 +80,7 @@ class TestAdditive:
         errors = []
         for deg in (2, 4, 8, 16, 32):
             try:
-                cert = solve_additive(prob, degree=deg)
+                cert = solve(prob, degree=deg)
                 errors.append(cert.max_error)
             except DegreeCapExceeded as e:
                 errors.append(e.best_error)
@@ -96,7 +90,7 @@ class TestAdditive:
     def test_resample_soundness(self):
         # errors quoted at 2x fit density must hold to 2 epsilon at 4x
         prob = RungeProblem(((DISK, np.exp),), epsilon=1e-8)
-        cert = solve_additive(prob, density=64)
+        cert = solve(prob)
         fine = DISK.boundary_samples(256)
         resampled = float(np.max(np.abs(cert.approximant(fine) - np.exp(fine))))
         assert resampled < 2 * prob.epsilon
@@ -107,8 +101,8 @@ class TestAdditive:
         prob = RungeProblem(((DISK, f),), epsilon=1e-8)
         moved = RungeProblem(((DISK.translate(w), lambda z: f(z - w)),),
                              epsilon=1e-8)
-        cert = solve_additive(prob)
-        cert_w = solve_additive(moved)
+        cert = solve(prob)
+        cert_w = solve(moved)
         pts = DISK.samples(16)
         dev = np.max(np.abs(cert_w.approximant(pts + w) - cert.approximant(pts)))
         assert dev < 1e-9
@@ -118,7 +112,7 @@ class TestMultiplicative:
     def test_constant_one_is_exact(self):
         prob = RungeProblem(((DISK, lambda z: np.ones_like(z)),),
                             epsilon=1e-6, mode="multiplicative-log")
-        cert = solve_multiplicative(prob)
+        cert = solve(prob)
         assert cert.errors == (0.0,)
         assert abs(cert.approximant(np.array([0.5j]))[0] - 1.0) < 1e-12
 
@@ -126,7 +120,7 @@ class TestMultiplicative:
         prob = RungeProblem(((LEFT, lambda z: 2 * np.ones_like(z)),
                              (RIGHT, lambda z: 0.5 * np.ones_like(z))),
                             epsilon=1e-4, mode="multiplicative-log")
-        cert = solve_multiplicative(prob)
+        cert = solve(prob)
         assert cert.max_error < 1e-4
         assert abs(cert.approximant(np.array([-4 + 0j]))[0] - 2.0) < 1e-3
         assert abs(cert.approximant(np.array([4 + 0j]))[0] - 0.5) < 2.5e-4
@@ -135,7 +129,7 @@ class TestMultiplicative:
         # e^z is zero-free; its log is recovered without branch cuts
         prob = RungeProblem(((DISK, np.exp),), epsilon=1e-8,
                             mode="multiplicative-log")
-        cert = solve_multiplicative(prob)
+        cert = solve(prob)
         assert cert.max_error < 1e-8
         assert cert.degree <= 2  # log of e^z is linear
 
@@ -144,7 +138,7 @@ class TestMultiplicative:
         prob = RungeProblem(((DISK, h),), epsilon=1e-6,
                             mode="multiplicative-log")
         with pytest.raises(ZeroInK):
-            solve_multiplicative(prob)
+            solve(prob)
 
     def test_undeclared_winding_is_inconsistent(self):
         # h = z winds once around the boundary circle: the closing edges of
@@ -152,12 +146,12 @@ class TestMultiplicative:
         prob = RungeProblem(((DISK, lambda z: z),), epsilon=1e-6,
                             mode="multiplicative-log")
         with pytest.raises(BranchInconsistency):
-            solve_multiplicative(prob)
+            solve(prob)
 
     def test_log_certificate_is_modulus_based(self):
         prob = RungeProblem(((DISK, np.exp),), epsilon=1e-8,
                             mode="multiplicative-log")
-        cert = solve_multiplicative(prob)
+        cert = solve(prob)
         pts = DISK.boundary_samples(128)
         log_dev = np.max(np.abs(np.log(np.abs(cert.approximant(pts)))
                                 - np.log(np.abs(np.exp(pts)))))
@@ -170,7 +164,7 @@ class TestHarmonic:
         # 2e-6, comfortably inside epsilon
         f = lambda z: np.log(np.abs(z - 5.0))
         prob = RungeProblem(((DISK, f),), epsilon=1e-5, mode="harmonic")
-        cert = solve_harmonic(prob)
+        cert = solve(prob)
         assert cert.max_error < 1e-5
         assert cert.degree <= 8
         pts = np.array([0.2 + 0.3j, -0.8 + 0.1j])
@@ -180,14 +174,14 @@ class TestHarmonic:
         prob = RungeProblem(((LEFT, lambda z: np.zeros_like(z, dtype=float)),
                              (RIGHT, lambda z: np.ones_like(z, dtype=float))),
                             epsilon=1e-4, mode="harmonic")
-        cert = solve_harmonic(prob)
+        cert = solve(prob)
         assert cert.max_error < 1e-4
 
     def test_imaginary_part_recovered(self):
         # Im z is harmonic and exactly representable at degree 1
         f = lambda z: np.imag(z)
         prob = RungeProblem(((DISK, f),), epsilon=1e-10, mode="harmonic")
-        cert = solve_harmonic(prob)
+        cert = solve(prob)
         assert cert.degree <= 2
         assert cert.max_error < 1e-12
 
@@ -202,10 +196,3 @@ class TestDispatch:
         probh = RungeProblem(((DISK, lambda z: np.real(z)),), epsilon=1e-6,
                              mode="harmonic")
         assert solve(probh).mode == "harmonic"
-
-    def test_mode_mismatch_rejected(self):
-        prob = RungeProblem(((DISK, np.exp),), epsilon=1e-6)
-        with pytest.raises(ValueError):
-            solve_multiplicative(prob)
-        with pytest.raises(ValueError):
-            solve_harmonic(prob)

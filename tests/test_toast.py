@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from equilift import toast as toast_module
 from equilift.core import CompactRegion, Window, q26
 from equilift.divisors import Divisor, generate
-from equilift.errors import NonFreeInput, WindowTooSmall
+from equilift.errors import (EquiliftError, NonFreeInput, PocketFillExhausted,
+                             WindowTooSmall)
 from equilift.toast import ToastForest, ToastLevel, build_covariant_toast, verify_axioms
 
 WIN8 = Window(-8, 8, -8, 8)
@@ -184,6 +186,16 @@ class TestRejections:
             build_covariant_toast(d, N=-1)
         with pytest.raises(ValueError):
             build_covariant_toast(d, N=1, gamma=1.0)
+
+    def test_endless_pockets_are_a_typed_error(self, monkeypatch):
+        # a filler that never closes the pocket exhausts the fill budget
+        monkeypatch.setattr(toast_module, "_pocket_filler",
+                            lambda rel_centers, radii: (0j, 0.25))
+        d = Divisor(np.array([0.5 + 0.5j]), np.array([1]), WIN8)
+        with pytest.raises(PocketFillExhausted) as err:
+            build_covariant_toast(d, N=0)
+        assert isinstance(err.value, EquiliftError)
+        assert "after 64 fills" in str(err.value)
 
 
 class TestViolationDetection:
