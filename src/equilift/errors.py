@@ -70,10 +70,6 @@ class DegreeCapExceeded(EquiliftError):
         self.best_error = best_error
 
 
-class BranchInconsistency(EquiliftError):
-    """Phase unwrapping disagrees along two tree paths; suspect an undetected zero."""
-
-
 # builders -------------------------------------------------------------------
 
 class UnsupportedZeta(EquiliftError):

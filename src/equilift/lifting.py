@@ -24,15 +24,16 @@ of the chain: the patching step controlled the ratio on that region's
 boundary, and the maximum principle carries the bound inside. Values on
 disks that poke outside are reported informationally and never asserted.
 
-The multiplicative base product is normalized at one gauge point per level,
-chosen next to the chain anchor of that level. Per-cell normalization would
-be equally valid in exact arithmetic, but the value levels of sibling cells
-would then differ by the full log-potential spread of the configuration
-(hundreds of log units on window-scale data), and no float64 polynomial
-correction can bridge such plateaus across nearly-touching regions. A
-shared gauge keeps sibling solutions mutually consistent, so every joint
-fit sees near-constant data: the constant is the level-to-level re-gauging
-factor, estimated by the fit and cancelled exactly in the assembled psi.
+The multiplicative base product is normalized at one gauge point for the
+whole lift, on the 2^-26 lattice next to the level-0 chain anchor.
+Per-cell normalization would be equally valid in exact arithmetic, but the
+value levels of sibling cells would then differ by the full log-potential
+spread of the configuration (hundreds of log units on window-scale data),
+and no float64 polynomial correction can bridge such plateaus across
+nearly-touching regions. With one quantized gauge, every normalizer
+b_j - gauge is the same exact dyadic difference (data point minus gauge) in
+every anchor's frame, so two bases cancel exactly: a level step is exp of
+the difference of the two corrections and nothing else.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class LocalSolution:
     offsets: tuple      # b_j = data point - anchor (exact dyadic differences)
     weights: tuple      # mults / principal-part coefficient tuples / masses
     correction: ComplexPoly
-    gauge: complex = 0j  # level gauge point - anchor (shared per level)
+    gauge: complex = 0j  # the lift's q26 gauge point - anchor (one per lift)
 
     def value(self, u):
         u = np.asarray(u, dtype=complex)
@@ -103,7 +104,7 @@ class LocalSolution:
 
 def _gauge_offset(offsets, u0):
     """Normalization point for the product base, in coordinates relative to
-    the level's chain anchor.
+    the level-0 chain anchor, on the 2^-26 lattice.
 
     The anchor itself when no data point sits there; otherwise half a base
     scale from the anchor, away from the nearest other data point (any
@@ -119,7 +120,7 @@ def _gauge_offset(offsets, u0):
         base = complex(u0 / 2)
     for shrink in (1.0, 0.5, 0.25):
         for rot in (1, 1j, -1, -1j):
-            g = base * rot * shrink
+            g = q26(base * rot * shrink)
             if all(abs(b - g) > 1e-9 for b in offsets):
                 return g
     raise ValueError("no clear normalization point near the anchor")
@@ -180,25 +181,19 @@ def _log_kernel_value(sol, u):
     return out
 
 
-def _pair_log_constant(hi: LocalSolution, lo: LocalSolution):
-    """log of the constant delta_hi / delta_lo of the two product bases:
-    the u-dependent factors (b - u) agree analytically between anchors, so
-    only the normalizations survive. The real part is branch-free."""
-    total = 0j
-    for bh, bl, m in zip(hi.offsets, lo.offsets, hi.weights):
-        total += m * (np.log(bl - lo.gauge) - np.log(bh - hi.gauge))
-    return complex(total)
+def _correction_gap(hi, a_hi, lo, a_lo):
+    """The global function P_hi(z - a_hi) - P_lo(z - a_lo)."""
+    p_hi, p_lo = hi.correction, lo.correction
+
+    def gap(z):
+        z = np.asarray(z, dtype=complex)
+        return p_hi(z - a_hi) - p_lo(z - a_lo)
+    return gap
 
 
 def _ratio_step(hi, a_hi, lo, a_lo):
-    """psi_hi / psi_lo as exp of the two corrections and a constant."""
-    p_hi, p_lo = hi.correction, lo.correction
-    const = _pair_log_constant(hi, lo)
-
-    def log_delta(z):
-        z = np.asarray(z, dtype=complex)
-        return p_hi(z - a_hi) - p_lo(z - a_lo) + const
-
+    """psi_hi / psi_lo as exp of the difference of the two corrections."""
+    log_delta = _correction_gap(hi, a_hi, lo, a_lo)
     return SampledFunction(
         evaluator=lambda z: np.exp(log_delta(z)), log_eval=log_delta,
         label="level step ratio")
@@ -207,13 +202,9 @@ def _ratio_step(hi, a_hi, lo, a_lo):
 def _difference_step(part):
     """psi_hi - psi_lo as the difference of the two corrections."""
     def step(hi, a_hi, lo, a_lo):
-        p_hi, p_lo = hi.correction, lo.correction
-
-        def delta(z):
-            z = np.asarray(z, dtype=complex)
-            return part(p_hi(z - a_hi) - p_lo(z - a_lo))
-
-        return SampledFunction(evaluator=delta, label="level step difference")
+        gap = _correction_gap(hi, a_hi, lo, a_lo)
+        return SampledFunction(evaluator=lambda z: part(gap(z)),
+                               label="level step difference")
     return step
 
 
@@ -258,8 +249,8 @@ _KERNELS = {
 def _chain_step(kernel, levels, n):
     """psi_n / psi_{n-1} (multiplicative) or psi_n - psi_{n-1} (additive /
     harmonic) as one closed-form zero-free expression: shared base data
-    cancels exactly, leaving the two correction polynomials and, in the
-    multiplicative case, a constant. None when the chain is stagnant."""
+    cancels exactly, leaving the two correction polynomials. None when the
+    chain is stagnant."""
     hi_m, hi_a = levels[n].chain
     lo_m, lo_a = levels[n - 1].chain
     hi = levels[hi_m].solutions[hi_a]
@@ -416,7 +407,7 @@ def _solve_anchor(mode, n, anchor, toast, prev_sols, locs, weights, epsilon,
     # the patching datum on a predecessor region is the step from this
     # anchor's bare base up to the predecessor, in this anchor's
     # coordinates: base terms cancel, so only the predecessor's correction
-    # and, multiplicatively, a constant survive
+    # survives
     targets = tuple(
         (toast.region(n - 1, ca).translate(-anchor),
          kernel.step(prev_sols[ca], complex(ca) - anchor, bare, 0j))
@@ -426,11 +417,8 @@ def _solve_anchor(mode, n, anchor, toast, prev_sols, locs, weights, epsilon,
     # taming on the full own region keeps this correction plateau-scale
     # on the territory the next level will sample
     tame = toast.region(n, anchor).translate(-anchor)
-    # a doubled cap: its ladder runs past the default cap's rungs, to
-    # separate conditioning trouble from genuine infeasibility
     try:
-        cert = runge.solve(problem, tame_region=tame,
-                           degree_cap=2 * runge.DEFAULT_CAP)
+        cert = runge.solve(problem, tame_region=tame)
     except DegreeCapExceeded as exc:
         raise RungeFailure(
             f"patching failed at epsilon {epsilon}: {exc}",
@@ -495,17 +483,17 @@ def _lift(mode, data, toast, levels, check_membership=True):
     window = toast.divisor.window
     base = _base_point(locs)
     ladder = _ladder(base)
+    # one q26 gauge point for the whole lift, next to the level-0 chain
+    # anchor: every base shares it, so bases cancel exactly between anchors
+    # and levels (see the module docstring)
+    chain_a = complex(_chain_entry(toast, base, 0)[1])
+    gauge_pt = chain_a + _gauge_offset(
+        tuple(complex(a) - chain_a for a in locs), toast.u0)
     out_levels = []
     for n in range(N + 1):
         epsilon = 2.0 ** (-n)
         prev = out_levels[-1].solutions if out_levels else {}
         chain = _chain_entry(toast, base, n)
-        # one gauge point per level, next to the chain anchor: sibling
-        # solutions must share value levels or no polynomial correction
-        # could bridge them (see the module docstring)
-        chain_a = complex(chain[1])
-        gauge_pt = chain_a + _gauge_offset(
-            tuple(complex(a) - chain_a for a in locs), toast.u0)
         sols = {a: _solve_anchor(mode, n, a, toast, prev, locs, weights,
                                  epsilon, gauge_pt)
                 for a in toast.levels[n].anchors}

@@ -8,6 +8,13 @@ modes: how fit and check samples are read, which basis is fitted, how the
 coefficients are packed, which part of the polynomial the error is taken
 on, and which approximant is returned.
 
+Multiplicative-log data must declare their logarithm (`log_eval`): the fit
+reads that declared log and nothing else, and its real part is what the
+errors are measured on. A declared log is already one branch per target and
+stays finite where the plain values would overflow; data without one are
+refused with ValueError, and a declared zero or singularity inside a target,
+or a log that is not finite there, raises ZeroInK.
+
 Sampling is boundary-only: every mode here carries data that is analytic,
 zero-free analytic, or harmonic near the targets, so the maximum principle
 makes the boundary sup equal to the sup over the region. The approximant is
@@ -23,10 +30,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import CompactRegion, ComplexPoly, SampledFunction, as_sampled, q26
-from .errors import BranchInconsistency, DegreeCapExceeded, ZeroInK
+from .errors import DegreeCapExceeded, ZeroInK
 
 DEGREE_LADDER = (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 120)
 DEFAULT_CAP = 120
@@ -121,111 +127,34 @@ def _degrees(degree, cap):
 
 
 # ---------------------------------------------------------------------------
-# samples: plain values, real parts, branch-consistent logarithms
+# samples: plain values, real parts, declared logarithms
 
 
 def _pointwise(read):
     """Samples of data read off pointwise on each target's boundary."""
     def sample(targets, density):
         sets = [K.boundary_samples(density) for K, _ in targets]
-        return sets, [read(h, pts) for (_, h), pts in zip(targets, sets)]
+        return sets, [read(K, h, pts) for (K, h), pts in zip(targets, sets)]
     return sample
 
 
-_VALUES = _pointwise(lambda h, pts: h(pts))
-_REAL_PARTS = _pointwise(lambda h, pts: np.real(h(pts)))
-
-
-def _branch_log(K: CompactRegion, h, density):
-    """log h on K's boundary samples with one consistent branch per region.
-
-    Data carrying a declared log (h.log_eval) is sampled through it directly:
-    a declared log is already a branch, and it stays finite where the plain
-    values would overflow. Otherwise the imaginary part is assigned along a
-    spanning tree whose edges are shorter than min radius / 4; every
-    remaining short edge is then checked for cycle consistency, and a winding
-    defect of pi or more raises BranchInconsistency."""
-    for z in tuple(getattr(h, "zeros", ())) + tuple(getattr(h, "singularities", ())):
+def _declared_log(K: CompactRegion, h, pts):
+    """The datum's declared log on K's boundary samples pts."""
+    for z in tuple(h.zeros) + tuple(h.singularities):
         if K.contains(z):
             raise ZeroInK(f"declared zero or singularity {z} lies in a target")
-    log_eval = getattr(h, "log_eval", None)
-    if log_eval is not None:
-        pts = K.boundary_samples(density)
-        logs = np.asarray(log_eval(pts), dtype=complex)
-        if not np.all(np.isfinite(logs)):
-            raise ZeroInK("declared log is not finite on a target region")
-        return pts, logs
-    for attempt in range(2):
-        pts = K.boundary_samples(density * (2 ** attempt))
-        vals = h(pts)
-        if np.any(~np.isfinite(vals)) or np.any(vals == 0):
-            raise ZeroInK("data vanishes or blows up on a target region")
-        thresh = K.min_radius() / 4
-        tree = cKDTree(np.column_stack([pts.real, pts.imag]))
-        pairs = tree.query_pairs(thresh, output_type="ndarray")
-        if len(pairs) == 0 and len(pts) > 1:
-            continue
-        adj = [[] for _ in pts]
-        for i, j in pairs:
-            adj[i].append(j)
-            adj[j].append(i)
-        theta = np.full(len(pts), np.nan)
-        raw = np.angle(vals)
-        theta[0] = raw[0]
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if np.isnan(theta[j]):
-                    step = raw[j] - raw[i]
-                    step -= 2 * math.pi * round(step / (2 * math.pi))
-                    theta[j] = theta[i] + step
-                    stack.append(j)
-        if np.any(np.isnan(theta)):
-            continue  # sampling too sparse to connect; retry denser
-        # cycle consistency across every short edge
-        i, j = pairs[:, 0], pairs[:, 1]
-        step = raw[j] - raw[i]
-        step -= 2 * math.pi * np.round(step / (2 * math.pi))
-        defect = np.abs(theta[j] - theta[i] - step)
-        if np.any(defect >= math.pi):
-            raise BranchInconsistency(
-                f"winding defect {float(np.max(defect)):.3f} >= pi on a cycle")
-        return pts, np.log(np.abs(vals)) + 1j * theta
-    raise ValueError(
-        "boundary sampling cannot connect the region for branch tracking")
+    if h.log_eval is None:
+        raise ValueError("multiplicative-log data must declare log_eval")
+    logs = np.asarray(h.log_eval(pts), dtype=complex)
+    if not np.all(np.isfinite(logs)):
+        raise ZeroInK("declared log is not finite on a target region")
+    return logs
 
 
-def _recentred_logs(targets, density):
-    """Branch logs per region, each recentred by a multiple of 2 pi i toward
-    the first region's mean imaginary part. exp is unchanged, and without
-    the recentring per-region branch choices can sit whole turns apart,
-    forcing spurious winding into the joint fit and starving the real part
-    of accuracy."""
-    sets, vals = [], []
-    ref = None
-    for K, h in targets:
-        pts, logs = _branch_log(K, h, density)
-        mean_im = float(np.mean(logs.imag))
-        if ref is None:
-            ref = mean_im
-        k = round((mean_im - ref) / (2 * math.pi))
-        sets.append(pts)
-        vals.append(logs - 2j * math.pi * k)
-    return sets, vals
-
-
-def _log_modulus(h, pts):
-    log_eval = getattr(h, "log_eval", None)
-    if log_eval is not None:
-        log_mod = np.real(np.asarray(log_eval(pts), dtype=complex))
-        if not np.all(np.isfinite(log_mod)):
-            raise ZeroInK("declared log is not finite on a target region")
-        return log_mod
-    hv = h(pts)
-    if np.any(hv == 0) or np.any(~np.isfinite(hv)):
-        raise ZeroInK("data vanishes or blows up on a target region")
-    return np.log(np.abs(hv))
+_VALUES = _pointwise(lambda K, h, pts: h(pts))
+_REAL_PARTS = _pointwise(lambda K, h, pts: np.real(h(pts)))
+_LOGS = _pointwise(_declared_log)
+_LOG_MODULI = _pointwise(lambda K, h, pts: np.real(_declared_log(K, h, pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +194,7 @@ _MODES = {
         basis=_same, pack=_same, part=_same,
         approximant=lambda poly, deg: poly.as_sampled()),
     "multiplicative-log": _Mode(
-        fit=_recentred_logs, check=_pointwise(_log_modulus),
+        fit=_LOGS, check=_LOG_MODULI,
         basis=_same, pack=_same, part=np.real,
         approximant=lambda poly, deg: SampledFunction(
             evaluator=lambda z: np.exp(poly(z)), log_eval=poly,

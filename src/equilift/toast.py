@@ -304,14 +304,11 @@ def _disk_subset(lower: CompactRegion, upper: CompactRegion):
     return low <= up
 
 
-def _contained(lower, upper, margin=0.0):
-    if margin == 0.0 and _disk_subset(lower, upper):
-        return True
-    return lower.contained_in(upper, margin=margin)
+def _contained(lower, upper):
+    return _disk_subset(lower, upper) or lower.contained_in(upper)
 
 
-def verify_axioms(forest: ToastForest, directed_pair_cap=120,
-                  cover_resolution=None) -> dict:
+def verify_axioms(forest: ToastForest) -> dict:
     """Re-check the hierarchy axioms from the stored geometry alone.
 
     Returns {check: {"status": ..., "witnesses": [...]}} where status is
@@ -363,34 +360,32 @@ def verify_axioms(forest: ToastForest, directed_pair_cap=120,
                 witnesses.append((m, a, "parent does not contain"))
     report["parent-exists"] = entry("fail" if witnesses else "pass", witnesses)
 
-    # 4: directedness with interior containment, sampled pairs
+    # 4: directedness through the parent map: every inner region lies in
+    # each of its ancestors up to the top level, so two regions whose
+    # ancestor chains meet have that common ancestor as an upper bound;
+    # chains ending in different top regions leave their pairs to more levels
     witnesses = []
-    undetermined = []
-    pairs = []
     inner = forest.divisor.window.inner()
-    low_regions = [(lv.n, a, r) for lv in forest.levels
-                   for a, r in lv.regions.items()
-                   if inner.contains(a)]
-    for i in range(len(low_regions)):
-        for j in range(i + 1, len(low_regions)):
-            pairs.append((low_regions[i], low_regions[j]))
-    if len(pairs) > directed_pair_cap:
-        stride = max(1, len(pairs) // directed_pair_cap)
-        pairs = pairs[::stride][:directed_pair_cap]
-    for (m, a, ra), (n, b, rb) in pairs:
-        ok = False
-        for lv in forest.levels[max(m, n):]:
-            for _, upper in lv.regions.items():
-                if (_contained(ra, upper, margin=1e-9)
-                        and _contained(rb, upper, margin=1e-9)):
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
-            undetermined.append(((m, a), (n, b)))
-    if undetermined:
-        report["directed"] = entry("undetermined (insufficient levels)", undetermined)
+    roots = {}
+    for lv in forest.levels:
+        for a, reg in lv.regions.items():
+            if not inner.contains(a):
+                continue
+            key, inside = (lv.n, a), True
+            while inside and key in forest.parents:
+                key = forest.parents[key]
+                upper = forest.levels[key[0]].regions.get(key[1])
+                inside = upper is not None and _contained(reg, upper)
+            if inside and key[0] == forest.depth:
+                roots.setdefault(key, (lv.n, a))
+            else:
+                witnesses.append(((lv.n, a), key))
+    if witnesses:
+        report["directed"] = entry("fail", witnesses)
+    elif len(roots) > 1:
+        firsts = list(roots.values())
+        report["directed"] = entry("undetermined (insufficient levels)",
+                                   zip(firsts, firsts[1:]))
     else:
         report["directed"] = entry("pass")
 
@@ -404,8 +399,7 @@ def verify_axioms(forest: ToastForest, directed_pair_cap=120,
     report["anchor-disk"] = entry("fail" if witnesses else "pass", witnesses)
 
     # 6: top level covers the inner window
-    h = cover_resolution if cover_resolution else forest.r0 / 4
-    grid = inner.grid(h).ravel()
+    grid = inner.grid(forest.r0 / 4).ravel()
     covered = np.zeros(len(grid), dtype=bool)
     for reg in forest.levels[-1].regions.values():
         covered |= reg.contains(grid)

@@ -163,6 +163,35 @@ class TestCertificates:
 
 
 # ---------------------------------------------------------------------------
+# the product gauge
+
+
+def product_solutions(trace):
+    return [sol for lv in trace.levels for sol in lv.solutions.values()]
+
+
+class TestGauge:
+    def test_one_quantized_gauge_point_per_lift(self, poisson_trace):
+        # every base is normalized at one q26 point g, which moves with the
+        # data: the shifted lift's point is exactly g - SHIFT
+        trace, d = poisson_trace
+        shifted = lift(d.translate(-SHIFT, move_window=True),
+                       check_membership=False)
+        points = [{sol.anchor + sol.gauge for sol in product_solutions(tr)}
+                  for tr in (trace, shifted)]
+        assert [len(p) for p in points] == [1, 1]
+        g, g_shifted = points[0].pop(), points[1].pop()
+        assert complex(q26(g)) == g
+        assert g_shifted == g - SHIFT
+
+    def test_bases_cancel_exactly(self, poisson_trace):
+        # shared normalizers leave every patching datum exactly 1
+        trace, _ = poisson_trace
+        for sol in product_solutions(trace):
+            assert all(c == 0 for c in sol.correction.coeffs)
+
+
+# ---------------------------------------------------------------------------
 # equivariance double-runs
 
 

@@ -1,4 +1,5 @@
-"""Patching engine: recovery, separation, escalation, certificates, branches."""
+"""Patching engine: recovery, separation, escalation, certificates, declared
+logs."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from equilift.core import CompactRegion, SampledFunction, q26
-from equilift.errors import BranchInconsistency, DegreeCapExceeded, ZeroInK
+from equilift.errors import DegreeCapExceeded, ZeroInK
 from equilift.runge import RungeProblem, solve
 
 DISK = CompactRegion.disk(0j, 1.0)
@@ -108,17 +109,26 @@ class TestAdditive:
         assert dev < 1e-9
 
 
+def declared(log):
+    """Multiplicative datum exp(log) with its declared log."""
+    return SampledFunction(lambda z: np.exp(log(z)), log_eval=log)
+
+
+def constant_log(c):
+    return lambda z: np.full(np.shape(z), c, dtype=complex)
+
+
 class TestMultiplicative:
     def test_constant_one_is_exact(self):
-        prob = RungeProblem(((DISK, lambda z: np.ones_like(z)),),
+        prob = RungeProblem(((DISK, declared(constant_log(0j))),),
                             epsilon=1e-6, mode="multiplicative-log")
         cert = solve(prob)
         assert cert.errors == (0.0,)
         assert abs(cert.approximant(np.array([0.5j]))[0] - 1.0) < 1e-12
 
     def test_two_and_half(self):
-        prob = RungeProblem(((LEFT, lambda z: 2 * np.ones_like(z)),
-                             (RIGHT, lambda z: 0.5 * np.ones_like(z))),
+        prob = RungeProblem(((LEFT, declared(constant_log(math.log(2)))),
+                             (RIGHT, declared(constant_log(math.log(0.5))))),
                             epsilon=1e-4, mode="multiplicative-log")
         cert = solve(prob)
         assert cert.max_error < 1e-4
@@ -126,8 +136,8 @@ class TestMultiplicative:
         assert abs(cert.approximant(np.array([4 + 0j]))[0] - 0.5) < 2.5e-4
 
     def test_zero_free_branch_tracking(self):
-        # e^z is zero-free; its log is recovered without branch cuts
-        prob = RungeProblem(((DISK, np.exp),), epsilon=1e-8,
+        # e^z is zero-free; its declared log z is fitted as one branch
+        prob = RungeProblem(((DISK, declared(lambda z: z)),), epsilon=1e-8,
                             mode="multiplicative-log")
         cert = solve(prob)
         assert cert.max_error < 1e-8
@@ -140,16 +150,22 @@ class TestMultiplicative:
         with pytest.raises(ZeroInK):
             solve(prob)
 
-    def test_undeclared_winding_is_inconsistent(self):
-        # h = z winds once around the boundary circle: the closing edges of
-        # the spanning tree see a 2 pi defect
-        prob = RungeProblem(((DISK, lambda z: z),), epsilon=1e-6,
+    def test_undeclared_log_is_refused(self):
+        # no branch is tracked from plain values: data must carry its log
+        prob = RungeProblem(((DISK, np.exp),), epsilon=1e-6,
                             mode="multiplicative-log")
-        with pytest.raises(BranchInconsistency):
+        with pytest.raises(ValueError, match="log_eval"):
+            solve(prob)
+
+    def test_non_finite_declared_log(self):
+        # log = -inf declares a datum that vanishes on the whole target
+        prob = RungeProblem(((DISK, declared(constant_log(-math.inf))),),
+                            epsilon=1e-6, mode="multiplicative-log")
+        with pytest.raises(ZeroInK):
             solve(prob)
 
     def test_log_certificate_is_modulus_based(self):
-        prob = RungeProblem(((DISK, np.exp),), epsilon=1e-8,
+        prob = RungeProblem(((DISK, declared(lambda z: z)),), epsilon=1e-8,
                             mode="multiplicative-log")
         cert = solve(prob)
         pts = DISK.boundary_samples(128)
@@ -190,7 +206,7 @@ class TestDispatch:
     def test_solve_routes_by_mode(self):
         prob = RungeProblem(((DISK, np.exp),), epsilon=1e-6)
         assert solve(prob).mode == "additive"
-        probm = RungeProblem(((DISK, np.exp),), epsilon=1e-6,
+        probm = RungeProblem(((DISK, declared(lambda z: z)),), epsilon=1e-6,
                              mode="multiplicative-log")
         assert solve(probm).mode == "multiplicative-log"
         probh = RungeProblem(((DISK, lambda z: np.real(z)),), epsilon=1e-6,

@@ -16,7 +16,8 @@ WIN8 = Window(-8, 8, -8, 8)
 WIN16 = Window(-16, 16, -16, 16)
 
 PASSING = ("same-level-disjoint", "simply-connected", "cross-level-nested",
-           "parent-exists", "anchor-disk", "top-cover", "child-bound")
+           "parent-exists", "directed", "anchor-disk", "top-cover",
+           "child-bound")
 
 
 def single_point_forest(N=3):
@@ -50,8 +51,6 @@ class TestSinglePoint:
         for name in PASSING:
             assert report[name]["status"] == "pass", (name, report[name])
         assert report["countable"]["status"] == "pass (finite)"
-        assert report["directed"]["status"] in (
-            "pass", "undetermined (insufficient levels)")
 
 
 class TestTwoPoints:
@@ -99,6 +98,18 @@ class TestPoissonForest:
 
     def test_axioms(self, forest):
         report = verify_axioms(forest)
+        for name in PASSING:
+            assert report[name]["status"] == "pass", (name, report[name])
+
+    @pytest.mark.parametrize("half, seed", [(8.5, 1252010711),
+                                            (10.0, 129759984)])
+    def test_directed_when_a_region_only_touches_its_parent(self, half, seed):
+        # single-region top levels whose regions lie in the one above only
+        # up to a shared boundary (286 and 400 points)
+        d = generate("jittered-lattice", Window(-half, half, -half, half),
+                     seed=seed)
+        report = verify_axioms(build_covariant_toast(d, N=4, r0=1.0,
+                                                     gamma=4.0))
         for name in PASSING:
             assert report[name]["status"] == "pass", (name, report[name])
 
@@ -232,6 +243,25 @@ class TestViolationDetection:
         lv1 = ToastLevel(1, {0j: CompactRegion.disk(0j, 4.0)}, {0j: "genuine"})
         report = verify_axioms(self.forged([lv0, lv1]))
         assert report["parent-exists"]["status"] == "fail"
+
+    def test_separate_top_regions_leave_directed_undetermined(self):
+        lv = ToastLevel(0, {-3 + 0j: CompactRegion.disk(-3 + 0j, 1.0),
+                            3 + 0j: CompactRegion.disk(3 + 0j, 1.0)},
+                        {-3 + 0j: "genuine", 3 + 0j: "genuine"})
+        report = verify_axioms(self.forged([lv]))
+        assert report["directed"] == {
+            "status": "undetermined (insufficient levels)",
+            "witnesses": [((0, -3 + 0j), (0, 3 + 0j))]}
+
+    def test_ancestor_not_containing_detected(self):
+        lv0 = ToastLevel(0, {0j: CompactRegion.disk(0j, 1.0)}, {0j: "genuine"})
+        lv1 = ToastLevel(1, {0j: CompactRegion.disk(0j, 4.0)}, {0j: "genuine"})
+        lv2 = ToastLevel(2, {0j: CompactRegion.disk(0.5 + 0j, 3.6)},
+                         {0j: "genuine"})
+        report = verify_axioms(self.forged(
+            [lv0, lv1, lv2], parents={(0, 0j): (1, 0j), (1, 0j): (2, 0j)}))
+        assert report["directed"]["status"] == "fail"
+        assert report["directed"]["witnesses"][0] == ((1, 0j), (2, 0j))
 
     def test_anchor_disk_violation_detected(self):
         # region anchored at 0 but positioned elsewhere misses D(0, u0)
