@@ -595,6 +595,35 @@ class SampledFunction:
             return self.derivative_at(z) / self(z)
 
 
+# weight-by-u elements per block of a base sum: cache-sized temporaries, and
+# memory that grows with neither the point count nor the input's size
+BASE_SUM_BLOCK = 2 ** 14
+
+
+def base_sum(term, u, weights):
+    """sum_j weights[j] * term(u)[j] at every entry of u, shaped like u.
+
+    `term` maps a row of u values (shape (1, r)) to a (len(weights), r)
+    array, one row per weight. The entries of u are walked in blocks of at
+    most BASE_SUM_BLOCK weight-by-u elements, each reduced with `weights @`.
+    Real weights reduce the real and imaginary parts of a complex term
+    apart, so a term whose real part is -inf (log 0 at a zero) gives -inf,
+    not nan."""
+    u = np.asarray(u, dtype=complex)
+    flat = u.reshape(1, -1)
+    cols = max(1, BASE_SUM_BLOCK // max(1, len(weights)))
+    real_weights = not np.iscomplexobj(weights)
+    parts = []
+    # an empty u still runs one (empty) block, which fixes the result dtype
+    for s in range(0, max(flat.size, 1), cols):
+        t = term(flat[:, s:s + cols])
+        if real_weights and np.iscomplexobj(t):
+            parts.append((weights @ t.view(float)).view(complex))
+        else:
+            parts.append(weights @ t)
+    return np.concatenate(parts).reshape(u.shape)
+
+
 def as_sampled(f) -> SampledFunction:
     if isinstance(f, SampledFunction):
         return f

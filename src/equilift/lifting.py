@@ -34,6 +34,14 @@ nearly-touching regions. With one quantized gauge, every normalizer
 b_j - gauge is the same exact dyadic difference (data point minus gauge) in
 every anchor's frame, so two bases cancel exactly: a level step is exp of
 the difference of the two corrections and nothing else.
+
+Membership (`verify_membership`) counts zeros with 512 contour nodes per
+separating circle. Each circle's radius is at most 0.45 of the gap to the
+nearest declared zero, so the trapezoid error from declared zeros decays
+like 0.45^nodes and far fewer nodes would resolve them. That bound says
+nothing about a zero the lift did not declare: one sitting close to a
+contour is resolved only at full resolution, so the node count stays 512
+until a bound covers undeclared zeros too.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import numpy as np
 from . import runge
 from .builders import Potential, verify_divisor_match
 from .core import (CompactRegion, ComplexPoly, SampledFunction, Window,
-                   log_seminorm, q26, sup_seminorm)
+                   base_sum, log_seminorm, q26, sup_seminorm)
 from .divisors import Divisor, PrincipalParts
 from .errors import DegreeCapExceeded, DivisorMismatch, NonFreeInput, RungeFailure
 from .toast import ToastForest, build_covariant_toast
@@ -61,7 +69,7 @@ HARMONIC = "harmonic"
 # local solutions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalSolution:
     """One anchor's global solution in local coordinates u = z - anchor.
 
@@ -69,14 +77,19 @@ class LocalSolution:
     additive:       P(u) + sum_j sum_k c_{jk} / (u - b_j)^k
     harmonic:       Re P(u) + sum_j mass_j log|u - b_j| / (2 pi)
 
-    The product is evaluated through its logarithm: per-factor ratios stay
-    O(1) where the raw product of hundreds of factors would overflow.
+    The offsets are one array per solution, and every base sum over them
+    runs through `core.base_sum`: in blocks of at most BASE_SUM_BLOCK
+    u-by-offset elements, so its memory grows with neither n nor the size
+    of the input. The product is evaluated through its logarithm: per-factor
+    ratios stay O(1) where the raw product of hundreds of factors would
+    overflow. Solutions compare by identity (arrays have no single truth
+    value).
     """
 
     anchor: complex
     mode: str
-    offsets: tuple      # b_j = data point - anchor (exact dyadic differences)
-    weights: tuple      # mults / principal-part coefficient tuples / masses
+    offsets: np.ndarray  # b_j = data point - anchor (exact dyadic differences)
+    weights: np.ndarray  # mults / (n, k) principal-part coefficients / masses
     correction: ComplexPoly
     gauge: complex = 0j  # the lift's q26 gauge point - anchor (one per lift)
 
@@ -86,20 +99,17 @@ class LocalSolution:
             return _KERNELS[self.mode].value(self, u)
 
     def log_value(self, u):
-        u = np.asarray(u, dtype=complex)
-        out = self.correction(u)
+        b = self.offsets[:, None]
+        norms = b - self.gauge
         with np.errstate(all="ignore"):
-            for b, m in zip(self.offsets, self.weights):
-                out = out + m * np.log((b - u) / (b - self.gauge))
-        return out
+            return self.correction(u) + base_sum(
+                lambda row: np.log((b - row) / norms), u, self.weights)
 
     def dlog(self, u):
-        u = np.asarray(u, dtype=complex)
-        out = self.correction.derivative()(u)
+        b = self.offsets[:, None]
         with np.errstate(all="ignore"):
-            for b, m in zip(self.offsets, self.weights):
-                out = out + m / (u - b)
-        return out
+            return self.correction.derivative()(u) + base_sum(
+                lambda row: 1 / (row - b), u, self.weights)
 
 
 def _gauge_offset(offsets, u0):
@@ -166,19 +176,28 @@ def _product_value(sol, u):
 
 
 def _principal_value(sol, u):
-    out = sol.correction(u)
-    for b, coeffs in zip(sol.offsets, sol.weights):
-        du = u - b
-        for j, c in enumerate(coeffs, start=1):
-            out = out + c / du ** j
-    return out
+    # one weight per (pole, order): row-major over the padded (n, k) table
+    b = sol.offsets[:, None, None]
+    powers = -np.arange(1, sol.weights.shape[1] + 1)[:, None]
+    w = sol.weights.ravel()
+    return sol.correction(u) + base_sum(
+        lambda row: ((row - b) ** powers).reshape(len(w), row.shape[1]), u, w)
 
 
 def _log_kernel_value(sol, u):
-    out = np.real(sol.correction(u))
-    for b, mass in zip(sol.offsets, sol.weights):
-        out = out + mass * np.log(np.abs(u - b)) / (2 * math.pi)
-    return out
+    b = sol.offsets[:, None]
+    return np.real(sol.correction(u)) + base_sum(
+        lambda row: np.log(np.abs(row - b)), u, sol.weights) / (2 * math.pi)
+
+
+def _principal_table(pp):
+    """Pole locations and their coefficient tuples padded into one (n, k)
+    array; padded orders carry coefficient 0."""
+    k = max((len(c) for _, c in pp.entries), default=0)
+    table = np.zeros((len(pp.entries), k), dtype=complex)
+    for row, (_, coeffs) in zip(table, pp.entries):
+        row[:len(coeffs)] = coeffs
+    return np.array([p for p, _ in pp.entries], dtype=complex), table
 
 
 def _correction_gap(hi, a_hi, lo, a_lo):
@@ -227,21 +246,23 @@ class _Kernel:
 _KERNELS = {
     MULTIPLICATIVE: _Kernel(
         runge_mode="multiplicative-log", seminorm=log_seminorm,
-        config=lambda d: (tuple(d.locs.tolist()),
-                          tuple(int(m) for m in d.mults)),
-        declared=lambda locs: (locs, ()), data_key="divisor",
+        config=lambda d: (np.asarray(d.locs, dtype=complex),
+                          np.asarray(d.mults, dtype=float)),
+        declared=lambda locs: (tuple(locs.tolist()), ()), data_key="divisor",
         value=_product_value, step=_ratio_step, product=True),
     ADDITIVE: _Kernel(
         runge_mode="additive", seminorm=sup_seminorm,
-        config=lambda pp: (tuple(p for p, _ in pp.entries),
-                           tuple(coeffs for _, coeffs in pp.entries)),
-        declared=lambda locs: ((), locs), data_key="principal_parts",
+        config=_principal_table,
+        declared=lambda locs: ((), tuple(locs.tolist())),
+        data_key="principal_parts",
         value=_principal_value, step=_difference_step(_same)),
     HARMONIC: _Kernel(
         runge_mode="harmonic", seminorm=sup_seminorm,
-        config=lambda mu: (tuple(complex(*loc) for loc, _ in mu.atoms),
-                           tuple(mass for _, mass in mu.atoms)),
-        declared=lambda locs: ((), locs), data_key="potential",
+        config=lambda mu: (
+            np.array([complex(*loc) for loc, _ in mu.atoms], dtype=complex),
+            np.array([mass for _, mass in mu.atoms], dtype=float)),
+        declared=lambda locs: ((), tuple(locs.tolist())),
+        data_key="potential",
         value=_log_kernel_value, step=_difference_step(np.real)),
 }
 
@@ -398,7 +419,7 @@ def _solve_anchor(mode, n, anchor, toast, prev_sols, locs, weights, epsilon,
     kernel = _KERNELS[mode]
     bare = LocalSolution(
         anchor=anchor, mode=mode,
-        offsets=tuple(complex(a) - anchor for a in locs), weights=weights,
+        offsets=locs - anchor, weights=weights,
         correction=ComplexPoly((0j,)),
         gauge=complex(gauge_pt) - anchor if kernel.product else 0j)
     children = toast.children.get((n, anchor), ()) if n > 0 else ()
@@ -475,7 +496,7 @@ def _lift(mode, data, toast, levels, check_membership=True):
     N = int(levels)
     if N < 0:
         raise ValueError("levels must be nonnegative")
-    if toast is None or not locs:
+    if toast is None or not len(locs):
         raise ValueError("a toast built from the data is required")
     _check_toast_matches(toast, locs)
     if N > toast.depth:

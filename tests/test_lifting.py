@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from equilift.builders import Potential
-from equilift.core import (Circle, CompactRegion, ComplexPoly, Window,
-                           count_zeros, q26)
+from equilift.core import (BASE_SUM_BLOCK, Circle, CompactRegion,
+                           ComplexPoly, Window, count_zeros, q26)
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts, generate
-from equilift.lifting import (lift_mittag_leffler, lift_poisson_2d,
-                              lift_weierstrass, poisson_submean_probe,
-                              verify_equivariance)
+from equilift.lifting import (ADDITIVE, HARMONIC, MULTIPLICATIVE,
+                              LocalSolution, lift_mittag_leffler,
+                              lift_poisson_2d, lift_weierstrass,
+                              poisson_submean_probe, verify_equivariance)
 from equilift.toast import build_covariant_toast
 
 WIN8 = Window(-8, 8, -8, 8)
@@ -107,6 +108,13 @@ class TestDivisorRecovery:
         assert report["matched"], report["mismatches"][:3]
         assert report["max_position_error"] < 1e-8
 
+    def test_poisson_residual_reported(self, poisson_trace):
+        # the largest pre-rounding argument-principle residual over the
+        # per-point circles: rounding noise, far below the 0.25 refusal
+        trace, _ = poisson_trace
+        report = trace.verify_membership()
+        assert 0.0 <= report["max_residual"] < 1e-10
+
     def test_input_validation(self):
         neg = Divisor(np.array([0j]), np.array([-1]), WIN8)
         with pytest.raises(ValueError):
@@ -189,6 +197,101 @@ class TestGauge:
         trace, _ = poisson_trace
         for sol in product_solutions(trace):
             assert all(c == 0 for c in sol.correction.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# blocked base sums against per-offset loops
+
+
+def blocked_solution(mode):
+    """A hand-built solution: 37 offsets, a non-constant correction and, for
+    principal parts, orders 1 to 3."""
+    rng = np.random.default_rng(5)
+    offsets = q26(rng.uniform(-4, 4, 37) + 1j * rng.uniform(-4, 4, 37))
+    correction = ComplexPoly((0.3 + 0.1j, -0.2j, 0.05), center=0.5, scale=2.0)
+    if mode == ADDITIVE:
+        coeffs = [tuple(rng.normal(size=1 + j % 3) + 1j) for j in range(37)]
+        weights = np.zeros((37, 3), dtype=complex)
+        for row, c in zip(weights, coeffs):
+            row[:len(c)] = c
+    else:
+        coeffs = None
+        weights = rng.integers(1, 3, 37).astype(float)
+    gauge = complex(q26(0.125 + 4.5j)) if mode == MULTIPLICATIVE else 0j
+    sol = LocalSolution(anchor=0j, mode=mode, offsets=offsets,
+                        weights=weights, correction=correction, gauge=gauge)
+    return sol, coeffs
+
+
+def loop_log_value(sol, u):
+    return sol.correction(u) + sum(
+        m * np.log((b - u) / (b - sol.gauge))
+        for b, m in zip(sol.offsets, sol.weights))
+
+
+def loop_dlog(sol, u):
+    return sol.correction.derivative()(u) + sum(
+        m / (u - b) for b, m in zip(sol.offsets, sol.weights))
+
+
+def loop_value(sol, coeffs, u):
+    if sol.mode == MULTIPLICATIVE:
+        return np.exp(loop_log_value(sol, u))
+    if sol.mode == ADDITIVE:
+        return sol.correction(u) + sum(
+            c / (u - b) ** j for b, cs in zip(sol.offsets, coeffs)
+            for j, c in enumerate(cs, start=1))
+    return np.real(sol.correction(u)) + sum(
+        mass * np.log(np.abs(u - b)) / (2 * math.pi)
+        for b, mass in zip(sol.offsets, sol.weights))
+
+
+def blocked_inputs(sol):
+    """A Python scalar, 0-d and length-1 arrays, a 2-D grid holding an
+    offset, and a 1-D array spanning three blocks, its length no multiple
+    of the u entries per block, holding every offset."""
+    per_block = BASE_SUM_BLOCK // sol.weights.size
+    grid = WIN8.inner(0.25).grid(0.5)
+    grid[3, 5] = sol.offsets[1]
+    line = np.concatenate(
+        [np.linspace(-5 - 4j, 5 + 4.5j, 2 * per_block + 7), sol.offsets])
+    assert len(line) > 2 * per_block and len(line) % per_block
+    return [1.5 - 0.75j, np.array(0.25 + 2j), np.array([-1.0 + 0.5j]),
+            grid, line]
+
+
+def assert_matches_loop(got, want, u):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == np.shape(u)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    err = np.abs(got[finite] - want[finite])
+    assert np.all(err <= 1e-12 * np.abs(want[finite]))
+
+
+class TestBlockedBaseSums:
+    @pytest.mark.parametrize("mode", [MULTIPLICATIVE, ADDITIVE, HARMONIC])
+    def test_value_matches_loop(self, mode):
+        sol, coeffs = blocked_solution(mode)
+        with np.errstate(all="ignore"):
+            for u in blocked_inputs(sol):
+                want = loop_value(sol, coeffs, np.asarray(u, dtype=complex))
+                assert_matches_loop(sol.value(u), want, u)
+
+    @pytest.mark.parametrize("method, loop", [("log_value", loop_log_value),
+                                              ("dlog", loop_dlog)])
+    def test_product_log_forms_match_loop(self, method, loop):
+        sol, _ = blocked_solution(MULTIPLICATIVE)
+        with np.errstate(all="ignore"):
+            for u in blocked_inputs(sol):
+                want = loop(sol, np.asarray(u, dtype=complex))
+                assert_matches_loop(getattr(sol, method)(u), want, u)
+
+    def test_offsets_are_one_array(self, poisson_trace):
+        trace, d = poisson_trace
+        for sol in product_solutions(trace):
+            assert isinstance(sol.offsets, np.ndarray)
+            assert np.array_equal(sol.offsets + sol.anchor, d.locs)
 
 
 # ---------------------------------------------------------------------------
