@@ -7,12 +7,16 @@ quantized shift translates the whole hierarchy exactly. Regions at one level
 are pairwise disjoint; a region either gets absorbed into a next-level region
 (its disks are adjoined verbatim, making nesting literal) or is re-listed at
 the next level unchanged as a repeat, so every region has a parent.
+
+The difference and distance matrices are built once per toast: each level
+ranks the points by prefixes of the sorted distance rows (`_markers`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,10 @@ class ToastLevel:
     n: int
     regions: dict            # anchor -> CompactRegion, insertion-ordered
     kinds: dict              # anchor -> "genuine" | "repeat"
+    # construction tallies: markers, markers skipped for spacing, markers
+    # that ceded to a senior, and the absorptions and pocket fills of the
+    # regions kept
+    counts: dict = field(default_factory=dict)
 
     @property
     def anchors(self):
@@ -40,6 +48,7 @@ class ToastLevel:
             self.n,
             {a + w: r.translate(w) for a, r in self.regions.items()},
             {a + w: k for a, k in self.kinds.items()},
+            dict(self.counts),
         )
 
 
@@ -98,52 +107,94 @@ class ToastForest:
 # construction
 
 
-def _signature_keys(locs, scale):
-    """Per-point comparison keys at the given level scale.
+class _Pairs(NamedTuple):
+    """Pairwise geometry of a toast's points, built once per toast."""
+    locs: np.ndarray
+    diff: np.ndarray     # diff[i, j] = locs[j] - locs[i]
+    dist: np.ndarray     # |diff|
+    rows: np.ndarray     # row i of dist without its zeros, ascending, inf-padded
 
-    Primary: ascending distances to neighbors within NEIGHBOR_SCALE * scale
-    (lex-larger means more isolated). Tiebreak: descending difference
-    vectors, which separates swap-symmetric pairs while staying a function
-    of differences only. Returns (keys, competitor index lists)."""
-    n = len(locs)
-    # diff[i][j] = vector from point i to point j
-    diff = locs[None, :] - locs[:, None]
-    dist = np.abs(diff)
-    keys = []
-    competitors = []
-    for i in range(n):
-        nbr = (dist[i] > 0) & (dist[i] <= NEIGHBOR_SCALE * scale)
-        ds = np.sort(dist[i][nbr])
-        vecs = sorted(((v.real, v.imag) for v in diff[i][nbr]), reverse=True)
-        keys.append((tuple(ds.tolist()), tuple(vecs)))
-        comp = np.nonzero((dist[i] > 0) & (dist[i] <= scale))[0]
-        competitors.append(comp)
-    return keys, competitors
+    @classmethod
+    def of(cls, locs):
+        locs = np.asarray(locs, dtype=complex)
+        diff = locs[None, :] - locs[:, None]
+        dist = np.abs(diff)
+        rows = np.sort(np.where(dist > 0, dist, np.inf), axis=1)
+        return cls(locs, diff, dist, rows)
 
 
-def _markers(locs, scale):
-    """Indices whose key strictly dominates every competitor within `scale`.
+def _ranks(pairs, scale):
+    """Integer rank per point that orders the points as their signature keys
+    do, equal ranks exactly for equal keys.
 
-    An exact key tie between mutual competitors means the two points see
-    identical difference-vector neighborhoods, i.e. a local translation
-    symmetry the covariant rule cannot break."""
-    keys, competitors = _signature_keys(locs, scale)
-    out = []
-    for i in range(len(locs)):
-        best = True
-        for j in competitors[i]:
-            if keys[i] == keys[j]:
-                raise NonFreeInput(
-                    f"points {locs[i]} and {locs[j]} are locally "
-                    f"indistinguishable at scale {scale}"
-                )
-            if keys[j] > keys[i]:
-                best = False
-                break
-        if best:
-            out.append(i)
-    out.sort(key=lambda i: keys[i], reverse=True)
-    return out
+    A point's key is its ascending distances to the neighbors within
+    NEIGHBOR_SCALE * scale (lex-larger means more isolated), then its
+    descending neighbor difference vectors, which separate swap-symmetric
+    points while staying a function of differences only."""
+    n = len(pairs.locs)
+    lim = NEIGHBOR_SCALE * scale
+    lengths = np.count_nonzero(pairs.rows <= lim, axis=1)
+    width = int(lengths.max())
+    # -1 after a row's end makes a strict prefix compare smaller, as in tuples
+    padded = np.where(np.arange(width) < lengths[:, None],
+                      pairs.rows[:, :width], -1.0)
+    order = np.lexsort(padded.T[::-1]) if width else np.arange(n)
+    srt = padded[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    # rank = n * (distance-row group) + (place of the vectors in the group)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = (np.cumsum(new) - 1) * n
+    # exact distance-row ties need local symmetry, so they are rare: only
+    # there are the difference vectors compared
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], n)
+    for s, e in zip(starts, ends):
+        if e - s < 2 or lengths[order[s]] == 0:
+            continue
+        vecs = {}
+        for i in order[s:e]:
+            v = pairs.diff[i, (pairs.dist[i] > 0) & (pairs.dist[i] <= lim)]
+            vecs[i] = tuple(sorted(zip(v.real.tolist(), v.imag.tolist()),
+                                   reverse=True))
+        sub = {key: k for k, key in enumerate(sorted(set(vecs.values())))}
+        for i, key in vecs.items():
+            rank[i] += sub[key]
+    return rank
+
+
+def _markers(pairs, scale):
+    """Indices whose key strictly dominates every competitor within `scale`,
+    most isolated first.
+
+    Keys are compared through `_ranks`: the distance rows, padded with -1,
+    are ranked lexicographically with one `np.lexsort`, and the
+    difference-vector tiebreak is built only inside groups of equal rows.
+    This is the order of the Python key tuples (distance tuple, vector
+    tuple). The radius-2*scale neighbor rows are prefixes of the sorted
+    distance rows built once per toast. No spatial tree: from level 2 up the
+    2*scale ball holds most of the points, so a tree would not shrink the
+    work.
+
+    Competitors are scanned in index order. An exact key tie with the first
+    competitor whose key is not smaller means the two points see identical
+    difference-vector neighborhoods, i.e. a local translation symmetry the
+    covariant rule cannot break. Markers with equal keys (never
+    competitors) keep index order."""
+    rank = _ranks(pairs, scale)
+    rival = ((pairs.dist > 0) & (pairs.dist <= scale)
+             & (rank[None, :] >= rank[:, None]))
+    beaten = rival.any(axis=1)
+    first = rival.argmax(axis=1)
+    tied = beaten & (rank[first] == rank)
+    if tied.any():
+        i = int(np.argmax(tied))
+        raise NonFreeInput(
+            f"points {pairs.locs[i]} and {pairs.locs[first[i]]} are locally "
+            f"indistinguishable at scale {scale}"
+        )
+    out = np.flatnonzero(~beaten)
+    return out[np.argsort(-rank[out], kind="stable")].tolist()
 
 
 def _disks_intersect(c1, r1, c2, r2):
@@ -198,6 +249,72 @@ def _pocket_filler(rel_centers, radii):
     return m, abs(cs[x] - cs[y]) / 2 * 1.05 + 2.0 ** -20
 
 
+class _Pool(NamedTuple):
+    """The previous level's regions, which a new region may absorb."""
+    items: list          # (anchor, CompactRegion), in level order
+    anchors: np.ndarray
+    reach: np.ndarray    # max |c - anchor| + r over each region's disks
+
+    @classmethod
+    def of(cls, items):
+        items = list(items)
+        return cls(items, np.array([a for a, _ in items], dtype=complex),
+                   np.array([np.max(np.abs(r.centers - a) + r.radii)
+                             for a, r in items], dtype=float))
+
+
+def _grow(a, radius, pool, free):
+    """The union a marker at a claims: D(a, radius) plus every free pool
+    region that meets it, directly or through regions and pocket fills
+    adjoined before, plus the pocket fills that keep it simply connected.
+
+    Each pass scans the pool in index order and adjoins what meets the
+    union as it stands, so a region absorbed early in a pass can reach a
+    later one; passes repeat until one adjoins nothing, and only then is a
+    pocket filled. A region can meet the union only if its anchor lies
+    within the two reaches of the anchors; that test (with a relative slack
+    far above rounding) decides which regions get the disk test, and it is
+    rerun after every absorption and fill. Returns (centers, radii, absorbed
+    pool indices in order, fills)."""
+    centers = [a]
+    radii = [radius]
+    absorbed = []
+    fills = 0
+    avail = free.copy()
+    gap = np.abs(a - pool.anchors)
+    reach = radius
+    start = 0
+    while True:
+        near = avail[start:] & (gap[start:] <= (reach + pool.reach[start:])
+                                * (1 + 1e-9))
+        hit = next((idx for idx in np.flatnonzero(near) + start
+                    if _disks_intersect(centers, radii,
+                                        pool.items[idx][1].centers,
+                                        pool.items[idx][1].radii)), None)
+        if hit is not None:
+            preg = pool.items[hit][1]
+            centers.extend(preg.centers.tolist())
+            radii.extend(preg.radii.tolist())
+            absorbed.append(int(hit))
+            avail[hit] = False
+            reach = max(reach, float(np.max(np.abs(preg.centers - a)
+                                            + preg.radii)))
+            start = hit + 1
+        elif start:
+            start = 0  # the pass absorbed: rescan, fillers may touch more pool
+        else:
+            plug = _pocket_filler(np.array(centers) - a, np.array(radii))
+            if plug is None:
+                return centers, radii, absorbed, fills
+            fills += 1
+            if fills > 64:
+                raise PocketFillExhausted(
+                    f"region at {a} still has pockets after 64 fills")
+            centers.append(a + plug[0])
+            radii.append(plug[1])
+            reach = max(reach, abs(plug[0]) + plug[1])
+
+
 def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     """Build the level-0..N hierarchy over d's points.
 
@@ -216,7 +333,7 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     if rep.kind != "free":
         raise NonFreeInput(f"divisor has a {rep.kind} stabilizer {rep.generators}")
 
-    locs = d.locs
+    pairs = _Pairs.of(d.locs)
     u0 = r0 / 2
     cap = d.window.diameter
     levels = []
@@ -227,67 +344,48 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     for n in range(N + 1):
         scale = r0 * gamma ** n
         radius = min(scale, cap)
-        marker_idx = _markers(locs, scale)
+        marker_idx = _markers(pairs, scale)
+        spacing = 2 * radius + GAP_FRACTION * radius
 
-        pool = list(prev_level.regions.items()) if prev_level else []
-        taken = [False] * len(pool)
+        pool = _Pool.of(prev_level.regions.items() if prev_level else ())
+        free = np.ones(len(pool.items), dtype=bool)
 
         regions = {}
         kinds = {}
-        kept_anchors = []
+        counts = {"markers": len(marker_idx), "skipped": 0, "ceded": 0,
+                  "absorptions": 0, "fills": 0}
+        kept_idx = []
         kept_centers = []   # flat disk arrays of every kept union
         kept_radii = []
         for i in marker_idx:
-            a = complex(locs[i])
-            if any(abs(a - b) < 2 * radius + GAP_FRACTION * radius
-                   for b in kept_anchors):
+            if np.any(pairs.dist[i, kept_idx] < spacing):
+                counts["skipped"] += 1
                 continue
-            centers = [a]
-            radii = [radius]
-            absorbed = []
-            fills = 0
-            while True:
-                changed = False
-                for idx, (pa, preg) in enumerate(pool):
-                    if taken[idx] or idx in absorbed:
-                        continue
-                    if _disks_intersect(centers, radii, preg.centers, preg.radii):
-                        centers.extend(preg.centers.tolist())
-                        radii.extend(preg.radii.tolist())
-                        absorbed.append(idx)
-                        changed = True
-                if changed:
-                    continue  # absorption first: fillers may touch more pool
-                plug = _pocket_filler(np.array(centers) - a, np.array(radii))
-                if plug is None:
-                    break
-                fills += 1
-                if fills > 64:
-                    raise PocketFillExhausted(
-                        f"region at {a} still has pockets after 64 fills")
-                centers.append(a + plug[0])
-                radii.append(plug[1])
+            a = complex(pairs.locs[i])
+            centers, radii, absorbed, fills = _grow(a, radius, pool, free)
             if _disks_intersect(centers, radii, kept_centers, kept_radii):
+                counts["ceded"] += 1
                 continue  # junior cedes: seniors already took what they touch
             region = CompactRegion(np.array(centers), np.array(radii))
             regions[a] = region
             kinds[a] = "genuine"
-            kept_anchors.append(a)
+            kept_idx.append(i)
             kept_centers.extend(centers)
             kept_radii.extend(radii)
+            counts["absorptions"] += len(absorbed)
+            counts["fills"] += fills
+            free[absorbed] = False
+            children[(n, a)] = tuple((n - 1, pool.items[idx][0])
+                                     for idx in absorbed)
             for idx in absorbed:
-                taken[idx] = True
-            children[(n, a)] = tuple((n - 1, pool[idx][0]) for idx in absorbed)
-            for idx in absorbed:
-                parents[(n - 1, pool[idx][0])] = (n, a)
-        for idx, (pa, preg) in enumerate(pool):
-            if taken[idx]:
-                continue
+                parents[(n - 1, pool.items[idx][0])] = (n, a)
+        for idx in np.flatnonzero(free):
+            pa, preg = pool.items[idx]
             regions[pa] = preg
             kinds[pa] = "repeat"
             parents[(n - 1, pa)] = (n, pa)
             children[(n, pa)] = ((n - 1, pa),)
-        levels.append(ToastLevel(n, regions, kinds))
+        levels.append(ToastLevel(n, regions, kinds, counts))
         prev_level = levels[-1]
 
     return ToastForest(levels=tuple(levels), parents=parents, children=children,

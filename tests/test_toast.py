@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equilift import toast as toast_module
 from equilift.core import CompactRegion, Window, q26
@@ -178,6 +179,154 @@ class TestCovariance:
         f0 = build_covariant_toast(d, N=1)
         f1 = build_covariant_toast(d.translate(w, move_window=True), N=1)
         assert f1.levels[1].anchors == tuple(a + w for a in f0.levels[1].anchors)
+
+
+def reference_markers(locs, scale):
+    """The tuple-key marker rule the rank form replaced: per point the
+    ascending neighbor distances within NEIGHBOR_SCALE * scale, then the
+    descending (re, im) difference vectors, compared as Python tuples;
+    competitors are scanned in index order."""
+    diff = locs[None, :] - locs[:, None]
+    dist = np.abs(diff)
+    keys, competitors = [], []
+    for i in range(len(locs)):
+        nbr = (dist[i] > 0) & (dist[i] <= toast_module.NEIGHBOR_SCALE * scale)
+        vecs = sorted(((v.real, v.imag) for v in diff[i][nbr]), reverse=True)
+        keys.append((tuple(np.sort(dist[i][nbr]).tolist()), tuple(vecs)))
+        competitors.append(np.nonzero((dist[i] > 0) & (dist[i] <= scale))[0])
+    out = []
+    for i in range(len(locs)):
+        best = True
+        for j in competitors[i]:
+            if keys[i] == keys[j]:
+                raise NonFreeInput(f"points {locs[i]} and {locs[j]} are locally "
+                                   f"indistinguishable at scale {scale}")
+            if keys[j] > keys[i]:
+                best = False
+                break
+        if best:
+            out.append(i)
+    out.sort(key=lambda i: keys[i], reverse=True)
+    return out
+
+
+def rank_markers(locs, scale):
+    return toast_module._markers(toast_module._Pairs.of(locs), scale)
+
+
+def marker_outcome(markers, locs, scale):
+    try:
+        return markers(locs, scale)
+    except NonFreeInput as exc:
+        return str(exc)
+
+
+class TestMarkerRanks:
+    @pytest.mark.parametrize("kind, half, seed", [
+        ("poisson", 8, 3), ("poisson", 16, 3), ("poisson", 16, 11),
+        ("jittered-lattice", 8.5, 1), ("almost-periodic", 7, 0)])
+    def test_rank_form_matches_tuple_keys(self, kind, half, seed):
+        win = Window(-half, half, -half, half)
+        locs = generate(kind, win, seed=seed, intensity=0.3).locs
+        for n in range(5):
+            scale = 4.0 ** n
+            assert (marker_outcome(rank_markers, locs, scale)
+                    == marker_outcome(reference_markers, locs, scale)), n
+
+    def test_row_prefix_ranks_below(self):
+        # within 2: point 0 sees (1,), point 1 sees (1, 2), point 3 sees (2,)
+        locs = np.array([0j, 1 + 0j, 3 + 0j])
+        ranks = toast_module._ranks(toast_module._Pairs.of(locs), 1.0)
+        assert ranks[0] < ranks[1] < ranks[2]
+        assert reference_markers(locs, 1.0) == rank_markers(locs, 1.0) == [2, 1]
+
+    def test_lattice_patch_tie_names_the_same_pair(self):
+        locs = np.array([complex(x, y) for y in range(9) for x in range(9)])
+        for markers in (reference_markers, rank_markers):
+            with pytest.raises(NonFreeInput) as err:
+                markers(locs, 1.0)
+            assert str(err.value) == ("points (2+0j) and (3+0j) are locally "
+                                      "indistinguishable at scale 1.0")
+
+
+class TestAbsorption:
+    """Growth of one region against a forged pool of overlapping regions."""
+
+    @staticmethod
+    def pool(*regions):
+        return toast_module._Pool.of(
+            (complex(c[0]), CompactRegion(c, [1.0] * len(c))) for c in regions)
+
+    def test_in_order_scan(self):
+        pool = self.pool(
+            [-3.5],           # 0: meets only region 2, so waits for pass two
+            [1.5],            # 1: meets D(0, 1)
+            [-1.75],          # 2: meets D(0, 1)
+            [4.0, 3.0],       # 3: meets region 1 only, absorbed in pass one
+            [1.875j],         # 4: meets D(0, 1)
+            [10.0],           # 5: out of reach
+            [-1.0j])          # 6: taken by a senior
+        free = np.ones(7, dtype=bool)
+        free[6] = False
+        centers, radii, absorbed, fills = toast_module._grow(0j, 1.0, pool, free)
+        assert absorbed == [1, 2, 3, 4, 0]
+        assert centers == [0j, 1.5, -1.75, 4.0, 3.0, 1.875j, -3.5]
+        assert radii == [1.0] * 7 and fills == 0
+        assert free[:6].all()  # the caller marks what it keeps
+
+    def test_region_reached_through_a_fill(self, monkeypatch):
+        plugs = iter([(2j, 1.0)])
+        monkeypatch.setattr(toast_module, "_pocket_filler",
+                            lambda rel_centers, radii: next(plugs, None))
+        pool = self.pool([3.5j])
+        centers, radii, absorbed, fills = toast_module._grow(
+            0j, 1.0, pool, np.ones(1, dtype=bool))
+        assert (absorbed, fills) == ([0], 1)
+        assert centers == [0j, 2j, 3.5j]
+
+
+class TestCounts:
+    def test_tallies_match_the_levels(self, poisson_forest):
+        for lv in poisson_forest.levels:
+            c = lv.counts
+            genuine = [a for a, k in lv.kinds.items() if k == "genuine"]
+            assert len(genuine) == c["markers"] - c["skipped"] - c["ceded"]
+            assert c["absorptions"] == sum(
+                len(poisson_forest.children.get((lv.n, a), ())) for a in genuine)
+        assert sum(lv.counts["skipped"] + lv.counts["ceded"]
+                   for lv in poisson_forest.levels) > 0
+
+
+def shift_inputs():
+    kinds = st.sampled_from(["poisson", "jittered-lattice"])
+    coords = st.floats(-40, 40, allow_nan=False)
+    return st.tuples(kinds, st.integers(0, 2 ** 31 - 1),
+                     st.builds(lambda x, y: complex(q26(complex(x, y))),
+                               coords, coords))
+
+
+@settings(max_examples=6, deadline=None)
+@given(case=shift_inputs())
+def test_build_commutes_with_q26_shifts(case):
+    kind, seed, w = case
+    d = generate(kind, Window(-3, 3, -3, 3), seed=seed, intensity=0.5)
+    forest = build_covariant_toast(d, N=2, r0=1.0, gamma=4.0)
+    moved = build_covariant_toast(d.translate(w, move_window=True),
+                                  N=2, r0=1.0, gamma=4.0)
+    reference = forest.translate(w)
+    for lv_m, lv_r in zip(moved.levels, reference.levels):
+        assert lv_m.anchors == lv_r.anchors
+        assert lv_m.kinds == lv_r.kinds
+        assert lv_m.counts == lv_r.counts
+        for a in lv_m.anchors:
+            rm, rr = lv_m.regions[a], lv_r.regions[a]
+            assert rm.centers.tobytes() == rr.centers.tobytes()
+            assert rm.radii.tobytes() == rr.radii.tobytes()
+    assert list(moved.parents.items()) == list(reference.parents.items())
+    assert list(moved.children.items()) == list(reference.children.items())
+    report = verify_axioms(moved)
+    for name in PASSING:
+        assert report[name]["status"] == "pass", (name, report[name])
 
 
 class TestRejections:
