@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from .core import (Circle, ComplexPoly, SampledFunction, Window, base_sum,
-                   count_zeros, refine_zero)
+                   cauchy_sum, count_zeros, refine_zero)
 from .divisors import Divisor, PrincipalParts, split_signed
 from .errors import EvaluationOnAtom, UnsupportedZeta
 
@@ -54,8 +54,8 @@ class EntireApprox:
             self.mults)
 
     def dlog(self, z):
-        return self.gauge.derivative()(z) + base_sum(
-            lambda u: 1 / (u - self.locs[:, None]), z, self.mults)
+        return self.gauge.derivative()(z) + cauchy_sum(
+            z, self.locs, self.mults)
 
     def divisor(self):
         return Divisor(self.locs, self.mults, self.window)
@@ -137,13 +137,15 @@ def verify_divisor_match(f, d: Divisor, position_tol=1e-8,
     zeros outside it).
 
     The report holds `matched`, the `mismatches`, the largest root offset
-    `max_position_error`, and `max_residual`: the largest pre-rounding
+    `max_position_error`, `max_residual`: the largest pre-rounding
     argument-principle residual over the per-point circles (a count is
-    refused above 0.25)."""
+    refused above 0.25), and `max_newton_steps`: the most Newton steps any
+    root refinement took."""
     if hasattr(f, "as_sampled"):
         f = f.as_sampled()
     mismatches = []
     max_pos = max_residual = 0.0
+    max_steps = 0
     locs, mults = d.locs, d.mults
     # separating circles must clear every zero of f, including zeros outside
     # the verified subset (d may be a window restriction of f's divisor)
@@ -167,7 +169,8 @@ def verify_divisor_match(f, d: Divisor, position_tol=1e-8,
             back = abs(complex(f.dlog_at(p + s)) - m / s)
             if back > 0:
                 s = min(s, 0.25 * m / back)
-        root = refine_zero(f, p + s, multiplicity=m)
+        root, steps = refine_zero(f, p + s, multiplicity=m, return_steps=True)
+        max_steps = max(max_steps, steps)
         max_pos = max(max_pos, abs(root - p))
         if abs(root - p) > position_tol:
             mismatches.append({"point": p, "position_error": abs(root - p)})
@@ -179,7 +182,8 @@ def verify_divisor_match(f, d: Divisor, position_tol=1e-8,
             mismatches.append({"total_expected": int(np.sum(mults)),
                                "total_counted": int(total)})
     return {"matched": not mismatches, "mismatches": mismatches,
-            "max_position_error": max_pos, "max_residual": max_residual}
+            "max_position_error": max_pos, "max_residual": max_residual,
+            "max_newton_steps": max_steps}
 
 
 # ---------------------------------------------------------------------------

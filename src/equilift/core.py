@@ -624,6 +624,51 @@ def base_sum(term, u, weights):
     return np.concatenate(parts).reshape(u.shape)
 
 
+# far field of cauchy_sum: a source is far from a block of targets when
+# |b - c| > FAR_RATIO * rho, and its Taylor series keeps FAR_ORDER terms
+FAR_RATIO = 8.0
+FAR_ORDER = 18
+
+
+def cauchy_sum(u, b, w):
+    """sum_j w[j] / (u - b[j]) at every entry of u, shaped like u.
+
+    The entries of u form one block of targets, with centre c = mean(u) and
+    radius rho = max |u - c|. A source with |b_j - c| > FAR_RATIO * rho is
+    far: with t = u - c and x_j = 1 / (b_j - c), the far sources sum to the
+    Taylor series -sum_k M_k t^k, M_k = sum_far w_j x_j^(k+1), evaluated by
+    Horner. Since |t x_j| <= q = 1 / FAR_RATIO, cutting the series after
+    p = FAR_ORDER terms leaves a tail of at most q^p / (1 - q) <= 2^-53
+    relative to sum_far |w_j x_j|; p = 18 is the least order with that
+    bound at q = 1/8. The near sources go through `base_sum`.
+
+    A block with no more targets than FAR_ORDER (where the FAR_ORDER moments
+    of a far source cost as much as the reciprocals they replace) or with no
+    far source takes `base_sum` alone, exactly as the direct sum. A target
+    on a near source gives a non-finite value; no target can lie on a far
+    one."""
+    u = np.asarray(u, dtype=complex)
+    b, w = np.asarray(b, dtype=complex), np.asarray(w)
+    far = np.zeros(len(b), dtype=bool)
+    if u.size > FAR_ORDER:
+        c = u.mean()
+        with np.errstate(invalid="ignore"):
+            far = np.abs(b - c) > FAR_RATIO * np.abs(u - c).max()
+    if not far.any():
+        return base_sum(lambda row: 1 / (row - b[:, None]), u, w)
+    near = b[~far][:, None]
+    near_sum = base_sum(lambda row: 1 / (row - near), u, w[~far])
+    # powers x^1 .. x^p of every far source, one row each
+    x = 1 / (b[far] - c)
+    moments = w[far] @ np.cumprod(np.repeat(x[:, None], FAR_ORDER, axis=1),
+                                  axis=1)
+    t = u - c
+    acc = np.full(u.shape, moments[-1])
+    for m in moments[-2::-1]:
+        acc = acc * t + m
+    return near_sum - acc
+
+
 def as_sampled(f) -> SampledFunction:
     if isinstance(f, SampledFunction):
         return f
@@ -810,7 +855,8 @@ def count_zeros(f, contour, nodes=512, return_residual=False):
     return n
 
 
-def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60) -> complex:
+def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60,
+                return_steps=False):
     """Newton refinement of a zero near `guess`.
 
     Uses the analytic derivative or logarithmic derivative when present. For a
@@ -818,13 +864,19 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60) -> complex:
     Stops when |f| < tol, or when the step stagnates below 5e-14 relative.
     Log-represented functions never use the raw-value criterion: their value
     scale is a free plateau factor, so |f| < tol can hold at points far from
-    any zero (or fail everywhere near one).
+    any zero (or fail everywhere near one). With return_steps, returns the
+    root and the number of Newton steps taken.
     """
     f = as_sampled(f)
     z = complex(guess)
     m = max(1, int(multiplicity))
     step_tol = 5e-14
     last = None
+    steps = 0
+
+    def done(root):
+        return (root, steps) if return_steps else root
+
     for _ in range(maxiter):
         use_value = f.log_eval is None
         if use_value:
@@ -838,14 +890,14 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60) -> complex:
             # |f| < tol certifies the position only for simple zeros; an
             # m-fold zero has |f| ~ |z - root|^m and needs step stagnation
             # (or an exact hit)
-            return z
+            return done(z)
         if f.dlog is not None or not use_value:
             g = complex(f.dlog_at(z))
             if g == 0:
                 raise NoConvergence("zero logarithmic derivative")
             if not (np.isfinite(g.real) and np.isfinite(g.imag)):
                 # dlog blows up exactly at the root
-                return z
+                return done(z)
             step = -m / g
         else:
             d = complex(f.derivative_at(z))
@@ -853,9 +905,10 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60) -> complex:
                 raise NoConvergence("zero derivative in Newton step")
             step = -fz / d * m
         z = z + step
+        steps += 1
         if last is not None and abs(step) < step_tol * max(1.0, abs(z)):
             if m > 1 or not use_value:
-                return z
+                return done(z)
             # value criterion still pending for simple zeros: allow a
             # couple more sweeps
         last = step
@@ -863,9 +916,9 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60) -> complex:
     if f.log_eval is None:
         try:
             if abs(complex(f(z))) < tol:
-                return z
+                return done(z)
         except (OverflowError, FloatingPointError):
             pass
     if last is not None and abs(last) < step_tol * max(1.0, abs(z)):
-        return z
+        return done(z)
     raise NoConvergence(f"no zero found near {guess} after {maxiter} iterations")

@@ -41,7 +41,12 @@ nearest declared zero, so the trapezoid error from declared zeros decays
 like 0.45^nodes and far fewer nodes would resolve them. That bound says
 nothing about a zero the lift did not declare: one sitting close to a
 contour is resolved only at full resolution, so the node count stays 512
-until a bound covers undeclared zeros too.
+until a bound covers undeclared zeros too. What the nodes cost is the sum
+over zeros in dlog psi: `core.cauchy_sum` takes the zeros near a contour
+one by one and the zeros beyond 8 times its radius as one Taylor series
+about its centre, whose truncation error is at most 2^-53 relative to the
+size of their terms. Newton steps evaluate dlog at one point, where every
+zero is summed directly.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 from . import runge
 from .builders import Potential, verify_divisor_match
 from .core import (CompactRegion, ComplexPoly, SampledFunction, Window,
-                   base_sum, log_seminorm, q26, sup_seminorm)
+                   base_sum, cauchy_sum, log_seminorm, q26, sup_seminorm)
 from .divisors import Divisor, PrincipalParts
 from .errors import DegreeCapExceeded, DivisorMismatch, NonFreeInput, RungeFailure
 from .toast import ToastForest, build_covariant_toast
@@ -80,7 +85,9 @@ class LocalSolution:
     The offsets are one array per solution, and every base sum over them
     runs through `core.base_sum`: in blocks of at most BASE_SUM_BLOCK
     u-by-offset elements, so its memory grows with neither n nor the size
-    of the input. The product is evaluated through its logarithm: per-factor
+    of the input. `dlog` goes through `core.cauchy_sum`, which sums the
+    offsets far from u as one Taylor series and the rest through
+    `base_sum`. The product is evaluated through its logarithm: per-factor
     ratios stay O(1) where the raw product of hundreds of factors would
     overflow. Solutions compare by identity (arrays have no single truth
     value).
@@ -106,10 +113,9 @@ class LocalSolution:
                 lambda row: np.log((b - row) / norms), u, self.weights)
 
     def dlog(self, u):
-        b = self.offsets[:, None]
         with np.errstate(all="ignore"):
-            return self.correction.derivative()(u) + base_sum(
-                lambda row: 1 / (row - b), u, self.weights)
+            return self.correction.derivative()(u) + cauchy_sum(
+                u, self.offsets, self.weights)
 
 
 def _gauge_offset(offsets, u0):

@@ -26,6 +26,7 @@ from equilift.core import (
     refine_zero,
     sup_seminorm,
 )
+from equilift.divisors import generate
 from equilift.errors import (ContourThroughZero, EquiliftError,
                              HoleWitnessNotFound, NoConvergence,
                              SingularityInK, ZeroInK)
@@ -179,6 +180,163 @@ def test_refine_zero_sqrt2():
 def test_refine_zero_no_convergence():
     with pytest.raises(NoConvergence):
         refine_zero(constant(1), 0, maxiter=10)
+
+
+def test_refine_zero_counts_newton_steps():
+    # oracle: for (z - 1/2)^2 the step -2 / dlog = -(z - 1/2) is exact on
+    # dyadic numbers, so one step from 3/4 lands on the root, where dlog is
+    # no longer finite and the refinement stops
+    f = SampledFunction(evaluator=lambda z: (z - 0.5) ** 2,
+                        dlog=lambda z: 2 / (z - 0.5),
+                        log_eval=lambda z: 2 * np.log(z - 0.5))
+    assert refine_zero(f, 0.75, multiplicity=2, return_steps=True) == (0.5, 1)
+    assert refine_zero(f, 0.75, multiplicity=2) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Cauchy sums: near sources directly, far sources as one Taylor series
+
+
+def loop_cauchy(u, b, w):
+    """The per-offset loop with the term sizes sum_j |w_j / (u - b_j)|."""
+    u = np.asarray(u, dtype=complex)
+    with np.errstate(all="ignore"):
+        terms = [wj / (u - bj) for bj, wj in zip(b, w)]
+    return sum(terms, np.zeros(u.shape, complex)), sum(
+        (np.abs(t) for t in terms), np.zeros(u.shape))
+
+
+def far_mask(u, b):
+    """Sources the far field takes for the block u."""
+    u = np.asarray(u, dtype=complex)
+    c = u.mean()
+    return np.abs(b - c) > core.FAR_RATIO * np.abs(u - c).max()
+
+
+def assert_cauchy_matches_loop(u, b, w):
+    with np.errstate(all="ignore"):
+        got = core.cauchy_sum(u, b, w)
+    want, size = loop_cauchy(u, b, w)
+    assert got.shape == np.shape(u)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    err = np.abs(got[finite] - want[finite])
+    assert np.all(err <= 1e-13 * size[finite])
+    return got
+
+
+@pytest.fixture(scope="module")
+def poisson_804():
+    d = generate("poisson", Window(-32, 32, -32, 32), seed=3, intensity=0.2)
+    assert len(d) == 804
+    return d.locs, d.mults.astype(float)
+
+
+def contour_circle(locs, k, nodes=512):
+    """The separating circle of point k, as membership draws it."""
+    gap = float(np.min(np.abs(np.delete(locs, k) - locs[k])))
+    e = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return locs[k] + min(0.25, 0.45 * gap) * e
+
+
+def test_far_order_is_the_least_with_the_bound():
+    q = 1 / core.FAR_RATIO
+    assert q ** core.FAR_ORDER / (1 - q) <= 2.0 ** -53
+    assert q ** (core.FAR_ORDER - 1) / (1 - q) > 2.0 ** -53
+
+
+def test_cauchy_sum_on_a_membership_circle(poisson_804):
+    locs, w = poisson_804
+    for k in (0, 401, 803):
+        u = contour_circle(locs, k)
+        far = far_mask(u, locs)
+        assert far.sum() > 700 and (~far).sum() >= 1
+        assert_cauchy_matches_loop(u, locs, w)
+
+
+def test_cauchy_sum_on_a_window_side(poisson_804):
+    # one side of a Window contour, with nodes at the count_zeros midpoints
+    locs, w = poisson_804
+    a, b = complex(-3.3, -2.1), complex(3.3, -2.1)
+    u = a + (b - a) * (np.arange(128) + 0.5) / 128
+    far = far_mask(u, locs)
+    assert far.any() and not far.all()
+    assert_cauchy_matches_loop(u, locs, w)
+
+
+def test_cauchy_sum_every_source_far():
+    rng = np.random.default_rng(11)
+    b = 40 * np.exp(2j * np.pi * rng.uniform(size=300))
+    w = rng.integers(1, 4, 300).astype(float)
+    u = 0.5 + 0.25j + rng.uniform(-2, 2, 64) + 1j * rng.uniform(-2, 2, 64)
+    assert far_mask(u, b).all()
+    assert_cauchy_matches_loop(u, b, w)
+
+
+def test_cauchy_sum_truncation_bound_at_the_far_edge():
+    # the worst case of the bound: every source just beyond FAR_RATIO * rho
+    # on one ray, and a target at distance rho towards them, so every term
+    # of every series has the same sign and |t x_j| is close to q
+    e = np.exp(2j * np.pi * np.arange(64) / 64)
+    u = 1.0 + e
+    b = 1.0 + core.FAR_RATIO * (1 + 1e-9 * np.arange(1, 6))
+    w = np.ones(5)
+    assert far_mask(u, b).all()
+    got = assert_cauchy_matches_loop(u, b, w)
+    want, size = loop_cauchy(u, b, w)
+    q = 1 / core.FAR_RATIO
+    bound = q ** core.FAR_ORDER / (1 - q) * np.sum(np.abs(w / (b - 1.0)))
+    assert abs(got[0] - want[0]) <= bound + 8 * np.finfo(float).eps * size[0]
+
+
+def test_cauchy_sum_no_source_far_is_the_direct_sum(poisson_804):
+    locs, w = poisson_804
+    u = Window(-30, 30, -30, 30).grid(2.0).ravel()
+    assert not far_mask(u, locs).any()
+    with np.errstate(all="ignore"):
+        got = core.cauchy_sum(u, locs, w)
+        direct = core.base_sum(lambda row: 1 / (row - locs[:, None]), u, w)
+    assert np.array_equal(got, direct)
+    assert_cauchy_matches_loop(u, locs, w)
+
+
+def test_cauchy_sum_small_blocks_are_the_direct_sum(poisson_804):
+    # no more targets than FAR_ORDER: bit for bit the direct sum, although
+    # most sources would be far
+    locs, w = poisson_804
+    for size in (1, core.FAR_ORDER):
+        u = contour_circle(locs, 5, nodes=size)
+        assert far_mask(u, locs).any()
+        got = core.cauchy_sum(u, locs, w)
+        direct = core.base_sum(lambda row: 1 / (row - locs[:, None]), u, w)
+        assert np.array_equal(got, direct)
+
+
+@pytest.mark.parametrize("u", [0.3 - 1.7j, np.array(2.5 + 0.5j),
+                               Window(-1, 1, -1, 1).grid(0.25),
+                               np.zeros((0, 3), dtype=complex)],
+                         ids=["scalar", "0-d", "2-D", "empty"])
+def test_cauchy_sum_keeps_shapes(poisson_804, u):
+    locs, w = poisson_804
+    assert_cauchy_matches_loop(u, locs, w)
+
+
+def test_cauchy_sum_target_on_a_near_source(poisson_804):
+    locs, w = poisson_804
+    u = contour_circle(locs, 401)
+    u[17] = locs[401]
+    assert far_mask(u, locs).any()
+    got = assert_cauchy_matches_loop(u, locs, w)
+    assert not np.isfinite(got[17]) and np.isfinite(np.delete(got, 17)).all()
+
+
+def test_cauchy_sum_complex_weights(poisson_804):
+    locs, _ = poisson_804
+    rng = np.random.default_rng(2)
+    w = rng.normal(size=len(locs)) + 1j * rng.normal(size=len(locs))
+    u = contour_circle(locs, 222)
+    assert far_mask(u, locs).any()
+    assert_cauchy_matches_loop(u, locs, w)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ equivariance double-runs, additive and harmonic lanes, trace dumps."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from equilift.builders import Potential
-from equilift.core import (BASE_SUM_BLOCK, Circle, CompactRegion,
-                           ComplexPoly, Window, count_zeros, q26)
+from equilift.builders import Potential, verify_divisor_match
+from equilift.core import (BASE_SUM_BLOCK, FAR_RATIO, Circle, CompactRegion,
+                           ComplexPoly, Window, base_sum, count_zeros, q26)
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts, generate
 from equilift.lifting import (ADDITIVE, HARMONIC, MULTIPLICATIVE,
                               LocalSolution, lift_mittag_leffler,
@@ -114,6 +115,43 @@ class TestDivisorRecovery:
         trace, _ = poisson_trace
         report = trace.verify_membership()
         assert 0.0 <= report["max_residual"] < 1e-10
+
+    def test_poisson_newton_steps_reported(self, poisson_trace):
+        # every refinement starts inside Newton's basin: a handful of
+        # quadratically convergent steps, never the 60-step cap
+        trace, _ = poisson_trace
+        steps = trace.verify_membership()["max_newton_steps"]
+        assert isinstance(steps, int) and 1 <= steps <= 8
+
+    def test_membership_parity_with_the_direct_sum(self):
+        # psi's dlog sums each contour's far zeros as one Taylor series; a
+        # copy of psi whose dlog takes every zero directly must give the
+        # same report on a 196-point input
+        d = generate("poisson", Window(-16, 16, -16, 16), seed=3,
+                     intensity=0.2)
+        assert len(d) == 196
+        trace = lift(d)
+        psi = trace.psi()
+        _, anchor, sol = trace.solution(None)
+        b = sol.offsets[:, None]
+
+        def direct_dlog(z):
+            u = np.asarray(z, dtype=complex) - anchor
+            with np.errstate(all="ignore"):
+                return sol.correction.derivative()(u) + base_sum(
+                    lambda row: 1 / (row - b), u, sol.weights)
+
+        # separating circles have radius at most 0.25: each one has far zeros
+        inner = d.restrict(d.window.inner(0.15))
+        reach = np.abs(sol.offsets[:, None] - (inner.locs - anchor))
+        assert np.all(np.sum(reach > FAR_RATIO * 0.25, axis=0) > 100)
+        got = trace.verify_membership()
+        want = verify_divisor_match(replace(psi, dlog=direct_dlog), inner,
+                                    check_total=False)
+        assert got["matched"] and want["matched"]
+        for key in ("mismatches", "max_position_error", "max_newton_steps"):
+            assert got[key] == want[key], key
+        assert abs(got["max_residual"] - want["max_residual"]) < 1e-12
 
     def test_input_validation(self):
         neg = Divisor(np.array([0j]), np.array([-1]), WIN8)
