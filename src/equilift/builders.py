@@ -169,7 +169,7 @@ def verify_divisor_match(f, d: Divisor, position_tol=1e-8,
             back = abs(complex(f.dlog_at(p + s)) - m / s)
             if back > 0:
                 s = min(s, 0.25 * m / back)
-        root, steps = refine_zero(f, p + s, multiplicity=m, return_steps=True)
+        root, steps = refine_zero(f, p + s, multiplicity=m)
         max_steps = max(max_steps, steps)
         max_pos = max(max_pos, abs(root - p))
         if abs(root - p) > position_tol:

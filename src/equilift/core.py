@@ -855,8 +855,7 @@ def count_zeros(f, contour, nodes=512, return_residual=False):
     return n
 
 
-def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60,
-                return_steps=False):
+def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60):
     """Newton refinement of a zero near `guess`.
 
     Uses the analytic derivative or logarithmic derivative when present. For a
@@ -864,8 +863,8 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60,
     Stops when |f| < tol, or when the step stagnates below 5e-14 relative.
     Log-represented functions never use the raw-value criterion: their value
     scale is a free plateau factor, so |f| < tol can hold at points far from
-    any zero (or fail everywhere near one). With return_steps, returns the
-    root and the number of Newton steps taken.
+    any zero (or fail everywhere near one). Returns the root and the number
+    of Newton steps taken.
     """
     f = as_sampled(f)
     z = complex(guess)
@@ -873,10 +872,6 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60,
     step_tol = 5e-14
     last = None
     steps = 0
-
-    def done(root):
-        return (root, steps) if return_steps else root
-
     for _ in range(maxiter):
         use_value = f.log_eval is None
         if use_value:
@@ -890,14 +885,14 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60,
             # |f| < tol certifies the position only for simple zeros; an
             # m-fold zero has |f| ~ |z - root|^m and needs step stagnation
             # (or an exact hit)
-            return done(z)
+            return z, steps
         if f.dlog is not None or not use_value:
             g = complex(f.dlog_at(z))
             if g == 0:
                 raise NoConvergence("zero logarithmic derivative")
             if not (np.isfinite(g.real) and np.isfinite(g.imag)):
                 # dlog blows up exactly at the root
-                return done(z)
+                return z, steps
             step = -m / g
         else:
             d = complex(f.derivative_at(z))
@@ -908,7 +903,7 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60,
         steps += 1
         if last is not None and abs(step) < step_tol * max(1.0, abs(z)):
             if m > 1 or not use_value:
-                return done(z)
+                return z, steps
             # value criterion still pending for simple zeros: allow a
             # couple more sweeps
         last = step
@@ -916,9 +911,9 @@ def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60,
     if f.log_eval is None:
         try:
             if abs(complex(f(z))) < tol:
-                return done(z)
+                return z, steps
         except (OverflowError, FloatingPointError):
             pass
     if last is not None and abs(last) < step_tol * max(1.0, abs(z)):
-        return done(z)
+        return z, steps
     raise NoConvergence(f"no zero found near {guess} after {maxiter} iterations")
