@@ -1,27 +1,35 @@
-"""Classical right-inverse constructions: finite Weierstrass products,
-signed-ratio meromorphic data, Mittag-Leffler sums, the planar Cauchy
-transform on grids, the transform's blow-up table, and Newtonian potentials.
+"""Classical right-inverse constructions and the paper's two negative
+claims.
 
-The Cauchy transform here is xi(f)(zeta) = (-1/pi) integral of
-f(z)/(z - zeta) over the plane, the normalization with d-bar xi(f) = f for
-the standard d-bar = (d/dx + i d/dy)/2. The blow-up table quotes values in
-the 2 pi i-rescaled units its lower-bound formula is stated in.
+The constructions are finite Weierstrass products, Mittag-Leffler sums of
+principal parts and planar Newtonian potentials: the closed forms the lift
+is checked against. `verify_divisor_match` is the argument-principle check
+that a function's zero set is a prescribed divisor.
+
+The negative claims are computed, not proved:
+  continuity   `dbar_counterexample`: functions f_n that equal z on
+               |z| <= n, whose Cauchy transform at 0 grows like pi n^2, so
+               no right inverse of d-bar is continuous.
+  freeness     `riesz_growth_demo`: unit atoms on Z^2 x {0} in R^3, a
+               lattice of rank d-1, put mass about pi t^2 in the ball of
+               radius t, which no upper-bounded potential can carry.
+
+The Cauchy transform is xi(f)(zeta) = (-1/pi) integral of f(z)/(z - zeta)
+over the plane, the normalization with d-bar xi(f) = f for the standard
+d-bar = (d/dx + i d/dy)/2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 from .core import (Circle, ComplexPoly, SampledFunction, Window, base_sum,
                    cauchy_sum, count_zeros, refine_zero)
-from .divisors import Divisor, PrincipalParts, split_signed
-from .errors import EvaluationOnAtom, UnsupportedZeta
+from .divisors import Divisor, PrincipalParts
+from .errors import EvaluationOnAtom
 
 
 # ---------------------------------------------------------------------------
@@ -78,22 +86,6 @@ def weierstrass(d: Divisor) -> EntireApprox:
         raise ValueError("weierstrass needs a nonnegative divisor")
     return EntireApprox(locs=d.locs, mults=d.mults,
                         gauge=ComplexPoly((0j,)), window=d.window)
-
-
-def meromorphic_from_signed(d: Divisor) -> SampledFunction:
-    """weierstrass(d+) / weierstrass(d-): divisor map gives back d."""
-    dp, dn = split_signed(d)
-    num = weierstrass(dp)
-    den = weierstrass(dn)
-    return SampledFunction(
-        evaluator=lambda z: num(z) / den(z),
-        window=d.window,
-        zeros=tuple(dp.locs.tolist()),
-        singularities=tuple(dn.locs.tolist()),
-        dlog=lambda z: num.dlog(z) - den.dlog(z),
-        log_eval=lambda z: num.log_eval(z) - den.log_eval(z),
-        label="signed product ratio",
-    )
 
 
 def mittag_leffler(pp: PrincipalParts) -> SampledFunction:
@@ -187,130 +179,7 @@ def verify_divisor_match(f, d: Divisor, position_tol=1e-8,
 
 
 # ---------------------------------------------------------------------------
-# grid functions and the Cauchy transform
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples on the cell-center grid of a window; row-major [iy, ix]."""
-
-    values: np.ndarray
-    window: Window
-    hx: float
-    hy: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 2:
-            raise ValueError("grid values must be a 2d array")
-        object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def from_callable(f, window: Window, h: float):
-        nodes = window.grid(h)
-        ny, nx = nodes.shape
-        return GridFunction(values=np.asarray(f(nodes), dtype=complex),
-                            window=window,
-                            hx=window.width / nx, hy=window.height / ny)
-
-    def nodes(self):
-        ny, nx = self.values.shape
-        xs = self.window.xmin + (np.arange(nx) + 0.5) * self.hx
-        ys = self.window.ymin + (np.arange(ny) + 0.5) * self.hy
-        return xs[None, :] + 1j * ys[:, None]
-
-    @property
-    def cell_area(self):
-        return self.hx * self.hy
-
-
-@lru_cache(maxsize=1)
-def _singular_cell_constants():
-    """Unit-cell integrals of Re(u)/u and Im(u)/u by a 16-sector polar rule.
-
-    In polar coordinates the 1/u singularity cancels against the area
-    element, leaving smooth theta-integrals of R(theta)^2/2 times a phase."""
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    sx = 0j
-    sy = 0j
-    for k in range(16):
-        t0, t1 = 2 * math.pi * k / 16, 2 * math.pi * (k + 1) / 16
-        theta = 0.5 * (t1 - t0) * nodes + 0.5 * (t1 + t0)
-        wts = 0.5 * (t1 - t0) * weights
-        R = 0.5 / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
-        phase = np.exp(-1j * theta) * R ** 2 / 2
-        sx += np.sum(wts * np.cos(theta) * phase)
-        sy += np.sum(wts * np.sin(theta) * phase)
-    return complex(sx), complex(sy)
-
-
-def _gradients(f: GridFunction):
-    gy, gx = np.gradient(f.values, f.hy, f.hx)
-    return gx, gy
-
-
-def cauchy_transform(f: GridFunction, zetas=None):
-    """xi(f)(zeta) = (-1/pi) sum over cells of f/(z - zeta).
-
-    zetas None evaluates on the full grid (FFT convolution) and returns a
-    GridFunction; otherwise zetas is a sequence of points, each either a
-    grid node (singular cell handled by the polar rule plus a gradient
-    correction) or at least one cell width away from every node."""
-    if abs(f.hx - f.hy) > 1e-12 * max(f.hx, f.hy):
-        raise ValueError("cauchy_transform needs square cells")
-    h = f.hx
-    area = f.cell_area
-    nodes = f.nodes()
-    sx1, sy1 = _singular_cell_constants()
-    gx, gy = _gradients(f)
-    corr = (-1.0 / math.pi) * (gx * (sx1 * h * h) + gy * (sy1 * h * h))
-
-    if zetas is None:
-        ny, nx = f.values.shape
-        dy = (np.arange(2 * ny - 1) - (ny - 1)) * f.hy
-        dx = (np.arange(2 * nx - 1) - (nx - 1)) * f.hx
-        delta = dx[None, :] + 1j * dy[:, None]
-        kernel = np.zeros_like(delta)
-        mask = delta != 0
-        # convolution index j - m carries z_j - z_m; the integrand wants
-        # 1 / (z_m - z_j), hence the sign
-        kernel[mask] = -1.0 / delta[mask]
-        smooth = (-1.0 / math.pi) * fftconvolve(f.values * area, kernel,
-                                                mode="valid")
-        return GridFunction(values=smooth + corr, window=f.window,
-                            hx=f.hx, hy=f.hy)
-
-    flat_nodes = nodes.ravel()
-    flat_vals = f.values.ravel()
-    out = []
-    for zeta in np.asarray(zetas, dtype=complex).ravel():
-        dist = np.abs(flat_nodes - zeta)
-        j = int(np.argmin(dist))
-        if dist[j] <= 1e-12 * max(1.0, abs(zeta)):
-            diff = flat_nodes - zeta
-            terms = np.zeros_like(flat_vals)
-            off = diff != 0
-            terms[off] = flat_vals[off] / diff[off]
-            val = (-1.0 / math.pi) * np.sum(terms) * area + corr.ravel()[j]
-        elif dist[j] < h:
-            raise UnsupportedZeta(
-                f"zeta {zeta} lies within one cell of a grid node")
-        else:
-            val = (-1.0 / math.pi) * np.sum(flat_vals / (flat_nodes - zeta)) * area
-        out.append(val)
-    return np.array(out, dtype=complex)
-
-
-def dbar_residual(f: GridFunction, transform: GridFunction = None):
-    """Max interior error of (d/dx + i d/dy)/2 applied to the transform
-    against f itself; the transform is recomputed when not supplied."""
-    if transform is None:
-        transform = cauchy_transform(f)
-    T = transform.values
-    dx = (T[1:-1, 2:] - T[1:-1, :-2]) / (2 * f.hx)
-    dy = (T[2:, 1:-1] - T[:-2, 1:-1]) / (2 * f.hy)
-    dbar = 0.5 * (dx + 1j * dy)
-    return float(np.max(np.abs(dbar - f.values[1:-1, 1:-1])))
+# continuity cannot be had: the d-bar blow-up table
 
 
 def _smoothstep(t):
@@ -325,23 +194,15 @@ def radial_blend_profile(r, plateau, outer):
     return 1.0 - _smoothstep(t)
 
 
-def radial_bump(window: Window, h: float, plateau=0.5, outer=2.0,
-                center=0j) -> GridFunction:
-    """Compactly supported real C^2 bump, for transform fixtures."""
-    def f(z):
-        return radial_blend_profile(np.abs(z - center), plateau, outer) + 0j
-    return GridFunction.from_callable(f, window, h)
-
-
-# ---------------------------------------------------------------------------
-# blow-up table
-
-
 def counterexample_value(n: int) -> float:
     """|integral of f_n(z)/z dA| for f_n = z * chi(|z|) with the quintic
     roll-off on [n, n+1]: the integrand is chi itself, so the value is the
-    radial integral 2 pi int chi(r) r dr."""
-    ring, _ = quad(lambda r: radial_blend_profile(r, n, n + 1) * r, n, n + 1)
+    radial integral 2 pi int chi(r) r dr. On the ring [n, n+1] the
+    integrand chi(r) r is a polynomial of degree 6, which the 4-node
+    Gauss-Legendre rule integrates exactly."""
+    x, w = np.polynomial.legendre.leggauss(4)
+    r = n + 0.5 * (x + 1.0)
+    ring = 0.5 * float(np.sum(w * radial_blend_profile(r, n, n + 1) * r))
     return math.pi * n * n + 2 * math.pi * ring
 
 
@@ -351,8 +212,9 @@ def counterexample_bound(n: int) -> float:
 
 def dbar_counterexample(ns) -> list:
     """Rows (n, computed, bound, core) demonstrating that no bounded
-    right-inverse evaluation at 0 can exist: computed grows like pi n^2
-    while staying above the diverging lower bound."""
+    right-inverse evaluation at 0 can exist: f_n equals z on |z| <= n, so
+    f_n -> z on compacts, while computed = pi |xi(f_n)(0)| grows like
+    pi n^2 and stays above the diverging lower bound."""
     if isinstance(ns, int):
         ns = [ns]
     rows = []
@@ -370,25 +232,55 @@ def dbar_counterexample(ns) -> list:
 
 
 # ---------------------------------------------------------------------------
+# freeness cannot be omitted: Riesz mass on a rank-(d-1) lattice
+
+
+def riesz_growth_demo(t_min=5.0, t_max=40.0, step=0.1):
+    """Mass growth table for unit atoms on Z^2 x {0} in R^3.
+
+    Rows: t, mass mu(B(0,t)), ratio mass/t^2, and the running lower
+    Riemann sum of int mass/t^2 dt from t_min (left mass over right
+    squared radius per cell, an honest lower bound). The ratio stays
+    above pi + o(1); the partial integral grows linearly, which is the
+    numeric face of the incompatibility with any upper-bounded potential.
+    """
+    n = int(round((t_max - t_min) / step))
+    ts = t_min + step * np.arange(n + 1)
+    m = int(math.floor(t_max))
+    k = np.arange(-m, m + 1)
+    radii2 = np.sort((k[:, None] ** 2 + k[None, :] ** 2).reshape(-1))
+    masses = np.searchsorted(radii2, ts * ts + 1e-9, side="right")
+    rows = []
+    partial = 0.0
+    for i, t in enumerate(ts):
+        if i > 0:
+            partial += step * float(masses[i - 1]) / float(ts[i]) ** 2
+        rows.append({"t": float(t), "mass": int(masses[i]),
+                     "ratio": float(masses[i]) / float(t) ** 2,
+                     "partial_integral": partial})
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Newtonian potentials
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Finite positive atomic measure in R^2 or R^3."""
+    """Finite positive atomic measure in the plane."""
 
-    atoms: tuple          # ((location array, mass), ...)
+    atoms: tuple          # ((location, mass), ...)
     dim: int
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
+        # dim reaches here from outside through from_json
+        if self.dim != 2:
+            raise ValueError("potentials are planar: dimension must be 2")
         norm = []
         for loc, mass in self.atoms:
             if mass <= 0:
                 raise ValueError("masses must be positive")
-            vec = _as_point(loc, self.dim)
-            norm.append((vec, float(mass)))
+            norm.append((_as_point(loc), float(mass)))
         object.__setattr__(self, "atoms", tuple(norm))
 
     def to_json(self):
@@ -402,58 +294,23 @@ class Potential:
                                for a in obj["atoms"]), dim=obj["dim"])
 
 
-def _as_point(loc, dim):
-    if dim == 2 and isinstance(loc, (complex, float, int)):
+def _as_point(loc):
+    if isinstance(loc, (complex, float, int)):
         loc = complex(loc)
         return (loc.real, loc.imag)
     vec = tuple(float(v) for v in np.asarray(loc, dtype=float).ravel())
-    if len(vec) != dim:
-        raise ValueError(f"location {loc!r} is not {dim}-dimensional")
+    if len(vec) != 2:
+        raise ValueError(f"location {loc!r} is not 2-dimensional")
     return vec
 
 
 def newtonian_potential(mu: Potential, xs) -> np.ndarray:
-    """u(x) = sum mass * k_d(x - a), k_2 = log|.| / 2 pi, k_3 = -1/(4 pi |.|)."""
-    pts = np.array([_as_point(x, mu.dim) for x in xs], dtype=float)
+    """u(x) = sum mass * log|x - a| / 2 pi."""
+    pts = np.array([_as_point(x) for x in xs], dtype=float)
     out = np.zeros(len(pts))
     for loc, mass in mu.atoms:
         d = np.linalg.norm(pts - np.asarray(loc), axis=1)
         if np.any(d < 1e-13):
             raise EvaluationOnAtom(f"evaluation point coincides with atom {loc}")
-        if mu.dim == 2:
-            out += mass * np.log(d) / (2 * math.pi)
-        else:
-            out += -mass / (4 * math.pi * d)
+        out += mass * np.log(d) / (2 * math.pi)
     return out
-
-
-def _sphere_mean(mu: Potential, center, radius, resolution=256):
-    c = np.asarray(_as_point(center, mu.dim), dtype=float)
-    if mu.dim == 2:
-        theta = (np.arange(resolution) + 0.5) * (2 * math.pi / resolution)
-        ring = c[None, :] + radius * np.column_stack([np.cos(theta), np.sin(theta)])
-        return float(np.mean(newtonian_potential(mu, ring)))
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    theta = (np.arange(128) + 0.5) * (2 * math.pi / 128)
-    ct, st = np.cos(theta), np.sin(theta)
-    total = 0.0
-    for mu_z, w in zip(nodes, weights):
-        s = math.sqrt(1 - mu_z * mu_z)
-        shell = c[None, :] + radius * np.column_stack(
-            [s * ct, s * st, np.full(128, mu_z)])
-        total += w * np.mean(newtonian_potential(mu, shell))
-    return float(total / 2.0)
-
-
-def sub_mean_value_probe(mu: Potential, probes) -> list:
-    """For each (center, radius): u(center) vs the sphere average. The
-    defining inequality u(center) <= average must hold; slack 0 appears
-    exactly when no atom sits inside the sphere (harmonicity)."""
-    rows = []
-    for center, radius in probes:
-        u_c = float(newtonian_potential(mu, [center])[0])
-        mean = _sphere_mean(mu, center, radius)
-        rows.append({"center": _as_point(center, mu.dim), "radius": float(radius),
-                     "u_center": u_c, "sphere_mean": mean,
-                     "slack": mean - u_c})
-    return rows

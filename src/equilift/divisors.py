@@ -55,13 +55,6 @@ class Divisor:
     def __len__(self):
         return len(self.locs)
 
-    def min_separation(self):
-        if len(self) < 2:
-            return math.inf
-        d = np.abs(self.locs[:, None] - self.locs[None, :])
-        np.fill_diagonal(d, np.inf)
-        return float(np.min(d))
-
     def translate(self, w, move_window=False):
         """Shift every point by w (exact for q26-quantized w). The window
         stays put unless move_window is set."""
@@ -386,15 +379,7 @@ def detect_stabilizer(d: Divisor, tol=1e-9) -> StabilizerReport:
 
 
 # ---------------------------------------------------------------------------
-# signed split and principal-part extraction
-
-
-def split_signed(d: Divisor):
-    pos = d.mults > 0
-    neg = d.mults < 0
-    dp = Divisor(d.locs[pos], d.mults[pos], d.window)
-    dn = Divisor(d.locs[neg], -d.mults[neg], d.window)
-    return dp, dn
+# principal-part extraction
 
 
 def extract_principal_parts(f, suspected_poles, radius, order_cap=8,

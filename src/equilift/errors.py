@@ -2,6 +2,8 @@
 
 Every failure mode that a caller is expected to branch on gets its own class;
 everything derives from EquiliftError so batch drivers can catch broadly.
+The classes are grouped by the module that raises them: core, divisors,
+toast, runge, builders and lifting.
 """
 
 
@@ -72,10 +74,6 @@ class DegreeCapExceeded(EquiliftError):
 
 # builders -------------------------------------------------------------------
 
-class UnsupportedZeta(EquiliftError):
-    """Evaluation point too close to a quadrature node for the singular rule."""
-
-
 class EvaluationOnAtom(EquiliftError):
     """Potential evaluated exactly on one of its atoms."""
 
@@ -94,20 +92,3 @@ class RungeFailure(EquiliftError):
 class DivisorMismatch(EquiliftError):
     """A local solution does not reproduce the prescribed data on its region."""
 
-
-# periodic -------------------------------------------------------------------
-
-class OnLattice(EquiliftError):
-    """Evaluation point lies on the lattice itself."""
-
-
-class ConstantInput(EquiliftError):
-    """The growth probe needs a nonconstant function."""
-
-
-class RangeInsufficient(EquiliftError):
-    """The probed parameter range does not bracket the requested feature."""
-
-
-class PolesTooClose(EquiliftError):
-    """Zero/pole pairs violate the required separation."""

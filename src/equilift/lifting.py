@@ -567,8 +567,6 @@ def lift_mittag_leffler(pp: PrincipalParts, toast, levels) -> LiftingTrace:
 def lift_poisson_2d(mu: Potential, toast, levels) -> LiftingTrace:
     """Subharmonic potentials with prescribed atomic Riesz measure,
     harmonic patching."""
-    if mu.dim != 2:
-        raise ValueError("planar lifting needs dim=2 atoms")
     if not mu.atoms:
         return _empty_trace(HARMONIC, mu, _DEFAULT_EMPTY_WINDOW)
     return _lift(HARMONIC, mu, toast, levels, check_membership=False)

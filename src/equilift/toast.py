@@ -86,11 +86,6 @@ class ToastForest:
                 return m, a
         return None
 
-    @staticmethod
-    def cocycle(a, b):
-        """Translation carrying anchor a to anchor b (exact for q26 data)."""
-        return complex(b) - complex(a)
-
     def translate(self, w):
         w = complex(w)
         return ToastForest(

@@ -1,12 +1,11 @@
-"""Product builders, Cauchy transform, blow-up table, Newtonian potentials.
+"""Product builders, Newtonian potentials, and the two negative claims.
 
 Oracles: closed forms for small products and principal-part sums; the
-radial reduction of the transform (for radial f and |zeta| beyond the
-support, xi(f)(zeta) = mass / (pi zeta) by the circle mean-value of
-1/(z - zeta)); the quintic roll-off integrals int_0^1 (1-S) dt = 1/2 and
+quintic roll-off integrals int_0^1 (1-S) dt = 1/2 and
 int_0^1 (1-S) t dt = 1/7, giving the blow-up value pi n^2 + pi n + 2 pi/7;
-the circle/sphere means of log|x| and -1/(4 pi |x|) (log max(|c|, r), and
--1/(4 pi max(|c|, r)) respectively).
+a midpoint sum of the Cauchy transform at 0; the circle mean of log|x|,
+log max(|c|, r); the Gauss circle count and the covering bound
+#(Z^2 in B_t) >= pi (t - 1/sqrt 2)^2.
 """
 
 import math
@@ -14,29 +13,23 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from equilift.builders import (
     EntireApprox,
-    GridFunction,
     Potential,
-    cauchy_transform,
     counterexample_bound,
     counterexample_value,
     dbar_counterexample,
-    dbar_residual,
-    meromorphic_from_signed,
     mittag_leffler,
     newtonian_potential,
     radial_blend_profile,
-    radial_bump,
-    sub_mean_value_probe,
+    riesz_growth_demo,
     verify_divisor_match,
     weierstrass,
 )
 from equilift.core import Circle, Window, count_zeros, q26
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts
-from equilift.errors import EvaluationOnAtom, UnsupportedZeta
+from equilift.errors import EvaluationOnAtom
 
 W8 = Window(-8, 8, -8, 8)
 
@@ -117,39 +110,6 @@ class TestWeierstrass:
         assert report["matched"], report["mismatches"]
 
 
-# ---------------------------------------------------------------------------
-# meromorphic data
-
-
-class TestMeromorphic:
-    def test_simple_pole_is_one_over_z(self):
-        f = meromorphic_from_signed(D([(0j, -1)]))
-        assert abs(f(2.0 + 0j) - 0.5) < 1e-14
-        assert abs(f(1j) - (-1j)) < 1e-14
-        assert f.singularities == (0j,)
-
-    def test_zero_and_double_pole(self):
-        d = D([(0j, 1), (1 + 0j, -2)])
-        f = meromorphic_from_signed(d)
-        # z / (1 - z)^2 at z = 2
-        assert abs(f(2.0 + 0j) - 2.0) < 1e-13
-        assert count_zeros(f, Circle(0.5 + 0j, 2.0)) == -1
-        pp = extract_principal_parts(f, [1 + 0j], radius=0.4)
-        assert len(pp.entries) == 1
-        pole, coeffs = pp.entries[0]
-        assert pole == 1 + 0j
-        # z/(z-1)^2 = 1/(z-1)^2 + 1/(z-1)
-        assert abs(coeffs[0] - 1.0) < 1e-10
-        assert abs(coeffs[1] - 1.0) < 1e-10
-
-    def test_dlog_is_difference_of_parts(self):
-        d = D([(1j, 2), (-1j, -1), (2 + 0j, -3)])
-        f = meromorphic_from_signed(d)
-        z = 0.5 + 0.25j
-        oracle = 2 / (z - 1j) - 1 / (z + 1j) - 3 / (z - 2)
-        assert abs(f.dlog(z) - oracle) < 1e-12
-
-
 class TestMittagLeffler:
     def test_single_simple_pole(self):
         f = mittag_leffler(PrincipalParts(((0j, (1.0,)),)))
@@ -174,84 +134,6 @@ class TestMittagLeffler:
             assert p0 == p1
             assert len(c0) == len(c1)
             assert max(abs(a - b) for a, b in zip(c0, c1)) < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# Cauchy transform
-
-
-def bump_mass(plateau=0.5, outer=2.0):
-    val, _ = quad(lambda r: radial_blend_profile(r, plateau, outer) * r, 0, outer)
-    return 2 * math.pi * val
-
-
-class TestCauchyTransform:
-    def test_zero_function_transforms_to_zero(self):
-        f = GridFunction.from_callable(lambda z: 0 * z, Window(-1, 1, -1, 1), 0.25)
-        T = cauchy_transform(f)
-        assert np.allclose(T.values, 0)
-        far = cauchy_transform(f, [10 + 3j])
-        assert abs(far[0]) < 1e-15
-
-    def test_decay_bound_at_distance_ten(self):
-        f = radial_bump(Window(-2.5, 2.5, -2.5, 2.5), 1 / 16)
-        zeta = 12.0 + 0j
-        val = abs(cauchy_transform(f, [zeta])[0])
-        area = math.pi * 4.0
-        assert val <= area * 1.0 / (2 * math.pi * 10.0) + 1e-6
-        # radial oracle: mass / (pi |zeta|)
-        assert abs(val - bump_mass() / (math.pi * 12.0)) < 2e-3
-
-    def test_decay_bound_on_far_probe_fan(self):
-        f = radial_bump(Window(-2.5, 2.5, -2.5, 2.5), 1 / 16)
-        ks = np.arange(20)
-        zetas = (12.0 + ks) * np.exp(1j * (0.37 * ks + 0.1))
-        vals = np.abs(cauchy_transform(f, zetas))
-        area = math.pi * 4.0
-        bounds = area * 1.0 / (2 * math.pi * (np.abs(zetas) - 2.0))
-        assert np.all(vals <= bounds + 1e-6)
-
-    def test_linearity(self):
-        w = Window(-2, 2, -2, 2)
-        f = radial_bump(w, 1 / 8, plateau=0.25, outer=1.0)
-        g = GridFunction.from_callable(lambda z: np.exp(-np.abs(z) ** 2) * z,
-                                       w, 1 / 8)
-        combo = GridFunction(2.0 * f.values - 1j * g.values, w, f.hx, f.hy)
-        Tc = cauchy_transform(combo)
-        Tf = cauchy_transform(f)
-        Tg = cauchy_transform(g)
-        assert np.max(np.abs(Tc.values - (2.0 * Tf.values - 1j * Tg.values))) < 1e-12
-
-    def test_full_grid_matches_single_point_on_node(self):
-        f = radial_bump(Window(-2, 2, -2, 2), 1 / 8)
-        T = cauchy_transform(f)
-        nodes = f.nodes()
-        for iy, ix in ((3, 5), (16, 16), (20, 9)):
-            single = cauchy_transform(f, [nodes[iy, ix]])[0]
-            assert abs(single - T.values[iy, ix]) < 1e-9
-
-    def test_off_node_near_grid_rejected(self):
-        f = radial_bump(Window(-2, 2, -2, 2), 1 / 8)
-        zeta = f.nodes()[4, 4] + (1 / 16)
-        with pytest.raises(UnsupportedZeta):
-            cauchy_transform(f, [zeta])
-
-    def test_dbar_inverse_residual_and_rate(self):
-        w = Window(-2.5, 2.5, -2.5, 2.5)
-        res = {}
-        for h in (1 / 32, 1 / 64):
-            f = radial_bump(w, h)
-            res[h] = dbar_residual(f)
-        assert res[1 / 64] < 1e-3
-        rate = math.log2(res[1 / 32] / res[1 / 64])
-        assert rate >= 1.8
-
-    def test_non_square_cells_rejected(self):
-        f = GridFunction(np.zeros((4, 8), dtype=complex), Window(-2, 2, -1, 1),
-                         hx=0.5, hy=0.5)
-        bad = GridFunction(f.values, f.window, hx=0.5, hy=0.25)
-        with pytest.raises(ValueError):
-            cauchy_transform(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +164,64 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             dbar_counterexample(4)
 
-    def test_grid_transform_cross_check(self):
-        # window chosen so 0 is a grid node: (0 - xmin)/h = 48.5
-        n = 5
-        w = Window(-6.0625, 6.0625, -6.0625, 6.0625)
+    def test_no_continuous_right_inverse(self):
+        # f_n = z chi_n(|z|) equals z on |z| <= n, so on any compact set
+        # f_n -> z in every C^k; yet pi |xi(f_n)(0)| >= pi (n^2 - 4n - 2)
+        # grows without bound, so no right inverse xi of d-bar is continuous
         h = 1 / 8
+        ks = np.arange(-24, 25) * h
+        compact = ks[None, :] + 1j * ks[:, None]          # |z| <= 3 sqrt 2
+        bounds = []
+        for n in (5, 10, 20):
+            def f_n(z):
+                return z * radial_blend_profile(np.abs(z), n, n + 1)
 
-        def f_n(z):
-            return z * radial_blend_profile(np.abs(z), n, n + 1)
+            assert np.array_equal(f_n(compact), compact)
+            # midpoint sum of xi(f_n)(0) = (-1/pi) int f_n(z)/z dA over the
+            # cell centres of [-L, L]^2; no centre sits at 0
+            L = n + 1.5
+            xs = (np.arange(int(2 * L / h)) + 0.5) * h - L
+            z = xs[None, :] + 1j * xs[:, None]
+            xi0 = (-1 / math.pi) * np.sum(f_n(z) / z) * h * h
+            value = math.pi * abs(xi0)
+            assert abs(value - counterexample_value(n)) < 1.0
+            lower = math.pi * (n * n - 4 * n - 2)
+            assert value >= lower
+            bounds.append(lower)
+        assert bounds[0] > 0
+        assert bounds[1] > 3 * bounds[0] and bounds[2] > 3 * bounds[1]
 
-        g = GridFunction.from_callable(f_n, w, h)
-        assert abs(g.hx - h) < 1e-15
-        val = math.pi * abs(cauchy_transform(g, [0j])[0])
-        assert abs(val - counterexample_value(n)) < 1.0
+
+# ---------------------------------------------------------------------------
+# Riesz mass on a rank-(d-1) lattice
+
+
+class TestRieszGrowth:
+    def test_riesz_mass_grows_like_t_squared(self):
+        # unit atoms on Z^2 x {0} in R^3 (a stabilizer of rank d - 1) have
+        # mu(B_t) / t^2 = pi - o(1). The sphere mean M(t) of a potential
+        # with Riesz measure mu has M'(t) = mu(B_t) / (4 pi t^2), so M grows
+        # at least linearly and no upper-bounded potential carries mu
+        rows = riesz_growth_demo()
+        assert rows[0]["t"] == 5.0 and rows[0]["mass"] == 81
+        for r in rows:
+            # unit squares about the lattice points of B_t cover
+            # B_{t - 1/sqrt 2}
+            assert r["ratio"] >= math.pi * (1 - 1 / (math.sqrt(2) * r["t"])) ** 2
+        assert abs(rows[-1]["ratio"] - math.pi) < 0.05
+        t0 = rows[0]["t"]
+        for a, b in zip(rows, rows[1:]):
+            assert b["partial_integral"] > a["partial_integral"]
+            assert b["partial_integral"] >= (math.pi / 2) * (b["t"] - t0)
 
 
 # ---------------------------------------------------------------------------
 # Newtonian potentials
+
+
+def circle_mean(mu, center, radius, nodes=256):
+    ring = center + radius * np.exp(2j * math.pi * (np.arange(nodes) + 0.5) / nodes)
+    return float(np.mean(newtonian_potential(mu, ring)))
 
 
 class TestPotential:
@@ -318,39 +241,25 @@ class TestPotential:
             Potential(((0j, -1.0),), dim=2)
         with pytest.raises(ValueError):
             Potential((), dim=4)
+        with pytest.raises(ValueError):
+            Potential((((0.0, 0.0, 0.0), 1.0),), dim=3)
 
     def test_mean_value_equality_atom_outside(self):
         # harmonic away from the atom: the sub-mean-value inequality is tight
         mu = Potential(((0j, 1.0),), dim=2)
-        (row,) = sub_mean_value_probe(mu, [(1 + 0j, 0.5)])
-        assert row["slack"] >= -1e-12
-        assert abs(row["slack"]) < 1e-9
+        slack = circle_mean(mu, 1 + 0j, 0.5) - newtonian_potential(mu, [1 + 0j])[0]
+        assert abs(slack) < 1e-9
 
     def test_strict_slack_atom_inside(self):
         mu = Potential(((0j, 1.0),), dim=2)
-        (row,) = sub_mean_value_probe(mu, [(0.3 + 0j, 1.0)])
+        slack = circle_mean(mu, 0.3 + 0j, 1.0) - newtonian_potential(mu, [0.3 + 0j])[0]
         # circle mean of log|z| over |z - c| = r is log max(|c|, r) = 0
         oracle = -math.log(0.3) / (2 * math.pi)
-        assert row["slack"] > 0
-        assert abs(row["slack"] - oracle) < 1e-9
-
-    def test_three_d_kernel_and_probes(self):
-        mu = Potential((((0.0, 0.0, 0.0), 1.0),), dim=3)
-        u = newtonian_potential(mu, [(2.0, 0.0, 0.0)])
-        assert abs(u[0] + 1 / (8 * math.pi)) < 1e-14
-        rows = sub_mean_value_probe(
-            mu, [((2.0, 0.0, 0.0), 1.0), ((0.25, 0.0, 0.0), 1.0)])
-        assert abs(rows[0]["slack"]) < 1e-8
-        assert rows[0]["slack"] >= -1e-9
-        # atom inside: mean is -1/(4 pi r), center value -1/(4 pi 0.25)
-        oracle = -1 / (4 * math.pi) + 1 / math.pi
-        assert abs(rows[1]["slack"] - oracle) < 1e-8
+        assert abs(slack - oracle) < 1e-9
 
     def test_empty_measure(self):
-        mu = Potential((), dim=2)
-        (row,) = sub_mean_value_probe(mu, [(1j, 2.0)])
-        assert row["u_center"] == 0
-        assert abs(row["slack"]) < 1e-15
+        u = newtonian_potential(Potential((), dim=2), [1j, 2 + 0j])
+        assert np.array_equal(u, np.zeros(2))
 
     def test_discrete_harmonicity_rate(self):
         mu = Potential(((0j, 1.0), (2 + 1j, 0.5)), dim=2)

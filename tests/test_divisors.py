@@ -1,5 +1,5 @@
-"""Divisor generation, transport distance, stabilizer detection, signed
-splits, and principal-part extraction."""
+"""Divisor generation, transport distance, stabilizer detection, and
+principal-part extraction."""
 
 import json
 import math
@@ -17,7 +17,6 @@ from equilift.divisors import (
     detect_stabilizer,
     extract_principal_parts,
     generate,
-    split_signed,
     transport_distance,
 )
 from equilift.errors import AmbiguousNearPeriod, EmptyWindow, OverlappingCircles
@@ -71,12 +70,6 @@ class TestDivisor:
     def test_support_multiset_expands_multiplicity(self):
         d = Divisor(np.array([0j, 1 + 0j]), np.array([2, 1]), WIN8)
         assert np.array_equal(d.support_multiset(), np.array([0j, 0j, 1 + 0j]))
-
-    def test_min_separation(self):
-        d = Divisor(np.array([0j, 3 + 4j]), np.array([1, 1]), WIN8)
-        assert d.min_separation() == 5.0
-        single = Divisor(np.array([0j]), np.array([1]), WIN8)
-        assert single.min_separation() == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +270,6 @@ class TestStabilizer:
         d = generate("periodic-lattice", Window(-8, 8, -8, 8), spacing=1.0)
         moved = d.translate(0.25 + 0.125j, move_window=True)
         assert detect_stabilizer(moved).generators == detect_stabilizer(d).generators
-
-
-# ---------------------------------------------------------------------------
-# signed split
-
-
-class TestSplitSigned:
-    def test_split(self):
-        d = Divisor(np.array([0j, 1 + 0j, 2 + 0j]), np.array([1, -2, 3]), WIN8)
-        pos, neg = split_signed(d)
-        assert np.array_equal(pos.locs, np.array([0j, 2 + 0j]))
-        assert np.array_equal(pos.mults, np.array([1, 3]))
-        assert np.array_equal(neg.locs, np.array([1 + 0j]))
-        assert np.array_equal(neg.mults, np.array([2]))
-
-    def test_recomposition(self):
-        d = Divisor(np.array([0j, 1 + 0j, 2j]), np.array([2, -1, -3]), WIN8)
-        pos, neg = split_signed(d)
-        merged = {}
-        for z, m in zip(pos.locs.tolist(), pos.mults.tolist()):
-            merged[z] = merged.get(z, 0) + m
-        for z, m in zip(neg.locs.tolist(), neg.mults.tolist()):
-            merged[z] = merged.get(z, 0) - m
-        original = dict(zip(d.locs.tolist(), d.mults.tolist()))
-        assert merged == original
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equilift.builders import Potential, verify_divisor_match
 from equilift.core import (BASE_SUM_BLOCK, FAR_RATIO, Circle, CompactRegion,
@@ -375,6 +376,38 @@ class TestEquivariance:
             verify_equivariance(six_point_divisor(), SHIFT, mode="borel")
 
 
+def small_inputs():
+    # about 39 Poisson points or 36 jittered-lattice points, a lift mode,
+    # and a q26 shift that keeps most of the window in the overlap
+    kinds = st.sampled_from([("poisson", Window(-7, 7, -7, 7)),
+                             ("jittered-lattice", Window(0, 6, 0, 6))])
+    coords = st.floats(-2, 2, allow_nan=False)
+    return st.tuples(kinds, st.integers(0, 2 ** 31 - 1),
+                     st.sampled_from(["weierstrass", "poisson"]),
+                     st.builds(lambda x, y: complex(q26(complex(x, y))),
+                               coords, coords))
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=small_inputs())
+def test_lift_commutes_with_q26_shifts(case):
+    (kind, win), seed, mode, w = case
+    d = generate(kind, win, seed=seed, intensity=0.2)
+    if mode == "weierstrass":
+        report = verify_equivariance(d, w)
+    else:
+        mu = Potential(tuple(((p.real, p.imag), float(m))
+                             for p, m in zip(d.locs.tolist(), d.mults.tolist())),
+                       dim=2)
+        report = verify_equivariance(mu, w, mode="poisson", window=win)
+    if report.refusal:
+        assert report.refusal.startswith("NonFreeInput")
+        assert not report.passed
+    else:
+        assert report.deviation < 1e-9, (kind, seed, mode, w)
+        assert report.grid_points > 0
+
+
 # ---------------------------------------------------------------------------
 # principal parts (additive lane)
 
@@ -453,11 +486,6 @@ class TestPoisson2d:
         assert len(rows) == 50
         for row in rows:
             assert row["slack"] >= -1e-8, row
-
-    def test_dim_guard(self):
-        mu = Potential((((0.0, 0.0, 0.0), 1.0),), dim=3)
-        with pytest.raises(ValueError):
-            lift_poisson_2d(mu, None, 2)
 
     def test_empty_measure_is_zero(self):
         trace = lift_poisson_2d(Potential((), dim=2), None, 3)

@@ -1,14 +1,19 @@
-"""Packaging metadata: every console script pyproject.toml declares must
-resolve to a callable in the package."""
+"""Packaging: every console script pyproject.toml declares must resolve to
+a callable in the package, and the pipeline modules import without the
+heavy scipy subpackages."""
 
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_script_targets_import():
@@ -19,3 +24,18 @@ def test_console_script_targets_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name} -> {target}"
+
+
+def test_pipeline_import_leaves_out_scipy_signal_and_integrate():
+    # the two took about half the import time of the pipeline, and no
+    # pipeline module needs them; a fresh interpreter sees what an import
+    # really loads
+    code = ("import sys, equilift.lifting, equilift.toast, equilift.builders; "
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.integrate') "
+            "if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == ""

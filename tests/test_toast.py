@@ -82,9 +82,6 @@ class TestTwoPoints:
         for name in PASSING:
             assert report[name]["status"] == "pass", (name, report[name])
 
-    def test_cocycle(self):
-        assert ToastForest.cocycle(1 + 1j, 4 + 0j) == 3 - 1j
-
 
 @pytest.fixture(scope="module")
 def poisson_forest():
