@@ -1,11 +1,10 @@
-"""Product builders, Newtonian potentials, and the two negative claims.
+"""Product builders, Newtonian potentials, and the continuity counterexample.
 
 Oracles: closed forms for small products and principal-part sums; the
 quintic roll-off integrals int_0^1 (1-S) dt = 1/2 and
 int_0^1 (1-S) t dt = 1/7, giving the blow-up value pi n^2 + pi n + 2 pi/7;
 a midpoint sum of the Cauchy transform at 0; the circle mean of log|x|,
-log max(|c|, r); the Gauss circle count and the covering bound
-#(Z^2 in B_t) >= pi (t - 1/sqrt 2)^2.
+log max(|c|, r). The Riesz-growth claim is tested in tests/test_periodic.py.
 """
 
 import math
@@ -23,7 +22,6 @@ from equilift.builders import (
     mittag_leffler,
     newtonian_potential,
     radial_blend_profile,
-    riesz_growth_demo,
     verify_divisor_match,
     weierstrass,
 )
@@ -164,7 +162,7 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             dbar_counterexample(4)
 
-    def test_no_continuous_right_inverse(self):
+    def test_grid_transform_cross_check(self):
         # f_n = z chi_n(|z|) equals z on |z| <= n, so on any compact set
         # f_n -> z in every C^k; yet pi |xi(f_n)(0)| >= pi (n^2 - 4n - 2)
         # grows without bound, so no right inverse xi of d-bar is continuous
@@ -190,29 +188,6 @@ class TestCounterexample:
             bounds.append(lower)
         assert bounds[0] > 0
         assert bounds[1] > 3 * bounds[0] and bounds[2] > 3 * bounds[1]
-
-
-# ---------------------------------------------------------------------------
-# Riesz mass on a rank-(d-1) lattice
-
-
-class TestRieszGrowth:
-    def test_riesz_mass_grows_like_t_squared(self):
-        # unit atoms on Z^2 x {0} in R^3 (a stabilizer of rank d - 1) have
-        # mu(B_t) / t^2 = pi - o(1). The sphere mean M(t) of a potential
-        # with Riesz measure mu has M'(t) = mu(B_t) / (4 pi t^2), so M grows
-        # at least linearly and no upper-bounded potential carries mu
-        rows = riesz_growth_demo()
-        assert rows[0]["t"] == 5.0 and rows[0]["mass"] == 81
-        for r in rows:
-            # unit squares about the lattice points of B_t cover
-            # B_{t - 1/sqrt 2}
-            assert r["ratio"] >= math.pi * (1 - 1 / (math.sqrt(2) * r["t"])) ** 2
-        assert abs(rows[-1]["ratio"] - math.pi) < 0.05
-        t0 = rows[0]["t"]
-        for a, b in zip(rows, rows[1:]):
-            assert b["partial_integral"] > a["partial_integral"]
-            assert b["partial_integral"] >= (math.pi / 2) * (b["t"] - t0)
 
 
 # ---------------------------------------------------------------------------

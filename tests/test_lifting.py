@@ -487,6 +487,12 @@ class TestPoisson2d:
         for row in rows:
             assert row["slack"] >= -1e-8, row
 
+    def test_dim_guard(self):
+        # a 3D measure read from a dump never reaches the planar lift
+        dump = {"dim": 3, "atoms": [{"loc": [0.0, 0.0, 0.0], "mass": 1.0}]}
+        with pytest.raises(ValueError):
+            lift_poisson_2d(Potential.from_json(dump), None, 2)
+
     def test_empty_measure_is_zero(self):
         trace = lift_poisson_2d(Potential((), dim=2), None, 3)
         z = np.array([0j, 1 + 1j])
