@@ -1,10 +1,11 @@
 """Divisors (weighted point configurations), principal-part data, generators,
-stabilizer detection, and the uniform (bottleneck) transport distance.
+stabilizer detection and principal-part extraction.
 
 Generators draw their randomness from per-cell counter-based streams keyed by
 (seed, cell), so output does not depend on evaluation order. All coordinates
 are quantized to the 2**-26 lattice (see core.q26): dyadic data is what makes
-the covariance guarantees of the toast and lifting modules exact.
+the covariance guarantees of the toast and lifting modules exact, and what
+lets stabilizer detection decide a period by exact comparison.
 """
 
 from __future__ import annotations
@@ -13,12 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
-from scipy.spatial import cKDTree
 
 from .core import Circle, Window, as_sampled, contour_integral, q26
-from .errors import AmbiguousNearPeriod, EmptyWindow, OverlappingCircles
+from .errors import EmptyWindow, OverlappingCircles
 
 INNER_MARGIN = 0.15  # fraction of each side length shaved per side
 
@@ -67,12 +65,6 @@ class Divisor:
 
     def is_nonnegative(self):
         return len(self) == 0 or bool(np.all(self.mults > 0))
-
-    def support_multiset(self):
-        """Locations repeated by multiplicity (requires nonnegative mults)."""
-        if not self.is_nonnegative():
-            raise ValueError("multiset view needs nonnegative multiplicities")
-        return np.repeat(self.locs, self.mults)
 
     def to_json(self):
         return {
@@ -146,7 +138,6 @@ class PrincipalParts:
 class StabilizerReport:
     kind: str                      # free | singly-periodic | doubly-periodic | full
     generators: tuple              # up to 2 complex vectors
-    tol: float
 
 
 # ---------------------------------------------------------------------------
@@ -239,52 +230,14 @@ def generate(kind, window: Window, seed=0, intensity=1.0, spacing=1.0,
 
 
 # ---------------------------------------------------------------------------
-# transport distance
-
-
-def _has_perfect_matching(dmat, thresh):
-    n = dmat.shape[0]
-    graph = csr_matrix((dmat <= thresh).astype(np.int8))
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return int(np.count_nonzero(match >= 0)) == n
-
-
-def _bottleneck(pa, pb):
-    """Exact bottleneck distance between equal-size point multisets: binary
-    search over the realized pairwise distances with a perfect-matching
-    feasibility test at each threshold."""
-    if len(pa) != len(pb):
-        return math.inf
-    if len(pa) == 0:
-        return 0.0
-    dmat = np.abs(pa[:, None] - pb[None, :])
-    cands = np.unique(dmat)
-    if not _has_perfect_matching(dmat, cands[-1]):
-        return math.inf
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _has_perfect_matching(dmat, cands[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(cands[lo])
-
-
-def transport_distance(a: Divisor, b: Divisor, window: Window = None) -> float:
-    """Bottleneck matching distance inf over bijections of the max
-    displacement, computed exactly on the window restrictions.
-
-    Unequal counts yield +inf (boundary-margin caveat: compare on a window
-    both configurations fill)."""
-    if window is None:
-        window = a.window
-    return _bottleneck(a.restrict(window).support_multiset(),
-                       b.restrict(window).support_multiset())
-
-
-# ---------------------------------------------------------------------------
 # stabilizer detection
+#
+# Every point lies on the 2**-26 lattice and every candidate period is a
+# difference of two points, so each shifted point is a lattice point computed
+# exactly. A shift is a period exactly when it maps the divisor onto itself on
+# the comparison window, multiplicities included: no tolerance enters.
+
+COMBINATION_TOL = 1e-9  # float residual of the integer-combination test
 
 
 def _candidate_vectors(locs, limit=50):
@@ -299,37 +252,44 @@ def _candidate_vectors(locs, limit=50):
     return sorted(uniq.tolist(), key=lambda v: (abs(v), math.atan2(v.imag, v.real)))
 
 
-def _shift_mismatch(d: Divisor, v, inner: Window):
-    """Bottleneck distance between d and d+v on their common inner window."""
+def _window_part(locs, mults, win):
+    """(locations, multiplicities) inside win, sorted by location."""
+    keep = win.contains(locs)
+    order = np.argsort(locs[keep])
+    return locs[keep][order], mults[keep][order]
+
+
+def _is_period(d: Divisor, v, inner: Window):
+    """Does d + v equal d on their common inner window, multiplicities
+    included? A window too small to compare, or holding no point, reads
+    False."""
     pad = abs(v)
+    if not (inner.width > 2 * pad + 1e-6 and inner.height > 2 * pad + 1e-6):
+        return False
     win = Window(inner.xmin + max(0, -v.real) + 1e-9, inner.xmax - max(0, v.real) - 1e-9,
-                 inner.ymin + max(0, -v.imag) + 1e-9, inner.ymax - max(0, v.imag) - 1e-9) \
-        if (inner.width > 2 * pad + 1e-6 and inner.height > 2 * pad + 1e-6) else None
-    if win is None:
-        return math.inf
-    da = d.restrict(win)
-    db = Divisor(d.locs + v, d.mults, d.window).restrict(win)
-    if len(da) == 0:
-        return math.inf
-    return _bottleneck(da.support_multiset(), db.support_multiset())
+                 inner.ymin + max(0, -v.imag) + 1e-9, inner.ymax - max(0, v.imag) - 1e-9)
+    locs_a, mults_a = _window_part(d.locs, d.mults, win)
+    locs_b, mults_b = _window_part(d.locs + v, d.mults, win)
+    return (len(locs_a) > 0 and np.array_equal(locs_a, locs_b)
+            and np.array_equal(mults_a, mults_b))
 
 
-def _is_combination(v, gens, tol):
-    """Is v an integer combination of gens (within tol)?"""
+def _is_combination(v, gens):
+    """Is v an integer combination of gens (within COMBINATION_TOL)?"""
     if not gens:
         return False
     if len(gens) == 1:
         g = gens[0]
         t = (v.real * g.real + v.imag * g.imag) / (abs(g) ** 2)
         k = round(t)
-        return abs(v - k * g) <= tol
+        return abs(v - k * g) <= COMBINATION_TOL
     g1, g2 = gens
     det = g1.real * g2.imag - g1.imag * g2.real
     if abs(det) < 1e-15:
-        return _is_combination(v, [g1], tol)
+        return _is_combination(v, [g1])
     s = (v.real * g2.imag - v.imag * g2.real) / det
     t = (g1.real * v.imag - g1.imag * v.real) / det
-    return abs(v - round(s) * g1 - round(t) * g2) <= tol
+    return abs(v - round(s) * g1 - round(t) * g2) <= COMBINATION_TOL
 
 
 def _canonical_vector(v):
@@ -338,44 +298,39 @@ def _canonical_vector(v):
     return v
 
 
-def detect_stabilizer(d: Divisor, tol=1e-9) -> StabilizerReport:
-    """Scan candidate periods (short difference vectors) and classify the
-    translation stabilizer. Raises AmbiguousNearPeriod when a candidate's
-    mismatch lands in [tol, 10*tol)."""
+def detect_stabilizer(d: Divisor) -> StabilizerReport:
+    """Classify the translation stabilizer of d from its short periods.
+
+    Candidates are the difference vectors among the points nearest the
+    centroid, shortest first. A candidate is a period when d + v equals d
+    on the inner window shrunk by v, multiplicities included; on the 2**-26
+    lattice that comparison is exact. Integer combinations of the periods
+    found so far are skipped, and two independent periods end the scan."""
     if len(d) == 0:
         raise EmptyWindow("stabilizer of an empty divisor is undefined")
     inner = d.window.inner(INNER_MARGIN)
     locs = d.locs
-    cands = _candidate_vectors(locs)
-    # quick lower bound on the mismatch: nearest-neighbor distances of a few
-    # shifted probes; safe to reject when even that exceeds the grey zone
-    tree = cKDTree(np.column_stack([locs.real, locs.imag]))
+    cands = np.array(_candidate_vectors(locs), dtype=complex)
+    # quick filter: a period maps each of a few probe points onto a point
     probes = locs[: min(10, len(locs))]
+    shifted = cands[:, None] + probes[None, :]
+    ordered = np.sort_complex(locs)
+    idx = np.minimum(np.searchsorted(ordered, shifted), len(ordered) - 1)
+    hits = (ordered[idx] == shifted).all(axis=1)
     gens = []
-    for v in cands:
-        if abs(v) <= 10 * tol:
-            continue  # differences of near-coincident points, not periods
-        if _is_combination(v, gens, tol):
+    for v in cands[hits].tolist():
+        if _is_combination(v, gens):
             continue
-        q = np.column_stack([(probes + v).real, (probes + v).imag])
-        nn, _ = tree.query(q)
-        if float(np.max(nn)) >= 10 * tol:
-            continue
-        delta = _shift_mismatch(d, v, inner)
-        if delta < tol:
+        if _is_period(d, v, inner):
             gens.append(v)
             if len(gens) == 2:
                 # keep scanning only to reduce the basis; two independent
                 # short periods suffice for classification
                 break
-        elif delta < 10 * tol:
-            raise AmbiguousNearPeriod(
-                f"candidate period {v} has mismatch {delta:.3g} in [tol, 10 tol)"
-            )
     gens = [_canonical_vector(g) for g in gens]
     gens.sort(key=lambda g: (abs(g), math.atan2(g.imag, g.real)))
     kind = {0: "free", 1: "singly-periodic", 2: "doubly-periodic"}[len(gens)]
-    return StabilizerReport(kind=kind, generators=tuple(gens), tol=tol)
+    return StabilizerReport(kind=kind, generators=tuple(gens))
 
 
 # ---------------------------------------------------------------------------

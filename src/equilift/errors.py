@@ -39,10 +39,6 @@ class EmptyWindow(EquiliftError):
     """Generation window is degenerate or holds no points."""
 
 
-class AmbiguousNearPeriod(EquiliftError):
-    """A candidate period sits in the grey zone [tol, 10*tol)."""
-
-
 class OverlappingCircles(EquiliftError):
     """Extraction circles around suspected poles are not disjoint."""
 

@@ -93,10 +93,6 @@ class RungeCertificate:
     def epsilon(self):
         return self.problem.epsilon
 
-    @property
-    def max_error(self):
-        return max(self.errors)
-
 
 # ---------------------------------------------------------------------------
 # framing

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilift import lifting, runge
 from equilift.builders import Potential, verify_divisor_match
 from equilift.core import (BASE_SUM_BLOCK, FAR_RATIO, Circle, CompactRegion,
                            ComplexPoly, Window, base_sum, count_zeros, q26)
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts, generate
+from equilift.errors import DegreeCapExceeded, DivisorMismatch, RungeFailure
 from equilift.lifting import (ADDITIVE, HARMONIC, MULTIPLICATIVE,
                               LocalSolution, lift_mittag_leffler,
                               lift_poisson_2d, lift_weierstrass,
@@ -207,6 +209,53 @@ class TestCertificates:
 
     def test_tail_bound(self, six_trace):
         assert six_trace.tail_bound == 2.0 ** (-six_trace.depth)
+
+
+class TestTypedRefusals:
+    def test_runge_cap_is_refused_with_level_and_anchor(self, monkeypatch):
+        d = six_point_divisor()
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        cap = DegreeCapExceeded("cap reached", cap=8, best_error=1.0)
+
+        def fail(problem, **kw):
+            raise cap
+
+        monkeypatch.setattr(runge, "solve", fail)
+        with pytest.raises(RungeFailure) as info:
+            lift_weierstrass(d, toast, 3)
+        # level 0 has no children to patch: the first fit is at level 1,
+        # on the first anchor that has any
+        first = next(a for a in toast.levels[1].anchors
+                     if toast.children.get((1, a)))
+        assert info.value.level == 1
+        assert info.value.anchor == first
+        assert info.value.__cause__ is cap
+
+    def test_certified_rate_over_epsilon_is_refused(self, monkeypatch):
+        d = six_point_divisor()
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        honest = lift_weierstrass(d, toast, 3, check_membership=False)
+        first = next(lv for lv in honest.levels[1:]
+                     if any(c["certified"] for c in lv.certificates))
+        # a rate of 1 is over every epsilon 2**-n with n >= 1
+        kernel = lifting._KERNELS[MULTIPLICATIVE]
+        monkeypatch.setitem(lifting._KERNELS, MULTIPLICATIVE,
+                            replace(kernel, seminorm=lambda *a, **kw: 1.0))
+        with pytest.raises(RungeFailure) as info:
+            lift_weierstrass(d, toast, 3)
+        assert info.value.level == first.n
+        assert info.value.anchor == first.chain[1]
+
+    def test_membership_miss_is_refused(self, monkeypatch):
+        d = six_point_divisor()
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        miss = {"matched": False, "mismatches": [{"loc": 0.5 + 0.5j}]}
+        monkeypatch.setattr(lifting, "verify_divisor_match",
+                            lambda *a, **kw: miss)
+        with pytest.raises(DivisorMismatch, match="misses the divisor"):
+            lift_weierstrass(d, toast, 3)
+        # the same lift without the membership check goes through
+        assert lift_weierstrass(d, toast, 3, check_membership=False).depth == 3
 
 
 # ---------------------------------------------------------------------------
