@@ -805,45 +805,19 @@ def contour_integral(f, circle: Circle, j=1, nodes=256) -> complex:
     return complex(np.sum(vals * (r * e)) / nodes)
 
 
-def _count_on_circle(f: SampledFunction, c, r, nodes):
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    e = np.exp(1j * theta)
-    z = c + r * e
-    g = f.dlog_at(z)
+def count_zeros(f, contour, nodes=512, return_residual=False):
+    """Argument-principle count of zeros minus poles inside the circle
+    `contour`. The pre-rounding residual must stay below 0.25, else
+    ContourThroughZero.
+    """
+    if not isinstance(contour, Circle):
+        raise TypeError("contour must be a Circle")
+    e = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
+    r = float(contour.radius)
+    g = as_sampled(f).dlog_at(complex(contour.center) + r * e)
     if not np.all(np.isfinite(g)):
         raise ContourThroughZero("logarithmic derivative not finite on contour")
     val = np.sum(g * (r * e)) / nodes
-    return val
-
-
-def count_zeros(f, contour, nodes=512, return_residual=False):
-    """Argument-principle count of zeros minus poles inside the contour.
-
-    `contour` is a Circle or a Window (rectangle boundary). The pre-rounding
-    residual must stay below 0.25, else ContourThroughZero.
-    """
-    f = as_sampled(f)
-    if isinstance(contour, Circle):
-        val = _count_on_circle(f, complex(contour.center), float(contour.radius), nodes)
-    elif isinstance(contour, Window):
-        corners = [
-            complex(contour.xmin, contour.ymin),
-            complex(contour.xmax, contour.ymin),
-            complex(contour.xmax, contour.ymax),
-            complex(contour.xmin, contour.ymax),
-        ]
-        total = 0.0 + 0.0j
-        m = max(8, nodes // 4)
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            t = (np.arange(m) + 0.5) / m
-            z = a + (b - a) * t
-            g = f.dlog_at(z)
-            if not np.all(np.isfinite(g)):
-                raise ContourThroughZero("logarithmic derivative not finite on contour")
-            total += np.sum(g) * (b - a) / m
-        val = total / (2j * np.pi)
-    else:
-        raise TypeError("contour must be a Circle or a Window")
     n = int(round(val.real))
     residual = abs(val - n)
     if residual > 0.25:

@@ -1,28 +1,38 @@
 """Inductive shift-covariant lifting over a toast hierarchy.
 
-Each anchor of the hierarchy carries a local solution written in
-anchor-relative coordinates u = z - anchor and built purely from difference
-data (data-point offsets, gauge offsets, anchor-to-anchor translations), so
-the whole recursion commutes with quantized shifts bit for bit; a global
-evaluation point is folded into the local frame only at the very end.
-Three instantiations share the recursion, one kernel each in `_KERNELS`:
+Only the base-point chain is solved. The base point is the configuration's
+covariant centroid, and the chain at stage n is the level-n region holding
+it (regions grow with n, so once the centroid is covered it stays covered;
+below first coverage the nearest base region stands in). psi_n is the one
+local solution at the chain anchor. A level holds that solution only when
+its chain region sits at that level: level 0 and every level from first
+coverage on hold one, the levels in between hold none and reuse level 0's.
+This is a finite-window device: an infinite configuration has no covariant
+base point, and the paper's lifting patches every region of the toast
+instead.
+
+A local solution is written in anchor-relative coordinates u = z - anchor
+and built purely from difference data (data-point offsets, gauge offsets,
+anchor-to-anchor translations), so the whole recursion commutes with
+quantized shifts bit for bit; a global evaluation point is folded into the
+local frame only at the very end. Three instantiations share the recursion,
+one kernel each in `_KERNELS`:
 
   multiplicative   prescribed zeros; corrections exp(P); log-modulus rates
   additive         prescribed principal parts; corrections P; sup rates
   harmonic         prescribed atomic measures; corrections Re P; sup rates
 
-The assembled psi_n is the single local solution selected by the base-point
-chain: the anchor of the level-n region containing the configuration's
-covariant centroid (regions grow with n, so once the centroid is covered it
-stays covered; below first coverage the nearest base region stands in).
-Each psi_n is one global function, so the level-n rate r_n(K) compares two
-closed-form solutions and membership of the divisor holds analytically at
-every level, not only in the limit.
+The step n-1 -> n is patched when the level-(n-1) chain region is a child of
+the level-n one: the new correction is fitted on that child alone, against
+the child's solution. Each psi_n is one global function, so the level-n rate
+r_n(K) compares two closed-form solutions and membership of the divisor
+holds analytically at every level, not only in the limit.
 
-A rate certificate is `certified` when K lies inside the level-(n-1) region
-of the chain: the patching step controlled the ratio on that region's
-boundary, and the maximum principle carries the bound inside. Values on
-disks that poke outside are reported informationally and never asserted.
+A rate certificate is `certified` when the step was patched (or is
+stagnant) and K lies inside the level-(n-1) chain region: the fit controlled
+the ratio on that region's boundary, and the maximum principle carries the
+bound inside. Values on disks that poke outside are reported informationally
+and never asserted.
 
 The multiplicative base product is normalized at one gauge point for the
 whole lift, on the 2^-26 lattice next to the level-0 chain anchor.
@@ -293,7 +303,8 @@ def _chain_step(kernel, levels, n):
 class LiftingLevel:
     n: int
     epsilon: float
-    solutions: dict          # anchor -> LocalSolution, in anchor order
+    solutions: dict          # chain anchor -> LocalSolution; empty when
+                             # the chain sits below this level
     chain: tuple             # (level, anchor) selected for psi_n
     certificates: tuple      # dicts: radius, value, certified
 
@@ -420,26 +431,26 @@ class EquivarianceReport:
 # the recursion
 
 
-def _solve_anchor(mode, n, anchor, toast, prev_sols, locs, weights, epsilon,
-                  gauge_pt):
+def _solve_chain(mode, n, anchor, toast, prev, locs, weights, epsilon,
+                 gauge_pt):
+    """The level-n chain anchor's solution. `prev` is the level-(n-1)
+    LiftingLevel when the step is patched, else None and the solution is
+    bare."""
     kernel = _KERNELS[mode]
     bare = LocalSolution(
         anchor=anchor, mode=mode,
         offsets=locs - anchor, weights=weights,
         correction=ComplexPoly((0j,)),
         gauge=complex(gauge_pt) - anchor if kernel.product else 0j)
-    children = toast.children.get((n, anchor), ()) if n > 0 else ()
-    if not children:
+    if prev is None:
         return bare
-    # the patching datum on a predecessor region is the step from this
-    # anchor's bare base up to the predecessor, in this anchor's
-    # coordinates: base terms cancel, so only the predecessor's correction
-    # survives
-    targets = tuple(
-        (toast.region(n - 1, ca).translate(-anchor),
-         kernel.step(prev_sols[ca], complex(ca) - anchor, bare, 0j))
-        for _, ca in children)
-    problem = runge.RungeProblem(targets, epsilon=epsilon,
+    # the patching datum on the chain child is the step from this anchor's
+    # bare base up to the child's solution, in this anchor's coordinates:
+    # base terms cancel, so only the child's correction survives
+    _, ca = prev.chain
+    target = (toast.region(n - 1, ca).translate(-anchor),
+              kernel.step(prev.solutions[ca], complex(ca) - anchor, bare, 0j))
+    problem = runge.RungeProblem((target,), epsilon=epsilon,
                                  mode=kernel.runge_mode)
     # taming on the full own region keeps this correction plateau-scale
     # on the territory the next level will sample
@@ -457,18 +468,16 @@ def _ladder(base):
     return tuple(CompactRegion([complex(base)], [2.0 ** j]) for j in range(4))
 
 
-def _certify_level(mode, levels, toast, n, ladder, epsilon):
-    """Ladder rates for the step n-1 -> n, with the paper-backed flag: a
-    disk inside the chain's level-(n-1) region is covered by the patching
-    bound and must come in under epsilon."""
-    hi_m, hi_a = levels[n].chain
+def _certify_level(mode, levels, toast, n, ladder, epsilon, patched):
+    """Ladder rates for the step n-1 -> n, with the paper-backed flag: when
+    the step was patched (or is stagnant), a disk inside the chain's
+    level-(n-1) region is covered by the patching bound and must come in
+    under epsilon."""
     lo_m, lo_a = levels[n - 1].chain
     kernel = _KERNELS[mode]
     delta = _chain_step(kernel, levels, n)
     region_lo = toast.region(lo_m, lo_a)
-    controlled = (delta is None) or (
-        hi_m == n and lo_m == n - 1
-        and (lo_m, lo_a) in toast.children.get((hi_m, hi_a), ()))
+    controlled = delta is None or patched
     rows = []
     for K in ladder:
         value = 0.0 if delta is None else kernel.seminorm(delta, K)
@@ -478,7 +487,7 @@ def _certify_level(mode, levels, toast, n, ladder, epsilon):
         if certified and not value < epsilon:
             raise RungeFailure(
                 f"certified rate {value} at radius {K.radii[0]} "
-                f"is not below {epsilon}", level=n, anchor=hi_a)
+                f"is not below {epsilon}", level=n, anchor=levels[n].chain[1])
     return tuple(rows)
 
 
@@ -519,15 +528,22 @@ def _lift(mode, data, toast, levels, check_membership=True):
     out_levels = []
     for n in range(N + 1):
         epsilon = 2.0 ** (-n)
-        prev = out_levels[-1].solutions if out_levels else {}
-        chain = _chain_entry(toast, base, n)
-        sols = {a: _solve_anchor(mode, n, a, toast, prev, locs, weights,
-                                 epsilon, gauge_pt)
-                for a in toast.levels[n].anchors}
+        m, a = chain = _chain_entry(toast, base, n)
+        prev = out_levels[-1] if out_levels else None
+        # the step n-1 -> n is patched when the chain sits at level n and
+        # its level-(n-1) region is a child of the level-n chain region
+        patched = m == n and prev is not None and \
+            prev.chain in toast.children.get(chain, ())
+        sols = {}
+        if m == n:
+            sols[a] = _solve_chain(mode, n, a, toast,
+                                   prev if patched else None, locs, weights,
+                                   epsilon, gauge_pt)
         out_levels.append(LiftingLevel(n=n, epsilon=epsilon, solutions=sols,
                                        chain=chain, certificates=()))
         if n >= 1:
-            certs = _certify_level(mode, out_levels, toast, n, ladder, epsilon)
+            certs = _certify_level(mode, out_levels, toast, n, ladder,
+                                   epsilon, patched)
             out_levels[-1] = replace(out_levels[-1], certificates=certs)
     trace = LiftingTrace(mode=mode, data=data, toast=toast,
                          levels=tuple(out_levels), tail_bound=2.0 ** (-N),

@@ -215,6 +215,7 @@ class TestTypedRefusals:
     def test_runge_cap_is_refused_with_level_and_anchor(self, monkeypatch):
         d = six_point_divisor()
         toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        honest = lift_weierstrass(d, toast, 3, check_membership=False)
         cap = DegreeCapExceeded("cap reached", cap=8, best_error=1.0)
 
         def fail(problem, **kw):
@@ -223,12 +224,15 @@ class TestTypedRefusals:
         monkeypatch.setattr(runge, "solve", fail)
         with pytest.raises(RungeFailure) as info:
             lift_weierstrass(d, toast, 3)
-        # level 0 has no children to patch: the first fit is at level 1,
-        # on the first anchor that has any
-        first = next(a for a in toast.levels[1].anchors
-                     if toast.children.get((1, a)))
-        assert info.value.level == 1
-        assert info.value.anchor == first
+        # only chain steps are fitted: the first fit is at the first level
+        # whose chain region has the previous level's chain region as a
+        # child, level 3 on this input
+        first = next(lv for lv in honest.levels[1:]
+                     if honest.levels[lv.n - 1].chain
+                     in toast.children.get(lv.chain, ()))
+        assert first.n == 3
+        assert info.value.level == first.n
+        assert info.value.anchor == first.chain[1]
         assert info.value.__cause__ is cap
 
     def test_certified_rate_over_epsilon_is_refused(self, monkeypatch):
@@ -256,6 +260,110 @@ class TestTypedRefusals:
             lift_weierstrass(d, toast, 3)
         # the same lift without the membership check goes through
         assert lift_weierstrass(d, toast, 3, check_membership=False).depth == 3
+
+
+# ---------------------------------------------------------------------------
+# only the base-point chain is solved
+
+
+@pytest.fixture(scope="module")
+def poisson_196():
+    d = generate("poisson", Window(-16, 16, -16, 16), seed=3, intensity=0.2)
+    assert len(d) == 196
+    return d, build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
+
+
+def lift_mode(mode, d, toast, N=4):
+    locs = d.locs.tolist()
+    if mode == MULTIPLICATIVE:
+        return lift_weierstrass(d, toast, N, check_membership=False)
+    if mode == ADDITIVE:
+        pp = PrincipalParts(tuple((p, (1 + 0j,)) for p in locs))
+        return lift_mittag_leffler(pp, toast, N)
+    mu = Potential(tuple(((p.real, p.imag), 1.0) for p in locs), dim=2)
+    return lift_poisson_2d(mu, toast, N)
+
+
+class TestChainOnly:
+    @pytest.mark.parametrize("mode", [MULTIPLICATIVE, ADDITIVE, HARMONIC])
+    def test_only_the_chain_is_solved(self, poisson_196, monkeypatch, mode):
+        # a level holds the chain anchor's solution when the chain sits at
+        # it, and none otherwise; each fit has one target, the previous
+        # chain region in the frame of the chain anchor, and levels fit in
+        # order with epsilon 2**-n, so no level fits twice
+        d, toast = poisson_196
+        problems = []
+        solve = runge.solve
+
+        def record(problem, **kw):
+            problems.append(problem)
+            return solve(problem, **kw)
+
+        monkeypatch.setattr(runge, "solve", record)
+        trace = lift_mode(mode, d, toast)
+        for lv in trace.levels:
+            m, a = lv.chain
+            assert list(lv.solutions) == ([a] if m == lv.n else [])
+        want = []
+        for lo, hi in zip(trace.levels, trace.levels[1:]):
+            if lo.chain in toast.children.get(hi.chain, ()):
+                region = toast.region(*lo.chain).translate(-hi.chain[1])
+                want.append((hi.epsilon, region))
+        assert 0 < len(problems) == len(want) <= trace.depth
+        for problem, (epsilon, region) in zip(problems, want):
+            assert problem.epsilon == epsilon
+            assert len(problem.targets) == 1
+            K = problem.targets[0][0]
+            assert np.array_equal(K.centers, region.centers)
+            assert np.array_equal(K.radii, region.radii)
+
+    def test_levels_below_first_coverage_hold_none(self, poisson_trace):
+        # this input's base point lies in no level-0 or level-1 region:
+        # levels 0 and 1 share the nearest base region's solution
+        trace, _ = poisson_trace
+        assert trace.levels[1].chain == trace.levels[0].chain
+        assert trace.levels[1].solutions == {}
+        assert trace.solution(1)[2] is trace.solution(0)[2]
+
+
+def moved_far_point(d, trace, n):
+    """The data point farthest from the base point, moved 0.25 towards the
+    window centre, and a disk inside the level-n chain region."""
+    region = trace.toast.region(*trace.levels[n].chain)
+    k = int(np.argmax(np.abs(d.locs - trace.base_point)))
+    p = complex(d.locs[k])
+    locs = d.locs.copy()
+    locs[k] = complex(q26(p - 0.25 * p / abs(p)))
+    K = CompactRegion.disk(region.anchor, float(region.radii[0]) / 2)
+    return Divisor(locs, d.mults, d.window), (p, complex(locs[k])), region, K
+
+
+class TestLocality:
+    N_LOCAL = 1
+
+    def test_move_stays_outside_the_chain_region(self, poisson_196):
+        d, toast = poisson_196
+        trace = lift_mode(MULTIPLICATIVE, d, toast)
+        moved, (p, q), region, K = moved_far_point(d, trace, self.N_LOCAL)
+        assert trace.levels[self.N_LOCAL].chain[0] == self.N_LOCAL
+        assert not region.contains(p) and not region.contains(q)
+        assert K.contained_in(region)
+        assert d.window.contains(q)
+        assert np.min(np.abs(np.delete(moved.locs, np.argmax(
+            moved.locs == q)) - q)) > 0.1
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="every local solution carries all data points")
+    def test_far_move_leaves_psi_n_unchanged_inside(self, poisson_196):
+        d, toast = poisson_196
+        n = self.N_LOCAL
+        trace = lift_mode(MULTIPLICATIVE, d, toast)
+        moved, _, _, K = moved_far_point(d, trace, n)
+        other = lift_mode(MULTIPLICATIVE, moved,
+                          build_covariant_toast(moved, N=4, r0=1.0, gamma=4.0))
+        pts = K.samples(32)
+        assert np.array_equal(trace.psi(n).log_eval(pts),
+                              other.psi(n).log_eval(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Closed-form oracle: every psi_n of the lift against the independent
 builders (genus-0 product, principal-part sum, Newtonian potential).
 
-Today every anchor carries the whole configuration, so each patching datum
+Today every solved anchor carries the whole configuration, so each datum
 is a constant and psi_n equals the closed form up to a constant (product
 mode) or exactly (additive and harmonic modes). The last test records that
 degeneracy: every correction coefficient of degree 1 and up is rounding
