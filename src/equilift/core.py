@@ -1,5 +1,5 @@
-"""Complex-plane numerics: disk-union geometry, seminorms, contour quadrature,
-zero localization.
+"""Complex-plane numerics: disk-union geometry, contour quadrature, zero
+localization.
 
 Conventions that the rest of the toolkit relies on:
 
@@ -10,8 +10,10 @@ Conventions that the rest of the toolkit relies on:
   That is what makes the shift-covariance guarantees of the higher modules
   hold to the last bit rather than to a tolerance.
 * Sample sets are deterministic functions of the disk list: per-circle
-  equiangular boundary points plus a hexagonal interior lattice anchored at
-  the first disk center.
+  equiangular boundary points, q26-quantized offsets from each center. Every
+  function sampled on a region is analytic, zero-free analytic or harmonic
+  there, so by the maximum principle its sup over the region sits on the
+  boundary, and no interior points are sampled.
 * Functions are wrapped in ``SampledFunction``: a vectorized evaluator plus
   optional analytic derivative / logarithmic derivative / log-scale evaluator
   closures. Operations prefer the analytic closures and fall back to central
@@ -21,8 +23,8 @@ Conventions that the rest of the toolkit relies on:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,8 +32,6 @@ from .errors import (
     ContourThroughZero,
     HoleWitnessNotFound,
     NoConvergence,
-    SingularityInK,
-    ZeroInK,
 )
 
 _Q = 2.0 ** 26
@@ -156,7 +156,6 @@ class CompactRegion:
         self.radii.setflags(write=False)
         if check_connected and not self._graph_connected():
             raise ValueError("disk union is not connected")
-        self._sample_cache = {}
 
     # -- construction helpers
 
@@ -221,9 +220,6 @@ class CompactRegion:
         d = np.abs(self.centers[:, None] - other.centers[None, :])
         return bool((d <= self.radii[:, None] + other.radii[None, :]).any())
 
-    def min_radius(self):
-        return float(np.min(self.radii))
-
     # -- sampling (deterministic, covariant)
 
     def boundary_samples(self, density=64):
@@ -231,7 +227,7 @@ class CompactRegion:
 
         All per-circle points are kept, including those interior to another
         disk: sample sets of disk-list extensions are then supersets, which
-        makes seminorm monotonicity exact.
+        makes sups over them monotone under extension, exactly.
         """
         pts = []
         for c, r in zip(self.centers, self.radii):
@@ -241,41 +237,7 @@ class CompactRegion:
             pts.append(c + off)
         return np.concatenate(pts)
 
-    def interior_samples(self, density=64):
-        """Hexagonal lattice clipped to the region, anchored at self.anchor."""
-        delta = 2 * np.pi / density
-        a = self.anchor
-        bb = self.bounding_box()
-        # enumerate rows/cols from anchor-relative extents (covariant)
-        lo_x, hi_x = bb.xmin - a.real, bb.xmax - a.real
-        lo_y, hi_y = bb.ymin - a.imag, bb.ymax - a.imag
-        row_h = delta * math.sqrt(3) / 2
-        j0, j1 = int(math.floor(lo_y / row_h)), int(math.ceil(hi_y / row_h))
-        pts = []
-        for j in range(j0, j1 + 1):
-            y = j * row_h
-            x_shift = 0.5 * delta if (j % 2) else 0.0
-            i0 = int(math.floor((lo_x - x_shift) / delta))
-            i1 = int(math.ceil((hi_x - x_shift) / delta))
-            xs = (np.arange(i0, i1 + 1)) * delta + x_shift
-            pts.append(q26(xs + 1j * y))
-        rel = np.concatenate(pts)
-        cand = a + rel
-        return cand[self.contains(cand)]
-
-    def samples(self, density=64):
-        key = density
-        if key not in self._sample_cache:
-            self._sample_cache[key] = np.concatenate(
-                [self.boundary_samples(density), self.interior_samples(density)]
-            )
-        return self._sample_cache[key]
-
     # -- topology checks
-
-    def grid_resolution(self):
-        """Pitch for grid-based estimates (area); topology checks are exact."""
-        return self.min_radius() / 8
 
     def complement_connected(self):
         """Exact verdict: True iff the plane minus the disk union is connected.
@@ -285,10 +247,8 @@ class CompactRegion:
         """
         return hole_witness(self.centers, self.radii) is None
 
-    def area(self, h=None):
-        """Grid estimate of the union area (deterministic)."""
-        if h is None:
-            h = self.grid_resolution()
+    def area(self, h):
+        """Grid estimate of the union area at pitch h (deterministic)."""
         bb = self.bounding_box()
         a = self.anchor
         i0 = int(math.floor((bb.xmin - a.real) / h))
@@ -398,8 +358,11 @@ def hole_witness(centers, radii):
     homology). A bounded complement component exists exactly when some
     1-cycle is not a mod-2 combination of triple-meet triangles; the witness
     returned is a shortest such fundamental cycle of the intersection graph,
-    as a ring-ordered index tuple. Every decision uses pairwise differences
-    only, so verdicts are exactly shift-covariant.
+    as a ring-ordered index tuple. The graph has E - V + C independent
+    cycles (C its components, counted by the breadth-first forest the
+    fundamental cycles come from), and only the triangles need a GF(2)
+    elimination. Every decision uses pairwise differences only, so verdicts
+    are exactly shift-covariant.
     """
     c = np.asarray(centers, dtype=complex)
     r = np.asarray(radii, dtype=float)
@@ -424,13 +387,27 @@ def hole_witness(centers, radii):
     sub = adj[np.ix_(verts, verts)]
     m = len(verts)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m) if sub[i, j]]
-    d1 = np.zeros((len(edges), m), dtype=np.uint8)
-    for k, (i, j) in enumerate(edges):
-        d1[k, i] = 1
-        d1[k, j] = 1
-    cycles = len(edges) - len(_gf2_echelon(d1)[1])
-    if cycles == 0:
-        return None
+    neighbors = [np.flatnonzero(sub[i]).tolist() for i in range(m)]
+    parent = [-1] * m
+    depth = [0] * m
+    seen = [False] * m
+    components = 0
+    for root in range(m):
+        if seen[root]:
+            continue
+        components += 1
+        seen[root] = True
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in neighbors[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+    # every vertex of the 2-core has degree >= 2, so there is a cycle
+    cycles = len(edges) - m + components
     eidx = {e: k for k, e in enumerate(edges)}
     tri_rows = []
     for i, j in edges:
@@ -450,25 +427,6 @@ def hole_witness(centers, radii):
         return None
     # some pocket exists; fundamental cycles span the cycle space, so at
     # least one of them lies outside the triangle row space
-    neighbors = [np.flatnonzero(sub[i]).tolist() for i in range(m)]
-    parent = [-1] * m
-    depth = [0] * m
-    seen = [False] * m
-    order = []
-    for root in range(m):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for v in neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    queue.append(v)
     tree = {(min(u, parent[u]), max(u, parent[u])) for u in range(m)
             if parent[u] >= 0}
     candidates = []
@@ -556,7 +514,7 @@ class SampledFunction:
     """A function on a plane window: vectorized evaluator plus declared data.
 
     ``singularities``: points where the evaluator is not finite (poles).
-    ``zeros``: declared zero locations (used to refuse log-seminorms fast).
+    ``zeros``: declared zero locations (patching refuses a target holding one).
     Optional closures: ``deriv`` (f'), ``dlog`` (f'/f), ``log_eval``
     (a value L with exp(L) = f, stable where |f| overflows).
     """
@@ -677,15 +635,6 @@ def as_sampled(f) -> SampledFunction:
     raise TypeError(f"cannot interpret {type(f)!r} as a function")
 
 
-def constant(value) -> SampledFunction:
-    v = complex(value)
-    return SampledFunction(
-        evaluator=lambda z: np.full(np.shape(z), v, dtype=complex),
-        deriv=lambda z: np.zeros(np.shape(z), dtype=complex),
-        label=f"const {v}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -729,11 +678,6 @@ class ComplexPoly:
         cs = [k * c / self.scale for k, c in enumerate(self.coeffs)][1:]
         return ComplexPoly(tuple(cs), self.center, self.scale)
 
-    def as_sampled(self):
-        d = self.derivative()
-        return SampledFunction(evaluator=self.__call__, deriv=d.__call__,
-                               label="poly")
-
     def to_json(self):
         return {
             "coeffs": [[c.real, c.imag] for c in self.coeffs],
@@ -748,44 +692,6 @@ class ComplexPoly:
             complex(d["center"][0], d["center"][1]),
             d["scale"],
         )
-
-
-# ---------------------------------------------------------------------------
-# seminorms
-
-
-def _check_declared(f: SampledFunction, K: CompactRegion):
-    for s in f.singularities:
-        if K.contains(complex(s)):
-            raise SingularityInK(f"declared singularity {s} lies in K")
-
-
-def sup_seminorm(f, K: CompactRegion, density=64) -> float:
-    """max |f| over the deterministic sample set of K."""
-    f = as_sampled(f)
-    _check_declared(f, K)
-    vals = np.abs(f(K.samples(density)))
-    if not np.all(np.isfinite(vals)):
-        raise SingularityInK("evaluator not finite on K")
-    return float(np.max(vals))
-
-
-def log_seminorm(f, K: CompactRegion, density=64) -> float:
-    """sup |log |f|| over the sample set; f must be zero- and pole-free on K."""
-    f = as_sampled(f)
-    for s in tuple(f.singularities) + tuple(f.zeros):
-        if K.contains(complex(s)):
-            raise ZeroInK(f"declared zero/pole {s} lies in K")
-    zs = K.samples(density)
-    if f.log_eval is not None:
-        re = np.real(np.asarray(f.log_eval(zs), dtype=complex))
-        if not np.all(np.isfinite(re)):
-            raise ZeroInK("log evaluator not finite on K")
-        return float(np.max(np.abs(re)))
-    vals = np.abs(f(zs))
-    if not np.all(np.isfinite(vals)) or np.any(vals == 0.0):
-        raise ZeroInK("f vanishes or blows up on K")
-    return float(np.max(np.abs(np.log(vals))))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ class EquiliftError(Exception):
 
 # core -----------------------------------------------------------------------
 
-class SingularityInK(EquiliftError):
-    """A declared singularity of the function lies inside the compact set."""
-
-
 class ZeroInK(EquiliftError):
     """The function vanishes (or has a pole) on a set that must be zero-free."""
 

@@ -26,7 +26,11 @@ The step n-1 -> n is patched when the level-(n-1) chain region is a child of
 the level-n one: the new correction is fitted on that child alone, against
 the child's solution. Each psi_n is one global function, so the level-n rate
 r_n(K) compares two closed-form solutions and membership of the divisor
-holds analytically at every level, not only in the limit.
+holds analytically at every level, not only in the limit. Shared base data
+cancel exactly between the two, so the step is the gap P_n - P_{n-1} of two
+correction polynomials, and r_n(K) is the sup of |gap| (|Re gap| in the
+multiplicative and harmonic modes) over K. That sup sits on K's boundary by
+the maximum principle, so rates sample boundaries only.
 
 A rate certificate is `certified` when the step was patched (or is
 stagnant) and K lies inside the level-(n-1) chain region: the fit controlled
@@ -70,7 +74,7 @@ import numpy as np
 from . import runge
 from .builders import Potential, verify_divisor_match
 from .core import (CompactRegion, ComplexPoly, SampledFunction, Window,
-                   base_sum, cauchy_sum, log_seminorm, q26, sup_seminorm)
+                   base_sum, cauchy_sum, q26)
 from .divisors import Divisor, PrincipalParts
 from .errors import DegreeCapExceeded, DivisorMismatch, NonFreeInput, RungeFailure
 from .toast import ToastForest, build_covariant_toast
@@ -226,21 +230,10 @@ def _correction_gap(hi, a_hi, lo, a_lo):
     return gap
 
 
-def _ratio_step(hi, a_hi, lo, a_lo):
-    """psi_hi / psi_lo as exp of the difference of the two corrections."""
-    log_delta = _correction_gap(hi, a_hi, lo, a_lo)
-    return SampledFunction(
-        evaluator=lambda z: np.exp(log_delta(z)), log_eval=log_delta,
-        label="level step ratio")
-
-
-def _difference_step(part):
-    """psi_hi - psi_lo as the difference of the two corrections."""
-    def step(hi, a_hi, lo, a_lo):
-        gap = _correction_gap(hi, a_hi, lo, a_lo)
-        return SampledFunction(evaluator=lambda z: part(gap(z)),
-                               label="level step difference")
-    return step
+def _ratio_step(gap):
+    """exp of a correction gap, carrying the gap as its declared log."""
+    return SampledFunction(evaluator=lambda z: np.exp(gap(z)), log_eval=gap,
+                           label="level step ratio")
 
 
 def _same(v):
@@ -250,49 +243,56 @@ def _same(v):
 @dataclass(frozen=True)
 class _Kernel:
     runge_mode: str
-    seminorm: Callable      # rate seminorm of a level step
+    part: Callable          # the part of a correction gap a rate measures
     config: Callable        # data -> (locations, weights)
     declared: Callable      # locations -> (zeros, singularities) of psi
     data_key: str           # to_json key of the data
     value: Callable         # (LocalSolution, u) -> correction plus base terms
-    step: Callable          # (hi, a_hi, lo, a_lo) -> psi_hi vs psi_lo
     product: bool = False   # gauged log form: psi carries log_eval and dlog
 
 
 _KERNELS = {
     MULTIPLICATIVE: _Kernel(
-        runge_mode="multiplicative-log", seminorm=log_seminorm,
+        runge_mode="multiplicative-log", part=np.real,
         config=lambda d: (np.asarray(d.locs, dtype=complex),
                           np.asarray(d.mults, dtype=float)),
         declared=lambda locs: (tuple(locs.tolist()), ()), data_key="divisor",
-        value=_product_value, step=_ratio_step, product=True),
+        value=_product_value, product=True),
     ADDITIVE: _Kernel(
-        runge_mode="additive", seminorm=sup_seminorm,
+        runge_mode="additive", part=_same,
         config=_principal_table,
         declared=lambda locs: ((), tuple(locs.tolist())),
-        data_key="principal_parts",
-        value=_principal_value, step=_difference_step(_same)),
+        data_key="principal_parts", value=_principal_value),
     HARMONIC: _Kernel(
-        runge_mode="harmonic", seminorm=sup_seminorm,
+        runge_mode="harmonic", part=np.real,
         config=lambda mu: (
             np.array([complex(*loc) for loc, _ in mu.atoms], dtype=complex),
             np.array([mass for _, mass in mu.atoms], dtype=float)),
         declared=lambda locs: ((), tuple(locs.tolist())),
-        data_key="potential",
-        value=_log_kernel_value, step=_difference_step(np.real)),
+        data_key="potential", value=_log_kernel_value),
 }
 
 
-def _chain_step(kernel, levels, n):
-    """psi_n / psi_{n-1} (multiplicative) or psi_n - psi_{n-1} (additive /
-    harmonic) as one closed-form zero-free expression: shared base data
-    cancels exactly, leaving the two correction polynomials. None when the
-    chain is stagnant."""
+def _chain_gap(levels, n):
+    """The step from psi_{n-1} to psi_n as the gap of the two correction
+    polynomials: shared base data cancel exactly, so log(psi_n / psi_{n-1})
+    (multiplicative) or psi_n - psi_{n-1} (additive; its real part,
+    harmonic) is that gap. None when the chain is stagnant."""
     hi_m, hi_a = levels[n].chain
     lo_m, lo_a = levels[n - 1].chain
     hi = levels[hi_m].solutions[hi_a]
     lo = levels[lo_m].solutions[lo_a]
-    return None if hi is lo else kernel.step(hi, hi_a, lo, lo_a)
+    return None if hi is lo else _correction_gap(hi, hi_a, lo, lo_a)
+
+
+def _gap_sup(mode, gap, K, density=64):
+    """max |part(gap)| over K's boundary samples. The gap is a polynomial
+    (its real part harmonic), so by the maximum principle its sup over K
+    sits on K's boundary; a stagnant chain (no gap) gives 0."""
+    if gap is None:
+        return 0.0
+    part = _KERNELS[mode].part
+    return float(np.max(np.abs(part(gap(K.boundary_samples(density))))))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +351,12 @@ class LiftingTrace:
             label=f"psi_{self.depth if n is None else n}")
 
     def rate(self, n, K: CompactRegion, density=64) -> float:
-        """r_n(K): seminorm of the step from psi_{n-1} to psi_n, measurable
-        at any sampling density. Zero exactly when the chain is stagnant."""
+        """r_n(K): sup over K of the step from psi_{n-1} to psi_n, read on
+        K's boundary at any sampling density. Zero exactly when the chain
+        is stagnant."""
         if not 1 <= n <= self.depth:
             raise ValueError("rate needs 1 <= n <= depth")
-        kernel = _KERNELS[self.mode]
-        delta = _chain_step(kernel, self.levels, n)
-        if delta is None:
-            return 0.0
-        return kernel.seminorm(delta, K, density=density)
+        return _gap_sup(self.mode, _chain_gap(self.levels, n), K, density)
 
     def verify_membership(self, n=None, position_tol=1e-8):
         """Divisor of psi_n against the data on the inner window (argument
@@ -446,10 +443,13 @@ def _solve_chain(mode, n, anchor, toast, prev, locs, weights, epsilon,
         return bare
     # the patching datum on the chain child is the step from this anchor's
     # bare base up to the child's solution, in this anchor's coordinates:
-    # base terms cancel, so only the child's correction survives
+    # base terms cancel, so only the child's correction survives, as the
+    # declared log of a ratio (product mode) or as the gap itself (harmonic
+    # fits read its real part)
     _, ca = prev.chain
+    gap = _correction_gap(prev.solutions[ca], complex(ca) - anchor, bare, 0j)
     target = (toast.region(n - 1, ca).translate(-anchor),
-              kernel.step(prev.solutions[ca], complex(ca) - anchor, bare, 0j))
+              _ratio_step(gap) if kernel.product else gap)
     problem = runge.RungeProblem((target,), epsilon=epsilon,
                                  mode=kernel.runge_mode)
     # taming on the full own region keeps this correction plateau-scale
@@ -474,13 +474,12 @@ def _certify_level(mode, levels, toast, n, ladder, epsilon, patched):
     level-(n-1) region is covered by the patching bound and must come in
     under epsilon."""
     lo_m, lo_a = levels[n - 1].chain
-    kernel = _KERNELS[mode]
-    delta = _chain_step(kernel, levels, n)
+    gap = _chain_gap(levels, n)
     region_lo = toast.region(lo_m, lo_a)
-    controlled = delta is None or patched
+    controlled = gap is None or patched
     rows = []
     for K in ladder:
-        value = 0.0 if delta is None else kernel.seminorm(delta, K)
+        value = _gap_sup(mode, gap, K)
         certified = bool(controlled and K.contained_in(region_lo))
         rows.append({"radius": float(K.radii[0]), "value": value,
                      "certified": certified})

@@ -5,8 +5,8 @@ resample-checked error certificates.
 One escalation loop (`solve`) serves every mode. The table `_MODES` holds
 all that differs between the additive, multiplicative-log and harmonic
 modes: how fit and check samples are read, which basis is fitted, how the
-coefficients are packed, which part of the polynomial the error is taken
-on, and which approximant is returned.
+coefficients are packed, and which part of the polynomial the error is
+taken on.
 
 Multiplicative-log data must declare their logarithm (`log_eval`): the fit
 reads that declared log and nothing else, and its real part is what the
@@ -17,7 +17,7 @@ or a log that is not finite there, raises ZeroInK.
 
 Sampling is boundary-only: every mode here carries data that is analytic,
 zero-free analytic, or harmonic near the targets, so the maximum principle
-makes the boundary sup equal to the sup over the region. The approximant is
+makes the boundary sup equal to the sup over the region. The polynomial is
 framed at a covariant center (anchor-relative centroid, quantized) and
 rescaled by the sample spread, which keeps fits bit-reproducible under
 quantized translations of the whole problem.
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CompactRegion, ComplexPoly, SampledFunction, as_sampled, q26
+from .core import CompactRegion, ComplexPoly, as_sampled, q26
 from .errors import DegreeCapExceeded, ZeroInK
 
 DEGREE_LADDER = (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 120)
@@ -72,26 +72,19 @@ class RungeProblem:
         if not union.complement_connected():
             raise ValueError("complement of the target union is disconnected")
 
-    @property
-    def regions(self):
-        return tuple(K for K, _ in self.targets)
-
 
 @dataclass(frozen=True)
 class RungeCertificate:
-    """Approximant plus per-target errors re-measured at a finer sampling
-    than the fit used; every error is below the problem's epsilon."""
+    """The fitted polynomial plus per-target errors re-measured at a finer
+    sampling than the fit used; every error is below the problem's epsilon.
+    The data are approximated by poly (additive), exp(poly)
+    (multiplicative-log) or Re poly (harmonic)."""
 
     problem: RungeProblem
     mode: str
     degree: int
     poly: ComplexPoly
-    approximant: SampledFunction
     errors: tuple
-
-    @property
-    def epsilon(self):
-        return self.problem.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +170,6 @@ class _Mode:
     basis: Callable         # complex Vandermonde -> design columns
     pack: Callable          # (solution, degree) -> complex coefficients
     part: Callable          # poly values -> the part compared with check
-    approximant: Callable   # (poly, degree) -> SampledFunction
 
 
 def _same(v, *_):
@@ -187,20 +179,13 @@ def _same(v, *_):
 _MODES = {
     "additive": _Mode(
         fit=_VALUES, check=_VALUES,
-        basis=_same, pack=_same, part=_same,
-        approximant=lambda poly, deg: poly.as_sampled()),
+        basis=_same, pack=_same, part=_same),
     "multiplicative-log": _Mode(
         fit=_LOGS, check=_LOG_MODULI,
-        basis=_same, pack=_same, part=np.real,
-        approximant=lambda poly, deg: SampledFunction(
-            evaluator=lambda z: np.exp(poly(z)), log_eval=poly,
-            label=f"exp(degree-{deg} patch)")),
+        basis=_same, pack=_same, part=np.real),
     "harmonic": _Mode(
         fit=_REAL_PARTS, check=_REAL_PARTS,
-        basis=_harmonic_basis, pack=_harmonic_pack, part=np.real,
-        approximant=lambda poly, deg: SampledFunction(
-            evaluator=lambda z: np.real(poly(z)) + 0j,
-            label=f"harmonic degree-{deg} patch")),
+        basis=_harmonic_basis, pack=_harmonic_pack, part=np.real),
 }
 
 
@@ -218,8 +203,8 @@ def solve(problem: RungeProblem, degree_cap=DEFAULT_CAP, degree=None,
     region's boundary, with the mean of the fit data as their value. The
     fit error is still measured on the targets alone; the soft rows only
     pick, among near-minimizers, one that stays plateau-flat on the tame
-    region. Callers that feed one level's approximant into the next level's
-    data use this to keep values tame on the territory sampled next."""
+    region. Callers that feed one level's fit into the next level's data
+    use this to keep values tame on the territory sampled next."""
     mode = _MODES[problem.mode]
     fit_sets, fit_vals = mode.fit(problem.targets, DENSITY)
     check_sets, check_vals = mode.check(problem.targets, 2 * DENSITY)
@@ -253,7 +238,7 @@ def solve(problem: RungeProblem, degree_cap=DEFAULT_CAP, degree=None,
         if max(errors) < problem.epsilon:
             return RungeCertificate(
                 problem=problem, mode=problem.mode, degree=deg, poly=poly,
-                approximant=mode.approximant(poly, deg), errors=tuple(errors))
+                errors=tuple(errors))
     raise DegreeCapExceeded(
         f"degree cap {degree_cap} reached with error {best:.3e} "
         f"(epsilon {problem.epsilon:.3e})",

@@ -8,8 +8,9 @@ are pairwise disjoint; a region either gets absorbed into a next-level region
 (its disks are adjoined verbatim, making nesting literal) or is re-listed at
 the next level unchanged as a repeat, so every region has a parent.
 
-The difference and distance matrices are built once per toast: each level
-ranks the points by prefixes of the sorted distance rows (`_markers`).
+The distance matrix is built once per toast: each level ranks the points by
+prefixes of the sorted distance rows (`_markers`), and difference vectors are
+formed only for the rare points whose distance rows tie.
 """
 
 from __future__ import annotations
@@ -105,17 +106,15 @@ class ToastForest:
 class _Pairs(NamedTuple):
     """Pairwise geometry of a toast's points, built once per toast."""
     locs: np.ndarray
-    diff: np.ndarray     # diff[i, j] = locs[j] - locs[i]
-    dist: np.ndarray     # |diff|
+    dist: np.ndarray     # dist[i, j] = |locs[j] - locs[i]|
     rows: np.ndarray     # row i of dist without its zeros, ascending, inf-padded
 
     @classmethod
     def of(cls, locs):
         locs = np.asarray(locs, dtype=complex)
-        diff = locs[None, :] - locs[:, None]
-        dist = np.abs(diff)
+        dist = np.abs(locs[None, :] - locs[:, None])
         rows = np.sort(np.where(dist > 0, dist, np.inf), axis=1)
-        return cls(locs, diff, dist, rows)
+        return cls(locs, dist, rows)
 
 
 def _ranks(pairs, scale):
@@ -149,7 +148,8 @@ def _ranks(pairs, scale):
             continue
         vecs = {}
         for i in order[s:e]:
-            v = pairs.diff[i, (pairs.dist[i] > 0) & (pairs.dist[i] <= lim)]
+            mask = (pairs.dist[i] > 0) & (pairs.dist[i] <= lim)
+            v = pairs.locs[mask] - pairs.locs[i]
             vecs[i] = tuple(sorted(zip(v.real.tolist(), v.imag.tolist()),
                                    reverse=True))
         sub = {key: k for k, key in enumerate(sorted(set(vecs.values())))}

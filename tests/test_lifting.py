@@ -14,7 +14,8 @@ from equilift.builders import Potential, verify_divisor_match
 from equilift.core import (BASE_SUM_BLOCK, FAR_RATIO, Circle, CompactRegion,
                            ComplexPoly, Window, base_sum, count_zeros, q26)
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts, generate
-from equilift.errors import DegreeCapExceeded, DivisorMismatch, RungeFailure
+from equilift.errors import (DegreeCapExceeded, DivisorMismatch,
+                             NonFreeInput, RungeFailure)
 from equilift.lifting import (ADDITIVE, HARMONIC, MULTIPLICATIVE,
                               LocalSolution, lift_mittag_leffler,
                               lift_poisson_2d, lift_weierstrass,
@@ -201,7 +202,7 @@ class TestCertificates:
         # |Re log(psi_N / psi_{N-2})| <= 2^{-N} + 2^{-N+1} < 2^{-N+2}
         N = six_trace.depth
         K = CompactRegion.disk(six_trace.base_point, 1.0)
-        pts = K.samples(64)
+        pts = K.boundary_samples(64)
         hi = np.asarray(six_trace.psi(N).log_eval(pts))
         lo = np.asarray(six_trace.psi(N - 2).log_eval(pts))
         drift = float(np.max(np.abs(np.real(hi - lo))))
@@ -209,6 +210,79 @@ class TestCertificates:
 
     def test_tail_bound(self, six_trace):
         assert six_trace.tail_bound == 2.0 ** (-six_trace.depth)
+
+
+# ---------------------------------------------------------------------------
+# rates of a synthetic step: every fitted correction is 0 on these inputs,
+# so psi_3's correction is replaced by a fixed polynomial (local coordinates)
+
+SYNTHETIC = ComplexPoly((0.5, 0.1 - 0.05j, 0.01j))
+
+
+def with_correction(trace, n, poly):
+    """The trace with the correction of psi_n's solution replaced by poly."""
+    m, a = trace.levels[n].chain
+    lv = trace.levels[m]
+    levels = list(trace.levels)
+    levels[m] = replace(lv, solutions={
+        **lv.solutions, a: replace(lv.solutions[a], correction=poly)})
+    return replace(trace, levels=tuple(levels))
+
+
+def synthetic_trace(mode, d):
+    toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+    trace = with_correction(lift_mode(mode, d, toast, N=3), 3, SYNTHETIC)
+    # the step 2 -> 3 is a patched chain step, so it carries the gap
+    assert trace.solution(3)[2] is not trace.solution(2)[2]
+    return trace
+
+
+def two_disks(trace):
+    b = trace.base_point
+    return CompactRegion([b, b + 1.25], [1.0, 0.75])
+
+
+MODES = [MULTIPLICATIVE, ADDITIVE, HARMONIC]
+
+
+class TestRates:
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=4, deadline=None)
+    @given(w=st.builds(lambda x, y: complex(q26(complex(x, y))),
+                       st.floats(-4, 4), st.floats(-4, 4)))
+    def test_rate_shift_covariance_exact(self, mode, w):
+        d = six_point_divisor()
+        trace = synthetic_trace(mode, d)
+        moved = synthetic_trace(mode, d.translate(w, move_window=True))
+        K = two_disks(trace)
+        assert trace.rate(3, K) > 0
+        # bitwise: quantized anchors and samples make the differences exact
+        assert moved.rate(3, K.translate(w)) == trace.rate(3, K)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rate_monotone_under_disk_extension(self, mode):
+        # the boundary samples of a disk-list extension are a superset
+        trace = synthetic_trace(mode, six_point_divisor())
+        K = two_disks(trace)
+        b = trace.base_point
+        K2 = CompactRegion(list(K.centers) + [b - 0.5 + 1j],
+                           list(K.radii) + [1.1])
+        assert 0 < trace.rate(3, K) <= trace.rate(3, K2)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_boundary_rate_matches_interior_grid(self, mode):
+        # the gap is a polynomial: its sup over K sits on K's boundary
+        trace = synthetic_trace(mode, six_point_divisor())
+        K = two_disks(trace)
+        grid = K.bounding_box().grid(2e-3).ravel()
+        pts = grid[K.contains(grid)]
+        _, a_hi, hi = trace.solution(3)
+        _, a_lo, lo = trace.solution(2)
+        gap = hi.correction(pts - a_hi) - lo.correction(pts - a_lo)
+        if mode != ADDITIVE:
+            gap = np.real(gap)
+        inner = float(np.max(np.abs(gap)))
+        assert trace.rate(3, K, density=64) == pytest.approx(inner, rel=1e-3)
 
 
 class TestTypedRefusals:
@@ -244,7 +318,7 @@ class TestTypedRefusals:
         # a rate of 1 is over every epsilon 2**-n with n >= 1
         kernel = lifting._KERNELS[MULTIPLICATIVE]
         monkeypatch.setitem(lifting._KERNELS, MULTIPLICATIVE,
-                            replace(kernel, seminorm=lambda *a, **kw: 1.0))
+                            replace(kernel, part=lambda v: np.ones(v.shape)))
         with pytest.raises(RungeFailure) as info:
             lift_weierstrass(d, toast, 3)
         assert info.value.level == first.n
@@ -361,7 +435,7 @@ class TestLocality:
         moved, _, _, K = moved_far_point(d, trace, n)
         other = lift_mode(MULTIPLICATIVE, moved,
                           build_covariant_toast(moved, N=4, r0=1.0, gamma=4.0))
-        pts = K.samples(32)
+        pts = K.boundary_samples(32)
         assert np.array_equal(trace.psi(n).log_eval(pts),
                               other.psi(n).log_eval(pts))
 
@@ -563,6 +637,27 @@ def test_lift_commutes_with_q26_shifts(case):
     else:
         assert report.deviation < 1e-9, (kind, seed, mode, w)
         assert report.grid_points > 0
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=small_inputs())
+def test_base_point_and_chain_commute_with_q26_shifts(case):
+    # the equivariance double run cannot see the base point while every
+    # solution holds all data points; this pins it and the chain directly
+    (kind, win), seed, _, w = case
+    d = generate(kind, win, seed=seed, intensity=0.2)
+    moved = d.translate(w, move_window=True)
+    base = lifting._base_point(d.locs)
+    assert lifting._base_point(d.locs + w) == base + w
+    assert lifting._base_point(moved.locs) == base + w
+    try:
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+    except NonFreeInput:
+        return
+    toast_w = build_covariant_toast(moved, N=3, r0=1.0, gamma=4.0)
+    for n in range(4):
+        m, a = lifting._chain_entry(toast, base, n)
+        assert lifting._chain_entry(toast_w, base + w, n) == (m, a + w)
 
 
 # ---------------------------------------------------------------------------
