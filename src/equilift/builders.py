@@ -112,7 +112,6 @@ def mittag_leffler(pp: PrincipalParts) -> SampledFunction:
 
     return SampledFunction(
         evaluator=ev,
-        singularities=tuple(w for w, _ in entries),
         deriv=dv,
         label="principal part sum",
     )

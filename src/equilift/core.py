@@ -513,15 +513,14 @@ def _vectorize_eval(fn):
 class SampledFunction:
     """A function on a plane window: vectorized evaluator plus declared data.
 
-    ``singularities``: points where the evaluator is not finite (poles).
-    ``zeros``: declared zero locations (patching refuses a target holding one).
+    ``zeros``: declared zero locations (membership keeps its separating
+    circles clear of them).
     Optional closures: ``deriv`` (f'), ``dlog`` (f'/f), ``log_eval``
     (a value L with exp(L) = f, stable where |f| overflows).
     """
 
     evaluator: Callable
     window: Optional[Window] = None
-    singularities: tuple = ()
     zeros: tuple = ()
     deriv: Optional[Callable] = None
     dlog: Optional[Callable] = None

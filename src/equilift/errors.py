@@ -13,10 +13,6 @@ class EquiliftError(Exception):
 
 # core -----------------------------------------------------------------------
 
-class ZeroInK(EquiliftError):
-    """The function vanishes (or has a pole) on a set that must be zero-free."""
-
-
 class ContourThroughZero(EquiliftError):
     """Argument-principle residual too large; the contour grazes a zero."""
 

@@ -29,8 +29,12 @@ r_n(K) compares two closed-form solutions and membership of the divisor
 holds analytically at every level, not only in the limit. Shared base data
 cancel exactly between the two, so the step is the gap P_n - P_{n-1} of two
 correction polynomials, and r_n(K) is the sup of |gap| (|Re gap| in the
-multiplicative and harmonic modes) over K. That sup sits on K's boundary by
-the maximum principle, so rates sample boundaries only.
+multiplicative and harmonic modes; `runge.MODES` names the part) over K.
+That sup sits on K's boundary by the maximum principle, so rates sample
+boundaries only. The same cancellation makes the patching datum a gap of
+corrections in every mode: in the product mode it is the logarithm of the
+ratio of two solutions, which the fit takes as complex values and measures
+on its real part, the log-modulus.
 
 A rate certificate is `certified` when the step was patched (or is
 stagnant) and K lies inside the level-(n-1) chain region: the fit controlled
@@ -230,45 +234,31 @@ def _correction_gap(hi, a_hi, lo, a_lo):
     return gap
 
 
-def _ratio_step(gap):
-    """exp of a correction gap, carrying the gap as its declared log."""
-    return SampledFunction(evaluator=lambda z: np.exp(gap(z)), log_eval=gap,
-                           label="level step ratio")
-
-
-def _same(v):
-    return v
-
-
 @dataclass(frozen=True)
 class _Kernel:
-    runge_mode: str
-    part: Callable          # the part of a correction gap a rate measures
+    runge_mode: str         # its `runge.MODES` entry fixes the part a
+                            # rate measures
     config: Callable        # data -> (locations, weights)
-    declared: Callable      # locations -> (zeros, singularities) of psi
     data_key: str           # to_json key of the data
     value: Callable         # (LocalSolution, u) -> correction plus base terms
-    product: bool = False   # gauged log form: psi carries log_eval and dlog
+    product: bool = False   # gauged log form: psi carries its zeros,
+                            # log_eval and dlog
 
 
 _KERNELS = {
     MULTIPLICATIVE: _Kernel(
-        runge_mode="multiplicative-log", part=np.real,
+        runge_mode="multiplicative-log",
         config=lambda d: (np.asarray(d.locs, dtype=complex),
                           np.asarray(d.mults, dtype=float)),
-        declared=lambda locs: (tuple(locs.tolist()), ()), data_key="divisor",
-        value=_product_value, product=True),
+        data_key="divisor", value=_product_value, product=True),
     ADDITIVE: _Kernel(
-        runge_mode="additive", part=_same,
-        config=_principal_table,
-        declared=lambda locs: ((), tuple(locs.tolist())),
+        runge_mode="additive", config=_principal_table,
         data_key="principal_parts", value=_principal_value),
     HARMONIC: _Kernel(
-        runge_mode="harmonic", part=np.real,
+        runge_mode="harmonic",
         config=lambda mu: (
             np.array([complex(*loc) for loc, _ in mu.atoms], dtype=complex),
             np.array([mass for _, mass in mu.atoms], dtype=float)),
-        declared=lambda locs: ((), tuple(locs.tolist())),
         data_key="potential", value=_log_kernel_value),
 }
 
@@ -291,7 +281,7 @@ def _gap_sup(mode, gap, K, density=64):
     sits on K's boundary; a stagnant chain (no gap) gives 0."""
     if gap is None:
         return 0.0
-    part = _KERNELS[mode].part
+    part = runge.MODES[_KERNELS[mode].runge_mode].part
     return float(np.max(np.abs(part(gap(K.boundary_samples(density))))))
 
 
@@ -338,15 +328,17 @@ class LiftingTrace:
                 window=self.window, label="psi empty")
         m, anchor, sol = self.solution(n)
         kernel = _KERNELS[self.mode]
-        zeros, sings = kernel.declared(kernel.config(self.data)[0])
-        dlog = log_eval = None
+        zeros, dlog, log_eval = (), None, None
         if kernel.product:
+            # membership keeps its separating circles clear of these, the
+            # zeros outside its inner window included
+            zeros = tuple(self.data.locs.tolist())
             dlog = lambda z: sol.dlog(np.asarray(z, dtype=complex) - anchor)
             log_eval = lambda z: sol.log_value(
                 np.asarray(z, dtype=complex) - anchor)
         return SampledFunction(
             evaluator=lambda z: sol.value(np.asarray(z, dtype=complex) - anchor),
-            window=self.window, zeros=zeros, singularities=sings,
+            window=self.window, zeros=zeros,
             dlog=dlog, log_eval=log_eval,
             label=f"psi_{self.depth if n is None else n}")
 
@@ -444,14 +436,11 @@ def _solve_chain(mode, n, anchor, toast, prev, locs, weights, epsilon,
     # the patching datum on the chain child is the step from this anchor's
     # bare base up to the child's solution, in this anchor's coordinates:
     # base terms cancel, so only the child's correction survives, as the
-    # declared log of a ratio (product mode) or as the gap itself (harmonic
-    # fits read its real part)
+    # gap of the two corrections (the log of the ratio in product mode)
     _, ca = prev.chain
     gap = _correction_gap(prev.solutions[ca], complex(ca) - anchor, bare, 0j)
-    target = (toast.region(n - 1, ca).translate(-anchor),
-              _ratio_step(gap) if kernel.product else gap)
-    problem = runge.RungeProblem((target,), epsilon=epsilon,
-                                 mode=kernel.runge_mode)
+    problem = runge.RungeProblem(toast.region(n - 1, ca).translate(-anchor),
+                                 gap, epsilon=epsilon, mode=kernel.runge_mode)
     # taming on the full own region keeps this correction plateau-scale
     # on the territory the next level will sample
     tame = toast.region(n, anchor).translate(-anchor)

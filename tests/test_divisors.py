@@ -200,7 +200,7 @@ class TestStabilizer:
 
 class TestExtractPrincipalParts:
     def test_simple_pole(self):
-        f = SampledFunction(lambda z: 1 / z, singularities=(0j,))
+        f = SampledFunction(lambda z: 1 / z)
         pp = extract_principal_parts(f, [0j], radius=0.5)
         assert len(pp) == 1
         pole, coeffs = pp.entries[0]
@@ -209,15 +209,14 @@ class TestExtractPrincipalParts:
         assert abs(coeffs[0] - 1.0) < 1e-12
 
     def test_two_simple_poles(self):
-        f = SampledFunction(lambda z: 2 * z / (z ** 2 - 1),
-                            singularities=(1 + 0j, -1 + 0j))
+        f = SampledFunction(lambda z: 2 * z / (z ** 2 - 1))
         pp = extract_principal_parts(f, [1 + 0j, -1 + 0j], radius=0.5)
         got = {p: cs for p, cs in pp.entries}
         assert abs(got[1 + 0j][0] - 1.0) < 1e-12
         assert abs(got[-1 + 0j][0] - 1.0) < 1e-12
 
     def test_double_pole(self):
-        f = SampledFunction(lambda z: 1 / z ** 2 + 2 / z, singularities=(0j,))
+        f = SampledFunction(lambda z: 1 / z ** 2 + 2 / z)
         pp = extract_principal_parts(f, [0j], radius=0.75)
         _, coeffs = pp.entries[0]
         assert len(coeffs) == 2
@@ -230,14 +229,13 @@ class TestExtractPrincipalParts:
         assert len(pp) == 0
 
     def test_overlapping_circles(self):
-        f = SampledFunction(lambda z: 1 / z, singularities=(0j,))
+        f = SampledFunction(lambda z: 1 / z)
         with pytest.raises(OverlappingCircles):
             extract_principal_parts(f, [0j, 0.6 + 0j], radius=0.5)
 
     def test_analytic_part_is_ignored(self):
         # the entire summand exp(z) contributes nothing to the coefficients
-        f = SampledFunction(lambda z: 1 / (z - 1j) + np.exp(z),
-                            singularities=(1j,))
+        f = SampledFunction(lambda z: 1 / (z - 1j) + np.exp(z))
         pp = extract_principal_parts(f, [1j], radius=0.5)
         pole, coeffs = pp.entries[0]
         assert pole == 1j

@@ -127,6 +127,22 @@ class TestDivisorRecovery:
         steps = trace.verify_membership()["max_newton_steps"]
         assert isinstance(steps, int) and 1 <= steps <= 8
 
+    def test_membership_clears_zeros_outside_the_inner_window(self):
+        # membership checks the inner window's zeros only, but psi declares
+        # all of its zeros: the separating circle about the zero just inside
+        # the inner edge must shrink away from the zero 0.2 beyond it, or it
+        # counts 2 where 1 is expected
+        inner = WIN8.inner(0.15)
+        locs = [0.5 + 0.5j, -2.25 + 1.5j, 3.0 - 2.0j, -4.5 - 3.25j,
+                1.75 + 4.0j, complex(inner.xmax - 0.05, 0.37),
+                complex(inner.xmax + 0.15, 0.37)]
+        d = Divisor(np.array(locs), np.ones(len(locs), dtype=int), WIN8)
+        assert len(d.restrict(inner)) == 6
+        trace = lift(d)
+        assert trace.psi().zeros == tuple(d.locs.tolist())
+        report = trace.verify_membership()
+        assert report["matched"], report["mismatches"]
+
     def test_membership_parity_with_the_direct_sum(self):
         # psi's dlog sums each contour's far zeros as one Taylor series; a
         # copy of psi whose dlog takes every zero directly must give the
@@ -315,10 +331,11 @@ class TestTypedRefusals:
         honest = lift_weierstrass(d, toast, 3, check_membership=False)
         first = next(lv for lv in honest.levels[1:]
                      if any(c["certified"] for c in lv.certificates))
-        # a rate of 1 is over every epsilon 2**-n with n >= 1
-        kernel = lifting._KERNELS[MULTIPLICATIVE]
-        monkeypatch.setitem(lifting._KERNELS, MULTIPLICATIVE,
-                            replace(kernel, part=lambda v: np.ones(v.shape)))
+        # a rate of 1 is over every epsilon 2**-n with n >= 1; the fits,
+        # which measure the same part, then read an error of 0
+        mode = runge.MODES["multiplicative-log"]
+        monkeypatch.setitem(runge.MODES, "multiplicative-log",
+                            replace(mode, part=lambda v: np.ones(v.shape)))
         with pytest.raises(RungeFailure) as info:
             lift_weierstrass(d, toast, 3)
         assert info.value.level == first.n
@@ -362,8 +379,8 @@ class TestChainOnly:
     @pytest.mark.parametrize("mode", [MULTIPLICATIVE, ADDITIVE, HARMONIC])
     def test_only_the_chain_is_solved(self, poisson_196, monkeypatch, mode):
         # a level holds the chain anchor's solution when the chain sits at
-        # it, and none otherwise; each fit has one target, the previous
-        # chain region in the frame of the chain anchor, and levels fit in
+        # it, and none otherwise; each fit's region is the previous chain
+        # region in the frame of the chain anchor, and levels fit in
         # order with epsilon 2**-n, so no level fits twice
         d, toast = poisson_196
         problems = []
@@ -386,10 +403,8 @@ class TestChainOnly:
         assert 0 < len(problems) == len(want) <= trace.depth
         for problem, (epsilon, region) in zip(problems, want):
             assert problem.epsilon == epsilon
-            assert len(problem.targets) == 1
-            K = problem.targets[0][0]
-            assert np.array_equal(K.centers, region.centers)
-            assert np.array_equal(K.radii, region.radii)
+            assert np.array_equal(problem.region.centers, region.centers)
+            assert np.array_equal(problem.region.radii, region.radii)
 
     def test_levels_below_first_coverage_hold_none(self, poisson_trace):
         # this input's base point lies in no level-0 or level-1 region:

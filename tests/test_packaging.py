@@ -1,9 +1,12 @@
 """Packaging: every console script pyproject.toml declares must resolve to
-a callable in the package, and the pipeline modules import without scipy."""
+a callable in the package, the pipeline modules import without scipy, and
+every error class is raised somewhere in the package."""
 
 import importlib
+import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,6 +16,7 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "equilift"
 
 
 def test_console_script_targets_import():
@@ -38,3 +42,18 @@ def test_pipeline_import_leaves_out_scipy_signal_and_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == ""
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is a refusal callers branch on in
+    # vain; errors.py itself only defines them
+    from equilift import errors
+    source = "\n".join(p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+                       if p.name != "errors.py")
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.EquiliftError)
+               and cls is not errors.EquiliftError]
+    assert classes
+    unraised = [cls.__name__ for cls in classes
+                if not re.search(rf"raise {cls.__name__}\b", source)]
+    assert unraised == []
