@@ -211,6 +211,27 @@ class CompactRegion:
             out[i:i + step] = (d <= self.radii[None, :] + pad).any(axis=1)
         return out.reshape(z.shape) if z.shape else bool(out[0])
 
+    def lattice_mask(self, grid):
+        """``contains(grid)`` for a lattice ``xs[None, :] + 1j * ys[:, None]``
+        with ascending xs and ys (as ``Window.grid`` and ``area`` build it).
+
+        Each disk is stamped into its own bounding box of cells, found by
+        ``searchsorted`` on the lattice's x and y, and tested there with the
+        predicate of ``contains``, abs(z - c) <= r. The mask is therefore the
+        same bit for bit, at the cost of the cells near each disk instead of
+        every cell against every disk. ``contains`` stays dense: it takes
+        arbitrary points, most often one at a time."""
+        xs, ys = grid[0].real, grid[:, 0].imag
+        mask = np.zeros(grid.shape, dtype=bool)
+        for c, r in zip(self.centers, self.radii):
+            # the slack is far above rounding, so a cell outside the padded
+            # box has |x - c.real| > r or |y - c.imag| > r: abs(z - c) > r
+            pad = r + 1e-9 * (r + abs(c))
+            i0, i1 = np.searchsorted(xs, [c.real - pad, c.real + pad])
+            j0, j1 = np.searchsorted(ys, [c.imag - pad, c.imag + pad])
+            mask[j0:j1, i0:i1] |= np.abs(grid[j0:j1, i0:i1] - c) <= r
+        return mask
+
     def translate(self, w):
         """Translate by w. Exact when w is q26-quantized (the usual case)."""
         r = CompactRegion(self.centers + complex(w), self.radii, check_connected=False)
@@ -258,7 +279,7 @@ class CompactRegion:
         xs = (np.arange(i0, i1 + 1) + 0.5) * h
         ys = (np.arange(j0, j1 + 1) + 0.5) * h
         zz = a + xs[None, :] + 1j * ys[:, None]
-        return float(np.count_nonzero(self.contains(zz))) * h * h
+        return float(np.count_nonzero(self.lattice_mask(zz))) * h * h
 
     # -- containment
 
@@ -361,8 +382,11 @@ def hole_witness(centers, radii):
     as a ring-ordered index tuple. The graph has E - V + C independent
     cycles (C its components, counted by the breadth-first forest the
     fundamental cycles come from), and only the triangles need a GF(2)
-    elimination. Every decision uses pairwise differences only, so verdicts
-    are exactly shift-covariant.
+    elimination. Edges are the upper triangle of the 2-core's adjacency,
+    in row-major order, and the triangle candidates of an edge (i, j) are
+    the common neighbours k > j, read off as one row intersection; only
+    those triples reach the exact meet test. Every decision uses pairwise
+    differences only, so verdicts are exactly shift-covariant.
     """
     c = np.asarray(centers, dtype=complex)
     r = np.asarray(radii, dtype=float)
@@ -375,18 +399,23 @@ def hole_witness(centers, radii):
     np.fill_diagonal(adj, False)
     # leaf disks are collapsible in the nerve: 1-cycles live in the 2-core
     alive = np.ones(n, dtype=bool)
+    deg = adj.sum(axis=1)
     while True:
-        deg = (adj & alive[None, :]).sum(axis=1)
         drop = alive & (deg <= 1)
         if not drop.any():
             break
         alive[drop] = False
+        deg -= adj[:, drop].sum(axis=1)
     verts = np.flatnonzero(alive)
     if len(verts) == 0:
         return None
     sub = adj[np.ix_(verts, verts)]
     m = len(verts)
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m) if sub[i, j]]
+    # edges in row-major order; eid[i, j] = eid[j, i] is the index of {i, j}
+    iu, ju = np.nonzero(np.triu(sub, 1))
+    edges = list(zip(iu.tolist(), ju.tolist()))
+    eid = np.zeros((m, m), dtype=np.int64)
+    eid[iu, ju] = eid[ju, iu] = np.arange(len(edges))
     neighbors = [np.flatnonzero(sub[i]).tolist() for i in range(m)]
     parent = [-1] * m
     depth = [0] * m
@@ -408,20 +437,16 @@ def hole_witness(centers, radii):
                     queue.append(v)
     # every vertex of the 2-core has degree >= 2, so there is a cycle
     cycles = len(edges) - m + components
-    eidx = {e: k for k, e in enumerate(edges)}
-    tri_rows = []
-    for i, j in edges:
-        for k in range(j + 1, m):
-            if sub[i, k] and sub[j, k] and _disks_triple_meet(
-                    c[verts[i]], r[verts[i]], c[verts[j]], r[verts[j]],
-                    c[verts[k]], r[verts[k]], tol):
-                row = np.zeros(len(edges), dtype=np.uint8)
-                row[eidx[(i, j)]] = 1
-                row[eidx[(i, k)]] = 1
-                row[eidx[(j, k)]] = 1
-                tri_rows.append(row)
-    d2 = (np.array(tri_rows, dtype=np.uint8) if tri_rows
-          else np.zeros((0, len(edges)), dtype=np.uint8))
+    # triangle candidates of edge (i, j): the common neighbours k > j
+    tri = []
+    for e, (i, j) in enumerate(edges):
+        for k in (np.flatnonzero(sub[i, j + 1:] & sub[j, j + 1:]) + j + 1):
+            if _disks_triple_meet(c[verts[i]], r[verts[i]], c[verts[j]],
+                                  r[verts[j]], c[verts[k]], r[verts[k]], tol):
+                tri.append((e, eid[i, k], eid[j, k]))
+    tri = np.array(tri, dtype=np.int64).reshape(-1, 3)
+    d2 = np.zeros((len(tri), len(edges)), dtype=np.uint8)
+    np.put_along_axis(d2, tri, 1, axis=1)
     ech, pivots = _gf2_echelon(d2)
     if cycles == len(pivots):
         return None
@@ -451,9 +476,7 @@ def hole_witness(centers, radii):
     candidates.sort(key=lambda ring: (len(ring), ring))
     for ring in candidates:
         vec = np.zeros(len(edges), dtype=np.uint8)
-        for t in range(len(ring)):
-            u, v = ring[t], ring[(t + 1) % len(ring)]
-            vec[eidx[(min(u, v), max(u, v))]] = 1
+        vec[eid[ring, ring[1:] + ring[:1]]] = 1
         if not _gf2_in_rowspace(vec, ech, pivots):
             return tuple(int(verts[i]) for i in ring)
     raise HoleWitnessNotFound("cycle space not spanned by fundamental cycles")

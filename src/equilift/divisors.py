@@ -40,11 +40,11 @@ class Divisor:
             raise ValueError("locs and mults must have matching shapes")
         if len(locs) and np.any(mults == 0):
             raise ValueError("multiplicities must be nonzero")
-        if len(locs) > 1:
-            d = np.abs(locs[:, None] - locs[None, :])
-            np.fill_diagonal(d, np.inf)
-            if np.min(d) == 0.0:
-                raise ValueError("divisor locations must be pairwise distinct")
+        # sorting is lexicographic in (re, im), so equal locations (0.0 and
+        # -0.0 alike) end up adjacent
+        srt = np.sort(locs)
+        if np.any(srt[1:] == srt[:-1]):
+            raise ValueError("divisor locations must be pairwise distinct")
         locs.setflags(write=False)
         mults.setflags(write=False)
         object.__setattr__(self, "locs", locs)

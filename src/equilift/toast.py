@@ -27,6 +27,7 @@ from .errors import NonFreeInput, PocketFillExhausted, WindowTooSmall
 
 GAP_FRACTION = 0.01      # pruning gap between genuine base disks, in units of r_n
 NEIGHBOR_SCALE = 2.0     # signature neighborhood radius, in units of the level scale
+REACH_SLACK = 1e-9       # relative slack of the reach test, far above rounding
 
 
 @dataclass(frozen=True)
@@ -129,13 +130,23 @@ def _ranks(pairs, scale):
     lim = NEIGHBOR_SCALE * scale
     lengths = np.count_nonzero(pairs.rows <= lim, axis=1)
     width = int(lengths.max())
-    # -1 after a row's end makes a strict prefix compare smaller, as in tuples
-    padded = np.where(np.arange(width) < lengths[:, None],
-                      pairs.rows[:, :width], -1.0)
-    order = np.lexsort(padded.T[::-1]) if width else np.arange(n)
-    srt = padded[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    # sort by a prefix of the rows, doubled while two adjacent sorted rows tie
+    # on it and go on past it; once none do, the prefix order is the order of
+    # the whole rows, and a tie on the prefix is a tie of the whole rows
+    k = min(width, 4)
+    while True:
+        # -1 after a row's end makes a strict prefix compare smaller, as in
+        # tuples
+        padded = np.where(np.arange(k) < lengths[:, None],
+                          pairs.rows[:, :k], -1.0)
+        order = np.lexsort(padded.T[::-1]) if k else np.arange(n)
+        srt = padded[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+        longer = lengths[order] > k
+        if k == width or not np.any(~new[1:] & (longer[1:] | longer[:-1])):
+            break
+        k = min(2 * k, width)
     # rank = n * (distance-row group) + (place of the vectors in the group)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = (np.cumsum(new) - 1) * n
@@ -163,13 +174,15 @@ def _markers(pairs, scale):
     most isolated first.
 
     Keys are compared through `_ranks`: the distance rows, padded with -1,
-    are ranked lexicographically with one `np.lexsort`, and the
-    difference-vector tiebreak is built only inside groups of equal rows.
-    This is the order of the Python key tuples (distance tuple, vector
-    tuple). The radius-2*scale neighbor rows are prefixes of the sorted
-    distance rows built once per toast. No spatial tree: from level 2 up the
-    2*scale ball holds most of the points, so a tree would not shrink the
-    work.
+    are ranked lexicographically by `np.lexsort` on a prefix of their
+    columns, which doubles only while two adjacent sorted rows tie on it and
+    one of them goes on past it (a few columns at every level, where all of
+    them cost up to n), and the difference-vector tiebreak is built only
+    inside groups of equal rows. This is the order of the Python key tuples
+    (distance tuple, vector tuple). The radius-2*scale neighbor rows are
+    prefixes of the sorted distance rows built once per toast. No spatial
+    tree: from level 2 up the 2*scale ball holds most of the points, so a
+    tree would not shrink the work.
 
     Competitors are scanned in index order. An exact key tie with the first
     competitor whose key is not smaller means the two points see identical
@@ -244,18 +257,30 @@ def _pocket_filler(rel_centers, radii):
     return m, abs(cs[x] - cs[y]) / 2 * 1.05 + 2.0 ** -20
 
 
+def _reach(a, region):
+    """Radius about a of a disk holding the region: max |c - a| + r."""
+    return float(np.max(np.abs(region.centers - a) + region.radii))
+
+
+def _may_meet(gap, reach):
+    """The reach test: two regions whose anchors lie `gap` apart can meet
+    only if gap <= their summed reaches `reach`, up to REACH_SLACK."""
+    return gap <= reach * (1 + REACH_SLACK)
+
+
 class _Pool(NamedTuple):
-    """The previous level's regions, which a new region may absorb."""
+    """A level's regions with their reaches: at construction the previous
+    level's, which a new region may absorb; in the verifier each level's,
+    for its pair loops."""
     items: list          # (anchor, CompactRegion), in level order
     anchors: np.ndarray
-    reach: np.ndarray    # max |c - anchor| + r over each region's disks
+    reach: np.ndarray    # _reach of each region about its anchor
 
     @classmethod
     def of(cls, items):
         items = list(items)
         return cls(items, np.array([a for a, _ in items], dtype=complex),
-                   np.array([np.max(np.abs(r.centers - a) + r.radii)
-                             for a, r in items], dtype=float))
+                   np.array([_reach(a, r) for a, r in items], dtype=float))
 
 
 def _grow(a, radius, pool, free):
@@ -280,8 +305,8 @@ def _grow(a, radius, pool, free):
     reach = radius
     start = 0
     while True:
-        near = avail[start:] & (gap[start:] <= (reach + pool.reach[start:])
-                                * (1 + 1e-9))
+        near = avail[start:] & _may_meet(gap[start:],
+                                         reach + pool.reach[start:])
         hit = next((idx for idx in np.flatnonzero(near) + start
                     if _disks_intersect(centers, radii,
                                         pool.items[idx][1].centers,
@@ -292,8 +317,7 @@ def _grow(a, radius, pool, free):
             radii.extend(preg.radii.tolist())
             absorbed.append(int(hit))
             avail[hit] = False
-            reach = max(reach, float(np.max(np.abs(preg.centers - a)
-                                            + preg.radii)))
+            reach = max(reach, _reach(a, preg))
             start = hit + 1
         elif start:
             start = 0  # the pass absorbed: rescan, fillers may touch more pool
@@ -401,6 +425,22 @@ def _contained(lower, upper):
     return _disk_subset(lower, upper) or lower.contained_in(upper)
 
 
+def _meeting_pairs(lower, upper):
+    """The (anchor, region) pairs of two pools whose regions intersect, in
+    row-major order (each unordered pair once when lower is upper).
+
+    Only pairs that pass the reach test go to `intersects`. Regions that
+    meet always pass it, whether or not their anchors lie in them, so the
+    pairs are those of the all-pairs loop."""
+    for i, item in enumerate(lower.items):
+        start = i + 1 if lower is upper else 0
+        near = _may_meet(np.abs(lower.anchors[i] - upper.anchors[start:]),
+                         lower.reach[i] + upper.reach[start:])
+        for j in np.flatnonzero(near) + start:
+            if item[1].intersects(upper.items[j][1]):
+                yield item, upper.items[j]
+
+
 def verify_axioms(forest: ToastForest) -> dict:
     """Re-check the hierarchy axioms from the stored geometry alone.
 
@@ -411,21 +451,25 @@ def verify_axioms(forest: ToastForest) -> dict:
     def entry(status, witnesses=()):
         return {"status": status, "witnesses": list(witnesses)[:8]}
 
+    pools = [_Pool.of(lv.regions.items()) for lv in forest.levels]
+
     # 1: same-level regions pairwise disjoint
     witnesses = []
-    for lv in forest.levels:
-        items = list(lv.regions.items())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if items[i][1].intersects(items[j][1]):
-                    witnesses.append((lv.n, items[i][0], items[j][0]))
+    for lv, pool in zip(forest.levels, pools):
+        for (a, _), (b, _) in _meeting_pairs(pool, pool):
+            witnesses.append((lv.n, a, b))
     report["same-level-disjoint"] = entry("fail" if witnesses else "pass", witnesses)
 
-    # 1b: every region is simply connected (no complement pockets)
+    # 1b: every region is simply connected (no complement pockets); a repeat
+    # region is the same object at every level it is listed at, so each
+    # object is decided once
     witnesses = []
+    verdicts = {}
     for lv in forest.levels:
         for a, reg in lv.regions.items():
-            if not reg.complement_connected():
+            if id(reg) not in verdicts:
+                verdicts[id(reg)] = reg.complement_connected()
+            if not verdicts[id(reg)]:
                 witnesses.append((lv.n, a))
     report["simply-connected"] = entry("fail" if witnesses else "pass", witnesses)
 
@@ -433,10 +477,9 @@ def verify_axioms(forest: ToastForest) -> dict:
     witnesses = []
     for m in range(forest.depth + 1):
         for n in range(m + 1, forest.depth + 1):
-            for la, lreg in forest.levels[m].regions.items():
-                for ua, ureg in forest.levels[n].regions.items():
-                    if lreg.intersects(ureg) and not _contained(lreg, ureg):
-                        witnesses.append((m, la, n, ua))
+            for (la, lreg), (ua, ureg) in _meeting_pairs(pools[m], pools[n]):
+                if not _contained(lreg, ureg):
+                    witnesses.append((m, la, n, ua))
     report["cross-level-nested"] = entry("fail" if witnesses else "pass", witnesses)
 
     # 3: every region below the top has a containing parent
@@ -492,10 +535,10 @@ def verify_axioms(forest: ToastForest) -> dict:
     report["anchor-disk"] = entry("fail" if witnesses else "pass", witnesses)
 
     # 6: top level covers the inner window
-    grid = inner.grid(forest.r0 / 4).ravel()
-    covered = np.zeros(len(grid), dtype=bool)
+    grid = inner.grid(forest.r0 / 4)
+    covered = np.zeros(grid.shape, dtype=bool)
     for reg in forest.levels[-1].regions.values():
-        covered |= reg.contains(grid)
+        covered |= reg.lattice_mask(grid)
     missing = grid[~covered]
     report["top-cover"] = entry(
         "fail" if len(missing) else "pass",

@@ -315,6 +315,115 @@ def test_hole_witness_with_two_core_components():
     assert K.complement_connected() is False
 
 
+def loop_hole_witness(centers, radii):
+    """The loop form hole_witness replaced: edges and triangle candidates
+    from Python loops over all pairs and triples of the 2-core."""
+    c = np.asarray(centers, dtype=complex)
+    r = np.asarray(radii, dtype=float)
+    n = len(c)
+    if n <= 2:
+        return None
+    dist = np.abs(c[:, None] - c[None, :])
+    tol = 1e-9 * max(1.0, float(np.max(r)), float(np.max(dist)))
+    adj = dist <= r[:, None] + r[None, :] + tol
+    np.fill_diagonal(adj, False)
+    alive = np.ones(n, dtype=bool)
+    while True:
+        deg = (adj & alive[None, :]).sum(axis=1)
+        drop = alive & (deg <= 1)
+        if not drop.any():
+            break
+        alive[drop] = False
+    verts = np.flatnonzero(alive)
+    if len(verts) == 0:
+        return None
+    sub = adj[np.ix_(verts, verts)]
+    m = len(verts)
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m) if sub[i, j]]
+    parent, depth, seen, components = [-1] * m, [0] * m, [False] * m, 0
+    for root in range(m):
+        if seen[root]:
+            continue
+        components += 1
+        seen[root] = True
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in np.flatnonzero(sub[u]).tolist():
+                if not seen[v]:
+                    seen[v], parent[v], depth[v] = True, u, depth[u] + 1
+                    queue.append(v)
+    eidx = {e: k for k, e in enumerate(edges)}
+    rows = []
+    for i, j in edges:
+        for k in range(j + 1, m):
+            if sub[i, k] and sub[j, k] and core._disks_triple_meet(
+                    c[verts[i]], r[verts[i]], c[verts[j]], r[verts[j]],
+                    c[verts[k]], r[verts[k]], tol):
+                row = np.zeros(len(edges), dtype=np.uint8)
+                row[[eidx[(i, j)], eidx[(i, k)], eidx[(j, k)]]] = 1
+                rows.append(row)
+    d2 = (np.array(rows, dtype=np.uint8) if rows
+          else np.zeros((0, len(edges)), dtype=np.uint8))
+    ech, pivots = core._gf2_echelon(d2)
+    if len(edges) - m + components == len(pivots):
+        return None
+    tree = {(min(u, parent[u]), max(u, parent[u])) for u in range(m)
+            if parent[u] >= 0}
+    rings = []
+    for u, v in edges:
+        if (u, v) in tree:
+            continue
+        pu, pv, left, right = u, v, [u], [v]
+        while depth[pu] > depth[pv]:
+            pu = parent[pu]
+            left.append(pu)
+        while depth[pv] > depth[pu]:
+            pv = parent[pv]
+            right.append(pv)
+        while pu != pv:
+            pu, pv = parent[pu], parent[pv]
+            left.append(pu)
+            right.append(pv)
+        rings.append(left + right[-2::-1])
+    rings.sort(key=lambda ring: (len(ring), ring))
+    for ring in rings:
+        vec = np.zeros(len(edges), dtype=np.uint8)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            vec[eidx[(min(a, b), max(a, b))]] = 1
+        if not core._gf2_in_rowspace(vec, ech, pivots):
+            return tuple(int(verts[i]) for i in ring)
+    raise HoleWitnessNotFound("cycle space not spanned by fundamental cycles")
+
+
+def random_family(rng, n, ring=0):
+    """n dyadic disks scattered over a box that keeps them mostly meeting,
+    plus (if ring) a closed ring of that many unit disks about the origin."""
+    side = 1.6 * math.sqrt(n)
+    centers = q26(rng.uniform(-side / 2, side / 2, n)
+                  + 1j * rng.uniform(-side / 2, side / 2, n))
+    radii = q26(rng.uniform(0.5, 1.25, n))
+    if ring:
+        rho = 0.9 / math.sin(math.pi / ring)
+        centers = np.append(centers, q26(rho * np.exp(
+            2j * np.pi * np.arange(ring) / ring)))
+        radii = np.append(radii, np.ones(ring))
+    return centers, radii
+
+
+def test_hole_witness_matches_the_loop_form():
+    rng = np.random.default_rng(17)
+    outcomes = []
+    for n in (3, 5, 8, 12, 20, 30, 45):
+        for ring in (0, 0, 6, 9):
+            centers, radii = random_family(rng, n, ring)
+            witness = core.hole_witness(centers, radii)
+            assert witness == loop_hole_witness(centers, radii), (n, ring)
+            outcomes.append(witness is None)
+    # the families hold both verdicts
+    assert any(outcomes) and not all(outcomes)
+
+
 def test_hole_without_witness_is_a_typed_error(monkeypatch):
     # exact GF(2) ranks never leave the pocket without a ringing cycle; a
     # row-space test that accepts every cycle forces the guard
@@ -353,6 +462,60 @@ def test_sup_monotone_under_disk_extension():
     s, s2 = K.boundary_samples(), K2.boundary_samples()
     assert np.array_equal(s2[:len(s)], s)
     assert np.max(np.abs(f(s))) <= np.max(np.abs(f(s2)))
+
+
+def dense_area(region, h):
+    """area's lattice, tested against every disk by contains."""
+    bb, a = region.bounding_box(), region.anchor
+    i0 = int(math.floor((bb.xmin - a.real) / h))
+    i1 = int(math.ceil((bb.xmax - a.real) / h))
+    j0 = int(math.floor((bb.ymin - a.imag) / h))
+    j1 = int(math.ceil((bb.ymax - a.imag) / h))
+    xs = (np.arange(i0, i1 + 1) + 0.5) * h
+    ys = (np.arange(j0, j1 + 1) + 0.5) * h
+    zz = a + xs[None, :] + 1j * ys[:, None]
+    return float(np.count_nonzero(region.contains(zz))) * h * h
+
+
+PITCHES = (1 / 8, 1 / 6, 1 / 4, 1 / 3, 1 / 2, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stamped_area_matches_contains(seed):
+    rng = np.random.default_rng([seed, 5])
+    for n in (1, 3, 9, 25):
+        centers, radii = random_family(rng, n)
+        K = CompactRegion(centers, radii, check_connected=False)
+        for h in PITCHES:
+            assert K.area(h) == dense_area(K, h), (n, h)
+
+
+def test_stamps_count_cells_on_a_circle():
+    # both lattices put cells at odd multiples of 1/8, so the circle
+    # |z - (1 + 1j) / 8| = 5/4 runs through cells such as 7/8 + 9/8 i
+    # (a 3-4-5 triangle), which the closed predicate counts
+    K = CompactRegion([0j, 0.125 + 0.125j], [0.5, 1.25])
+    assert abs((0.875 + 1.125j) - K.centers[1]) == K.radii[1]
+    for h in (1 / 8, 1 / 4):
+        assert K.area(h) == dense_area(K, h)
+        grid = Window(-2, 2, -2, 2).grid(h)
+        assert np.array_equal(K.lattice_mask(grid), K.contains(grid))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_mask_matches_contains(seed):
+    # the lattice cuts through the family: disks overhang it on every side
+    # and some miss it altogether
+    rng = np.random.default_rng([seed, 6])
+    centers, radii = random_family(rng, 30)
+    K = CompactRegion(centers, radii, check_connected=False)
+    for h in PITCHES:
+        grid = Window(-2.5, 1.75, -1.0, 3.0).grid(h)
+        mask = K.lattice_mask(grid)
+        assert mask.any() and not mask.all()
+        assert np.array_equal(mask, K.contains(grid)), h
+    assert np.array_equal(UNIT_DISK.lattice_mask(Window(4, 5, 4, 5).grid(1)),
+                          np.zeros((2, 2), dtype=bool))
 
 
 def test_contained_in_single_cover():

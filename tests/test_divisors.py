@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,29 @@ class TestDivisor:
     def test_rejects_duplicate_locations(self):
         with pytest.raises(ValueError):
             Divisor(np.array([1j, 1j]), np.array([1, 1]), WIN8)
+
+    def test_rejects_signed_zero_duplicates(self):
+        # 0.0 and -0.0 name one location; sorted between others they still
+        # sit next to each other
+        for re, im in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            locs = np.array([2 + 1j, complex(0.0, 0.0), -1 + 0j,
+                             complex(re, im), 1j])
+            with pytest.raises(ValueError):
+                Divisor(locs, np.ones(5, dtype=int), WIN8)
+
+    def test_lattice_divisor_memory_is_linear(self):
+        # the 48 x 48 lattice: a pairwise distance table would take
+        # 2304^2 x 16 bytes, about 85 MB
+        win = Window(-24.5, 23.5, -24.5, 23.5)
+        tracemalloc.start()
+        try:
+            d = generate("periodic-lattice", win, spacing=1.0)
+            d.translate(q26(0.25 + 0.5j))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d) == 48 * 48
+        assert peak < 10e6
 
     def test_translate_moves_points_only(self):
         d = Divisor(np.array([0j, 1 + 0j]), np.array([1, 2]), WIN8)

@@ -245,6 +245,31 @@ class TestMarkerRanks:
             assert str(err.value) == ("points (2+0j) and (3+0j) are locally "
                                       "indistinguishable at scale 1.0")
 
+    # stars whose centres' distance rows read (1, 2, 3, 4, 5, 5.5),
+    # (1, 2, 3, 4, 5, 5.75) and (1, 2, 3, 4) at scale 3: the first two tie
+    # on more than the first 4 entries, the third ends where they continue
+    STAR = q26(np.array([0, 1, 2j, -3, -4j]))
+    STARS = {"a": np.append(STAR, [3 + 4j, 5.5j]),
+             "b": np.append(STAR, [3 + 4j, -5.75j]),
+             # its difference vectors sort above the others': only the
+             # distance rows order it below them
+             "c": q26(np.array([0, 4, 2j, -3, -1j]))}
+
+    @pytest.mark.parametrize("first, second", ["ab", "ba", "ac", "ca"])
+    def test_rows_tying_past_the_first_prefix(self, first, second):
+        one, two = self.STARS[first], self.STARS[second]
+        locs = np.concatenate([one, 40 + two])
+        pairs = toast_module._Pairs.of(locs)
+        ranks = toast_module._ranks(pairs, 3.0)
+        rows = pairs.rows[[0, len(one)], :4]
+        assert np.array_equal(rows[0], rows[1])
+        # a row that ends compares below its continuations: c < a < b
+        assert (ranks[0] < ranks[len(one)]) == ("cab".index(first)
+                                                < "cab".index(second))
+        for scale in (3.0, 1.0, 16.0):
+            assert (marker_outcome(rank_markers, locs, scale)
+                    == marker_outcome(reference_markers, locs, scale)), scale
+
 
 class TestAbsorption:
     """Growth of one region against a forged pool of overlapping regions."""
@@ -420,3 +445,136 @@ class TestViolationDetection:
         report = verify_axioms(self.forged([lv]))
         assert report["top-cover"]["status"] == "fail"
         assert len(report["top-cover"]["witnesses"]) > 0
+
+
+def all_pairs_witnesses(forest):
+    """The all-pairs loops the verifier's reach test prunes: witnesses of
+    "same-level-disjoint" and "cross-level-nested", in loop order."""
+    same, cross = [], []
+    for lv in forest.levels:
+        items = list(lv.regions.items())
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                if items[i][1].intersects(items[j][1]):
+                    same.append((lv.n, items[i][0], items[j][0]))
+    for m in range(forest.depth + 1):
+        for n in range(m + 1, forest.depth + 1):
+            for la, lreg in forest.levels[m].regions.items():
+                for ua, ureg in forest.levels[n].regions.items():
+                    if (lreg.intersects(ureg)
+                            and not toast_module._contained(lreg, ureg)):
+                        cross.append((m, la, n, ua))
+    return same, cross
+
+
+def forged_chain(rng, start, steps, radius):
+    """A connected region: a walk of disks, each meeting the one before."""
+    centers = [start]
+    for _ in range(steps):
+        centers.append(centers[-1] + radius * 1.5 * np.exp(
+            2j * np.pi * rng.uniform()))
+    return CompactRegion(q26(np.array(centers)), [radius] * len(centers))
+
+
+class TestPrunedVerifier:
+    """The verifier's pruned pair loops and stamped cover against the dense
+    forms they replaced, on forged forests."""
+
+    @staticmethod
+    def forged(levels, window=WIN8):
+        d = Divisor(np.array([0j]), np.array([1]), window)
+        return ToastForest(levels=tuple(levels), parents={}, children={},
+                           divisor=d, r0=1.0, gamma=4.0, u0=0.5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pair_witnesses_match_all_pairs(self, seed):
+        # regions keyed away from their first disk, long walks whose reach
+        # far exceeds their size near the key, and repeats of one object
+        rng = np.random.default_rng([seed, 7])
+        levels, prev = [], []
+        for n, (count, radius) in enumerate(((14, 0.5), (6, 1.25), (3, 2.5))):
+            regions = {}
+            for _ in range(count):
+                start = complex(*rng.uniform(-7, 7, 2))
+                reg = forged_chain(rng, start, int(rng.integers(0, 6)), radius)
+                regions[q26(start + complex(*rng.uniform(-1, 1, 2)))] = reg
+            for a, reg in prev[:3]:
+                regions[a] = reg
+            levels.append(ToastLevel(n, regions, {a: "genuine" for a in regions}))
+            prev = list(regions.items())
+        forest = self.forged(levels)
+        report = verify_axioms(forest)
+        same, cross = all_pairs_witnesses(forest)
+        assert len(same) > 2 and len(cross) > 2
+        assert report["same-level-disjoint"]["witnesses"] == same[:8]
+        assert report["cross-level-nested"]["witnesses"] == cross[:8]
+
+    def test_overlaps_and_straddles_in_loop_order(self):
+        lv0 = ToastLevel(0, {
+            0j: CompactRegion([0j, 1.5 + 0j], [1.0, 1.0]),
+            5 + 0j: CompactRegion.disk(5 + 0j, 1.0),
+            # keyed far from its disks, which meet the first region's
+            -6 + 0j: CompactRegion([2.5 + 1j, 3.25 + 1.25j], [0.5, 0.5]),
+            6j: CompactRegion.disk(6j, 0.5),
+            5.5 + 0.5j: CompactRegion.disk(5.5 + 0.5j, 0.25)},
+            dict.fromkeys((0j, 5 + 0j, -6 + 0j, 6j, 5.5 + 0.5j), "genuine"))
+        lv1 = ToastLevel(1, {
+            0.5 + 0j: CompactRegion([0.5 + 0j, 4.0 + 0j], [3.0, 1.5]),
+            6j: CompactRegion.disk(6j, 0.5)},
+            {0.5 + 0j: "genuine", 6j: "repeat"})
+        forest = self.forged([lv0, lv1])
+        report = verify_axioms(forest)
+        same, cross = all_pairs_witnesses(forest)
+        assert same == [(0, 0j, -6 + 0j), (0, 5 + 0j, 5.5 + 0.5j)]
+        assert cross == [(0, 5 + 0j, 1, 0.5 + 0j), (0, -6 + 0j, 1, 0.5 + 0j),
+                         (0, 5.5 + 0.5j, 1, 0.5 + 0j)]
+        assert report["same-level-disjoint"]["witnesses"] == same
+        assert report["cross-level-nested"]["witnesses"] == cross
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_top_cover_matches_contains(self, seed):
+        rng = np.random.default_rng([seed, 8])
+        regions = {}
+        for _ in range(4):
+            start = q26(complex(*rng.uniform(-6, 6, 2)))
+            regions[start] = forged_chain(rng, start, 4, 1.5)
+        forest = self.forged([ToastLevel(0, regions,
+                                         dict.fromkeys(regions, "genuine"))])
+        grid = WIN8.inner().grid(forest.r0 / 4).ravel()
+        covered = np.zeros(len(grid), dtype=bool)
+        for reg in regions.values():
+            covered |= reg.contains(grid)
+        assert covered.any() and not covered.all()
+        report = verify_axioms(forest)
+        assert report["top-cover"] == {
+            "status": "fail", "witnesses": grid[~covered][:8].tolist()}
+
+    def test_top_cover_names_every_missing_cell(self):
+        # the inner window's lattice has 45 x 45 cells; D(0, 7.6) misses
+        # its four corner cells (7.74 from 0; their neighbours are 7.57
+        # away), and the region's second disk covers the upper right one
+        reg = CompactRegion([0j, 5.4 + 5.4j], [7.6, 0.5])
+        forest = self.forged([ToastLevel(0, {0j: reg}, {0j: "genuine"})])
+        inner = WIN8.inner()
+        lo = inner.xmin + 0.5 * (inner.width / 45)
+        hi = inner.xmin + 44.5 * (inner.width / 45)
+        assert verify_axioms(forest)["top-cover"] == {
+            "status": "fail",
+            "witnesses": [complex(lo, lo), complex(hi, lo), complex(lo, hi)]}
+
+    def test_pockets_decided_once_per_region(self, monkeypatch):
+        ring = CompactRegion([2.5 * np.exp(2j * np.pi * k / 8)
+                              for k in range(8)], [1.0] * 8)
+        disk = CompactRegion.disk(10j, 1.0)
+        levels = [ToastLevel(n, {2.5 + 0j: ring, 10j: disk},
+                             {2.5 + 0j: "genuine", 10j: "genuine"})
+                  for n in range(3)]
+        calls = []
+        decide = CompactRegion.complement_connected
+        monkeypatch.setattr(CompactRegion, "complement_connected",
+                            lambda self: calls.append(self) or decide(self))
+        report = verify_axioms(self.forged(levels, Window(-16, 16, -16, 16)))
+        assert len(calls) == 2
+        assert report["simply-connected"] == {
+            "status": "fail",
+            "witnesses": [(0, 2.5 + 0j), (1, 2.5 + 0j), (2, 2.5 + 0j)]}
