@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Circle, ComplexPoly, SampledFunction, Window, base_sum,
-                   cauchy_sum, count_zeros, refine_zero)
+                   cauchy_sum, count_zeros, log_modulus_arg, refine_zero)
 from .divisors import Divisor, PrincipalParts
 from .errors import EvaluationOnAtom
 
@@ -58,7 +58,7 @@ class EntireApprox:
         at_origin = (self.locs == 0)[:, None]
         a = np.where(at_origin, 1, self.locs[:, None])
         return self.gauge(z) + base_sum(
-            lambda u: np.log(np.where(at_origin, u, 1 - u / a)), z,
+            lambda u: log_modulus_arg(np.where(at_origin, u, 1 - u / a)), z,
             self.mults)
 
     def dlog(self, z):

@@ -416,9 +416,7 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
 
 
 def _disk_subset(lower: CompactRegion, upper: CompactRegion):
-    low = set(zip(lower.centers.tolist(), lower.radii.tolist()))
-    up = set(zip(upper.centers.tolist(), upper.radii.tolist()))
-    return low <= up
+    return lower.disk_set <= upper.disk_set
 
 
 def _contained(lower, upper):

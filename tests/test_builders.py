@@ -69,6 +69,20 @@ class TestWeierstrass:
         z = 3.0 + 0.5j
         assert abs(np.exp(f.log_eval(z)) - f(z)) < 1e-12 * abs(f(z))
 
+    def test_log_eval_matches_per_zero_logs(self):
+        # z^2 (1 - z/2) (1 + z): points on the cut of each factor with
+        # +0.0 and -0.0 imaginary parts, and moduli of 1e-200 and 1e200,
+        # where a squared modulus under- or overflows
+        zeros = [(0j, 2), (2 + 0j, 1), (-1 + 0j, 1)]
+        f = weierstrass(D(zeros))
+        z = np.array([complex(3, 0.0), complex(3, -0.0), complex(-2.5, 0.0),
+                      complex(-2.5, -0.0), 1e-200 * (0.6 + 0.8j),
+                      1e200 * (0.6 + 0.8j), complex(-1e200, -0.0)])
+        want = sum(m * np.log(z if a == 0 else 1 - z / a) for a, m in zeros)
+        got = f.log_eval(z)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
     def test_negative_mult_rejected(self):
         with pytest.raises(ValueError):
             weierstrass(D([(0j, -1)]))

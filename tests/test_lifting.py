@@ -580,6 +580,72 @@ class TestBlockedBaseSums:
 
 
 # ---------------------------------------------------------------------------
+# base-sum kernels at their edge cases against the per-offset loops
+
+
+def edge_solution(mode):
+    """A hand-built solution for the kernels' edge cases: an offset at 0,
+    offsets on the real axis through the gauge 0.5 (the ratios
+    (b - u)/(b - gauge) then meet their branch cut on that axis),
+    multiplicity 2 at 2 + 0j and 1.5 + 2.25j, principal parts of orders 1
+    to 3 (order 1 at 0), and a constant correction, finite at |u| = 1e200."""
+    offsets = np.array([0j, 2 + 0j, -2 + 0j, 1.5 + 2.25j, -3.25 - 1j])
+    correction = ComplexPoly((0.3 + 0.1j,))
+    coeffs = None
+    if mode == ADDITIVE:
+        coeffs = [(1 - 0.5j,), (0.25 + 1j, -2j),
+                  (1.5, 0.5 - 0.5j, 0.75 + 0.25j), (-1j, 2.0), (0.5 + 0.5j,)]
+        weights = np.zeros((5, 3), dtype=complex)
+        for row, c in zip(weights, coeffs):
+            row[:len(c)] = c
+    else:
+        weights = np.array([1.0, 2.0, 1.0, 2.0, 1.0])
+    gauge = 0.5 + 0j if mode == MULTIPLICATIVE else 0j
+    sol = LocalSolution(anchor=0j, mode=mode, offsets=offsets,
+                        weights=weights, correction=correction, gauge=gauge)
+    return sol, coeffs
+
+
+TINY = 1e-200 * (0.6 + 0.8j)
+
+# -1, 3.5 and -4.5 lie on the cut of the offsets 0, 2 and -2 (-4.5 on that
+# of 0 as well); a squared modulus underflows at TINY and overflows at 1e200
+EDGE_POINTS = {
+    "within 1e-200 of an offset": [TINY, -TINY, complex(1e-200, -0.0)],
+    "modulus near 1e200": [1e200 * (0.6 + 0.8j), 1e200j,
+                           complex(-1e200, 0.0), complex(-1e200, -0.0)],
+    "cut, +0.0": [complex(x, 0.0) for x in (-1.0, 3.5, -4.5)],
+    "cut, -0.0": [complex(x, -0.0) for x in (-1.0, 3.5, -4.5)],
+    "multiplicity 2": [2 + 1e-3j, 2 - 1e-3j, 1.5 + 2.3j, 1.25 + 2.25j],
+}
+
+
+class TestKernelEdgeCases:
+    @pytest.mark.parametrize("case", sorted(EDGE_POINTS))
+    def test_product_matches_loop(self, case):
+        sol, _ = edge_solution(MULTIPLICATIVE)
+        u = np.array(EDGE_POINTS[case])
+        with np.errstate(all="ignore"):
+            got, want = sol.log_value(u), loop_log_value(sol, u)
+            assert_matches_loop(got, want, u)
+            # the loop's branch: the arguments differ by no multiple of 2 pi
+            assert np.all(np.round((got.imag - want.imag) / (2 * math.pi)) == 0)
+            assert_matches_loop(sol.value(u), loop_value(sol, None, u), u)
+
+    def test_principal_parts_at_and_near_poles(self):
+        sol, coeffs = edge_solution(ADDITIVE)
+        # the order-1 pole at 0 sits in a table padded to order 3, so a
+        # power form would meet 0 * (1e-200)^-3 = 0 * inf at TINY
+        u = np.concatenate([sol.offsets, sol.offsets + 1e-3, [TINY, -TINY]])
+        with np.errstate(all="ignore"):
+            got = sol.value(u)
+            want = loop_value(sol, coeffs, u)
+        assert not np.isfinite(got[:len(sol.offsets)]).any()
+        assert np.isfinite(got[len(sol.offsets):]).all()
+        assert_matches_loop(got, want, u)
+
+
+# ---------------------------------------------------------------------------
 # equivariance double-runs
 
 

@@ -578,3 +578,42 @@ class TestPrunedVerifier:
         assert report["simply-connected"] == {
             "status": "fail",
             "witnesses": [(0, 2.5 + 0j), (1, 2.5 + 0j), (2, 2.5 + 0j)]}
+
+
+class TestDiskSetCache:
+    """`_disk_subset` compares each region's cached disk set; the verdict is
+    the plain set comparison, and the region's arrays stay read-only."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cached_verdict_equals_plain_sets(self, seed):
+        rng = np.random.default_rng([seed, 9])
+        base = forged_chain(rng, q26(complex(*rng.uniform(-4, 4, 2))), 6, 1.0)
+        c, r = base.centers, base.radii
+        regions = [
+            base,
+            CompactRegion(c[:3], r[:3]),                  # a prefix
+            CompactRegion(c[::-1], r[::-1]),              # reordered
+            CompactRegion(np.concatenate([c, c[:2]]),     # repeated disks
+                          np.concatenate([r, r[:2]])),
+            CompactRegion(c[:4], r[:4] * 1.25),           # grown radii
+            CompactRegion(c[:4] + 2.0 ** -26, r[:4]),     # nudged centers
+            CompactRegion.disk(c[2], r[2]),
+            CompactRegion.disk(20 + 0j, 1.0),
+        ]
+        verdicts = set()
+        for lower in regions:
+            for upper in regions:
+                plain = set(lower.disks()) <= set(upper.disks())
+                for _ in range(2):  # cold, then cached
+                    assert toast_module._disk_subset(lower, upper) == plain
+                verdicts.add(plain)
+        assert verdicts == {True, False}
+
+    def test_arrays_stay_read_only(self):
+        reg = CompactRegion([0j, 1.5 + 0j], [1.0, 1.0])
+        assert toast_module._disk_subset(reg, reg)
+        with pytest.raises(ValueError):
+            reg.centers[0] = 5j
+        with pytest.raises(ValueError):
+            reg.radii[0] = 2.0
+        assert reg.disk_set == frozenset(reg.disks())
