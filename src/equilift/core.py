@@ -290,23 +290,20 @@ class CompactRegion:
 
     # -- containment
 
-    def contained_in(self, other, margin=0.0, tol=1e-12):
-        """True iff every disk of self is covered by `other` (radii shrunk by
-        `margin`).
+    def covers_disk(self, c, r, tol=1e-12):
+        """True iff the closed disk (c, r) lies in this union.
 
-        Fast paths: identical disks, or a single covering disk. General case:
-        angular arc coverage of each circle of self by the disks of other;
-        together with connectedness of self and connectedness of the
-        complement of other, boundary coverage implies containment.
-        """
-        oc, orr = other.centers, other.radii - margin
-        for c, r in zip(self.centers, self.radii):
-            d = np.abs(c - oc)
-            if np.any(d + r <= orr + tol):
-                continue  # fully inside one disk
-            if not _circle_covered(c, r, oc, orr, tol):
-                return False
-        return True
+        Tests the circle |z - c| = r: one covering disk is the fast path,
+        angular arc coverage by the disks the general case. With a
+        connected complement (every toast region has one), boundary
+        coverage implies that the whole disk is covered."""
+        return _circle_covered(c, r, self.centers, self.radii, tol)
+
+    def contained_in(self, other, tol=1e-12):
+        """True iff every disk of self is covered by `other`
+        (`other.covers_disk` for each)."""
+        return all(other.covers_disk(c, r, tol)
+                   for c, r in zip(self.centers, self.radii))
 
 
 def _gf2_echelon(mat):

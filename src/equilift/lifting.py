@@ -271,8 +271,6 @@ def _correction_gap(hi, a_hi, lo, a_lo):
 
 @dataclass(frozen=True)
 class _Kernel:
-    runge_mode: str         # its `runge.MODES` entry fixes the part a
-                            # rate measures
     config: Callable        # data -> (locations, weights)
     data_key: str           # to_json key of the data
     value: Callable         # (LocalSolution, u) -> correction plus base terms
@@ -282,15 +280,13 @@ class _Kernel:
 
 _KERNELS = {
     MULTIPLICATIVE: _Kernel(
-        runge_mode="multiplicative-log",
         config=lambda d: (np.asarray(d.locs, dtype=complex),
                           np.asarray(d.mults, dtype=float)),
         data_key="divisor", value=_product_value, product=True),
     ADDITIVE: _Kernel(
-        runge_mode="additive", config=_principal_table,
+        config=_principal_table,
         data_key="principal_parts", value=_principal_value),
     HARMONIC: _Kernel(
-        runge_mode="harmonic",
         config=lambda mu: (
             np.array([complex(*loc) for loc, _ in mu.atoms], dtype=complex),
             np.array([mass for _, mass in mu.atoms], dtype=float)),
@@ -316,7 +312,7 @@ def _gap_sup(mode, gap, K, density=64):
     sits on K's boundary; a stagnant chain (no gap) gives 0."""
     if gap is None:
         return 0.0
-    part = runge.MODES[_KERNELS[mode].runge_mode].part
+    part = runge.MODES[mode].part
     return float(np.max(np.abs(part(gap(K.boundary_samples(density))))))
 
 
@@ -460,12 +456,11 @@ def _solve_chain(mode, n, anchor, toast, prev, locs, weights, epsilon,
     """The level-n chain anchor's solution. `prev` is the level-(n-1)
     LiftingLevel when the step is patched, else None and the solution is
     bare."""
-    kernel = _KERNELS[mode]
     bare = LocalSolution(
         anchor=anchor, mode=mode,
         offsets=locs - anchor, weights=weights,
         correction=ComplexPoly((0j,)),
-        gauge=complex(gauge_pt) - anchor if kernel.product else 0j)
+        gauge=complex(gauge_pt) - anchor if _KERNELS[mode].product else 0j)
     if prev is None:
         return bare
     # the patching datum on the chain child is the step from this anchor's
@@ -475,12 +470,9 @@ def _solve_chain(mode, n, anchor, toast, prev, locs, weights, epsilon,
     _, ca = prev.chain
     gap = _correction_gap(prev.solutions[ca], complex(ca) - anchor, bare, 0j)
     problem = runge.RungeProblem(toast.region(n - 1, ca).translate(-anchor),
-                                 gap, epsilon=epsilon, mode=kernel.runge_mode)
-    # taming on the full own region keeps this correction plateau-scale
-    # on the territory the next level will sample
-    tame = toast.region(n, anchor).translate(-anchor)
+                                 gap, epsilon=epsilon, mode=mode)
     try:
-        cert = runge.solve(problem, tame_region=tame)
+        cert = runge.solve(problem)
     except DegreeCapExceeded as exc:
         raise RungeFailure(
             f"patching failed at epsilon {epsilon}: {exc}",

@@ -8,15 +8,15 @@ until the boundary sup error, re-measured at twice the fit's sampling
 density, is below epsilon. The table `MODES` holds all that differs between
 the modes:
 
-  additive            fits h; the error is sup |P - h|
-  multiplicative-log  h is a logarithm: fits h's complex values, and the
-                      error is sup |Re P - Re h|, the log-modulus error of
-                      exp(P) against exp(h)
-  harmonic            fits Re h in the real span of 1, Re u^k, Im u^k; the
-                      error is sup |Re P - Re h|
+  additive        fits h; the error is sup |P - h|
+  multiplicative  h is a logarithm: fits h's complex values, and the
+                  error is sup |Re P - Re h|, the log-modulus error of
+                  exp(P) against exp(h)
+  harmonic        fits Re h in the real span of 1, Re u^k, Im u^k; the
+                  error is sup |Re P - Re h|
 
-`MODES[mode].part` (the identity or the real part) is also what the lift's
-rates measure.
+The keys are the lift's own modes, and `MODES[mode].part` (the identity or
+the real part) is also what the lift's rates measure.
 
 Runge's theorem needs K's complement to be connected; the engine does not
 check it. Every region the lift passes is a toast region, whose connected
@@ -24,8 +24,10 @@ complement the toast's pocket fill has established, and a region without
 one fails to certify: `solve` then raises DegreeCapExceeded.
 
 Sampling is boundary-only: h is analytic or harmonic near K, so by the
-maximum principle the boundary sup equals the sup over K. The polynomial is
-framed at K's anchor and rescaled by the sample spread, which keeps fits
+maximum principle the boundary sup equals the sup over K. Only K is
+sampled: nothing outside it enters the fit. The polynomial is framed at K's
+anchor and rescaled by the farthest fit sample, so |u| <= 1 on the samples
+and every monomial column peaks at exactly 1; the frame keeps fits
 bit-reproducible under quantized translations of the whole problem.
 """
 
@@ -43,7 +45,6 @@ from .errors import DegreeCapExceeded
 DEGREE_LADDER = (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 120)
 DEFAULT_CAP = DEGREE_LADDER[-1]
 RCOND = 1e-13
-TAME_WEIGHT = 1e-3
 DENSITY = 64        # fit sampling; errors are re-measured at twice this
 
 
@@ -68,7 +69,7 @@ class RungeProblem:
 class RungeCertificate:
     """The fitted polynomial plus its error, re-measured at a finer sampling
     than the fit used; the error is below the problem's epsilon. poly
-    approximates the datum (additive) or its real part (multiplicative-log,
+    approximates the datum (additive) or its real part (multiplicative,
     where exp(poly) approximates exp(datum) in modulus, and harmonic)."""
 
     problem: RungeProblem
@@ -109,8 +110,7 @@ class _Mode:
 
 MODES = {
     "additive": _Mode(fit=_same, part=_same, basis=_same, pack=_same),
-    "multiplicative-log": _Mode(fit=_same, part=np.real,
-                                basis=_same, pack=_same),
+    "multiplicative": _Mode(fit=_same, part=np.real, basis=_same, pack=_same),
     "harmonic": _Mode(fit=np.real, part=np.real,
                       basis=_harmonic_basis, pack=_harmonic_pack),
 }
@@ -130,7 +130,7 @@ def _values(datum, pts):
         return np.asarray(datum(pts), dtype=complex)
 
 
-def _fitter(problem: RungeProblem, tame_region=None):
+def _fitter(problem: RungeProblem):
     """The fit at one degree, as a function degree -> (poly, error)."""
     mode = MODES[problem.mode]
     K = problem.region
@@ -140,44 +140,29 @@ def _fitter(problem: RungeProblem, tame_region=None):
     check = mode.part(_values(problem.datum, check_pts))
     if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(check))):
         raise ValueError("datum is not finite on its region")
-    # the soft rows; none without a tame region
-    tame_pts = (np.empty(0, dtype=complex) if tame_region is None
-                else tame_region.boundary_samples(DENSITY))
-    rhs = np.concatenate(
-        [rhs, TAME_WEIGHT * np.full(len(tame_pts), np.mean(rhs))])
     # adding 0j reads a -0.0 part of the anchor as 0.0, so frames that are
     # equal print alike
     z0 = K.anchor + 0j
-    spread = np.abs(np.concatenate([fit_pts, tame_pts]) - z0)
-    scale = max(float(np.max(spread)), 1e-9)
+    scale = max(float(np.max(np.abs(fit_pts - z0))), 1e-9)
 
     def fit(deg):
-        A = np.concatenate(
-            [mode.basis(_vandermonde(fit_pts, z0, scale, deg)),
-             TAME_WEIGHT * mode.basis(_vandermonde(tame_pts, z0, scale, deg))])
-        col = np.max(np.abs(A), axis=0)
-        col[col == 0] = 1.0
-        sol, *_ = np.linalg.lstsq(A / col, rhs, rcond=RCOND)
-        coeffs = mode.pack(sol / col, deg)
+        A = mode.basis(_vandermonde(fit_pts, z0, scale, deg))
+        sol, *_ = np.linalg.lstsq(A, rhs, rcond=RCOND)
+        coeffs = mode.pack(sol, deg)
         poly = ComplexPoly(tuple(coeffs.tolist()), center=z0, scale=scale)
         error = float(np.max(np.abs(mode.part(poly(check_pts)) - check)))
         return poly, error
     return fit
 
 
-def solve(problem: RungeProblem, tame_region=None) -> RungeCertificate:
-    """Fit the datum, escalating the degree along DEGREE_LADDER until the
-    boundary sup error at doubled sampling density is below epsilon.
-    Raises DegreeCapExceeded with the best error otherwise.
-
-    tame_region, when given, adds soft rows at weight TAME_WEIGHT on that
-    region's boundary, with the mean of the fit data as their value. The
-    error is still measured on the problem's region alone; the soft rows
-    only pick, among near-minimizers, one that stays plateau-flat on the
-    tame region. The lift, which feeds one level's fit into the next
-    level's datum, uses this to keep values tame on the territory sampled
-    next."""
-    fit = _fitter(problem, tame_region)
+def solve(problem: RungeProblem) -> RungeCertificate:
+    """Fit the datum on the problem's region alone, escalating the degree
+    along DEGREE_LADDER until the boundary sup error at doubled sampling
+    density is below epsilon. Raises DegreeCapExceeded with the best error
+    otherwise. Nothing outside the region enters the fit: a datum that is
+    singular just beyond the region (the lift's new data points) needs an
+    approximant that grows there."""
+    fit = _fitter(problem)
     best = math.inf
     for deg in DEGREE_LADDER:
         poly, error = fit(deg)

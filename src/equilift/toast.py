@@ -523,12 +523,13 @@ def verify_axioms(forest: ToastForest) -> dict:
     else:
         report["directed"] = entry("pass")
 
-    # 5: every region contains the safety disk around its anchor
+    # 5: every region contains the safety disk around its anchor, rounded
+    # to the 2^-26 lattice like the regions' own disks
     witnesses = []
+    u0 = q26(forest.u0)
     for lv in forest.levels:
         for a, reg in lv.regions.items():
-            probe = CompactRegion.disk(a, forest.u0)
-            if not _contained(probe, reg):
+            if not reg.covers_disk(q26(complex(a)), u0):
                 witnesses.append((lv.n, a))
     report["anchor-disk"] = entry("fail" if witnesses else "pass", witnesses)
 

@@ -308,7 +308,7 @@ class TestTypedRefusals:
         honest = lift_weierstrass(d, toast, 3, check_membership=False)
         cap = DegreeCapExceeded("cap reached", cap=8, best_error=1.0)
 
-        def fail(problem, **kw):
+        def fail(problem):
             raise cap
 
         monkeypatch.setattr(runge, "solve", fail)
@@ -333,8 +333,8 @@ class TestTypedRefusals:
                      if any(c["certified"] for c in lv.certificates))
         # a rate of 1 is over every epsilon 2**-n with n >= 1; the fits,
         # which measure the same part, then read an error of 0
-        mode = runge.MODES["multiplicative-log"]
-        monkeypatch.setitem(runge.MODES, "multiplicative-log",
+        mode = runge.MODES["multiplicative"]
+        monkeypatch.setitem(runge.MODES, "multiplicative",
                             replace(mode, part=lambda v: np.ones(v.shape)))
         with pytest.raises(RungeFailure) as info:
             lift_weierstrass(d, toast, 3)
@@ -386,9 +386,9 @@ class TestChainOnly:
         problems = []
         solve = runge.solve
 
-        def record(problem, **kw):
+        def record(problem):
             problems.append(problem)
-            return solve(problem, **kw)
+            return solve(problem)
 
         monkeypatch.setattr(runge, "solve", record)
         trace = lift_mode(mode, d, toast)

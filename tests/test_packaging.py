@@ -1,7 +1,9 @@
 """Packaging: every console script pyproject.toml declares must resolve to
-a callable in the package, the pipeline modules import without scipy, and
-every error class is raised somewhere in the package."""
+a callable in the package, the pipeline modules import without scipy,
+every error class is raised somewhere in the package, and every module-level
+private name or constant is read somewhere in it."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -57,3 +59,39 @@ def test_every_error_class_is_raised():
     unraised = [cls.__name__ for cls in classes
                 if not re.search(rf"raise {cls.__name__}\b", source)]
     assert unraised == []
+
+
+def _module_level_names(tree):
+    """Names a module binds at its top level: defs, classes, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
+def test_no_dead_private_names_or_constants():
+    # a module-level _private name or UPPER_CASE constant that no code in
+    # the package reads is dead: nothing outside the package may rely on a
+    # private name, and a constant nothing reads configures nothing
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name in _module_level_names(tree)
+            if (name.startswith("_") and not name.startswith("__")
+                or name.isupper())
+            and name not in used]
+    assert dead == []

@@ -1,4 +1,4 @@
-"""Patching engine: recovery, escalation, refusals, certificates, taming."""
+"""Patching engine: recovery, escalation, refusals, certificates."""
 
 import math
 
@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from equilift import runge
-from equilift.core import CompactRegion, q26
+from equilift.core import CompactRegion, Window, q26
+from equilift.divisors import generate
 from equilift.errors import DegreeCapExceeded
+from equilift.lifting import lift_weierstrass
 from equilift.runge import RungeProblem, solve
+from equilift.toast import build_covariant_toast
 
 DISK = CompactRegion.disk(0j, 1.0)
 # two unit disks 8 apart as one region; its complement is connected
@@ -96,18 +99,6 @@ class TestAdditive:
         dev = np.max(np.abs(cert_w.poly(pts + w) - cert.poly(pts)))
         assert dev < 1e-9
 
-    def test_tame_region_leaves_the_error_on_the_region(self):
-        # the soft rows on a radius-2 disk change the fit, but the error is
-        # still the sup over the problem's region alone
-        f = lambda z: np.log(np.abs(z - 5.0))
-        prob = RungeProblem(DISK, f, epsilon=1e-5, mode="harmonic")
-        cert = solve(prob, tame_region=CompactRegion.disk(0j, 2.0))
-        assert cert.error < prob.epsilon
-        pts = DISK.boundary_samples(2 * runge.DENSITY)
-        remeasured = float(np.max(np.abs(np.real(cert.poly(pts)) - f(pts))))
-        assert cert.error == remeasured
-        assert cert.poly.coeffs != solve(prob).poly.coeffs
-
 
 def constant_log(c):
     return lambda z: np.full(np.shape(z), c, dtype=complex)
@@ -116,14 +107,14 @@ def constant_log(c):
 class TestMultiplicative:
     def test_constant_one_is_exact(self):
         prob = RungeProblem(DISK, constant_log(0j), epsilon=1e-6,
-                            mode="multiplicative-log")
+                            mode="multiplicative")
         cert = solve(prob)
         assert cert.error == 0.0
         assert abs(np.exp(cert.poly(0.5j)) - 1.0) < 1e-12
 
     def test_two_and_half(self):
         prob = RungeProblem(PAIR, left_right(math.log(2), math.log(0.5)),
-                            epsilon=1e-4, mode="multiplicative-log")
+                            epsilon=1e-4, mode="multiplicative")
         cert = solve(prob)
         assert cert.error < 1e-4
         assert abs(np.exp(cert.poly(-4 + 0j)) - 2.0) < 1e-3
@@ -133,7 +124,7 @@ class TestMultiplicative:
         # e^z is zero-free; its log z is fitted as one branch, imaginary
         # part included
         prob = RungeProblem(DISK, lambda z: z, epsilon=1e-8,
-                            mode="multiplicative-log")
+                            mode="multiplicative")
         cert = solve(prob)
         assert cert.error < 1e-8
         assert cert.degree <= 2  # log of e^z is linear
@@ -142,13 +133,13 @@ class TestMultiplicative:
     def test_non_finite_declared_log(self):
         # log = -inf is the log of a datum that vanishes on the whole region
         prob = RungeProblem(DISK, constant_log(-math.inf), epsilon=1e-6,
-                            mode="multiplicative-log")
+                            mode="multiplicative")
         with pytest.raises(ValueError, match="not finite"):
             solve(prob)
 
     def test_log_certificate_is_modulus_based(self):
         prob = RungeProblem(DISK, lambda z: z, epsilon=1e-8,
-                            mode="multiplicative-log")
+                            mode="multiplicative")
         cert = solve(prob)
         pts = DISK.boundary_samples(128)
         # log|exp(poly)| = Re poly against log|e^z| = Re z
@@ -186,7 +177,68 @@ class TestDispatch:
         prob = RungeProblem(DISK, np.exp, epsilon=1e-6)
         assert solve(prob).mode == "additive"
         probm = RungeProblem(DISK, lambda z: z, epsilon=1e-6,
-                             mode="multiplicative-log")
-        assert solve(probm).mode == "multiplicative-log"
+                             mode="multiplicative")
+        assert solve(probm).mode == "multiplicative"
         probh = RungeProblem(DISK, np.real, epsilon=1e-6, mode="harmonic")
         assert solve(probh).mode == "harmonic"
+
+
+# ---------------------------------------------------------------------------
+# the chain-local step of a lift: its datum is singular just outside the
+# fitted region
+
+
+@pytest.fixture(scope="module")
+def poisson_lifts():
+    """Poisson inputs (seed 3, intensity 0.2) on [-L, L]^2, each with its
+    toast and lift (N=4, r0=1, gamma=4)."""
+    out = {}
+    for L in (8, 16, 24):
+        d = generate("poisson", Window(-L, L, -L, L), seed=3, intensity=0.2)
+        toast = build_covariant_toast(d, 4, r0=1.0, gamma=4.0)
+        out[L] = (d, toast, lift_weierstrass(d, toast, 4,
+                                             check_membership=False))
+    return out
+
+
+def chain_step(lift, n):
+    """The harmonic datum of the patched chain step n and its margin.
+
+    R_n and R_{n-1} are the chain regions of levels n and n-1, the new
+    points b the data in R_n but not in R_{n-1}, g R_{n-1}'s anchor. The
+    datum on R_{n-1} is -sum_b log(|b - z| / |b - g|); the margin is the
+    distance from the new points to R_{n-1}."""
+    d, toast, trace = lift
+    hi, lo = trace.levels[n].chain, trace.levels[n - 1].chain
+    assert hi[0] == n and lo in toast.children[hi]
+    region_hi, region = toast.region(*hi), toast.region(*lo)
+    locs = np.asarray(d.locs, dtype=complex)
+    new = locs[region_hi.contains(locs) & ~region.contains(locs)]
+    norm = np.abs(new - region.anchor)[:, None]
+
+    def datum(z):
+        z = np.asarray(z, dtype=complex)
+        return -np.sum(np.log(np.abs(new[:, None] - z) / norm), axis=0)
+    margin = float(np.min(np.abs(new[:, None] - region.centers)
+                          - region.radii))
+    return RungeProblem(region, datum, epsilon=2.0 ** -n,
+                        mode="harmonic"), margin
+
+
+class TestChainStep:
+    @pytest.mark.parametrize("L, n, margin, degree",
+                             [(8, 3, 0.644, 48), (16, 2, 0.539, 8),
+                              (24, 3, 0.539, 12)])
+    def test_wide_margin_steps_certify(self, poisson_lifts, L, n, margin,
+                                       degree):
+        problem, got = chain_step(poisson_lifts[L], n)
+        assert abs(got - margin) < 5e-4
+        cert = solve(problem)
+        assert cert.error < problem.epsilon
+        assert cert.degree <= degree
+
+    def test_narrow_margin_step_is_refused(self, poisson_lifts):
+        problem, margin = chain_step(poisson_lifts[16], 3)
+        assert abs(margin - 0.017) < 5e-4
+        with pytest.raises(DegreeCapExceeded):
+            solve(problem)
