@@ -15,13 +15,13 @@ Conventions that the rest of the toolkit relies on:
   there, so by the maximum principle its sup over the region sits on the
   boundary, and no interior points are sampled.
 * Functions are wrapped in ``SampledFunction``: a vectorized evaluator plus
-  optional analytic derivative / logarithmic derivative / log-scale evaluator
-  closures. Operations prefer the analytic closures and fall back to central
-  differences only for foreign evaluators.
+  optional logarithmic derivative and log-scale evaluator closures. Zero
+  counting and zero refinement read the logarithmic derivative only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -528,55 +528,27 @@ def _circle_covered(c, r, centers, radii, tol):
 # function wrapper
 
 
-def _vectorize_eval(fn):
-    def ev(z):
-        z = np.asarray(z, dtype=complex)
-        out = fn(z)
-        return np.asarray(out, dtype=complex)
-    return ev
-
-
 @dataclass
 class SampledFunction:
-    """A function on a plane window: vectorized evaluator plus declared data.
+    """A function on the plane: vectorized evaluator plus declared data.
 
     ``zeros``: declared zero locations (membership keeps its separating
     circles clear of them).
-    Optional closures: ``deriv`` (f'), ``dlog`` (f'/f), ``log_eval``
-    (a value L with exp(L) = f, stable where |f| overflows).
+    Optional closures: ``dlog`` (f'/f, all that zero counting and
+    refinement read), ``log_eval`` (a value L with exp(L) = f, stable where
+    |f| overflows).
     """
 
     evaluator: Callable
-    window: Optional[Window] = None
     zeros: tuple = ()
-    deriv: Optional[Callable] = None
     dlog: Optional[Callable] = None
     log_eval: Optional[Callable] = None
-    label: str = ""
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):
             out = np.asarray(self.evaluator(z), dtype=complex)
         return out
-
-    def derivative_at(self, z):
-        """Analytic derivative when available, else central differences."""
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            if self.deriv is not None:
-                return np.asarray(self.deriv(z), dtype=complex)
-            if self.dlog is not None:
-                return np.asarray(self.dlog(z), dtype=complex) * self(z)
-            h = 1e-6 * np.maximum(1.0, np.abs(z))
-            return (self(z + h) - self(z - h)) / (2 * h)
-
-    def dlog_at(self, z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            if self.dlog is not None:
-                return np.asarray(self.dlog(z), dtype=complex)
-            return self.derivative_at(z) / self(z)
 
 
 def log_modulus_arg(z):
@@ -674,7 +646,7 @@ def as_sampled(f) -> SampledFunction:
     if isinstance(f, SampledFunction):
         return f
     if callable(f):
-        return SampledFunction(evaluator=_vectorize_eval(f))
+        return SampledFunction(evaluator=f)
     raise TypeError(f"cannot interpret {type(f)!r} as a function")
 
 
@@ -754,89 +726,70 @@ def contour_integral(f, circle: Circle, j=1, nodes=256) -> complex:
     return complex(np.sum(vals * (r * e)) / nodes)
 
 
-def count_zeros(f, contour, nodes=512, return_residual=False):
-    """Argument-principle count of zeros minus poles inside the circle
-    `contour`. The pre-rounding residual must stay below 0.25, else
+def count_zeros(f, contour, nodes=512):
+    """Argument-principle count of zeros minus poles of f inside the circle
+    `contour`: the contour integral of f.dlog. Returns the count and the
+    pre-rounding residual, which must stay below 0.25, else
     ContourThroughZero.
     """
     if not isinstance(contour, Circle):
         raise TypeError("contour must be a Circle")
-    e = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
-    r = float(contour.radius)
-    g = as_sampled(f).dlog_at(complex(contour.center) + r * e)
-    if not np.all(np.isfinite(g)):
+    val = contour_integral(f.dlog, contour, nodes=nodes)
+    if not cmath.isfinite(val):
         raise ContourThroughZero("logarithmic derivative not finite on contour")
-    val = np.sum(g * (r * e)) / nodes
     n = int(round(val.real))
     residual = abs(val - n)
     if residual > 0.25:
         raise ContourThroughZero(
             f"argument-principle residual {residual:.3g} exceeds 0.25"
         )
-    if return_residual:
-        return n, residual
-    return n
+    return n, residual
 
 
-def refine_zero(f, guess, multiplicity=1, tol=1e-12, maxiter=60):
-    """Newton refinement of a zero near `guess`.
+# Newton steps a guess may take before refine_zero gives up on it
+NEWTON_CAP = 60
+# a guess has converged once its step falls below this times max(1, |z|)
+STEP_TOL = 5e-14
 
-    Uses the analytic derivative or logarithmic derivative when present. For a
-    zero of known multiplicity m the step -m / dlog converges quadratically.
-    Stops when |f| < tol, or when the step stagnates below 5e-14 relative.
-    Log-represented functions never use the raw-value criterion: their value
-    scale is a free plateau factor, so |f| < tol can hold at points far from
-    any zero (or fail everywhere near one). Returns the root and the number
-    of Newton steps taken.
+
+def refine_zero(f, guesses, multiplicities):
+    """Newton refinement on f.dlog of every guess at once.
+
+    A guess z of a zero of multiplicity m takes the step -m / dlog(z),
+    which converges quadratically. It stops once a step other than its
+    first falls below STEP_TOL * max(1, |z|), or when dlog is no longer
+    finite (dlog blows up exactly at the root). The value of f is never
+    read: a log-represented function's value scale is a free plateau
+    factor, so |f| says nothing about the distance to a zero. A zero dlog,
+    or a guess still moving after NEWTON_CAP steps, raises NoConvergence.
+    Each step evaluates dlog once, on every guess still moving. Returns the
+    roots and the number of Newton steps each guess took.
     """
-    f = as_sampled(f)
-    z = complex(guess)
-    m = max(1, int(multiplicity))
-    step_tol = 5e-14
-    last = None
-    steps = 0
-    for _ in range(maxiter):
-        use_value = f.log_eval is None
-        if use_value:
-            try:
-                fz = complex(f(z))
-                if not np.isfinite(fz.real) or not np.isfinite(fz.imag):
-                    use_value = False
-            except (OverflowError, FloatingPointError):
-                use_value = False
-        if use_value and abs(fz) < tol and (m == 1 or fz == 0):
-            # |f| < tol certifies the position only for simple zeros; an
-            # m-fold zero has |f| ~ |z - root|^m and needs step stagnation
-            # (or an exact hit)
-            return z, steps
-        if f.dlog is not None or not use_value:
-            g = complex(f.dlog_at(z))
-            if g == 0:
-                raise NoConvergence("zero logarithmic derivative")
-            if not (np.isfinite(g.real) and np.isfinite(g.imag)):
-                # dlog blows up exactly at the root
-                return z, steps
-            step = -m / g
-        else:
-            d = complex(f.derivative_at(z))
-            if d == 0:
-                raise NoConvergence("zero derivative in Newton step")
-            step = -fz / d * m
-        z = z + step
-        steps += 1
-        if last is not None and abs(step) < step_tol * max(1.0, abs(z)):
-            if m > 1 or not use_value:
-                return z, steps
-            # value criterion still pending for simple zeros: allow a
-            # couple more sweeps
-        last = step
-    # final acceptance for value-based runs
-    if f.log_eval is None:
-        try:
-            if abs(complex(f(z))) < tol:
-                return z, steps
-        except (OverflowError, FloatingPointError):
-            pass
-    if last is not None and abs(last) < step_tol * max(1.0, abs(z)):
-        return z, steps
-    raise NoConvergence(f"no zero found near {guess} after {maxiter} iterations")
+    start = np.asarray(guesses, dtype=complex).reshape(-1)
+    z = start.copy()
+    m = np.maximum(1, np.asarray(multiplicities, dtype=int)).reshape(-1)
+    steps = np.zeros(len(z), dtype=int)
+    moving = np.arange(len(z))
+    for _ in range(NEWTON_CAP):
+        if not len(moving):
+            break
+        with np.errstate(all="ignore"):
+            g = np.asarray(f.dlog(z[moving]), dtype=complex)
+        if np.any(g == 0):
+            raise NoConvergence("zero logarithmic derivative")
+        moving, g = moving[np.isfinite(g)], g[np.isfinite(g)]
+        # divided as Python divides complex scalars, so every iterate is
+        # rounded as a one-guess Newton step rounds it (numpy's complex
+        # division multiplies by a reciprocal and rounds differently)
+        step = np.array([-mk / gk for mk, gk in zip(m[moving].tolist(),
+                                                     g.tolist())],
+                        dtype=complex)
+        z[moving] += step
+        steps[moving] += 1
+        done = (steps[moving] >= 2) & (
+            np.abs(step) < STEP_TOL * np.maximum(1.0, np.abs(z[moving])))
+        moving = moving[~done]
+    if len(moving):
+        raise NoConvergence(f"no zero found near {complex(start[moving[0]])} "
+                            f"after {NEWTON_CAP} steps")
+    return z, steps

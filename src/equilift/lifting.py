@@ -73,8 +73,9 @@ until a bound covers undeclared zeros too. What the nodes cost is the sum
 over zeros in dlog psi: `core.cauchy_sum` takes the zeros near a contour
 one by one and the zeros beyond 8 times its radius as one Taylor series
 about its centre, whose truncation error is at most 2^-53 relative to the
-size of their terms. Newton steps evaluate dlog at one point, where every
-zero is summed directly.
+size of their terms. The roots are then refined together: each Newton step
+evaluates dlog once, on one array holding the iterate of every point still
+moving, and each iterate follows the same sequence it would alone.
 """
 
 from __future__ import annotations
@@ -355,8 +356,7 @@ class LiftingTrace:
         """The stage-n solution as one global function on the window."""
         if not self.levels:
             return SampledFunction(
-                evaluator=lambda z: np.zeros(np.shape(z), dtype=complex),
-                window=self.window, label="psi empty")
+                evaluator=lambda z: np.zeros(np.shape(z), dtype=complex))
         m, anchor, sol = self.solution(n)
         kernel = _KERNELS[self.mode]
         zeros, dlog, log_eval = (), None, None
@@ -369,9 +369,7 @@ class LiftingTrace:
                 np.asarray(z, dtype=complex) - anchor)
         return SampledFunction(
             evaluator=lambda z: sol.value(np.asarray(z, dtype=complex) - anchor),
-            window=self.window, zeros=zeros,
-            dlog=dlog, log_eval=log_eval,
-            label=f"psi_{self.depth if n is None else n}")
+            zeros=zeros, dlog=dlog, log_eval=log_eval)
 
     def rate(self, n, K: CompactRegion, density=64) -> float:
         """r_n(K): sup over K of the step from psi_{n-1} to psi_n, read on
@@ -381,15 +379,13 @@ class LiftingTrace:
             raise ValueError("rate needs 1 <= n <= depth")
         return _gap_sup(self.mode, _chain_gap(self.levels, n), K, density)
 
-    def verify_membership(self, n=None, position_tol=1e-8):
+    def verify_membership(self, n=None):
         """Divisor of psi_n against the data on the inner window (argument
         principle plus root refinement); multiplicative traces only."""
         if self.mode != MULTIPLICATIVE:
             raise ValueError("membership checks apply to zero prescriptions")
         inner = self.data.restrict(self.window.inner(0.15))
-        return verify_divisor_match(self.psi(n), inner,
-                                    position_tol=position_tol,
-                                    check_total=False)
+        return verify_divisor_match(self.psi(n), inner, check_total=False)
 
     def to_json(self):
         data = {_KERNELS[self.mode].data_key: self.data.to_json()}

@@ -25,8 +25,9 @@ one fails to certify: `solve` then raises DegreeCapExceeded.
 
 Sampling is boundary-only: h is analytic or harmonic near K, so by the
 maximum principle the boundary sup equals the sup over K. Only K is
-sampled: nothing outside it enters the fit. The polynomial is framed at K's
-anchor and rescaled by the farthest fit sample, so |u| <= 1 on the samples
+sampled: nothing outside it enters the fit. The polynomial is framed at the
+fit samples' mean, rounded to the 2^-26 lattice as an offset from K's
+anchor, and rescaled by the farthest fit sample, so |u| <= 1 on the samples
 and every monomial column peaks at exactly 1; the frame keeps fits
 bit-reproducible under quantized translations of the whole problem.
 """
@@ -39,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CompactRegion, ComplexPoly
+from .core import CompactRegion, ComplexPoly, q26
 from .errors import DegreeCapExceeded
 
 DEGREE_LADDER = (2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 120)
@@ -140,9 +141,11 @@ def _fitter(problem: RungeProblem):
     check = mode.part(_values(problem.datum, check_pts))
     if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(check))):
         raise ValueError("datum is not finite on its region")
-    # adding 0j reads a -0.0 part of the anchor as 0.0, so frames that are
-    # equal print alike
-    z0 = K.anchor + 0j
+    # the frame sits at the samples' mean, rounded to the lattice as an
+    # offset from the anchor: the offsets are exact differences, so the
+    # frame moves exactly with a quantized shift of the whole problem, and
+    # a region spread over several disks is not fitted from its first one
+    z0 = K.anchor + q26(np.mean(fit_pts - K.anchor))
     scale = max(float(np.max(np.abs(fit_pts - z0))), 1e-9)
 
     def fit(deg):

@@ -25,7 +25,7 @@ from equilift.builders import (
     verify_divisor_match,
     weierstrass,
 )
-from equilift.core import Circle, Window, count_zeros, q26
+from equilift.core import Circle, SampledFunction, Window, count_zeros, q26
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts
 from equilift.errors import EvaluationOnAtom
 
@@ -102,8 +102,9 @@ class TestWeierstrass:
         assert np.array_equal(moved.locs, q26(d.locs + w))
         assert np.array_equal(moved.mults, d.mults)
         # ratio fw(z) / f(z - w) is zero-free (here a constant != 1)
-        ratio = lambda z: fw(z) / f(np.asarray(z) - w)
-        assert count_zeros(ratio, Circle(w, 3.0)) == 0
+        ratio = SampledFunction(evaluator=lambda z: fw(z) / f(z - w),
+                                dlog=lambda z: fw.dlog(z) - f.dlog(z - w))
+        assert count_zeros(ratio, Circle(w, 3.0))[0] == 0
         vals = ratio(np.array([w + 0.1, w + 2.0]))
         assert abs(vals[0] - vals[1]) < 1e-12
         assert abs(vals[0] - 1.0) > 1e-3
@@ -122,11 +123,34 @@ class TestWeierstrass:
         assert report["matched"], report["mismatches"]
 
 
+class TestMembershipMismatches:
+    def test_count_mismatch_is_reported(self):
+        # a double zero at 0 where a simple one is prescribed
+        f = weierstrass(D([(0j, 2), (2 + 0j, 1)]))
+        report = verify_divisor_match(f, D([(0j, 1), (2 + 0j, 1)]))
+        assert not report["matched"]
+        assert {"point": 0j, "expected": 1, "counted": 2} \
+            in report["mismatches"]
+
+    def test_position_mismatch_is_reported(self):
+        # the zero sits 2^-20 from the declared and prescribed point 0:
+        # the count matches, the refined root does not
+        g = weierstrass(D([(2.0 ** -20, 1), (2 + 0j, 1)]))
+        f = SampledFunction(evaluator=g, zeros=(0j, 2 + 0j), dlog=g.dlog,
+                            log_eval=g.log_eval)
+        report = verify_divisor_match(f, D([(0j, 1), (2 + 0j, 1)]))
+        assert not report["matched"]
+        (entry,) = report["mismatches"]
+        assert entry["point"] == 0j
+        assert abs(entry["position_error"] - 2.0 ** -20) < 1e-15
+        assert report["max_position_error"] == entry["position_error"]
+
+
 class TestMittagLeffler:
     def test_single_simple_pole(self):
         f = mittag_leffler(PrincipalParts(((0j, (1.0,)),)))
         assert abs(f(2.0 + 0j) - 0.5) < 1e-15
-        assert abs(f.deriv(2.0 + 0j) - (-0.25)) < 1e-15
+        assert abs(f(0.25j) - (-4j)) < 1e-15
 
     def test_two_poles_sum(self):
         f = mittag_leffler(PrincipalParts(((1 + 0j, (1.0,)), (-1 + 0j, (1.0,)))))

@@ -23,7 +23,8 @@ from equilift.core import (
     q26,
     refine_zero,
 )
-from equilift.divisors import generate
+from equilift.builders import weierstrass
+from equilift.divisors import Divisor, generate
 from equilift.errors import (ContourThroughZero, EquiliftError,
                              HoleWitnessNotFound, NoConvergence)
 
@@ -41,26 +42,31 @@ def dyadic(lo, hi):
 
 
 def test_count_zeros_square():
-    assert count_zeros(lambda z: z * z, Circle(0, 1)) == 2
+    f = SampledFunction(evaluator=lambda z: z * z, dlog=lambda z: 2 / z)
+    assert count_zeros(f, Circle(0, 1))[0] == 2
 
 
 def test_count_zeros_zero_free():
-    assert count_zeros(np.exp, Circle(0.3 + 0.2j, 2.0)) == 0
+    f = SampledFunction(evaluator=np.exp, dlog=np.ones_like)
+    assert count_zeros(f, Circle(0.3 + 0.2j, 2.0))[0] == 0
 
 
 def test_count_zeros_close_pair():
     # oracle: the roots are 0.3 and 0.31, both of modulus < 1, so the count is 2
-    assert count_zeros(lambda z: (z - 0.3) * (z - 0.31), Circle(0, 1)) == 2
+    f = SampledFunction(evaluator=lambda z: (z - 0.3) * (z - 0.31),
+                        dlog=lambda z: 1 / (z - 0.3) + 1 / (z - 0.31))
+    assert count_zeros(f, Circle(0, 1))[0] == 2
 
 
 def test_count_zeros_contour_through_zero():
+    f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
     with pytest.raises(ContourThroughZero):
-        count_zeros(lambda z: z, Circle(1, 1))
+        count_zeros(f, Circle(1, 1))
 
 
 def test_count_zeros_counts_poles_negatively():
     f = SampledFunction(evaluator=lambda z: 1 / z, dlog=lambda z: -1 / z)
-    assert count_zeros(f, Circle(0, 1)) == -1
+    assert count_zeros(f, Circle(0, 1))[0] == -1
 
 
 @settings(max_examples=15, deadline=None)
@@ -69,35 +75,62 @@ def test_count_zeros_counts_poles_negatively():
     b=dyadic(-0.45, 0.45),
 )
 def test_count_zeros_additive_over_products(a, b):
-    f = lambda z: z - a
-    g = lambda z: (z - b) * (z - 3)  # second root outside the contour
-    fg = lambda z: f(z) * g(z)
+    f = SampledFunction(evaluator=lambda z: z - a, dlog=lambda z: 1 / (z - a))
+    # second root outside the contour
+    g = SampledFunction(evaluator=lambda z: (z - b) * (z - 3),
+                        dlog=lambda z: (2 * z - b - 3) / ((z - b) * (z - 3)))
+    # the product's dlog is its derivative over its value, not dlog f + dlog g
+    fg = SampledFunction(
+        evaluator=lambda z: f(z) * g(z),
+        dlog=lambda z: ((z - b) * (z - 3) + (z - a) * (2 * z - b - 3))
+        / ((z - a) * (z - b) * (z - 3)))
     C = Circle(0, 1.25)
-    assert count_zeros(fg, C) == count_zeros(f, C) + count_zeros(g, C)
+    assert count_zeros(fg, C)[0] == count_zeros(f, C)[0] + count_zeros(g, C)[0]
 
 
 def test_refine_zero_linear():
-    # stopping rule is |f| < 1e-12, so the location is good to ~1e-12 here
-    z, _ = refine_zero(lambda z: z - 0.5, 0)
-    assert z == pytest.approx(0.5, abs=1e-11)
+    # oracle: the step -1 / dlog = -(z - 1/2) lands on the root
+    f = SampledFunction(evaluator=lambda z: z - 0.5,
+                        dlog=lambda z: 1 / (z - 0.5))
+    z, _ = refine_zero(f, [0], [1])
+    assert z[0] == pytest.approx(0.5, abs=1e-11)
 
 
 def test_refine_zero_sine():
     # oracle: the zero lattice of sin(pi z) is the integers; nearest to the
     # guess 0.9 + 0.1i is 1.0
-    z, _ = refine_zero(lambda z: np.sin(np.pi * z), 0.9 + 0.1j)
-    assert abs(z - 1.0) < 1e-10
+    f = SampledFunction(evaluator=lambda z: np.sin(np.pi * z),
+                        dlog=lambda z: np.pi / np.tan(np.pi * z))
+    z, _ = refine_zero(f, [0.9 + 0.1j], [1])
+    assert abs(z[0] - 1.0) < 1e-10
 
 
 def test_refine_zero_sqrt2():
-    z, _ = refine_zero(lambda z: z * z - 2, 1)
-    assert abs(z - math.sqrt(2)) < 1e-12
+    f = SampledFunction(evaluator=lambda z: z * z - 2,
+                        dlog=lambda z: 2 * z / (z * z - 2))
+    z, _ = refine_zero(f, [1], [1])
+    assert abs(z[0] - math.sqrt(2)) < 1e-12
 
 
 def test_refine_zero_no_convergence():
+    # dlog = 0 has no Newton step
     with pytest.raises(NoConvergence):
-        one = SampledFunction(evaluator=np.ones_like, deriv=np.zeros_like)
-        refine_zero(one, 0, maxiter=10)
+        one = SampledFunction(evaluator=np.ones_like, dlog=np.zeros_like)
+        refine_zero(one, [0], [1])
+
+
+def test_refine_zero_gives_up_at_the_cap():
+    # dlog = 1 (f = e^z) steps by -1 forever and never stagnates
+    calls = []
+
+    def dlog(z):
+        calls.append(len(z))
+        return np.ones_like(z)
+
+    f = SampledFunction(evaluator=np.exp, dlog=dlog)
+    with pytest.raises(NoConvergence):
+        refine_zero(f, [0, 1j], [1, 1])
+    assert calls == [2] * core.NEWTON_CAP
 
 
 def test_refine_zero_counts_newton_steps():
@@ -107,7 +140,24 @@ def test_refine_zero_counts_newton_steps():
     f = SampledFunction(evaluator=lambda z: (z - 0.5) ** 2,
                         dlog=lambda z: 2 / (z - 0.5),
                         log_eval=lambda z: 2 * np.log(z - 0.5))
-    assert refine_zero(f, 0.75, multiplicity=2) == (0.5, 1)
+    z, steps = refine_zero(f, [0.75], [2])
+    assert z.tolist() == [0.5] and steps.tolist() == [1]
+
+
+def test_refine_zero_array_matches_one_guess_at_a_time():
+    # every guess follows the iterates it follows alone, whichever other
+    # guesses share its dlog calls and whenever they stop
+    f = weierstrass(Divisor.from_points(
+        [(0j, 1), (1.5 + 0.25j, 2), (-2 - 1j, 1), (3j, 3)],
+        Window(-8, 8, -8, 8)))
+    guesses = [0.1 - 0.05j, 1.4 + 0.3j, -2.2 - 0.9j, 0.2 + 2.9j, 0.05j]
+    mults = [1, 2, 1, 3, 1]
+    roots, steps = refine_zero(f, guesses, mults)
+    for k, (g, m) in enumerate(zip(guesses, mults)):
+        root, step = refine_zero(f, [g], [m])
+        assert abs(roots[k] - root[0]) <= 1e-15
+        assert steps[k] == step[0]
+    assert len(set(steps.tolist())) > 1
 
 
 # ---------------------------------------------------------------------------

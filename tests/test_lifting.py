@@ -104,7 +104,7 @@ class TestDivisorRecovery:
 
     def test_double_zero_multiplicity(self, six_trace):
         psi = six_trace.psi()
-        k = count_zeros(psi, Circle(3.0 - 2.0j, 0.3))
+        k, _ = count_zeros(psi, Circle(3.0 - 2.0j, 0.3))
         assert k == 2
 
     def test_poisson_membership(self, poisson_trace):
@@ -680,7 +680,7 @@ class TestEquivariance:
         assert report["matched"]
         assert report["max_position_error"] < 1e-8
         psi = shifted.psi()
-        k = count_zeros(psi, Circle(complex(q26(3.0 - 2.0j - SHIFT)), 0.3))
+        k, _ = count_zeros(psi, Circle(complex(q26(3.0 - 2.0j - SHIFT)), 0.3))
         assert k == 2
 
     def test_unknown_mode(self):

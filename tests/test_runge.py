@@ -100,6 +100,27 @@ class TestAdditive:
         assert dev < 1e-9
 
 
+class TestFrame:
+    @pytest.mark.parametrize("mode", sorted(runge.MODES))
+    def test_two_disk_region_is_framed_at_its_mean(self, mode):
+        # framed at PAIR's first disk, the fit of a datum that jumps between
+        # the disks stalls near 2.8e-6; framed at the fit samples' mean (the
+        # origin) it reaches 1e-6 by degree 32. The frame is an exact lattice
+        # offset from the anchor, so a quantized shift of the whole problem
+        # shifts the frame and leaves the certificate unchanged
+        datum = left_right(0.0, 1.0)
+        cert = solve(RungeProblem(PAIR, datum, epsilon=1e-6, mode=mode))
+        assert cert.error < 1e-6
+        assert cert.degree <= 32
+        assert cert.poly.center == 0j
+        w = q26(37.25 + 11.5j)
+        moved = solve(RungeProblem(PAIR.translate(w), lambda z: datum(z - w),
+                                   epsilon=1e-6, mode=mode))
+        assert moved.poly.center == w
+        assert (moved.degree, moved.error) == (cert.degree, cert.error)
+        assert moved.poly.coeffs == cert.poly.coeffs
+
+
 def constant_log(c):
     return lambda z: np.full(np.shape(z), c, dtype=complex)
 
