@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Circle, ComplexPoly, SampledFunction, Window, base_sum,
-                   cauchy_sum, count_zeros, log_modulus_arg, refine_zero)
+from .core import (BASE_SUM_BLOCK, Circle, ComplexPoly, SampledFunction,
+                   Window, base_sum, cauchy_sum, count_zeros, log_modulus_arg,
+                   refine_zero)
 from .divisors import Divisor, PrincipalParts
 from .errors import EvaluationOnAtom
 
@@ -108,12 +109,16 @@ def verify_divisor_match(f, d: Divisor, check_total=True) -> dict:
     """Argument-principle check that f's zero set on the window is exactly d.
 
     f needs `dlog` and `zeros` (an `EntireApprox`, or a `SampledFunction`
-    with both). Per point: the winding count on a separating circle equals
-    the multiplicity. Every point whose count matches is then refined, all
-    at once, by one `refine_zero` call, and its root must stay within
-    POSITION_TOL of the prescribed location. With check_total, a global
-    circle enclosing every point catches stray extra zeros (disable when d
-    was restricted to a subwindow and f keeps zeros outside it).
+    with both). Per point: the winding count on a separating circle, of
+    radius min(0.25, 0.45 x the gap to the nearest other declared zero),
+    equals the multiplicity. The radii are found in chunks of rows of the
+    point-by-zero distance table, and every circle is counted in one
+    `count_zeros` call, one row of its dlog batch per circle. Every point
+    whose count matches is then refined, all at once, by one `refine_zero`
+    call, and its root must stay within POSITION_TOL of the prescribed
+    location. With check_total, a global circle enclosing every point
+    catches stray extra zeros (disable when d was restricted to a subwindow
+    and f keeps zeros outside it).
 
     The report holds `matched`, the `mismatches` (count failures first,
     then position failures, then the total), the largest root offset
@@ -122,21 +127,26 @@ def verify_divisor_match(f, d: Divisor, check_total=True) -> dict:
     refused above 0.25), and `max_newton_steps`: the most Newton steps any
     root refinement took."""
     mismatches = []
-    max_pos = max_residual = 0.0
+    max_pos = 0.0
     max_steps = 0
     locs, mults = d.locs, d.mults
     # separating circles must clear every zero of f, including zeros outside
     # the verified subset (d may be a window restriction of f's divisor)
     declared = f.zeros
     ref = np.asarray(declared, dtype=complex) if declared else locs
+    radii = np.empty(len(locs))
+    step = max(1, BASE_SUM_BLOCK // max(1, len(ref)))
+    for i in range(0, len(locs), step):
+        dist = np.abs(ref - locs[i:i + step, None])
+        gap = np.where(dist > 0, dist, math.inf).min(axis=1)
+        radii[i:i + step] = np.minimum(0.25, 0.45 * gap)
+    counts, residuals = count_zeros(
+        f, [Circle(p, r) for p, r in zip(locs.tolist(), radii.tolist())],
+        nodes=CONTOUR_NODES)
+    max_residual = float(residuals.max(initial=0.0))
     counted = []
-    for p, m in zip(locs.tolist(), mults.tolist()):
-        dist = np.abs(ref - p)
-        dist = dist[dist > 0]
-        gap = float(np.min(dist)) if len(dist) else math.inf
-        radius = min(0.25, 0.45 * gap)
-        n, residual = count_zeros(f, Circle(p, radius), nodes=CONTOUR_NODES)
-        max_residual = max(max_residual, float(residual))
+    for p, m, n, radius in zip(locs.tolist(), mults.tolist(), counts.tolist(),
+                               radii.tolist()):
         if n != m:
             mismatches.append({"point": p, "expected": int(m), "counted": int(n)})
         else:
@@ -158,7 +168,7 @@ def verify_divisor_match(f, d: Divisor, check_total=True) -> dict:
     if check_total and len(locs):
         center = complex(np.mean(locs))
         span = float(np.max(np.abs(locs - center))) + 1.0
-        total, _ = count_zeros(f, Circle(center, span), nodes=2048)
+        (total,), _ = count_zeros(f, [Circle(center, span)], nodes=2048)
         if total != int(np.sum(mults)):
             mismatches.append({"total_expected": int(np.sum(mults)),
                                "total_counted": int(total)})

@@ -21,7 +21,6 @@ Conventions that the rest of the toolkit relies on:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -606,27 +605,54 @@ FAR_ORDER = 18
 def cauchy_sum(u, b, w):
     """sum_j w[j] / (u - b[j]) at every entry of u, shaped like u.
 
-    The entries of u form one block of targets, with centre c = mean(u) and
-    radius rho = max |u - c|. A source with |b_j - c| > FAR_RATIO * rho is
-    far: with t = u - c and x_j = 1 / (b_j - c), the far sources sum to the
-    Taylor series -sum_k M_k t^k, M_k = sum_far w_j x_j^(k+1), evaluated by
-    Horner. Since |t x_j| <= q = 1 / FAR_RATIO, cutting the series after
-    p = FAR_ORDER terms leaves a tail of at most q^p / (1 - q) <= 2^-53
-    relative to sum_far |w_j x_j|; p = 18 is the least order with that
-    bound at q = 1/8. The near sources go through `base_sum`.
+    A 0-d or 1-D u is one block of targets; a u of two or more dimensions
+    is one block per row (its last axis), so each separating circle of a
+    batched zero count keeps its own centre, radius and far set. A block
+    has centre c = mean(u) and radius rho = max |u - c|. A source with
+    |b_j - c| > FAR_RATIO * rho is far: with t = u - c and x_j =
+    1 / (b_j - c), the far sources sum to the Taylor series
+    -sum_k M_k t^k, M_k = sum_far w_j x_j^(k+1), evaluated by Horner. Since
+    |t x_j| <= q = 1 / FAR_RATIO, cutting the series after p = FAR_ORDER
+    terms leaves a tail of at most q^p / (1 - q) <= 2^-53 relative to
+    sum_far |w_j x_j|; p = 18 is the least order with that bound at
+    q = 1/8. The near sources are summed directly.
 
     A block with no more targets than FAR_ORDER (where the FAR_ORDER moments
     of a far source cost as much as the reciprocals they replace) or with no
-    far source takes `base_sum` alone, exactly as the direct sum. A target
-    on a near source gives a non-finite value; no target can lie on a far
-    one."""
+    far source is the direct sum. A target on a near source gives a
+    non-finite value in its own block only; no target can lie on a far
+    one. Rows go in chunks of at most BASE_SUM_BLOCK source-by-row
+    elements, and at most as many targets, so the memory of a call grows
+    with neither the source count nor the number of rows."""
     u = np.asarray(u, dtype=complex)
     b, w = np.asarray(b, dtype=complex), np.asarray(w)
+    if u.ndim < 2 or u.size == 0:
+        return _cauchy_block(u, b, w)
+    rows = u.reshape(-1, u.shape[-1])
+    out = np.empty(rows.shape, dtype=complex)
+    step = max(1, BASE_SUM_BLOCK // max(len(b), rows.shape[1]))
+    for s in range(0, len(rows), step):
+        out[s:s + step] = _cauchy_rows(rows[s:s + step], b, w)
+    return out.reshape(u.shape)
+
+
+def _far_sources(u, b):
+    """Centre of each block of targets and its far sources: u is one block
+    (1-D) or a block per row (2-D); returns c shaped (1,) or (rows, 1) and
+    the mask |b - c| > FAR_RATIO * rho shaped (len(b),) or (rows, len(b)),
+    all False where a block has no more than FAR_ORDER targets."""
+    c = u.mean(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        rho = np.abs(u - c).max(axis=-1, keepdims=True)
+        far = np.abs(b - c) > FAR_RATIO * rho
+    return c, far & (u.shape[-1] > FAR_ORDER)
+
+
+def _cauchy_block(u, b, w):
+    """cauchy_sum of a 0-d or 1-D u: one block."""
     far = np.zeros(len(b), dtype=bool)
     if u.size > FAR_ORDER:
-        c = u.mean()
-        with np.errstate(invalid="ignore"):
-            far = np.abs(b - c) > FAR_RATIO * np.abs(u - c).max()
+        c, far = _far_sources(u, b)
     if not far.any():
         return base_sum(lambda row: 1 / (row - b[:, None]), u, w)
     near = b[~far][:, None]
@@ -640,6 +666,44 @@ def cauchy_sum(u, b, w):
     for m in moments[-2::-1]:
         acc = acc * t + m
     return near_sum - acc
+
+
+def _cauchy_rows(u, b, w):
+    """cauchy_sum of a 2-D u, one block per row."""
+    c, far = _far_sources(u, b)
+    out = np.zeros(u.shape, dtype=complex)
+    # near (row, source) pairs in row order; the q-th near source of every
+    # row that has one is summed in one step, so each step adds one term
+    # per row (at most BASE_SUM_BLOCK elements) in source order
+    ri, sj = np.nonzero(~far)
+    rank = np.arange(len(ri)) - np.searchsorted(ri, ri)
+    for q in range(rank.max(initial=-1) + 1):
+        r, j = ri[rank == q], sj[rank == q]
+        terms = 1 / (u[r] - b[j, None])
+        terms *= w[j, None]
+        out[r] += terms
+    if not far.any():
+        return out
+    # x^(k+1) of every far source, zero at the near ones, one row per block
+    x = b - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1, x, out=x)
+    x[~far] = 0
+    # converted once: `@` would convert a real w again at every order
+    wc = w.astype(complex)
+    moments = np.empty((FAR_ORDER, len(u), 1), dtype=complex)
+    power = x.copy()
+    for k in range(FAR_ORDER):
+        moments[k, :, 0] = power @ wc
+        if k + 1 < FAR_ORDER:
+            power *= x
+    t = u - c
+    acc = np.repeat(moments[-1], u.shape[1], axis=1)
+    for m in moments[-2::-1]:
+        acc *= t
+        acc += m
+    out -= acc
+    return out
 
 
 def as_sampled(f) -> SampledFunction:
@@ -726,24 +790,45 @@ def contour_integral(f, circle: Circle, j=1, nodes=256) -> complex:
     return complex(np.sum(vals * (r * e)) / nodes)
 
 
-def count_zeros(f, contour, nodes=512):
-    """Argument-principle count of zeros minus poles of f inside the circle
-    `contour`: the contour integral of f.dlog. Returns the count and the
-    pre-rounding residual, which must stay below 0.25, else
-    ContourThroughZero.
+def count_zeros(f, contours, nodes=512):
+    """Argument-principle counts of zeros minus poles of f inside each
+    circle of the sequence `contours`: the contour integral of f.dlog by
+    the trapezoid rule on `nodes` equiangular nodes per circle.
+
+    f.dlog is evaluated on a (circles x nodes) array, one row per circle,
+    in chunks of at most BASE_SUM_BLOCK nodes (one circle when it has
+    more); a dlog built on `cauchy_sum` takes each row as its own block.
+    Returns the integer counts and the pre-rounding residuals, one per
+    circle. A residual above 0.25, or a non-finite integral, raises
+    ContourThroughZero for the first such circle in input order.
     """
-    if not isinstance(contour, Circle):
-        raise TypeError("contour must be a Circle")
-    val = contour_integral(f.dlog, contour, nodes=nodes)
-    if not cmath.isfinite(val):
-        raise ContourThroughZero("logarithmic derivative not finite on contour")
-    n = int(round(val.real))
-    residual = abs(val - n)
-    if residual > 0.25:
+    contours = list(contours)
+    if not all(isinstance(c, Circle) for c in contours):
+        raise TypeError("contours must be Circles")
+    centre = np.array([complex(c.center) for c in contours], dtype=complex)
+    radius = np.array([float(c.radius) for c in contours], dtype=float)
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    e = np.exp(1j * theta)
+    vals = np.empty(len(contours), dtype=complex)
+    step = max(1, BASE_SUM_BLOCK // nodes)
+    for s in range(0, len(contours), step):
+        re = radius[s:s + step, None] * e
+        with np.errstate(all="ignore"):
+            g = np.asarray(f.dlog(centre[s:s + step, None] + re),
+                           dtype=complex)
+        vals[s:s + step] = np.sum(g * re, axis=1) / nodes
+    finite = np.isfinite(vals)
+    counts = np.round(np.where(finite, vals.real, 0.0))
+    residual = np.abs(vals - counts)
+    bad = np.flatnonzero(~finite | (residual > 0.25))
+    if len(bad):
+        k = bad[0]
+        if not finite[k]:
+            raise ContourThroughZero(
+                "logarithmic derivative not finite on contour")
         raise ContourThroughZero(
-            f"argument-principle residual {residual:.3g} exceeds 0.25"
-        )
-    return n, residual
+            f"argument-principle residual {residual[k]:.3g} exceeds 0.25")
+    return counts.astype(int), residual
 
 
 # Newton steps a guess may take before refine_zero gives up on it

@@ -70,12 +70,15 @@ like 0.45^nodes and far fewer nodes would resolve them. That bound says
 nothing about a zero the lift did not declare: one sitting close to a
 contour is resolved only at full resolution, so the node count stays 512
 until a bound covers undeclared zeros too. What the nodes cost is the sum
-over zeros in dlog psi: `core.cauchy_sum` takes the zeros near a contour
-one by one and the zeros beyond 8 times its radius as one Taylor series
-about its centre, whose truncation error is at most 2^-53 relative to the
-size of their terms. The roots are then refined together: each Newton step
-evaluates dlog once, on one array holding the iterate of every point still
-moving, and each iterate follows the same sequence it would alone.
+over zeros in dlog psi. Every circle is counted in one `count_zeros` call,
+which evaluates dlog on a (circles x nodes) array in chunks of rows, and
+`core.cauchy_sum` takes each row as its own block: the zeros near that
+circle one by one, and the zeros beyond 8 times its radius as one Taylor
+series about its centre, whose truncation error is at most 2^-53 relative
+to the size of their terms. The roots are then refined together: each
+Newton step evaluates dlog once, on one array holding the iterate of every
+point still moving, and each iterate follows the same sequence it would
+alone.
 """
 
 from __future__ import annotations
@@ -115,11 +118,11 @@ class LocalSolution:
     runs through `core.base_sum`: in blocks of at most BASE_SUM_BLOCK
     u-by-offset elements, so its memory grows with neither n nor the size
     of the input. `dlog` goes through `core.cauchy_sum`, which sums the
-    offsets far from u as one Taylor series and the rest through
-    `base_sum`. The product is evaluated through its logarithm: per-factor
-    ratios stay O(1) where the raw product of hundreds of factors would
-    overflow. Solutions compare by identity (arrays have no single truth
-    value).
+    offsets far from u (from each row of a 2-D u) as one Taylor series and
+    the rest directly. The product is evaluated through its logarithm:
+    per-factor ratios stay O(1) where the raw product of hundreds of
+    factors would overflow. Solutions compare by identity (arrays have no
+    single truth value).
 
     The base sums use real transcendental functions only (see the module
     docstring for the costs):

@@ -104,7 +104,7 @@ class TestWeierstrass:
         # ratio fw(z) / f(z - w) is zero-free (here a constant != 1)
         ratio = SampledFunction(evaluator=lambda z: fw(z) / f(z - w),
                                 dlog=lambda z: fw.dlog(z) - f.dlog(z - w))
-        assert count_zeros(ratio, Circle(w, 3.0))[0] == 0
+        assert count_zeros(ratio, [Circle(w, 3.0)])[0].tolist() == [0]
         vals = ratio(np.array([w + 0.1, w + 2.0]))
         assert abs(vals[0] - vals[1]) < 1e-12
         assert abs(vals[0] - 1.0) > 1e-3

@@ -5,13 +5,14 @@ Derived expectations carry their oracle inline: the oracle is computed first
 is asserted against the implementation.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilift import core
+from equilift import builders, core
 from equilift.core import (
     Circle,
     CompactRegion,
@@ -43,30 +44,30 @@ def dyadic(lo, hi):
 
 def test_count_zeros_square():
     f = SampledFunction(evaluator=lambda z: z * z, dlog=lambda z: 2 / z)
-    assert count_zeros(f, Circle(0, 1))[0] == 2
+    assert count_zeros(f, [Circle(0, 1)])[0].tolist() == [2]
 
 
 def test_count_zeros_zero_free():
     f = SampledFunction(evaluator=np.exp, dlog=np.ones_like)
-    assert count_zeros(f, Circle(0.3 + 0.2j, 2.0))[0] == 0
+    assert count_zeros(f, [Circle(0.3 + 0.2j, 2.0)])[0].tolist() == [0]
 
 
 def test_count_zeros_close_pair():
     # oracle: the roots are 0.3 and 0.31, both of modulus < 1, so the count is 2
     f = SampledFunction(evaluator=lambda z: (z - 0.3) * (z - 0.31),
                         dlog=lambda z: 1 / (z - 0.3) + 1 / (z - 0.31))
-    assert count_zeros(f, Circle(0, 1))[0] == 2
+    assert count_zeros(f, [Circle(0, 1)])[0].tolist() == [2]
 
 
 def test_count_zeros_contour_through_zero():
     f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
     with pytest.raises(ContourThroughZero):
-        count_zeros(f, Circle(1, 1))
+        count_zeros(f, [Circle(1, 1)])
 
 
 def test_count_zeros_counts_poles_negatively():
     f = SampledFunction(evaluator=lambda z: 1 / z, dlog=lambda z: -1 / z)
-    assert count_zeros(f, Circle(0, 1))[0] == -1
+    assert count_zeros(f, [Circle(0, 1)])[0].tolist() == [-1]
 
 
 @settings(max_examples=15, deadline=None)
@@ -84,8 +85,65 @@ def test_count_zeros_additive_over_products(a, b):
         evaluator=lambda z: f(z) * g(z),
         dlog=lambda z: ((z - b) * (z - 3) + (z - a) * (2 * z - b - 3))
         / ((z - a) * (z - b) * (z - 3)))
-    C = Circle(0, 1.25)
+    C = [Circle(0, 1.25)]
     assert count_zeros(fg, C)[0] == count_zeros(f, C)[0] + count_zeros(g, C)[0]
+
+
+def test_count_zeros_batch_matches_one_circle_at_a_time():
+    d = generate("poisson", Window(-16, 16, -16, 16), seed=3, intensity=0.2)
+    f = weierstrass(d)
+    ks = range(0, len(d), 9)
+    circles = [Circle(d.locs[k], 0.45 * float(np.min(np.abs(
+        np.delete(d.locs, k) - d.locs[k])))) for k in ks]
+    # one circle holds several zeros, at the radius that clears them most,
+    # and one, off the window, holds none
+    dist = np.abs(d.locs - (0.5 + 0.5j))
+    r = max(np.arange(4, 6, 0.125), key=lambda r: np.min(np.abs(dist - r)))
+    circles += [Circle(0.5 + 0.5j, r), Circle(40.0, 1.0)]
+    counts, residuals = count_zeros(f, circles)
+    assert counts.dtype.kind == "i" and counts.shape == residuals.shape
+    for circle, n, res in zip(circles, counts, residuals):
+        (n1,), (res1,) = count_zeros(f, [circle])
+        assert n == n1 and abs(res - res1) <= 1e-14
+    assert counts[:-2].tolist() == d.mults[list(ks)].tolist()
+    assert counts[-2] == d.mults[dist < r].sum() > 1
+    assert counts[-1] == 0
+
+
+def test_count_zeros_raises_for_the_first_failing_circle():
+    # zeros on a node of A (dlog not finite there), between two nodes of B
+    # (the trapezoid sum is about 1/2 off an integer) and inside C
+    on_b = 5 + np.exp(1j * np.pi / 512)
+    f = SampledFunction(
+        evaluator=lambda z: (z - 1) * (z - on_b) * (z + 5),
+        dlog=lambda z: 1 / (z - 1) + 1 / (z - on_b) + 1 / (z + 5))
+    a, b, c = Circle(0, 1), Circle(5, 1), Circle(-5, 1)
+    assert count_zeros(f, [c])[0].tolist() == [1]
+    with pytest.raises(ContourThroughZero, match="not finite"):
+        count_zeros(f, [c, a, b])
+    with pytest.raises(ContourThroughZero, match="exceeds 0.25"):
+        count_zeros(f, [c, b, a])
+
+
+def test_count_zeros_empty_batch():
+    f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
+    counts, residuals = count_zeros(f, [])
+    assert counts.shape == residuals.shape == (0,)
+    assert counts.dtype.kind == "i" and residuals.dtype.kind == "f"
+
+
+def test_count_zeros_takes_only_circles():
+    f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
+    with pytest.raises(TypeError):
+        count_zeros(f, [Circle(0, 1), (0, 1)])
+
+
+def test_count_zeros_nodes_parameter():
+    # the benchmark tracer reads `nodes` by name, or as the third
+    # positional argument, with this default
+    params = inspect.signature(count_zeros).parameters
+    assert list(params)[2] == "nodes"
+    assert params["nodes"].default == builders.CONTOUR_NODES
 
 
 def test_refine_zero_linear():
@@ -305,6 +363,132 @@ def test_cauchy_sum_complex_weights(poisson_804):
     u = contour_circle(locs, 222)
     assert far_mask(u, locs).any()
     assert_cauchy_matches_loop(u, locs, w)
+
+
+# rows as blocks: a u of two or more dimensions is one block per row
+
+
+def one_block_cauchy(u, b, w):
+    """The one-block sum as a 0-d or 1-D u takes it: near sources through
+    `base_sum`, far ones through the cumprod moments and Horner."""
+    u = np.asarray(u, dtype=complex)
+    far = far_mask(u, b) if u.size > core.FAR_ORDER else np.zeros(len(b), bool)
+    near = b[~far][:, None]
+    out = core.base_sum(lambda row: 1 / (row - near), u, w[~far])
+    if not far.any():
+        return out
+    c = u.mean()
+    x = 1 / (b[far] - c)
+    moments = w[far] @ np.cumprod(
+        np.repeat(x[:, None], core.FAR_ORDER, axis=1), axis=1)
+    acc = np.full(u.shape, moments[-1])
+    for m in moments[-2::-1]:
+        acc = acc * (u - c) + m
+    return out - acc
+
+
+def row_chunk(b, nodes):
+    """Rows per chunk of a 2-D cauchy_sum."""
+    return core.BASE_SUM_BLOCK // max(len(b), nodes)
+
+
+def membership_rows(locs, ks, nodes=512):
+    return np.array([contour_circle(locs, k, nodes) for k in ks])
+
+
+def assert_row_far_sets(monkeypatch, u, b, w):
+    """The far sets cauchy_sum takes for a 2-D u, one per row, each the
+    far_mask of its row alone; returns them stacked."""
+    taken = []
+    far_sources = core._far_sources
+
+    def spy(block, sources):
+        c, far = far_sources(block, sources)
+        taken.append(np.broadcast_to(far, (len(block), len(sources))))
+        return c, far
+
+    monkeypatch.setattr(core, "_far_sources", spy)
+    with np.errstate(all="ignore"):
+        core.cauchy_sum(u, b, w)
+    monkeypatch.undo()
+    far = np.vstack(taken)
+    rows = u.reshape(-1, u.shape[-1])
+    assert far.shape == (len(rows), len(b))
+    for i, row in enumerate(rows):
+        want = far_mask(row, b) if len(row) > core.FAR_ORDER else False
+        assert np.array_equal(far[i], np.broadcast_to(want, len(b))), i
+    return far
+
+
+def test_cauchy_sum_rows_of_membership_circles(monkeypatch, poisson_804):
+    locs, w = poisson_804
+    ks = list(range(0, 804, 17))
+    u = membership_rows(locs, ks)
+    assert len(ks) % row_chunk(locs, 512) and len(ks) > row_chunk(locs, 512)
+    far = assert_row_far_sets(monkeypatch, u, locs, w)
+    # every row has its own far set
+    assert len({f.tobytes() for f in far}) == len(ks)
+    assert_cauchy_matches_loop(u, locs, w)
+    # the leading axes are only a batch of rows
+    assert_cauchy_matches_loop(u.reshape(2, -1, 512)[:, :4], locs, w)
+
+
+def test_cauchy_sum_one_row_on_a_near_source(poisson_804):
+    locs, w = poisson_804
+    u = membership_rows(locs, [3, 401, 9, 700])
+    u[1, 17] = locs[401]
+    got = assert_cauchy_matches_loop(u, locs, w)
+    bad = ~np.isfinite(got)
+    assert bad[1, 17] and bad.sum() == 1
+
+
+def test_cauchy_sum_rows_without_far_sources_are_the_direct_sum(
+        monkeypatch, poisson_804):
+    # unit weights: the direct sum of a row adds w_j / (u - b_j) in source
+    # order, as the loop does
+    locs, _ = poisson_804
+    w = np.ones(len(locs))
+    big = np.exp(2j * np.pi * np.arange(512) / 512) * 30
+    u = np.vstack([big, membership_rows(locs, [5, 6])])
+    far = assert_row_far_sets(monkeypatch, u, locs, w)
+    assert not far[0].any() and far[1].sum() > 700 and far[2].sum() > 700
+    got = assert_cauchy_matches_loop(u, locs, w)
+    assert np.array_equal(got[0], loop_cauchy(u[0], locs, w)[0])
+    # rows of no more than FAR_ORDER targets take no far source at all
+    short = membership_rows(locs, [5, 6, 7], nodes=core.FAR_ORDER)
+    assert not assert_row_far_sets(monkeypatch, short, locs, w).any()
+    assert np.array_equal(core.cauchy_sum(short, locs, w),
+                          loop_cauchy(short, locs, w)[0])
+
+
+def test_cauchy_sum_rows_at_the_far_edge(monkeypatch):
+    # rows with exact centres (0 and 1/2) and radius 1: a source at
+    # distance exactly FAR_RATIO * rho from a row's centre is near it
+    ring = np.tile([1, 1j, -1, -1j], 8)
+    u = np.array([ring, 0.5 + ring])
+    edge = core.FAR_RATIO
+    b = np.array([edge, edge + 2.0 ** -20, -edge * 1j, edge + 0.5, 0.5 - edge])
+    w = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
+    far = assert_row_far_sets(monkeypatch, u, b, w)
+    assert far.tolist() == [[False, True, False, True, False],
+                            [False, False, True, False, False]]
+    assert_cauchy_matches_loop(u, b, w)
+
+
+def test_cauchy_sum_one_dimensional_blocks_are_unchanged(poisson_804):
+    locs, w = poisson_804
+    rng = np.random.default_rng(4)
+    wc = rng.normal(size=len(locs)) + 1j * rng.normal(size=len(locs))
+    side = complex(-3.3, -2.1) + 6.6 * (np.arange(128) + 0.5) / 128
+    for u in (contour_circle(locs, 0), contour_circle(locs, 401), side,
+              contour_circle(locs, 7, nodes=core.FAR_ORDER + 1)):
+        assert far_mask(u, locs).any()
+        for weights in (w, wc):
+            assert np.array_equal(core.cauchy_sum(u, locs, weights),
+                                  one_block_cauchy(u, locs, weights))
+    u = np.array(2.5 + 0.5j)
+    assert np.array_equal(core.cauchy_sum(u, locs, w),
+                          one_block_cauchy(u, locs, w))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ equivariance double-runs, additive and harmonic lanes, trace dumps."""
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -104,7 +105,7 @@ class TestDivisorRecovery:
 
     def test_double_zero_multiplicity(self, six_trace):
         psi = six_trace.psi()
-        k, _ = count_zeros(psi, Circle(3.0 - 2.0j, 0.3))
+        (k,), _ = count_zeros(psi, [Circle(3.0 - 2.0j, 0.3)])
         assert k == 2
 
     def test_poisson_membership(self, poisson_trace):
@@ -172,6 +173,23 @@ class TestDivisorRecovery:
         for key in ("mismatches", "max_position_error", "max_newton_steps"):
             assert got[key] == want[key], key
         assert abs(got["max_residual"] - want["max_residual"]) < 1e-12
+
+    def test_membership_memory_is_bounded(self):
+        # 804 points: one (circles x 512) dlog batch would peak at about
+        # 16.6 MB, one circle at a time at about 1 MB; the batch goes in
+        # chunks of rows, about 3 MB
+        d = generate("poisson", Window(-32, 32, -32, 32), seed=3,
+                     intensity=0.2)
+        assert len(d) == 804
+        trace = lift(d, N=4)
+        tracemalloc.start()
+        try:
+            report = trace.verify_membership()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["matched"]
+        assert peak < 4e6
 
     def test_input_validation(self):
         neg = Divisor(np.array([0j]), np.array([-1]), WIN8)
@@ -680,7 +698,8 @@ class TestEquivariance:
         assert report["matched"]
         assert report["max_position_error"] < 1e-8
         psi = shifted.psi()
-        k, _ = count_zeros(psi, Circle(complex(q26(3.0 - 2.0j - SHIFT)), 0.3))
+        (k,), _ = count_zeros(
+            psi, [Circle(complex(q26(3.0 - 2.0j - SHIFT)), 0.3)])
         assert k == 2
 
     def test_unknown_mode(self):
