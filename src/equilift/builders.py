@@ -234,18 +234,22 @@ def dbar_counterexample(ns) -> list:
 # freeness cannot be omitted: Riesz mass on a rank-(d-1) lattice
 
 
-def riesz_growth_demo(t_min=5.0, t_max=40.0, step=0.1):
+# radii of the Riesz growth table: RIESZ_T_MIN to RIESZ_T_MAX in RIESZ_STEP
+RIESZ_T_MIN, RIESZ_T_MAX, RIESZ_STEP = 5.0, 40.0, 0.1
+
+
+def riesz_growth_demo():
     """Mass growth table for unit atoms on Z^2 x {0} in R^3.
 
     Rows: t, mass mu(B(0,t)), ratio mass/t^2, and the running lower
-    Riemann sum of int mass/t^2 dt from t_min (left mass over right
+    Riemann sum of int mass/t^2 dt from RIESZ_T_MIN (left mass over right
     squared radius per cell, an honest lower bound). The ratio stays
     above pi + o(1); the partial integral grows linearly, which is the
     numeric face of the incompatibility with any upper-bounded potential.
     """
-    n = int(round((t_max - t_min) / step))
-    ts = t_min + step * np.arange(n + 1)
-    m = int(math.floor(t_max))
+    n = int(round((RIESZ_T_MAX - RIESZ_T_MIN) / RIESZ_STEP))
+    ts = RIESZ_T_MIN + RIESZ_STEP * np.arange(n + 1)
+    m = int(math.floor(RIESZ_T_MAX))
     k = np.arange(-m, m + 1)
     radii2 = np.sort((k[:, None] ** 2 + k[None, :] ** 2).reshape(-1))
     masses = np.searchsorted(radii2, ts * ts + 1e-9, side="right")
@@ -253,7 +257,7 @@ def riesz_growth_demo(t_min=5.0, t_max=40.0, step=0.1):
     partial = 0.0
     for i, t in enumerate(ts):
         if i > 0:
-            partial += step * float(masses[i - 1]) / float(ts[i]) ** 2
+            partial += RIESZ_STEP * float(masses[i - 1]) / float(ts[i]) ** 2
         rows.append({"t": float(t), "mass": int(masses[i]),
                      "ratio": float(masses[i]) / float(t) ** 2,
                      "partial_integral": partial})
@@ -279,7 +283,10 @@ class Potential:
         for loc, mass in self.atoms:
             if mass <= 0:
                 raise ValueError("masses must be positive")
-            norm.append((_as_point(loc), float(mass)))
+            loc, mass = _as_point(loc), float(mass)
+            if not all(map(math.isfinite, loc + (mass,))):
+                raise ValueError("locations and masses must be finite")
+            norm.append((loc, mass))
         object.__setattr__(self, "atoms", tuple(norm))
 
     def to_json(self):

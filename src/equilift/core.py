@@ -289,19 +289,20 @@ class CompactRegion:
 
     # -- containment
 
-    def covers_disk(self, c, r, tol=1e-12):
+    def covers_disk(self, c, r):
         """True iff the closed disk (c, r) lies in this union.
 
         Tests the circle |z - c| = r: one covering disk is the fast path,
         angular arc coverage by the disks the general case. With a
         connected complement (every toast region has one), boundary
-        coverage implies that the whole disk is covered."""
-        return _circle_covered(c, r, self.centers, self.radii, tol)
+        coverage implies that the whole disk is covered. One disk covers
+        the circle whole when the circle leaves it by at most COVER_TOL."""
+        return _circle_covered(c, r, self.centers, self.radii)
 
-    def contained_in(self, other, tol=1e-12):
+    def contained_in(self, other):
         """True iff every disk of self is covered by `other`
         (`other.covers_disk` for each)."""
-        return all(other.covers_disk(c, r, tol)
+        return all(other.covers_disk(c, r)
                    for c, r in zip(self.centers, self.radii))
 
 
@@ -485,13 +486,17 @@ def hole_witness(centers, radii):
     raise HoleWitnessNotFound("cycle space not spanned by fundamental cycles")
 
 
-def _circle_covered(c, r, centers, radii, tol):
+# absolute slack of a covering disk in `CompactRegion.covers_disk`
+COVER_TOL = 1e-12
+
+
+def _circle_covered(c, r, centers, radii):
     """Arc-coverage test: is the circle |z-c|=r inside union of closed disks?"""
     d = np.abs(centers - c)
     phi = np.angle(centers - c)
     # a disk covers the angular set { |theta - phi| <= psi } with
     # cos(psi) = (d^2 + r^2 - R^2) / (2 d r); degenerate cases first
-    full = d + r <= radii + tol
+    full = d + r <= radii + COVER_TOL
     if np.any(full):
         return True
     ivals = []
@@ -706,14 +711,6 @@ def _cauchy_rows(u, b, w):
     return out
 
 
-def as_sampled(f) -> SampledFunction:
-    if isinstance(f, SampledFunction):
-        return f
-    if callable(f):
-        return SampledFunction(evaluator=f)
-    raise TypeError(f"cannot interpret {type(f)!r} as a function")
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -777,46 +774,53 @@ class ComplexPoly:
 # contour quadrature
 
 
-def contour_integral(f, circle: Circle, j=1, nodes=256) -> complex:
-    """(1/2pi i) * contour integral of f(z) (z - center)^(j-1) dz over the
-    circle, trapezoid rule (spectrally accurate for analytic integrands)."""
-    f = as_sampled(f)
-    c, r = complex(circle.center), float(circle.radius)
+def contour_integral(g, circles, orders=1, nodes=256):
+    """Trapezoid moments of g on every circle of the sequence `circles`:
+    a complex array shaped (circles, orders + 1) whose entry j is
+    mean_k g(z_k) (z_k - c)^j over `nodes` equiangular nodes z_k of the
+    circle with centre c. Column 0 is the circle mean of g, and column
+    j >= 1 is (1/2 pi i) times the contour integral of g(z) (z - c)^(j-1)
+    dz. The rule is spectrally accurate for integrands analytic near the
+    circle (Trefethen and Weideman, SIAM Review 56(3), 2014).
+
+    g is evaluated once, with floating-point warnings off, on a (circles x
+    nodes) array with one row per circle, in chunks of at most
+    BASE_SUM_BLOCK nodes (one circle when it has more); every order is read
+    from those same values. A non-finite value of g gives non-finite
+    moments in its own row only."""
+    circles = list(circles)
+    if not all(isinstance(c, Circle) for c in circles):
+        raise TypeError("contours must be Circles")
+    centre = np.array([complex(c.center) for c in circles], dtype=complex)
+    radius = np.array([float(c.radius) for c in circles], dtype=float)
     theta = 2 * np.pi * np.arange(nodes) / nodes
     e = np.exp(1j * theta)
-    z = c + r * e
-    w = (r * e) ** (j - 1)
-    vals = f(z) * w
-    return complex(np.sum(vals * (r * e)) / nodes)
+    out = np.empty((len(circles), orders + 1), dtype=complex)
+    step = max(1, BASE_SUM_BLOCK // nodes)
+    for s in range(0, len(circles), step):
+        re = radius[s:s + step, None] * e
+        with np.errstate(all="ignore"):
+            term = np.asarray(g(centre[s:s + step, None] + re), dtype=complex)
+            out[s:s + step, 0] = np.sum(term, axis=1) / nodes
+            for j in range(1, orders + 1):
+                term = term * re
+                out[s:s + step, j] = np.sum(term, axis=1) / nodes
+    return out
 
 
 def count_zeros(f, contours, nodes=512):
     """Argument-principle counts of zeros minus poles of f inside each
-    circle of the sequence `contours`: the contour integral of f.dlog by
-    the trapezoid rule on `nodes` equiangular nodes per circle.
+    circle of the sequence `contours`: column 1 of
+    `contour_integral(f.dlog, contours, nodes=nodes)`, the contour integral
+    of f.dlog by the trapezoid rule on `nodes` equiangular nodes per
+    circle. A dlog built on `cauchy_sum` takes each row of that batch as
+    its own block.
 
-    f.dlog is evaluated on a (circles x nodes) array, one row per circle,
-    in chunks of at most BASE_SUM_BLOCK nodes (one circle when it has
-    more); a dlog built on `cauchy_sum` takes each row as its own block.
     Returns the integer counts and the pre-rounding residuals, one per
     circle. A residual above 0.25, or a non-finite integral, raises
     ContourThroughZero for the first such circle in input order.
     """
-    contours = list(contours)
-    if not all(isinstance(c, Circle) for c in contours):
-        raise TypeError("contours must be Circles")
-    centre = np.array([complex(c.center) for c in contours], dtype=complex)
-    radius = np.array([float(c.radius) for c in contours], dtype=float)
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    e = np.exp(1j * theta)
-    vals = np.empty(len(contours), dtype=complex)
-    step = max(1, BASE_SUM_BLOCK // nodes)
-    for s in range(0, len(contours), step):
-        re = radius[s:s + step, None] * e
-        with np.errstate(all="ignore"):
-            g = np.asarray(f.dlog(centre[s:s + step, None] + re),
-                           dtype=complex)
-        vals[s:s + step] = np.sum(g * re, axis=1) / nodes
+    vals = contour_integral(f.dlog, contours, nodes=nodes)[:, 1]
     finite = np.isfinite(vals)
     counts = np.round(np.where(finite, vals.real, 0.0))
     residual = np.abs(vals - counts)

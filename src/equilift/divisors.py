@@ -10,15 +10,14 @@ lets stabilizer detection decide a period by exact comparison.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, Window, as_sampled, contour_integral, q26
+from .core import Circle, Window, contour_integral, q26
 from .errors import EmptyWindow, OverlappingCircles
-
-INNER_MARGIN = 0.15  # fraction of each side length shaved per side
 
 
 # ---------------------------------------------------------------------------
@@ -34,10 +33,13 @@ class Divisor:
     window: Window
 
     def __post_init__(self):
-        locs = q26(np.atleast_1d(np.asarray(self.locs, dtype=complex)))
+        locs = np.atleast_1d(np.asarray(self.locs, dtype=complex))
         mults = np.atleast_1d(np.asarray(self.mults, dtype=int)).copy()
         if locs.shape != mults.shape:
             raise ValueError("locs and mults must have matching shapes")
+        if not np.isfinite(locs).all():
+            raise ValueError("divisor locations must be finite")
+        locs = q26(locs)
         if len(locs) and np.any(mults == 0):
             raise ValueError("multiplicities must be nonzero")
         # sorting is lexicographic in (re, im), so equal locations (0.0 and
@@ -104,10 +106,12 @@ class PrincipalParts:
     def __post_init__(self):
         norm = []
         for pole, coeffs in self.entries:
-            coeffs = tuple(complex(c) for c in coeffs)
+            pole, coeffs = complex(pole), tuple(complex(c) for c in coeffs)
             if not coeffs or coeffs[-1] == 0:
                 raise ValueError("coefficient lists must be nonempty with c_m != 0")
-            norm.append((complex(pole), coeffs))
+            if not all(map(cmath.isfinite, (pole,) + coeffs)):
+                raise ValueError("poles and coefficients must be finite")
+            norm.append((pole, coeffs))
         poles = [p for p, _ in norm]
         if len(set(poles)) != len(poles):
             raise ValueError("poles must be pairwise distinct")
@@ -308,7 +312,7 @@ def detect_stabilizer(d: Divisor) -> StabilizerReport:
     found so far are skipped, and two independent periods end the scan."""
     if len(d) == 0:
         raise EmptyWindow("stabilizer of an empty divisor is undefined")
-    inner = d.window.inner(INNER_MARGIN)
+    inner = d.window.inner()
     locs = d.locs
     cands = np.array(_candidate_vectors(locs), dtype=complex)
     # quick filter: a period maps each of a few probe points onto a point
@@ -337,12 +341,19 @@ def detect_stabilizer(d: Divisor) -> StabilizerReport:
 # principal-part extraction
 
 
-def extract_principal_parts(f, suspected_poles, radius, order_cap=8,
-                            truncate=1e-10) -> PrincipalParts:
+# Laurent orders read around each pole, and the size at or below which a
+# trailing coefficient is dropped
+ORDER_CAP = 8
+TRUNCATE = 1e-10
+
+
+def extract_principal_parts(f, suspected_poles, radius) -> PrincipalParts:
     """Laurent-coefficient extraction: c_j = (1/2pi i) contour integral of
-    f(z) (z-p)^(j-1) around each suspected pole; trailing coefficients below
-    `truncate` are dropped, poles with no surviving coefficients are omitted."""
-    f = as_sampled(f)
+    f(z) (z-p)^(j-1) around each suspected pole, for j = 1..ORDER_CAP.
+    Every circle of radius `radius` is read by one `contour_integral`
+    call, so f is evaluated once on all poles' nodes. Circles that overlap
+    raise OverlappingCircles. Trailing coefficients at or below TRUNCATE
+    are dropped, and poles with no surviving coefficients are omitted."""
     poles = [complex(p) for p in suspected_poles]
     for i in range(len(poles)):
         for j in range(i + 1, len(poles)):
@@ -350,11 +361,11 @@ def extract_principal_parts(f, suspected_poles, radius, order_cap=8,
                 raise OverlappingCircles(
                     f"extraction circles at {poles[i]} and {poles[j]} overlap"
                 )
+    moments = contour_integral(f, [Circle(p, radius) for p in poles],
+                               orders=ORDER_CAP)
     entries = []
-    for p in poles:
-        coeffs = [contour_integral(f, Circle(p, radius), j=j)
-                  for j in range(1, order_cap + 1)]
-        while coeffs and abs(coeffs[-1]) <= truncate:
+    for p, coeffs in zip(poles, moments[:, 1:].tolist()):
+        while coeffs and abs(coeffs[-1]) <= TRUNCATE:
             coeffs.pop()
         if coeffs:
             entries.append((p, tuple(coeffs)))

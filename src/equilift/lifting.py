@@ -91,8 +91,9 @@ import numpy as np
 
 from . import runge
 from .builders import Potential, verify_divisor_match
-from .core import (CompactRegion, ComplexPoly, SampledFunction, Window,
-                   base_sum, cauchy_sum, log_modulus_arg, q26)
+from .core import (Circle, CompactRegion, ComplexPoly, SampledFunction,
+                   Window, base_sum, cauchy_sum, contour_integral,
+                   log_modulus_arg, q26)
 from .divisors import Divisor, PrincipalParts
 from .errors import DegreeCapExceeded, DivisorMismatch, NonFreeInput, RungeFailure
 from .toast import ToastForest, build_covariant_toast
@@ -387,7 +388,7 @@ class LiftingTrace:
         principle plus root refinement); multiplicative traces only."""
         if self.mode != MULTIPLICATIVE:
             raise ValueError("membership checks apply to zero prescriptions")
-        inner = self.data.restrict(self.window.inner(0.15))
+        inner = self.data.restrict(self.window.inner())
         return verify_divisor_match(self.psi(n), inner, check_total=False)
 
     def to_json(self):
@@ -602,12 +603,18 @@ def lift_poisson_2d(mu: Potential, toast, levels) -> LiftingTrace:
     return _lift(HARMONIC, mu, toast, levels, check_membership=False)
 
 
-def verify_equivariance(data, w, mode="weierstrass", levels=3, r0=1.0,
-                        gamma=4.0, threshold=1e-6, grid_n=12, window=None,
-                        check_membership=False,
+# the double run of verify_equivariance: toast and lift depth, the relative
+# deviation that passes, and the comparison grid's cells per side
+EQUIVARIANCE_LEVELS = 3
+EQUIVARIANCE_THRESHOLD = 1e-6
+EQUIVARIANCE_GRID = 12
+
+
+def verify_equivariance(data, w, mode="weierstrass", window=None,
                         base_trace=None) -> EquivarianceReport:
-    """Run the full pipeline (markers, toast, lifting) independently on the
-    data and on the data shifted by -w, then compare psi_{data-w}(z) with
+    """Run the full pipeline (markers, toast with its default r0 and gamma,
+    lifting without membership) independently on the data and on the data
+    shifted by -w, then compare psi_{data-w}(z) with
     psi_data(z+w) on a grid over the overlap. Refusals (non-free input) are
     recorded, not raised. A prebuilt trace for the unshifted data can be
     passed to avoid rebuilding it."""
@@ -617,9 +624,9 @@ def verify_equivariance(data, w, mode="weierstrass", levels=3, r0=1.0,
 
         def run(shift):
             d = data.translate(-shift, move_window=True) if shift else data
-            toast = build_covariant_toast(d, levels, r0=r0, gamma=gamma)
-            return lift_weierstrass(d, toast, levels,
-                                    check_membership=check_membership)
+            toast = build_covariant_toast(d, EQUIVARIANCE_LEVELS)
+            return lift_weierstrass(d, toast, EQUIVARIANCE_LEVELS,
+                                    check_membership=False)
     elif mode == "poisson":
         if window is None:
             raise ValueError("poisson equivariance needs a window")
@@ -636,8 +643,8 @@ def verify_equivariance(data, w, mode="weierstrass", levels=3, r0=1.0,
                 mu, cfg_win = data, win
             pts = [(complex(*loc), 1) for loc, _ in mu.atoms]
             cfg = Divisor.from_points(pts, cfg_win)
-            toast = build_covariant_toast(cfg, levels, r0=r0, gamma=gamma)
-            return lift_poisson_2d(mu, toast, levels)
+            toast = build_covariant_toast(cfg, EQUIVARIANCE_LEVELS)
+            return lift_poisson_2d(mu, toast, EQUIVARIANCE_LEVELS)
     else:
         raise ValueError(f"unknown equivariance mode {mode!r}")
 
@@ -646,25 +653,32 @@ def verify_equivariance(data, w, mode="weierstrass", levels=3, r0=1.0,
         trace_b = run(w)
     except NonFreeInput as exc:
         return EquivarianceReport(shift=w, deviation=float("nan"),
-                                  threshold=threshold, passed=False,
-                                  refusal=f"NonFreeInput: {exc}")
+                                  threshold=EQUIVARIANCE_THRESHOLD,
+                                  passed=False, refusal=f"NonFreeInput: {exc}")
     box = Window(win.xmin + max(0.0, -w.real), win.xmax + min(0.0, -w.real),
                  win.ymin + max(0.0, -w.imag), win.ymax + min(0.0, -w.imag))
-    grid = box.inner(0.15).grid(max(box.width, box.height) / grid_n)
+    grid = box.inner().grid(max(box.width, box.height) / EQUIVARIANCE_GRID)
     va = np.asarray(trace_a.psi()(grid + w))
     vb = np.asarray(trace_b.psi()(grid))
     deviation = float(np.max(np.abs(vb - va) / (1.0 + np.abs(va))))
     return EquivarianceReport(shift=w, deviation=deviation,
-                              threshold=threshold,
-                              passed=bool(deviation < threshold),
+                              threshold=EQUIVARIANCE_THRESHOLD,
+                              passed=bool(deviation < EQUIVARIANCE_THRESHOLD),
                               grid_points=int(grid.size))
 
 
-def poisson_submean_probe(trace: LiftingTrace, seed=0, count=50,
-                          rmin=0.1, rmax=1.0, nodes=256):
+# radii of the sub-mean-value probe circles
+PROBE_RADII = (0.1, 1.0)
+
+
+def poisson_submean_probe(trace: LiftingTrace, seed=0, count=50):
     """Random circle probes of the sub-mean-value inequality for the final
-    solution of a harmonic trace. Circles passing within 0.1 of an atom are
-    re-drawn (trapezoid quadrature cannot see through a log singularity)."""
+    solution of a harmonic trace. Centres are uniform on the window's
+    inner(0.2) and radii uniform in PROBE_RADII. Circles passing within
+    0.1 of an atom are re-drawn (trapezoid quadrature cannot see through a
+    log singularity). That rule reads no value of psi, so every circle is
+    drawn first; psi is then evaluated once at the centres, and the circle
+    means are column 0 of one `contour_integral` call."""
     if trace.mode != HARMONIC:
         raise ValueError("sub-mean-value probes apply to harmonic traces")
     psi = trace.psi()
@@ -672,23 +686,22 @@ def poisson_submean_probe(trace: LiftingTrace, seed=0, count=50,
                      dtype=complex)
     win = trace.window.inner(0.2)
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
-    rows = []
+    circles = []
     guard = 0
-    while len(rows) < count and guard < 50 * count:
+    while len(circles) < count and guard < 50 * count:
         guard += 1
         c = complex(rng.uniform(win.xmin, win.xmax),
                     rng.uniform(win.ymin, win.ymax))
-        r = float(rng.uniform(rmin, rmax))
+        r = float(rng.uniform(*PROBE_RADII))
         if len(atoms):
             dist = np.abs(atoms - c)
             if np.min(dist) < 0.1 or np.min(np.abs(dist - r)) < 0.1:
                 continue
-        u_c = float(np.real(psi(c)))
-        mean = float(np.mean(np.real(psi(c + r * ring))))
-        rows.append({"center": c, "radius": r, "u_center": u_c,
-                     "sphere_mean": mean, "slack": mean - u_c})
-    if len(rows) < count:
+        circles.append(Circle(c, r))
+    if len(circles) < count:
         raise ValueError("could not place the requested probe count")
-    return rows
+    u_center = np.real(psi([c.center for c in circles])).tolist()
+    means = contour_integral(psi, circles, orders=0)[:, 0].real.tolist()
+    return [{"center": c.center, "radius": c.radius, "u_center": u,
+             "sphere_mean": m, "slack": m - u}
+            for c, u, m in zip(circles, u_center, means)]

@@ -7,6 +7,7 @@ a midpoint sum of the Cauchy transform at 0; the circle mean of log|x|,
 log max(|c|, r). The Riesz-growth claim is tested in tests/test_periodic.py.
 """
 
+import json
 import math
 
 import numpy as np
@@ -256,6 +257,17 @@ class TestPotential:
             Potential((), dim=4)
         with pytest.raises(ValueError):
             Potential((((0.0, 0.0, 0.0), 1.0),), dim=3)
+
+    def test_rejects_non_finite_data(self):
+        # a NaN mass passes `mass <= 0`; JSON readers accept NaN and Infinity
+        for text in ('{"dim": 2, "atoms": [{"loc": [0.0, 0.0], "mass": NaN}]}',
+                     '{"dim": 2, "atoms": [{"loc": [Infinity, 0.0], '
+                     '"mass": 1.0}]}',
+                     '{"dim": 2, "atoms": [{"loc": [0.0, NaN], "mass": 1.0}]}',
+                     '{"dim": 2, "atoms": [{"loc": [0.0, 0.0], '
+                     '"mass": Infinity}]}'):
+            with pytest.raises(ValueError, match="finite"):
+                Potential.from_json(json.loads(text))
 
     def test_mean_value_equality_atom_outside(self):
         # harmonic away from the atom: the sub-mean-value inequality is tight

@@ -496,18 +496,41 @@ def test_cauchy_sum_one_dimensional_blocks_are_unchanged(poisson_804):
 
 
 def test_contour_integral_residue():
-    val = contour_integral(lambda z: 1 / z, Circle(0, 1), j=1)
+    (val,) = contour_integral(lambda z: 1 / z, [Circle(0, 1)])[:, 1]
     assert abs(val - 1) < 1e-12
 
 
 def test_contour_integral_holomorphic():
-    val = contour_integral(np.exp, Circle(0, 1.7), j=1)
+    (val,) = contour_integral(np.exp, [Circle(0, 1.7)])[:, 1]
     assert abs(val) < 1e-12
 
 
 def test_contour_integral_double_pole():
-    val = contour_integral(lambda z: 1 / (z * z), Circle(0, 1), j=2)
+    (val,) = contour_integral(lambda z: 1 / (z * z), [Circle(0, 1)],
+                              orders=2)[:, 2]
     assert abs(val - 1) < 1e-12
+
+
+def test_contour_integral_every_order_from_one_evaluation():
+    # oracle: exp is entire, so its circle mean is exp(centre) and every
+    # contour moment of order j >= 1 vanishes. 70 circles at 256 nodes make
+    # two chunks of at most BASE_SUM_BLOCK nodes, and g sees each chunk once
+    rng = np.random.default_rng(5)
+    circles = [Circle(complex(*rng.uniform(-2, 2, 2)), rng.uniform(0.1, 2))
+               for _ in range(70)]
+    shapes = []
+
+    def g(z):
+        shapes.append(z.shape)
+        return np.exp(z)
+
+    moments = contour_integral(g, circles, orders=3)
+    step = core.BASE_SUM_BLOCK // 256
+    assert shapes == [(step, 256), (70 - step, 256)]
+    assert moments.shape == (70, 4)
+    centres = np.array([c.center for c in circles])
+    assert np.max(np.abs(moments[:, 0] - np.exp(centres))) < 1e-12
+    assert np.max(np.abs(moments[:, 1:])) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,18 @@ class TestDivisor:
             with pytest.raises(ValueError):
                 Divisor(locs, np.ones(5, dtype=int), WIN8)
 
+    def test_rejects_non_finite_locations(self):
+        # NaN compares unequal to itself, so two NaN points would pass the
+        # distinctness check; JSON readers accept NaN and Infinity
+        for locs in ([complex("nan")], [complex("nan"), complex("nan")],
+                     [1 + 1j, complex(math.inf, 0.0)]):
+            with pytest.raises(ValueError, match="finite"):
+                Divisor(np.array(locs), np.ones(len(locs), dtype=int), WIN8)
+        dump = json.loads('{"window": [-8, 8, -8, 8], "points": '
+                          '[{"re": NaN, "im": 0.0, "mult": 1}]}')
+        with pytest.raises(ValueError, match="finite"):
+            Divisor.from_json(dump)
+
     def test_lattice_divisor_memory_is_linear(self):
         # the 48 x 48 lattice: a pairwise distance table would take
         # 2304^2 x 16 bytes, about 85 MB
@@ -265,6 +277,33 @@ class TestExtractPrincipalParts:
         assert pole == 1j
         assert len(coeffs) == 1
         assert abs(coeffs[0] - 1.0) < 1e-10
+
+    def test_one_evaluation_for_every_pole_and_order(self):
+        # oracle: the principal part at each pole is its own term
+        poles = [0j, 2 + 0j, 1j]
+        shapes = []
+
+        def f(z):
+            shapes.append(z.shape)
+            return 1 / z + 3 / (z - 2) ** 2 + 0.5 / (z - 1j) ** 3
+
+        pp = extract_principal_parts(f, poles, radius=0.4)
+        assert len(shapes) == 1 and shapes[0][0] == len(poles)
+        want = {0j: (1,), 2 + 0j: (0, 3), 1j: (0, 0, 0.5)}
+        for pole, coeffs in pp.entries:
+            assert len(coeffs) == len(want[pole])
+            assert max(abs(a - b) for a, b in zip(coeffs, want[pole])) < 1e-12
+
+    def test_principal_parts_reject_non_finite_data(self):
+        for entries in (((0j, (complex("nan"),)),),
+                        ((0j, (complex("nan"), 1 + 0j)),),
+                        ((complex(math.inf, 0.0), (1 + 0j,)),)):
+            with pytest.raises(ValueError, match="finite"):
+                PrincipalParts(entries)
+        dump = json.loads('{"entries": [{"re": 0.0, "im": 0.0, '
+                          '"coeffs": [[1.0, 0.0], [Infinity, 0.0]]}]}')
+        with pytest.raises(ValueError, match="finite"):
+            PrincipalParts.from_json(dump)
 
     def test_principal_parts_json_round_trip(self):
         pp = PrincipalParts(((1j, (1 + 2j, 3 + 0j)), (2 + 0j, (0.5 + 0j,))))

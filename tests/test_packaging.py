@@ -1,7 +1,8 @@
 """Packaging: every console script pyproject.toml declares must resolve to
 a callable in the package, the pipeline modules import without scipy,
-every error class is raised somewhere in the package, and every module-level
-private name or constant is read somewhere in it."""
+every error class is raised somewhere in the package, every module-level
+private name or constant is read somewhere in it, and every function the
+benchmark tracer rebinds exists."""
 
 import ast
 import importlib
@@ -95,3 +96,35 @@ def test_no_dead_private_names_or_constants():
                 or name.isupper())
             and name not in used]
     assert dead == []
+
+
+def _tracer_tables():
+    """SPANS, REGION_SPANS and REGION_COUNTS of the benchmark tracer, read
+    as literals from its source without importing it."""
+    tree = ast.parse((ROOT / "liftbench" / "tracing.py").read_text())
+    tables = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+            if name in ("SPANS", "REGION_SPANS", "REGION_COUNTS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_traced_functions_exist():
+    # the tracer rebinds these names by string; a deleted or renamed one
+    # would otherwise surface only in a traced benchmark round
+    from equilift.core import CompactRegion
+    tables = _tracer_tables()
+    assert set(tables) == {"SPANS", "REGION_SPANS", "REGION_COUNTS"}
+    missing = [f"{module}.{name}"
+               for module, names in tables["SPANS"].values()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"equilift.{module}"), name, None))]
+    missing += [f"CompactRegion.{meth}"
+                for table in ("REGION_SPANS", "REGION_COUNTS")
+                for meth in tables[table].values()
+                if not callable(getattr(CompactRegion, meth, None))]
+    assert missing == []
