@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BASE_SUM_BLOCK, Circle, ComplexPoly, SampledFunction,
-                   Window, base_sum, cauchy_sum, count_zeros, log_modulus_arg,
+from .core import (Circle, ComplexPoly, SampledFunction, Window, base_sum,
+                   cauchy_sum, count_zeros, log_modulus_arg, nearest_gaps,
                    refine_zero)
 from .divisors import Divisor, PrincipalParts
 from .errors import EvaluationOnAtom
@@ -111,14 +111,13 @@ def verify_divisor_match(f, d: Divisor, check_total=True) -> dict:
     f needs `dlog` and `zeros` (an `EntireApprox`, or a `SampledFunction`
     with both). Per point: the winding count on a separating circle, of
     radius min(0.25, 0.45 x the gap to the nearest other declared zero),
-    equals the multiplicity. The radii are found in chunks of rows of the
-    point-by-zero distance table, and every circle is counted in one
-    `count_zeros` call, one row of its dlog batch per circle. Every point
-    whose count matches is then refined, all at once, by one `refine_zero`
-    call, and its root must stay within POSITION_TOL of the prescribed
-    location. With check_total, a global circle enclosing every point
-    catches stray extra zeros (disable when d was restricted to a subwindow
-    and f keeps zeros outside it).
+    equals the multiplicity. The gaps come from `core.nearest_gaps`, and
+    every circle is counted in one `count_zeros` call, one row of its dlog
+    batch per circle. Every point whose count matches is then refined, all
+    at once, by one `refine_zero` call, and its root must stay within
+    POSITION_TOL of the prescribed location. With check_total, a global
+    circle enclosing every point catches stray extra zeros (disable when d
+    was restricted to a subwindow and f keeps zeros outside it).
 
     The report holds `matched`, the `mismatches` (count failures first,
     then position failures, then the total), the largest root offset
@@ -132,14 +131,7 @@ def verify_divisor_match(f, d: Divisor, check_total=True) -> dict:
     locs, mults = d.locs, d.mults
     # separating circles must clear every zero of f, including zeros outside
     # the verified subset (d may be a window restriction of f's divisor)
-    declared = f.zeros
-    ref = np.asarray(declared, dtype=complex) if declared else locs
-    radii = np.empty(len(locs))
-    step = max(1, BASE_SUM_BLOCK // max(1, len(ref)))
-    for i in range(0, len(locs), step):
-        dist = np.abs(ref - locs[i:i + step, None])
-        gap = np.where(dist > 0, dist, math.inf).min(axis=1)
-        radii[i:i + step] = np.minimum(0.25, 0.45 * gap)
+    radii = np.minimum(0.25, 0.45 * nearest_gaps(locs, f.zeros or locs))
     counts, residuals = count_zeros(
         f, [Circle(p, r) for p, r in zip(locs.tolist(), radii.tolist())],
         nodes=CONTOUR_NODES)

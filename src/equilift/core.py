@@ -71,6 +71,8 @@ class Window:
     ymax: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_list())):
+            raise ValueError("window bounds must be finite")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("window must satisfy xmin < xmax and ymin < ymax")
 
@@ -601,7 +603,25 @@ def base_sum(term, u, weights):
     return np.concatenate(parts).reshape(u.shape)
 
 
-# far field of cauchy_sum: a source is far from a block of targets when
+def nearest_gaps(points, others=None):
+    """Least distance from each of `points` to `others`, skipping distance
+    0 (the point itself); with `others` None, to the other entries of
+    `points`, so that a repeated entry has gap 0. NaN distances are
+    skipped. The table goes in chunks of rows of BASE_SUM_BLOCK elements."""
+    points = np.asarray(points, dtype=complex)
+    ref = points if others is None else np.asarray(others, dtype=complex)
+    gaps = np.empty(len(points))
+    step = max(1, BASE_SUM_BLOCK // max(1, len(ref)))
+    for s in range(0, len(points), step):
+        dist = np.abs(ref - points[s:s + step, None])
+        if others is None:
+            dist[np.arange(len(dist)), np.arange(s, s + len(dist))] = np.nan
+        keep = dist >= 0 if others is None else dist > 0
+        gaps[s:s + step] = np.where(keep, dist, np.inf).min(1, initial=np.inf)
+    return gaps
+
+
+# far field of cauchy_sum: a source is far from a row of targets when
 # |b - c| > FAR_RATIO * rho, and its Taylor series keeps FAR_ORDER terms
 FAR_RATIO = 8.0
 FAR_ORDER = 18
@@ -610,30 +630,30 @@ FAR_ORDER = 18
 def cauchy_sum(u, b, w):
     """sum_j w[j] / (u - b[j]) at every entry of u, shaped like u.
 
-    A 0-d or 1-D u is one block of targets; a u of two or more dimensions
-    is one block per row (its last axis), so each separating circle of a
-    batched zero count keeps its own centre, radius and far set. A block
-    has centre c = mean(u) and radius rho = max |u - c|. A source with
-    |b_j - c| > FAR_RATIO * rho is far: with t = u - c and x_j =
-    1 / (b_j - c), the far sources sum to the Taylor series
-    -sum_k M_k t^k, M_k = sum_far w_j x_j^(k+1), evaluated by Horner. Since
-    |t x_j| <= q = 1 / FAR_RATIO, cutting the series after p = FAR_ORDER
-    terms leaves a tail of at most q^p / (1 - q) <= 2^-53 relative to
-    sum_far |w_j x_j|; p = 18 is the least order with that bound at
-    q = 1/8. The near sources are summed directly.
+    u is a batch of rows of targets, one per slice along its last axis (a
+    0-d or 1-D u is one row), and each row is summed on its own: its result
+    depends on that row alone, so each separating circle of a batched zero
+    count keeps its own centre, radius and far set. A row has centre c =
+    mean(row) and radius rho = max |row - c|. A source with |b_j - c| >
+    FAR_RATIO * rho is far: with t = u - c and x_j = 1 / (b_j - c), the
+    far sources sum to the Taylor series -sum_k M_k t^k, M_k = sum_far w_j
+    x_j^(k+1), evaluated by Horner. Since |t x_j| <= q = 1 / FAR_RATIO,
+    cutting the series after p = FAR_ORDER terms leaves a tail of at most
+    q^p / (1 - q) <= 2^-53 relative to sum_far |w_j x_j|; p = 18 is the
+    least order with that bound at q = 1/8. The near sources are summed
+    directly.
 
-    A block with no more targets than FAR_ORDER (where the FAR_ORDER moments
-    of a far source cost as much as the reciprocals they replace) or with no
-    far source is the direct sum. A target on a near source gives a
-    non-finite value in its own block only; no target can lie on a far
-    one. Rows go in chunks of at most BASE_SUM_BLOCK source-by-row
+    A row with no far source is the direct `base_sum` over every source:
+    an empty row, a row of no more than FAR_ORDER targets (where the
+    FAR_ORDER moments of a far source cost as much as the reciprocals they
+    replace) and a row whose targets span the sources. A target on a near
+    source gives a non-finite value in its own row only; no target can lie
+    on a far one. Rows go in chunks of at most BASE_SUM_BLOCK source-by-row
     elements, and at most as many targets, so the memory of a call grows
     with neither the source count nor the number of rows."""
     u = np.asarray(u, dtype=complex)
     b, w = np.asarray(b, dtype=complex), np.asarray(w)
-    if u.ndim < 2 or u.size == 0:
-        return _cauchy_block(u, b, w)
-    rows = u.reshape(-1, u.shape[-1])
+    rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1] if u.ndim else 1)
     out = np.empty(rows.shape, dtype=complex)
     step = max(1, BASE_SUM_BLOCK // max(len(b), rows.shape[1]))
     for s in range(0, len(rows), step):
@@ -642,41 +662,30 @@ def cauchy_sum(u, b, w):
 
 
 def _far_sources(u, b):
-    """Centre of each block of targets and its far sources: u is one block
-    (1-D) or a block per row (2-D); returns c shaped (1,) or (rows, 1) and
-    the mask |b - c| > FAR_RATIO * rho shaped (len(b),) or (rows, len(b)),
-    all False where a block has no more than FAR_ORDER targets."""
-    c = u.mean(axis=-1, keepdims=True)
+    """Centre c (rows, 1) and far mask |b - c| > FAR_RATIO * rho (rows,
+    len(b)) of each row of u; a row of no more than FAR_ORDER targets,
+    an empty one included, has no far source and c = 0."""
+    if u.shape[1] <= FAR_ORDER:
+        return (np.zeros((len(u), 1), dtype=complex),
+                np.zeros((len(u), len(b)), dtype=bool))
+    c = u.mean(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
-        rho = np.abs(u - c).max(axis=-1, keepdims=True)
+        rho = np.abs(u - c).max(axis=1, keepdims=True)
         far = np.abs(b - c) > FAR_RATIO * rho
-    return c, far & (u.shape[-1] > FAR_ORDER)
-
-
-def _cauchy_block(u, b, w):
-    """cauchy_sum of a 0-d or 1-D u: one block."""
-    far = np.zeros(len(b), dtype=bool)
-    if u.size > FAR_ORDER:
-        c, far = _far_sources(u, b)
-    if not far.any():
-        return base_sum(lambda row: 1 / (row - b[:, None]), u, w)
-    near = b[~far][:, None]
-    near_sum = base_sum(lambda row: 1 / (row - near), u, w[~far])
-    # powers x^1 .. x^p of every far source, one row each
-    x = 1 / (b[far] - c)
-    moments = w[far] @ np.cumprod(np.repeat(x[:, None], FAR_ORDER, axis=1),
-                                  axis=1)
-    t = u - c
-    acc = np.full(u.shape, moments[-1])
-    for m in moments[-2::-1]:
-        acc = acc * t + m
-    return near_sum - acc
+    return c, far
 
 
 def _cauchy_rows(u, b, w):
-    """cauchy_sum of a 2-D u, one block per row."""
+    """cauchy_sum of a 2-D u, one row at a time."""
     c, far = _far_sources(u, b)
-    out = np.zeros(u.shape, dtype=complex)
+    out = np.empty(u.shape, dtype=complex)
+    taylor = far.any(axis=1)
+    for i in np.flatnonzero(~taylor):
+        out[i] = base_sum(lambda row: 1 / (row - b[:, None]), u[i], w)
+    if not taylor.any():
+        return out
+    u, c, far = u[taylor], c[taylor], far[taylor]
+    near = np.zeros(u.shape, dtype=complex)
     # near (row, source) pairs in row order; the q-th near source of every
     # row that has one is summed in one step, so each step adds one term
     # per row (at most BASE_SUM_BLOCK elements) in source order
@@ -686,14 +695,9 @@ def _cauchy_rows(u, b, w):
         r, j = ri[rank == q], sj[rank == q]
         terms = 1 / (u[r] - b[j, None])
         terms *= w[j, None]
-        out[r] += terms
-    if not far.any():
-        return out
-    # x^(k+1) of every far source, zero at the near ones, one row per block
-    x = b - c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1, x, out=x)
-    x[~far] = 0
+        near[r] += terms
+    # x^(k+1) of every far source of each row, zero at the near ones
+    x = np.divide(1, b - c, out=np.zeros(far.shape, dtype=complex), where=far)
     # converted once: `@` would convert a real w again at every order
     wc = w.astype(complex)
     moments = np.empty((FAR_ORDER, len(u), 1), dtype=complex)
@@ -707,7 +711,7 @@ def _cauchy_rows(u, b, w):
     for m in moments[-2::-1]:
         acc *= t
         acc += m
-    out -= acc
+    out[taylor] = near - acc
     return out
 
 
@@ -813,8 +817,8 @@ def count_zeros(f, contours, nodes=512):
     circle of the sequence `contours`: column 1 of
     `contour_integral(f.dlog, contours, nodes=nodes)`, the contour integral
     of f.dlog by the trapezoid rule on `nodes` equiangular nodes per
-    circle. A dlog built on `cauchy_sum` takes each row of that batch as
-    its own block.
+    circle. A dlog built on `cauchy_sum` sums each row of that batch on
+    its own.
 
     Returns the integer counts and the pre-rounding residuals, one per
     circle. A residual above 0.25, or a non-finite integral, raises

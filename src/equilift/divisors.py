@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, Window, contour_integral, q26
+from .core import Circle, Window, contour_integral, nearest_gaps, q26
 from .errors import EmptyWindow, OverlappingCircles
 
 
@@ -352,15 +352,20 @@ def extract_principal_parts(f, suspected_poles, radius) -> PrincipalParts:
     f(z) (z-p)^(j-1) around each suspected pole, for j = 1..ORDER_CAP.
     Every circle of radius `radius` is read by one `contour_integral`
     call, so f is evaluated once on all poles' nodes. Circles that overlap
-    raise OverlappingCircles. Trailing coefficients at or below TRUNCATE
-    are dropped, and poles with no surviving coefficients are omitted."""
+    (poles less than 2 * radius apart, a repeated pole included) raise
+    OverlappingCircles, which names the first pole in input order that
+    overlaps another and its first partner after it. Trailing coefficients
+    at or below TRUNCATE are dropped, and poles with no surviving
+    coefficients are omitted."""
     poles = [complex(p) for p in suspected_poles]
-    for i in range(len(poles)):
-        for j in range(i + 1, len(poles)):
-            if abs(poles[i] - poles[j]) < 2 * radius:
-                raise OverlappingCircles(
-                    f"extraction circles at {poles[i]} and {poles[j]} overlap"
-                )
+    clash = np.flatnonzero(nearest_gaps(poles) < 2 * radius)
+    if len(clash):
+        # the first pole that overlaps another has partners after it only
+        i = clash[0]
+        j = next(j for j in range(i + 1, len(poles))
+                 if abs(poles[i] - poles[j]) < 2 * radius)
+        raise OverlappingCircles(
+            f"extraction circles at {poles[i]} and {poles[j]} overlap")
     moments = contour_integral(f, [Circle(p, radius) for p in poles],
                                orders=ORDER_CAP)
     entries = []

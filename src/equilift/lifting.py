@@ -72,7 +72,7 @@ contour is resolved only at full resolution, so the node count stays 512
 until a bound covers undeclared zeros too. What the nodes cost is the sum
 over zeros in dlog psi. Every circle is counted in one `count_zeros` call,
 which evaluates dlog on a (circles x nodes) array in chunks of rows, and
-`core.cauchy_sum` takes each row as its own block: the zeros near that
+`core.cauchy_sum` sums each row on its own: the zeros near that
 circle one by one, and the zeros beyond 8 times its radius as one Taylor
 series about its centre, whose truncation error is at most 2^-53 relative
 to the size of their terms. The roots are then refined together: each
@@ -119,11 +119,11 @@ class LocalSolution:
     runs through `core.base_sum`: in blocks of at most BASE_SUM_BLOCK
     u-by-offset elements, so its memory grows with neither n nor the size
     of the input. `dlog` goes through `core.cauchy_sum`, which sums the
-    offsets far from u (from each row of a 2-D u) as one Taylor series and
-    the rest directly. The product is evaluated through its logarithm:
-    per-factor ratios stay O(1) where the raw product of hundreds of
-    factors would overflow. Solutions compare by identity (arrays have no
-    single truth value).
+    offsets far from each row of u (a 1-D u is one row) as one Taylor
+    series and the rest directly. The product is evaluated through its
+    logarithm: per-factor ratios stay O(1) where the raw product of
+    hundreds of factors would overflow. Solutions compare by identity
+    (arrays have no single truth value).
 
     The base sums use real transcendental functions only (see the module
     docstring for the costs):
@@ -172,12 +172,10 @@ def _gauge_offset(offsets, u0):
     """Normalization point for the product base, in coordinates relative to
     the level-0 chain anchor, on the 2^-26 lattice.
 
-    The anchor itself when no data point sits there; otherwise half a base
-    scale from the anchor, away from the nearest other data point (any
-    fixed direction when the anchor is alone); rotated and shrunk
-    deterministically if a data point blocks the candidate."""
-    if all(abs(b) > 1e-9 for b in offsets):
-        return 0j
+    Half a base scale from the anchor, a data point (level-0 anchors are
+    markers), away from the nearest other data point (any fixed direction
+    when the anchor is alone); rotated and shrunk deterministically if a
+    data point blocks the candidate."""
     others = [b for b in offsets if abs(b) > 1e-9]
     if others:
         a_star = min(others, key=lambda b: (abs(b), b.real, b.imag))

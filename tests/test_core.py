@@ -365,26 +365,13 @@ def test_cauchy_sum_complex_weights(poisson_804):
     assert_cauchy_matches_loop(u, locs, w)
 
 
-# rows as blocks: a u of two or more dimensions is one block per row
+# rows: every u is a batch of rows along its last axis, each summed alone
 
 
-def one_block_cauchy(u, b, w):
-    """The one-block sum as a 0-d or 1-D u takes it: near sources through
-    `base_sum`, far ones through the cumprod moments and Horner."""
-    u = np.asarray(u, dtype=complex)
-    far = far_mask(u, b) if u.size > core.FAR_ORDER else np.zeros(len(b), bool)
-    near = b[~far][:, None]
-    out = core.base_sum(lambda row: 1 / (row - near), u, w[~far])
-    if not far.any():
-        return out
-    c = u.mean()
-    x = 1 / (b[far] - c)
-    moments = w[far] @ np.cumprod(
-        np.repeat(x[:, None], core.FAR_ORDER, axis=1), axis=1)
-    acc = np.full(u.shape, moments[-1])
-    for m in moments[-2::-1]:
-        acc = acc * (u - c) + m
-    return out - acc
+def direct_cauchy(u, b, w):
+    """The direct sum of cauchy_sum's rows without far sources."""
+    with np.errstate(all="ignore"):
+        return core.base_sum(lambda row: 1 / (row - b[:, None]), u, w)
 
 
 def row_chunk(b, nodes):
@@ -412,7 +399,7 @@ def assert_row_far_sets(monkeypatch, u, b, w):
         core.cauchy_sum(u, b, w)
     monkeypatch.undo()
     far = np.vstack(taken)
-    rows = u.reshape(-1, u.shape[-1])
+    rows = u.reshape(len(far), u.shape[-1])
     assert far.shape == (len(rows), len(b))
     for i, row in enumerate(rows):
         want = far_mask(row, b) if len(row) > core.FAR_ORDER else False
@@ -444,21 +431,25 @@ def test_cauchy_sum_one_row_on_a_near_source(poisson_804):
 
 def test_cauchy_sum_rows_without_far_sources_are_the_direct_sum(
         monkeypatch, poisson_804):
-    # unit weights: the direct sum of a row adds w_j / (u - b_j) in source
-    # order, as the loop does
-    locs, _ = poisson_804
-    w = np.ones(len(locs))
+    # a row without far sources is the direct base_sum of that row alone,
+    # whatever the other rows of its chunk take
+    locs, w = poisson_804
     big = np.exp(2j * np.pi * np.arange(512) / 512) * 30
     u = np.vstack([big, membership_rows(locs, [5, 6])])
     far = assert_row_far_sets(monkeypatch, u, locs, w)
     assert not far[0].any() and far[1].sum() > 700 and far[2].sum() > 700
     got = assert_cauchy_matches_loop(u, locs, w)
-    assert np.array_equal(got[0], loop_cauchy(u[0], locs, w)[0])
+    assert np.array_equal(got[0], direct_cauchy(u[0], locs, w))
     # rows of no more than FAR_ORDER targets take no far source at all
     short = membership_rows(locs, [5, 6, 7], nodes=core.FAR_ORDER)
     assert not assert_row_far_sets(monkeypatch, short, locs, w).any()
-    assert np.array_equal(core.cauchy_sum(short, locs, w),
-                          loop_cauchy(short, locs, w)[0])
+    got = core.cauchy_sum(short, locs, w)
+    for row, want in zip(short, got):
+        assert np.array_equal(want, direct_cauchy(row, locs, w))
+    # and so are empty rows
+    empty = np.zeros((3, 0), dtype=complex)
+    assert not assert_row_far_sets(monkeypatch, empty, locs, w).any()
+    assert core.cauchy_sum(empty, locs, w).shape == (3, 0)
 
 
 def test_cauchy_sum_rows_at_the_far_edge(monkeypatch):
@@ -475,20 +466,24 @@ def test_cauchy_sum_rows_at_the_far_edge(monkeypatch):
     assert_cauchy_matches_loop(u, b, w)
 
 
-def test_cauchy_sum_one_dimensional_blocks_are_unchanged(poisson_804):
+def test_cauchy_sum_one_dimensional_u_is_a_one_row_batch(poisson_804):
+    # a membership circle (far sources) and a window-spanning block (none,
+    # so the direct sum), with real and complex weights
     locs, w = poisson_804
     rng = np.random.default_rng(4)
     wc = rng.normal(size=len(locs)) + 1j * rng.normal(size=len(locs))
-    side = complex(-3.3, -2.1) + 6.6 * (np.arange(128) + 0.5) / 128
-    for u in (contour_circle(locs, 0), contour_circle(locs, 401), side,
-              contour_circle(locs, 7, nodes=core.FAR_ORDER + 1)):
-        assert far_mask(u, locs).any()
-        for weights in (w, wc):
+    circle = contour_circle(locs, 0, nodes=64)
+    span = Window(-30, 30, -30, 30).grid(2.0).ravel()
+    assert far_mask(circle, locs).any() and not far_mask(span, locs).any()
+    for weights in (w, wc):
+        for u in (circle, span):
             assert np.array_equal(core.cauchy_sum(u, locs, weights),
-                                  one_block_cauchy(u, locs, weights))
+                                  core.cauchy_sum(u[None], locs, weights)[0])
+        assert np.array_equal(core.cauchy_sum(span, locs, weights),
+                              direct_cauchy(span, locs, weights))
     u = np.array(2.5 + 0.5j)
     assert np.array_equal(core.cauchy_sum(u, locs, w),
-                          one_block_cauchy(u, locs, w))
+                          core.cauchy_sum(u.reshape(1, 1), locs, w)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +785,24 @@ def test_contained_in_arc_coverage():
     assert not target.contained_in(not_covered)
 
 
+def test_nearest_gaps():
+    pts = np.array([0j, 1 + 0j, 1 + 0j, 3 + 0j, complex("nan")])
+    # among themselves a repeated point is at gap 0; against a set the
+    # point itself (distance 0) is skipped, and so is every NaN distance
+    assert core.nearest_gaps(pts).tolist()[:4] == [1.0, 0.0, 0.0, 2.0]
+    assert core.nearest_gaps(pts, pts).tolist()[:4] == [1.0, 1.0, 1.0, 2.0]
+    assert core.nearest_gaps([5j], [5j]).tolist() == [math.inf]
+    assert core.nearest_gaps([5j]).tolist() == [math.inf]
+    assert core.nearest_gaps([], [1j]).shape == (0,)
+    # chunks of rows give the dense table's answer
+    rng = np.random.default_rng(8)
+    z = rng.uniform(-9, 9, 1200) + 1j * rng.uniform(-9, 9, 1200)
+    dense = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(dense, np.inf)
+    assert np.array_equal(core.nearest_gaps(z), dense.min(axis=1))
+    assert np.array_equal(core.nearest_gaps(z, z), dense.min(axis=1))
+
+
 @settings(max_examples=20, deadline=None)
 @given(w=dyadic(-8, 8))
 def test_region_translate_is_exact(w):
@@ -827,3 +840,16 @@ def test_window_inner_margin():
     w = Window(-16, 16, -16, 16)
     inner = w.inner(0.15)
     assert inner.as_list() == [-11.2, 11.2, -11.2, 11.2]
+
+
+def test_window_rejects_non_finite_bounds():
+    # an infinite window would fail only later, inside Window.inner
+    # (-inf + inf is NaN)
+    for bounds in ((-math.inf, math.inf, -4, 4), (-4, 4, math.nan, 4),
+                   (-4, 4, -4, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Window(*bounds)
+    dump = {"window": [-math.inf, math.inf, -4, 4],
+            "points": [{"re": 0.0, "im": 0.0, "mult": 1}]}
+    with pytest.raises(ValueError, match="finite"):
+        Divisor.from_json(dump)

@@ -269,6 +269,28 @@ class TestExtractPrincipalParts:
         with pytest.raises(OverlappingCircles):
             extract_principal_parts(f, [0j, 0.6 + 0j], radius=0.5)
 
+    def test_overlap_names_the_first_pole_and_its_first_partner(self):
+        # 2000 poles on a unit lattice, read in chunks of rows: pole 1200
+        # overlaps 1900 and, nearer, 1950; a later pair (1250, 1300) does too
+        z = np.arange(2000)
+        poles = [complex(x, y) for x, y in zip(z % 50, z // 50)]
+        poles[1900] = poles[1200] + 0.7
+        poles[1950] = poles[1200] + 0.3j
+        poles[1300] = poles[1250] - 0.5
+        f = SampledFunction(lambda z: 1 / z)
+        with pytest.raises(OverlappingCircles) as err:
+            extract_principal_parts(f, poles, radius=0.4)
+        assert str(err.value) == (f"extraction circles at {poles[1200]} and "
+                                  f"{poles[1900]} overlap")
+
+    def test_repeated_pole_overlaps(self):
+        f = SampledFunction(lambda z: 1 / z)
+        for poles in ([1 + 0j, 1 + 0j], [0j, 5 + 0j, 3j, 5 + 0j]):
+            with pytest.raises(OverlappingCircles) as err:
+                extract_principal_parts(f, poles, radius=0.5)
+            assert str(err.value) == (f"extraction circles at {poles[-1]} "
+                                      f"and {poles[-1]} overlap")
+
     def test_analytic_part_is_ignored(self):
         # the entire summand exp(z) contributes nothing to the coefficients
         f = SampledFunction(lambda z: 1 / (z - 1j) + np.exp(z))

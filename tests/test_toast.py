@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilift import toast as toast_module
-from equilift.core import CompactRegion, Window, q26
+from equilift.core import CompactRegion, Window, hole_witness, q26
 from equilift.divisors import Divisor, generate
 from equilift.errors import (EquiliftError, NonFreeInput, PocketFillExhausted,
                              WindowTooSmall)
@@ -305,6 +305,50 @@ class TestAbsorption:
             0j, 1.0, pool, np.ones(1, dtype=bool))
         assert (absorbed, fills) == ([0], 1)
         assert centers == [0j, 2j, 3.5j]
+
+
+class TestPocketFiller:
+    """The real filler on forged rings of disks around a pocket."""
+
+    # three unit disks on a triangle of side 1.8: each pair crosses, and
+    # the centroid lies 1.8 / sqrt(3) > 1 from every centre
+    TRIANGLE = [0j, 1.8 + 0j, complex(q26(0.9 + 0.9j * math.sqrt(3)))]
+
+    def test_three_ring_pocket_is_closed(self):
+        c, r = np.array(self.TRIANGLE), np.ones(3)
+        assert len(hole_witness(c, r)) == 3
+        m, radius = toast_module._pocket_filler(c, r)
+        assert m == q26(m) and radius < 0.5
+        c, r = np.append(c, m), np.append(r, radius)
+        assert hole_witness(c, r) is None
+        assert toast_module._pocket_filler(c, r) is None
+
+    def test_four_ring_is_split_by_its_shortest_chord(self):
+        # a rhombus: sides cross, the diagonals (2.5 and 2) do not; the
+        # short one, between 1j and -1j, is bridged at its midpoint
+        c = np.array([1.25 + 0j, 1j, -1.25 + 0j, -1j])
+        r = np.full(4, 0.875)
+        assert len(hole_witness(c, r)) == 4
+        m, radius = toast_module._pocket_filler(c, r)
+        assert (m, radius) == (0j, 2 / 2 * 1.05 + 2.0 ** -20)
+        c, r = np.append(c, m), np.append(r, radius)
+        assert hole_witness(c, r) is None
+        assert toast_module._pocket_filler(c, r) is None
+
+    @pytest.mark.parametrize("w", [q26(3.7 - 12.3j), q26(-25.1 + 0.6j)])
+    def test_fills_commute_with_q26_shifts(self, w):
+        def grow(shift):
+            pool = TestAbsorption.pool(
+                *[[c + shift] for c in self.TRIANGLE[1:]])
+            return toast_module._grow(self.TRIANGLE[0] + shift, 1.0, pool,
+                                      np.ones(2, dtype=bool))
+
+        centers, radii, absorbed, fills = grow(0j)
+        assert absorbed == [0, 1] and fills == 1
+        assert hole_witness(np.array(centers), np.array(radii)) is None
+        moved = grow(w)
+        assert moved[0] == [c + w for c in centers]
+        assert moved[1:] == (radii, absorbed, fills)
 
 
 class TestCounts:
