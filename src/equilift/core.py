@@ -102,13 +102,13 @@ class Window:
         dy = margin * self.height
         return Window(self.xmin + dx, self.xmax - dx, self.ymin + dy, self.ymax - dy)
 
-    def contains(self, z, pad=0.0):
+    def contains(self, z):
         x, y = np.real(z), np.imag(z)
         return (
-            (x >= self.xmin - pad)
-            & (x <= self.xmax + pad)
-            & (y >= self.ymin - pad)
-            & (y <= self.ymax + pad)
+            (x >= self.xmin)
+            & (x <= self.xmax)
+            & (y >= self.ymin)
+            & (y <= self.ymax)
         )
 
     def translate(self, w):
@@ -207,7 +207,7 @@ class CompactRegion:
             stack.extend(nxt.tolist())
         return bool(seen.all())
 
-    def contains(self, z, pad=0.0):
+    def contains(self, z):
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
         out = np.zeros(flat.shape, dtype=bool)
@@ -216,7 +216,7 @@ class CompactRegion:
         for i in range(0, len(flat), step):
             blk = flat[i:i + step]
             d = np.abs(blk[:, None] - self.centers[None, :])
-            out[i:i + step] = (d <= self.radii[None, :] + pad).any(axis=1)
+            out[i:i + step] = (d <= self.radii[None, :]).any(axis=1)
         return out.reshape(z.shape) if z.shape else bool(out[0])
 
     def lattice_mask(self, grid):

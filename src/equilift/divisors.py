@@ -279,21 +279,14 @@ def _is_period(d: Divisor, v, inner: Window):
 
 
 def _is_combination(v, gens):
-    """Is v an integer combination of gens (within COMBINATION_TOL)?"""
+    """Is v an integer multiple of the one period found so far (within
+    COMBINATION_TOL)? detect_stabilizer stops at its second period, so
+    gens never holds two when it asks."""
     if not gens:
         return False
-    if len(gens) == 1:
-        g = gens[0]
-        t = (v.real * g.real + v.imag * g.imag) / (abs(g) ** 2)
-        k = round(t)
-        return abs(v - k * g) <= COMBINATION_TOL
-    g1, g2 = gens
-    det = g1.real * g2.imag - g1.imag * g2.real
-    if abs(det) < 1e-15:
-        return _is_combination(v, [g1])
-    s = (v.real * g2.imag - v.imag * g2.real) / det
-    t = (g1.real * v.imag - g1.imag * v.real) / det
-    return abs(v - round(s) * g1 - round(t) * g2) <= COMBINATION_TOL
+    (g,) = gens
+    k = round((v.real * g.real + v.imag * g.imag) / (abs(g) ** 2))
+    return abs(v - k * g) <= COMBINATION_TOL
 
 
 def _canonical_vector(v):

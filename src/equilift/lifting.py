@@ -275,6 +275,7 @@ def _correction_gap(hi, a_hi, lo, a_lo):
 @dataclass(frozen=True)
 class _Kernel:
     config: Callable        # data -> (locations, weights)
+    shift: Callable         # (data, w) -> the data moved by w
     data_key: str           # to_json key of the data
     value: Callable         # (LocalSolution, u) -> correction plus base terms
     product: bool = False   # gauged log form: psi carries its zeros,
@@ -285,14 +286,20 @@ _KERNELS = {
     MULTIPLICATIVE: _Kernel(
         config=lambda d: (np.asarray(d.locs, dtype=complex),
                           np.asarray(d.mults, dtype=float)),
+        shift=lambda d, w: d.translate(w, move_window=True),
         data_key="divisor", value=_product_value, product=True),
     ADDITIVE: _Kernel(
         config=_principal_table,
+        shift=lambda pp, w: PrincipalParts(
+            tuple((p + w, c) for p, c in pp.entries)),
         data_key="principal_parts", value=_principal_value),
     HARMONIC: _Kernel(
         config=lambda mu: (
             np.array([complex(*loc) for loc, _ in mu.atoms], dtype=complex),
             np.array([mass for _, mass in mu.atoms], dtype=float)),
+        shift=lambda mu, w: Potential(
+            tuple(((x + w.real, y + w.imag), mass)
+                  for (x, y), mass in mu.atoms), dim=mu.dim),
         data_key="potential", value=_log_kernel_value),
 }
 
@@ -433,16 +440,6 @@ class EquivarianceReport:
     passed: bool
     refusal: str = ""
     grid_points: int = 0
-
-    def to_json(self):
-        return {
-            "shift": [self.shift.real, self.shift.imag],
-            "deviation": self.deviation,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "refusal": self.refusal,
-            "grid_points": self.grid_points,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -601,63 +598,38 @@ def lift_poisson_2d(mu: Potential, toast, levels) -> LiftingTrace:
     return _lift(HARMONIC, mu, toast, levels, check_membership=False)
 
 
-# the double run of verify_equivariance: toast and lift depth, the relative
-# deviation that passes, and the comparison grid's cells per side
-EQUIVARIANCE_LEVELS = 3
+# the double run of verify_equivariance: the relative deviation that
+# passes, and the comparison grid's cells per side
 EQUIVARIANCE_THRESHOLD = 1e-6
 EQUIVARIANCE_GRID = 12
 
 
-def verify_equivariance(data, w, mode="weierstrass", window=None,
-                        base_trace=None) -> EquivarianceReport:
-    """Run the full pipeline (markers, toast with its default r0 and gamma,
-    lifting without membership) independently on the data and on the data
-    shifted by -w, then compare psi_{data-w}(z) with
-    psi_data(z+w) on a grid over the overlap. Refusals (non-free input) are
-    recorded, not raised. A prebuilt trace for the unshifted data can be
-    passed to avoid rebuilding it."""
+def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
+    """Rebuild `trace` on its data and configuration shifted by -w, with its
+    own mode, toast depth, r0 and gamma and its own lift depth (lifting
+    without membership), then compare psi_{data-w}(z) with psi_data(z+w)
+    on a grid over the overlap of the two windows. A refusal of the
+    shifted build (non-free input) is recorded, not raised."""
+    if trace.toast is None:
+        raise ValueError("an empty trace has no configuration to shift")
     w = complex(q26(w))
-    if mode == "weierstrass":
-        win = data.window
-
-        def run(shift):
-            d = data.translate(-shift, move_window=True) if shift else data
-            toast = build_covariant_toast(d, EQUIVARIANCE_LEVELS)
-            return lift_weierstrass(d, toast, EQUIVARIANCE_LEVELS,
-                                    check_membership=False)
-    elif mode == "poisson":
-        if window is None:
-            raise ValueError("poisson equivariance needs a window")
-        win = window
-        base_atoms = data.atoms
-
-        def run(shift):
-            if shift:
-                mu = Potential(tuple(((loc[0] - shift.real,
-                                       loc[1] - shift.imag), mass)
-                                     for loc, mass in base_atoms), dim=2)
-                cfg_win = win.translate(-shift)
-            else:
-                mu, cfg_win = data, win
-            pts = [(complex(*loc), 1) for loc, _ in mu.atoms]
-            cfg = Divisor.from_points(pts, cfg_win)
-            toast = build_covariant_toast(cfg, EQUIVARIANCE_LEVELS)
-            return lift_poisson_2d(mu, toast, EQUIVARIANCE_LEVELS)
-    else:
-        raise ValueError(f"unknown equivariance mode {mode!r}")
-
+    toast = trace.toast
     try:
-        trace_a = base_trace if base_trace is not None else run(0j)
-        trace_b = run(w)
+        toast_w = build_covariant_toast(
+            toast.divisor.translate(-w, move_window=True), toast.depth,
+            toast.r0, toast.gamma)
     except NonFreeInput as exc:
         return EquivarianceReport(shift=w, deviation=float("nan"),
                                   threshold=EQUIVARIANCE_THRESHOLD,
                                   passed=False, refusal=f"NonFreeInput: {exc}")
+    shifted = _lift(trace.mode, _KERNELS[trace.mode].shift(trace.data, -w),
+                    toast_w, trace.depth, check_membership=False)
+    win = trace.window
     box = Window(win.xmin + max(0.0, -w.real), win.xmax + min(0.0, -w.real),
                  win.ymin + max(0.0, -w.imag), win.ymax + min(0.0, -w.imag))
     grid = box.inner().grid(max(box.width, box.height) / EQUIVARIANCE_GRID)
-    va = np.asarray(trace_a.psi()(grid + w))
-    vb = np.asarray(trace_b.psi()(grid))
+    va = np.asarray(trace.psi()(grid + w))
+    vb = np.asarray(shifted.psi()(grid))
     deviation = float(np.max(np.abs(vb - va) / (1.0 + np.abs(va))))
     return EquivarianceReport(shift=w, deviation=deviation,
                               threshold=EQUIVARIANCE_THRESHOLD,

@@ -222,9 +222,12 @@ def _pocket_filler(rel_centers, radii):
     curvilinear gap between three mutually crossing circles; it lies inside
     the triangle of its pocket-side crossing points, so the circumscribed
     disk of those corners (with margin) covers it while staying at gap
-    scale. A longer ring is split by bridging its shortest chord, which
-    strictly shortens rings, so 3-rings remain. Returns (relative center,
-    radius) or None when the union is already simply connected.
+    scale. A longer ring is split by bridging its shortest chord whose
+    bridging disk is not in the union yet: bridging a chord that an earlier
+    fill already bridged would return that fill again, and hole_witness can
+    name the same ring after a bridge. Returns (relative center, radius),
+    or None when the union is already simply connected; raises
+    PocketFillExhausted when every chord of the ring is bridged.
     """
     cyc = hole_witness(rel_centers, radii)
     if cyc is None:
@@ -243,18 +246,17 @@ def _pocket_filler(rel_centers, radii):
             corners.append(min(pick, key=lambda p: (abs(p - m0), p.real, p.imag)))
         m = q26(complex(np.mean(corners)))
         return m, 1.25 * max(abs(p - m) for p in corners) + 2.0 ** -20
-    best = None
     k = len(cyc)
-    for x in range(k):
-        for y in range(x + 2, k):
-            if x == 0 and y == k - 1:
-                continue  # ring-adjacent pair, not a chord
-            key = (abs(cs[x] - cs[y]), x, y)
-            if best is None or key < best:
-                best = key
-    _, x, y = best
-    m = q26((cs[x] + cs[y]) / 2)
-    return m, abs(cs[x] - cs[y]) / 2 * 1.05 + 2.0 ** -20
+    # x = 0, y = k - 1 is a ring-adjacent pair, not a chord
+    chords = sorted((abs(cs[x] - cs[y]), x, y) for x in range(k)
+                    for y in range(x + 2, k - (x == 0)))
+    present = set(zip(np.asarray(rel_centers, dtype=complex).tolist(),
+                      np.asarray(radii, dtype=float).tolist()))
+    for length, x, y in chords:
+        disk = q26((cs[x] + cs[y]) / 2), length / 2 * 1.05 + 2.0 ** -20
+        if disk not in present:
+            return disk
+    raise PocketFillExhausted(f"every chord of the ring {cyc} is bridged")
 
 
 def _reach(a, region):

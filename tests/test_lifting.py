@@ -669,25 +669,45 @@ class TestKernelEdgeCases:
 
 class TestEquivariance:
     def test_zero_shift_is_exact(self, six_trace):
-        report = verify_equivariance(six_point_divisor(), 0j,
-                                     base_trace=six_trace)
+        report = verify_equivariance(six_trace, 0j)
         assert report.passed
         assert report.deviation == 0.0
 
     def test_generic_shift(self, poisson_trace):
-        trace, d = poisson_trace
-        report = verify_equivariance(d, SHIFT, base_trace=trace)
+        trace, _ = poisson_trace
+        report = verify_equivariance(trace, SHIFT)
         assert report.passed, report.deviation
         assert report.deviation < 1e-6
         assert report.grid_points > 0
         assert report.refusal == ""
 
-    def test_periodic_input_recorded_as_refusal(self):
-        d = generate("periodic-lattice", WIN8, spacing=2.0)
-        report = verify_equivariance(d, SHIFT)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("r0, gamma, N", [(0.75, 4.0, 3), (1.0, 4.0, 3),
+                                              (1.5, 4.0, 3), (1.0, 3.0, 2)])
+    @pytest.mark.parametrize("data", ["poisson-48", "six-point"])
+    def test_shifted_run_uses_the_trace_parameters(self, mode, r0, gamma, N,
+                                                   data):
+        # the shifted side is built at the trace's own toast parameters and
+        # depths, so the two runs agree bit for bit
+        d = (generate("poisson", WIN8, seed=3, intensity=0.2)
+             if data == "poisson-48" else six_point_divisor())
+        toast = build_covariant_toast(d, N=N, r0=r0, gamma=gamma)
+        report = verify_equivariance(lift_mode(mode, d, toast, N), SHIFT)
+        assert report.passed and report.deviation == 0.0
+
+    def test_refused_shifted_build_is_recorded(self, six_trace, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise NonFreeInput("divisor has a singly-periodic stabilizer")
+        monkeypatch.setattr(lifting, "build_covariant_toast", refuse)
+        report = verify_equivariance(six_trace, SHIFT)
         assert not report.passed
         assert math.isnan(report.deviation)
         assert report.refusal.startswith("NonFreeInput")
+
+    def test_empty_trace_is_rejected(self):
+        trace = lift_mittag_leffler(PrincipalParts(()), None, 3)
+        with pytest.raises(ValueError):
+            verify_equivariance(trace, SHIFT)
 
     def test_zero_set_shifts_with_the_data(self, six_trace):
         # multiplicity-exact: the shifted build puts its zeros at z - w,
@@ -702,10 +722,6 @@ class TestEquivariance:
             psi, [Circle(complex(q26(3.0 - 2.0j - SHIFT)), 0.3)])
         assert k == 2
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            verify_equivariance(six_point_divisor(), SHIFT, mode="borel")
-
 
 def small_inputs():
     # about 39 Poisson points or 36 jittered-lattice points, a lift mode,
@@ -714,7 +730,7 @@ def small_inputs():
                              ("jittered-lattice", Window(0, 6, 0, 6))])
     coords = st.floats(-2, 2, allow_nan=False)
     return st.tuples(kinds, st.integers(0, 2 ** 31 - 1),
-                     st.sampled_from(["weierstrass", "poisson"]),
+                     st.sampled_from(MODES),
                      st.builds(lambda x, y: complex(q26(complex(x, y))),
                                coords, coords))
 
@@ -724,13 +740,11 @@ def small_inputs():
 def test_lift_commutes_with_q26_shifts(case):
     (kind, win), seed, mode, w = case
     d = generate(kind, win, seed=seed, intensity=0.2)
-    if mode == "weierstrass":
-        report = verify_equivariance(d, w)
-    else:
-        mu = Potential(tuple(((p.real, p.imag), float(m))
-                             for p, m in zip(d.locs.tolist(), d.mults.tolist())),
-                       dim=2)
-        report = verify_equivariance(mu, w, mode="poisson", window=win)
+    try:
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+    except NonFreeInput:
+        return  # the input is refused before any shift
+    report = verify_equivariance(lift_mode(mode, d, toast, N=3), w)
     if report.refusal:
         assert report.refusal.startswith("NonFreeInput")
         assert not report.passed
@@ -798,6 +812,15 @@ class TestMittagLeffler:
             for c in trace.levels[n].certificates:
                 assert c["value"] < 2.0 ** (-n)
 
+    def test_two_pole_equivariance(self):
+        pp = PrincipalParts(((-1 + 0j, (1 + 0j,)),
+                             (1 + 0j, (2 + 0j, 0.5 + 0j))))
+        cfg = Divisor.from_points([(-1 + 0j, 1), (1 + 0j, 1)], WIN8)
+        toast = build_covariant_toast(cfg, N=3, r0=1.0, gamma=4.0)
+        report = verify_equivariance(lift_mittag_leffler(pp, toast, 3), SHIFT)
+        assert report.passed, report.deviation
+        assert report.deviation == 0.0
+
     def test_empty_prescription_is_zero(self):
         trace = lift_mittag_leffler(PrincipalParts(()), None, 3)
         assert trace.depth == -1 or trace.depth == 0 or not trace.levels
@@ -826,7 +849,8 @@ class TestPoisson2d:
 
     def test_two_atom_equivariance(self):
         mu = Potential((((0.5, 0.5), 1.0), ((2.25, -0.75), 1.5)), dim=2)
-        report = verify_equivariance(mu, SHIFT, mode="poisson", window=WIN8)
+        trace = lift_poisson_2d(mu, potential_toast(mu), 3)
+        report = verify_equivariance(trace, SHIFT)
         assert report.passed, report.deviation
         assert report.deviation < 1e-6
 

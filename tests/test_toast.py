@@ -335,6 +335,37 @@ class TestPocketFiller:
         assert hole_witness(c, r) is None
         assert toast_module._pocket_filler(c, r) is None
 
+    # six disks whose 5-ring hole_witness names again after its shortest
+    # chord, between 1.5j and 1.375 - 1j, is bridged
+    RING = [1.25 + 0.75j, 0.125 + 2j, 1.5j, -1.875 - 0.75j, 0.375 - 2.5j,
+            1.375 - 1j]
+    RING_RADII = [1, 0.875, 1.5, 1.75, 1.375, 1.125]
+
+    @pytest.mark.parametrize("w", [0j, q26(3.7 - 12.3j)])
+    def test_a_ring_named_again_is_split_at_its_next_chord(self, w):
+        c, r = np.array(self.RING) + w, np.array(self.RING_RADII, dtype=float)
+        pool = toast_module._Pool.of(
+            (ci, CompactRegion([ci], [ri])) for ci, ri in zip(c[1:], r[1:]))
+        centers, radii, absorbed, fills = toast_module._grow(
+            complex(c[0]), float(r[0]), pool, np.ones(5, dtype=bool))
+        assert absorbed == [0, 1, 2, 3, 4] and fills == 2
+        assert hole_witness(np.array(centers), np.array(radii)) is None
+        # the second fill is a new disk, not the first one again
+        assert (centers[-1], radii[-1]) != (centers[-2], radii[-2])
+        assert centers[-2:] == [w + 0.6875 + 0.25j, w - 0.25 - 0.875j]
+
+    def test_a_ring_with_every_chord_bridged_is_refused(self, monkeypatch):
+        # a rhombus whose two chords already carry their bridging disks,
+        # with hole_witness forced to name the ring again
+        c = np.array([1.25 + 0j, 1j, -1.25 + 0j, -1j, 0j, 0j])
+        r = np.array([0.875] * 4 + [1.05 + 2.0 ** -20,
+                                    1.25 * 1.05 + 2.0 ** -20])
+        monkeypatch.setattr(toast_module, "hole_witness",
+                            lambda centers, radii: (0, 1, 2, 3))
+        assert toast_module._pocket_filler(c[:5], r[:5]) == (0j, r[5])
+        with pytest.raises(PocketFillExhausted):
+            toast_module._pocket_filler(c, r)
+
     @pytest.mark.parametrize("w", [q26(3.7 - 12.3j), q26(-25.1 + 0.6j)])
     def test_fills_commute_with_q26_shifts(self, w):
         def grow(shift):
