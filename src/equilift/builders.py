@@ -39,7 +39,7 @@ from .errors import EvaluationOnAtom
 
 @dataclass(frozen=True)
 class EntireApprox:
-    """z^{m_0} * prod (1 - z/a)^{m_a} * exp(gauge(z)) with declared zeros."""
+    """z^{m_0} * prod (1 - z/a)^{m_a} * exp(gauge(z))."""
 
     locs: np.ndarray
     mults: np.ndarray
@@ -65,10 +65,6 @@ class EntireApprox:
     def dlog(self, z):
         return self.gauge.derivative()(z) + cauchy_sum(
             z, self.locs, self.mults)
-
-    @property
-    def zeros(self):
-        return tuple(self.locs.tolist())
 
     def divisor(self):
         return Divisor(self.locs, self.mults, self.window)
@@ -105,19 +101,21 @@ CONTOUR_NODES = 512
 POSITION_TOL = 1e-8
 
 
-def verify_divisor_match(f, d: Divisor, check_total=True) -> dict:
-    """Argument-principle check that f's zero set on the window is exactly d.
+def verify_divisor_match(f, d: Divisor, window=None) -> dict:
+    """Argument-principle check that f's zeros are the points of d.
 
-    f needs `dlog` and `zeros` (an `EntireApprox`, or a `SampledFunction`
-    with both). Per point: the winding count on a separating circle, of
-    radius min(0.25, 0.45 x the gap to the nearest other declared zero),
-    equals the multiplicity. The gaps come from `core.nearest_gaps`, and
-    every circle is counted in one `count_zeros` call, one row of its dlog
-    batch per circle. Every point whose count matches is then refined, all
-    at once, by one `refine_zero` call, and its root must stay within
-    POSITION_TOL of the prescribed location. With check_total, a global
-    circle enclosing every point catches stray extra zeros (disable when d
-    was restricted to a subwindow and f keeps zeros outside it).
+    d is f's whole prescribed divisor, and f needs only `dlog`. The points
+    checked are d's points inside `window`, or all of them when window is
+    None. Per checked point: the winding count on a separating circle
+    equals the multiplicity. The circle's radius is min(0.25, 0.45 x the
+    gap to the nearest other point of d), so every circle clears every
+    point of d, those outside the window included. The gaps come from
+    `core.nearest_gaps`, and every circle is counted in one `count_zeros`
+    call, one row of its dlog batch per circle. Every point whose count
+    matches is then refined, all at once, by one `refine_zero` call, and
+    its root must stay within POSITION_TOL of the prescribed location.
+    With no window, d claims to be f's whole zero set, and one circle
+    enclosing every point catches stray extra zeros.
 
     The report holds `matched`, the `mismatches` (count failures first,
     then position failures, then the total), the largest root offset
@@ -128,10 +126,9 @@ def verify_divisor_match(f, d: Divisor, check_total=True) -> dict:
     mismatches = []
     max_pos = 0.0
     max_steps = 0
-    locs, mults = d.locs, d.mults
-    # separating circles must clear every zero of f, including zeros outside
-    # the verified subset (d may be a window restriction of f's divisor)
-    radii = np.minimum(0.25, 0.45 * nearest_gaps(locs, f.zeros or locs))
+    keep = slice(None) if window is None else window.contains(d.locs)
+    locs, mults = d.locs[keep], d.mults[keep]
+    radii = np.minimum(0.25, 0.45 * nearest_gaps(locs, d.locs))
     counts, residuals = count_zeros(
         f, [Circle(p, r) for p, r in zip(locs.tolist(), radii.tolist())],
         nodes=CONTOUR_NODES)
@@ -157,7 +154,7 @@ def verify_divisor_match(f, d: Divisor, check_total=True) -> dict:
         mismatches += [{"point": q, "position_error": e}
                        for q, e in zip(p.tolist(), err.tolist())
                        if e > POSITION_TOL]
-    if check_total and len(locs):
+    if window is None and len(locs):
         center = complex(np.mean(locs))
         span = float(np.max(np.abs(locs - center))) + 1.0
         (total,), _ = count_zeros(f, [Circle(center, span)], nodes=2048)

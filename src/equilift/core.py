@@ -49,12 +49,10 @@ def q26(z):
 
 
 def q26_trunc(z):
-    """Quantize toward zero: |q26_trunc(z)| <= |z| componentwise, so circle
-    offsets stay inside the closed disk they were drawn from."""
-    z = np.asarray(z)
-    if np.iscomplexobj(z):
-        return (np.trunc(z.real * _Q) + 1j * np.trunc(z.imag * _Q)) / _Q
-    return np.trunc(z * _Q) / _Q
+    """Quantize a complex array toward zero: |q26_trunc(z)| <= |z|
+    componentwise, so circle offsets stay inside the closed disk they were
+    drawn from."""
+    return (np.trunc(z.real * _Q) + 1j * np.trunc(z.imag * _Q)) / _Q
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +81,6 @@ class Window:
     @property
     def height(self):
         return self.ymax - self.ymin
-
-    @property
-    def center(self):
-        return complex((self.xmin + self.xmax) / 2, (self.ymin + self.ymax) / 2)
 
     @property
     def diameter(self):
@@ -150,10 +144,11 @@ class CompactRegion:
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if centers.shape != radii.shape or centers.ndim != 1 or len(centers) == 0:
             raise ValueError("centers and radii must be matching nonempty 1d arrays")
-        if np.any(radii <= 0):
-            raise ValueError("radii must be positive")
         self.centers = q26(centers)
         self.radii = q26(radii)
+        # after quantizing: a radius below 2**-27 rounds to 0
+        if np.any(self.radii <= 0):
+            raise ValueError("radii must be positive")
         self.centers.setflags(write=False)
         self.radii.setflags(write=False)
         if check_connected and not self._graph_connected():
@@ -505,7 +500,7 @@ def _circle_covered(c, r, centers, radii):
     with np.errstate(invalid="ignore", divide="ignore"):
         t = (d ** 2 + r ** 2 - radii ** 2) / (2 * d * r)
     for k in range(len(centers)):
-        if radii[k] <= 0 or d[k] > r + radii[k]:
+        if d[k] > r + radii[k]:
             continue
         tk = t[k]
         if tk >= 1.0:
@@ -536,17 +531,12 @@ def _circle_covered(c, r, centers, radii):
 
 @dataclass
 class SampledFunction:
-    """A function on the plane: vectorized evaluator plus declared data.
-
-    ``zeros``: declared zero locations (membership keeps its separating
-    circles clear of them).
-    Optional closures: ``dlog`` (f'/f, all that zero counting and
-    refinement read), ``log_eval`` (a value L with exp(L) = f, stable where
-    |f| overflows).
+    """A function on the plane: vectorized evaluator plus optional
+    closures: ``dlog`` (f'/f, all that zero counting and refinement read),
+    ``log_eval`` (a value L with exp(L) = f, stable where |f| overflows).
     """
 
     evaluator: Callable
-    zeros: tuple = ()
     dlog: Optional[Callable] = None
     log_eval: Optional[Callable] = None
 
@@ -871,12 +861,7 @@ def refine_zero(f, guesses, multiplicities):
         if np.any(g == 0):
             raise NoConvergence("zero logarithmic derivative")
         moving, g = moving[np.isfinite(g)], g[np.isfinite(g)]
-        # divided as Python divides complex scalars, so every iterate is
-        # rounded as a one-guess Newton step rounds it (numpy's complex
-        # division multiplies by a reciprocal and rounds differently)
-        step = np.array([-mk / gk for mk, gk in zip(m[moving].tolist(),
-                                                     g.tolist())],
-                        dtype=complex)
+        step = -m[moving] / g
         z[moving] += step
         steps[moving] += 1
         done = (steps[moving] >= 2) & (

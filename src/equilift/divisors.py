@@ -34,9 +34,16 @@ class Divisor:
 
     def __post_init__(self):
         locs = np.atleast_1d(np.asarray(self.locs, dtype=complex))
-        mults = np.atleast_1d(np.asarray(self.mults, dtype=int)).copy()
-        if locs.shape != mults.shape:
+        raw = np.atleast_1d(np.asarray(self.mults))
+        if locs.shape != raw.shape:
             raise ValueError("locs and mults must have matching shapes")
+        # integral floats such as 2.0 pass; 1.5 is refused, not truncated,
+        # and so is 1e300, which no int64 holds
+        if raw.dtype.kind not in "biuf" or not (
+                (np.abs(raw) < 2.0 ** 63).all()
+                and (raw == np.round(raw)).all()):
+            raise ValueError("multiplicities must be integers")
+        mults = raw.astype(int)
         if not np.isfinite(locs).all():
             raise ValueError("divisor locations must be finite")
         locs = q26(locs)
@@ -61,10 +68,6 @@ class Divisor:
         win = self.window.translate(w) if move_window else self.window
         return Divisor(self.locs + complex(w), self.mults, win)
 
-    def restrict(self, window: Window):
-        keep = window.contains(self.locs)
-        return Divisor(self.locs[keep], self.mults[keep], window)
-
     def is_nonnegative(self):
         return len(self) == 0 or bool(np.all(self.mults > 0))
 
@@ -81,9 +84,8 @@ class Divisor:
     def from_json(d):
         pts = d.get("points", [])
         locs = [complex(p["re"], p["im"]) for p in pts]
-        mults = [int(p["mult"]) for p in pts]
-        return Divisor(np.array(locs, dtype=complex),
-                       np.array(mults, dtype=int),
+        mults = [p["mult"] for p in pts]
+        return Divisor(np.array(locs, dtype=complex), np.array(mults),
                        Window.from_list(d["window"]))
 
     @staticmethod
@@ -93,8 +95,8 @@ class Divisor:
             locs, mults = zip(*points)
         else:
             locs, mults = [], []
-        return Divisor(np.array(locs, dtype=complex),
-                       np.array(mults, dtype=int), window)
+        return Divisor(np.array(locs, dtype=complex), np.array(mults),
+                       window)
 
 
 @dataclass(frozen=True)
@@ -165,11 +167,16 @@ def _dyadic_valuation(n):
     return v
 
 
-def generate(kind, window: Window, seed=0, intensity=1.0, spacing=1.0,
-             jitter=0.25) -> Divisor:
+# largest offset of a jittered-lattice point from its cell centre, per axis,
+# in units of the spacing
+JITTER = 0.25
+
+
+def generate(kind, window: Window, seed=0, intensity=1.0,
+             spacing=1.0) -> Divisor:
     """Deterministic divisor generators.
 
-    kinds: poisson (unit-cell counter streams), jittered-lattice,
+    kinds: poisson (unit-cell counter streams), jittered-lattice (JITTER),
     almost-periodic (the dyadic-offset configuration
     g(m+in) = m + in + 1/2 - 2**(-alpha(m,n)-1), alpha = dyadic valuation of
     gcd(m, n)), periodic-lattice (half-open spacing grid).
@@ -201,8 +208,8 @@ def generate(kind, window: Window, seed=0, intensity=1.0, spacing=1.0,
             for j in range(j0, j1 + 1):
                 rng = _cell_rng(seed, i, j)
                 u, v = rng.random(2)
-                z = q26(complex((i + 0.5) * spacing + jitter * spacing * (2 * u - 1),
-                                (j + 0.5) * spacing + jitter * spacing * (2 * v - 1)))
+                z = q26(complex((i + 0.5) * spacing + JITTER * spacing * (2 * u - 1),
+                                (j + 0.5) * spacing + JITTER * spacing * (2 * v - 1)))
                 if window.contains(z):
                     pts.append((z, 1))
     elif kind == "almost-periodic":
@@ -242,15 +249,17 @@ def generate(kind, window: Window, seed=0, intensity=1.0, spacing=1.0,
 # the comparison window, multiplicities included: no tolerance enters.
 
 COMBINATION_TOL = 1e-9  # float residual of the integer-combination test
+CANDIDATE_POINTS = 50   # points whose differences are candidate periods
 
 
-def _candidate_vectors(locs, limit=50):
-    """Difference vectors among the points nearest the configuration's own
-    centroid (a covariant stand-in for 'nearest the origin')."""
-    if len(locs) > limit:
+def _candidate_vectors(locs):
+    """Difference vectors among the CANDIDATE_POINTS points nearest the
+    configuration's own centroid (a covariant stand-in for 'nearest the
+    origin')."""
+    if len(locs) > CANDIDATE_POINTS:
         centroid = complex(np.mean(locs))
         order = np.argsort(np.abs(locs - centroid), kind="stable")
-        locs = locs[order[:limit]]
+        locs = locs[order[:CANDIDATE_POINTS]]
     diff = (locs[:, None] - locs[None, :]).ravel()
     uniq = np.unique(diff[np.abs(diff) > 0])
     return sorted(uniq.tolist(), key=lambda v: (abs(v), math.atan2(v.imag, v.real)))

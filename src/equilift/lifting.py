@@ -63,22 +63,25 @@ and argument apart, and the additive kernel takes one reciprocal per pole
 and point and runs Horner over the orders (`LocalSolution` has the
 formulas).
 
-Membership (`verify_membership`) counts zeros with 512 contour nodes per
-separating circle. Each circle's radius is at most 0.45 of the gap to the
-nearest declared zero, so the trapezoid error from declared zeros decays
-like 0.45^nodes and far fewer nodes would resolve them. That bound says
-nothing about a zero the lift did not declare: one sitting close to a
+Membership (`verify_membership`) hands `verify_divisor_match` the whole
+divisor and the inner window: the data points in that window are
+checked, and every separating circle clears every data point, those
+outside the window included. It counts zeros with 512 contour nodes per
+circle. Each circle's radius is at most 0.45 of the gap to the nearest
+data point, so the trapezoid error from the prescribed zeros decays like
+0.45^nodes and far fewer nodes would resolve them. That bound says
+nothing about a zero the lift did not prescribe: one sitting close to a
 contour is resolved only at full resolution, so the node count stays 512
-until a bound covers undeclared zeros too. What the nodes cost is the sum
-over zeros in dlog psi. Every circle is counted in one `count_zeros` call,
-which evaluates dlog on a (circles x nodes) array in chunks of rows, and
-`core.cauchy_sum` sums each row on its own: the zeros near that
-circle one by one, and the zeros beyond 8 times its radius as one Taylor
-series about its centre, whose truncation error is at most 2^-53 relative
-to the size of their terms. The roots are then refined together: each
-Newton step evaluates dlog once, on one array holding the iterate of every
-point still moving, and each iterate follows the same sequence it would
-alone.
+until a bound covers unprescribed zeros too. What the nodes cost is the
+sum over zeros in dlog psi. Every circle is counted in one `count_zeros`
+call, which evaluates dlog on a (circles x nodes) array in chunks of
+rows, and `core.cauchy_sum` sums each row on its own: the zeros near
+that circle one by one, and the zeros beyond 8 times its radius as one
+Taylor series about its centre, whose truncation error is at most 2^-53
+relative to the size of their terms. The roots are then refined
+together: each Newton step evaluates dlog once, on one array holding the
+iterate of every point still moving, and each iterate follows the same
+sequence it would alone.
 """
 
 from __future__ import annotations
@@ -278,8 +281,8 @@ class _Kernel:
     shift: Callable         # (data, w) -> the data moved by w
     data_key: str           # to_json key of the data
     value: Callable         # (LocalSolution, u) -> correction plus base terms
-    product: bool = False   # gauged log form: psi carries its zeros,
-                            # log_eval and dlog
+    product: bool = False   # gauged log form: psi carries log_eval and
+                            # dlog
 
 
 _KERNELS = {
@@ -367,18 +370,14 @@ class LiftingTrace:
             return SampledFunction(
                 evaluator=lambda z: np.zeros(np.shape(z), dtype=complex))
         m, anchor, sol = self.solution(n)
-        kernel = _KERNELS[self.mode]
-        zeros, dlog, log_eval = (), None, None
-        if kernel.product:
-            # membership keeps its separating circles clear of these, the
-            # zeros outside its inner window included
-            zeros = tuple(self.data.locs.tolist())
+        dlog, log_eval = None, None
+        if _KERNELS[self.mode].product:
             dlog = lambda z: sol.dlog(np.asarray(z, dtype=complex) - anchor)
             log_eval = lambda z: sol.log_value(
                 np.asarray(z, dtype=complex) - anchor)
         return SampledFunction(
             evaluator=lambda z: sol.value(np.asarray(z, dtype=complex) - anchor),
-            zeros=zeros, dlog=dlog, log_eval=log_eval)
+            dlog=dlog, log_eval=log_eval)
 
     def rate(self, n, K: CompactRegion, density=64) -> float:
         """r_n(K): sup over K of the step from psi_{n-1} to psi_n, read on
@@ -390,11 +389,12 @@ class LiftingTrace:
 
     def verify_membership(self, n=None):
         """Divisor of psi_n against the data on the inner window (argument
-        principle plus root refinement); multiplicative traces only."""
+        principle plus root refinement, with circles clear of every data
+        point); multiplicative traces only."""
         if self.mode != MULTIPLICATIVE:
             raise ValueError("membership checks apply to zero prescriptions")
-        inner = self.data.restrict(self.window.inner())
-        return verify_divisor_match(self.psi(n), inner, check_total=False)
+        return verify_divisor_match(self.psi(n), self.data,
+                                    self.window.inner())
 
     def to_json(self):
         data = {_KERNELS[self.mode].data_key: self.data.to_json()}

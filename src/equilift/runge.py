@@ -74,7 +74,6 @@ class RungeCertificate:
     where exp(poly) approximates exp(datum) in modulus, and harmonic)."""
 
     problem: RungeProblem
-    mode: str
     degree: int
     poly: ComplexPoly
     error: float
@@ -171,8 +170,8 @@ def solve(problem: RungeProblem) -> RungeCertificate:
         poly, error = fit(deg)
         best = min(best, error)
         if error < problem.epsilon:
-            return RungeCertificate(problem=problem, mode=problem.mode,
-                                    degree=deg, poly=poly, error=error)
+            return RungeCertificate(problem=problem, degree=deg, poly=poly,
+                                    error=error)
     raise DegreeCapExceeded(
         f"degree cap {DEFAULT_CAP} reached with error {best:.3e} "
         f"(epsilon {problem.epsilon:.3e})",

@@ -134,17 +134,26 @@ class TestMembershipMismatches:
             in report["mismatches"]
 
     def test_position_mismatch_is_reported(self):
-        # the zero sits 2^-20 from the declared and prescribed point 0:
+        # the zero sits 2^-20 from the prescribed point 0:
         # the count matches, the refined root does not
-        g = weierstrass(D([(2.0 ** -20, 1), (2 + 0j, 1)]))
-        f = SampledFunction(evaluator=g, zeros=(0j, 2 + 0j), dlog=g.dlog,
-                            log_eval=g.log_eval)
+        f = weierstrass(D([(2.0 ** -20, 1), (2 + 0j, 1)]))
         report = verify_divisor_match(f, D([(0j, 1), (2 + 0j, 1)]))
         assert not report["matched"]
         (entry,) = report["mismatches"]
         assert entry["point"] == 0j
         assert abs(entry["position_error"] - 2.0 ** -20) < 1e-15
         assert report["max_position_error"] == entry["position_error"]
+
+    def test_total_circle_catches_an_unprescribed_zero(self):
+        # f has a zero at 2.5 that d does not prescribe: every per-point
+        # circle clears it, so only the enclosing circle, which runs when
+        # no window is given, sees it
+        f = weierstrass(D([(0j, 1), (2 + 0j, 1), (2.5 + 0j, 1)]))
+        d = D([(0j, 1), (2 + 0j, 1)])
+        report = verify_divisor_match(f, d)
+        assert report["mismatches"] == [{"total_expected": 2,
+                                         "total_counted": 3}]
+        assert verify_divisor_match(f, d, Window(-1, 2.25, -1, 1))["matched"]
 
 
 class TestMittagLeffler:

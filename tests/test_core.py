@@ -695,6 +695,13 @@ def test_region_requires_connected_union():
         CompactRegion([0j, 5 + 0j], [1.0, 1.0])
 
 
+def test_region_refuses_a_radius_that_quantizes_to_zero():
+    # 1e-9 is positive but below half the 2**-26 step: stored, it would be
+    # a disk of radius 0
+    with pytest.raises(ValueError, match="positive"):
+        CompactRegion([0j, 0.5], [1e-9, 1.0])
+
+
 def test_contains_and_samples():
     K = CompactRegion([0j, 1.5 + 0j], [1.0, 1.0])
     s = K.boundary_samples(density=48)

@@ -36,6 +36,24 @@ class TestDivisor:
         with pytest.raises(ValueError):
             Divisor(np.array([0j]), np.array([0]), WIN8)
 
+    def test_rejects_non_integer_multiplicities(self):
+        # cast to int, [1.5, 2.7] would silently hold [1, 2]
+        for mults in ([1.5, 2.7], [1.0, 1e300], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="integers"):
+                Divisor(np.array([0j, 1j]), np.array(mults), WIN8)
+        with pytest.raises(ValueError, match="integers"):
+            Divisor.from_points([(0j, 1.5), (1j, 2.7)], WIN8)
+        d = Divisor(np.array([0j, 1j]), np.array([1.0, 2.0]), WIN8)
+        assert d.mults.tolist() == [1, 2]
+
+    def test_from_json_rejects_non_integer_multiplicities(self):
+        dump = {"window": [-8, 8, -8, 8],
+                "points": [{"re": 0.0, "im": 0.0, "mult": 1.9}]}
+        with pytest.raises(ValueError, match="integers"):
+            Divisor.from_json(dump)
+        dump["points"][0]["mult"] = 2.0
+        assert Divisor.from_json(dump).mults.tolist() == [2]
+
     def test_rejects_duplicate_locations(self):
         with pytest.raises(ValueError):
             Divisor(np.array([1j, 1j]), np.array([1, 1]), WIN8)
@@ -140,7 +158,7 @@ class TestGenerate:
 
     def test_jittered_lattice_stays_near_cells(self):
         d = generate("jittered-lattice", Window(0, 4, 0, 4), seed=5,
-                     spacing=1.0, jitter=0.25)
+                     spacing=1.0)
         assert len(d) >= 9
         for z in d.locs:
             i, j = math.floor(z.real), math.floor(z.imag)

@@ -129,18 +129,17 @@ class TestDivisorRecovery:
         assert isinstance(steps, int) and 1 <= steps <= 8
 
     def test_membership_clears_zeros_outside_the_inner_window(self):
-        # membership checks the inner window's zeros only, but psi declares
-        # all of its zeros: the separating circle about the zero just inside
-        # the inner edge must shrink away from the zero 0.2 beyond it, or it
-        # counts 2 where 1 is expected
+        # membership checks the inner window's zeros only, but its circles
+        # clear every data point: the separating circle about the zero just
+        # inside the inner edge must shrink away from the zero 0.2 beyond
+        # it, or it counts 2 where 1 is expected
         inner = WIN8.inner(0.15)
         locs = [0.5 + 0.5j, -2.25 + 1.5j, 3.0 - 2.0j, -4.5 - 3.25j,
                 1.75 + 4.0j, complex(inner.xmax - 0.05, 0.37),
                 complex(inner.xmax + 0.15, 0.37)]
         d = Divisor(np.array(locs), np.ones(len(locs), dtype=int), WIN8)
-        assert len(d.restrict(inner)) == 6
+        assert np.count_nonzero(inner.contains(d.locs)) == 6
         trace = lift(d)
-        assert trace.psi().zeros == tuple(d.locs.tolist())
         report = trace.verify_membership()
         assert report["matched"], report["mismatches"]
 
@@ -163,12 +162,12 @@ class TestDivisorRecovery:
                     lambda row: 1 / (row - b), u, sol.weights)
 
         # separating circles have radius at most 0.25: each one has far zeros
-        inner = d.restrict(d.window.inner(0.15))
-        reach = np.abs(sol.offsets[:, None] - (inner.locs - anchor))
+        inner = d.window.inner(0.15)
+        checked = d.locs[inner.contains(d.locs)]
+        reach = np.abs(sol.offsets[:, None] - (checked - anchor))
         assert np.all(np.sum(reach > FAR_RATIO * 0.25, axis=0) > 100)
         got = trace.verify_membership()
-        want = verify_divisor_match(replace(psi, dlog=direct_dlog), inner,
-                                    check_total=False)
+        want = verify_divisor_match(replace(psi, dlog=direct_dlog), d, inner)
         assert got["matched"] and want["matched"]
         for key in ("mismatches", "max_position_error", "max_newton_steps"):
             assert got[key] == want[key], key

@@ -196,12 +196,12 @@ class TestHarmonic:
 class TestDispatch:
     def test_solve_routes_by_mode(self):
         prob = RungeProblem(DISK, np.exp, epsilon=1e-6)
-        assert solve(prob).mode == "additive"
+        assert solve(prob).problem.mode == "additive"
         probm = RungeProblem(DISK, lambda z: z, epsilon=1e-6,
                              mode="multiplicative")
-        assert solve(probm).mode == "multiplicative"
+        assert solve(probm).problem.mode == "multiplicative"
         probh = RungeProblem(DISK, np.real, epsilon=1e-6, mode="harmonic")
-        assert solve(probh).mode == "harmonic"
+        assert solve(probh).problem.mode == "harmonic"
 
 
 # ---------------------------------------------------------------------------
