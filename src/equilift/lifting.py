@@ -29,12 +29,12 @@ r_n(K) compares two closed-form solutions and membership of the divisor
 holds analytically at every level, not only in the limit. Shared base data
 cancel exactly between the two, so the step is the gap P_n - P_{n-1} of two
 correction polynomials, and r_n(K) is the sup of |gap| (|Re gap| in the
-multiplicative and harmonic modes; `runge.MODES` names the part) over K.
+multiplicative and harmonic modes; `_Kernel.part` names the part) over K.
 That sup sits on K's boundary by the maximum principle, so rates sample
 boundaries only. The same cancellation makes the patching datum a gap of
-corrections in every mode: in the product mode it is the logarithm of the
-ratio of two solutions, which the fit takes as complex values and measures
-on its real part, the log-modulus.
+corrections in every mode, and the fit is handed the part the rates
+measure: in the product mode the log of the ratio of two solutions, whose
+real part (the log-modulus) gets `runge`'s real-part fit.
 
 A rate certificate is `certified` when the step was patched (or is
 stagnant) and K lies inside the level-(n-1) chain region: the fit controlled
@@ -99,7 +99,7 @@ from .core import (Circle, CompactRegion, ComplexPoly, SampledFunction,
                    log_modulus_arg, q26)
 from .divisors import Divisor, PrincipalParts
 from .errors import DegreeCapExceeded, DivisorMismatch, NonFreeInput, RungeFailure
-from .toast import ToastForest, build_covariant_toast
+from .toast import ToastForest, as_depth, build_covariant_toast
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -281,8 +281,9 @@ class _Kernel:
     shift: Callable         # (data, w) -> the data moved by w
     data_key: str           # to_json key of the data
     value: Callable         # (LocalSolution, u) -> correction plus base terms
+    part: Callable          # gap values -> the part fits and rates measure
     product: bool = False   # gauged log form: psi carries log_eval and
-                            # dlog
+                            # dlog, and comparisons read log_eval
 
 
 _KERNELS = {
@@ -290,12 +291,14 @@ _KERNELS = {
         config=lambda d: (np.asarray(d.locs, dtype=complex),
                           np.asarray(d.mults, dtype=float)),
         shift=lambda d, w: d.translate(w, move_window=True),
-        data_key="divisor", value=_product_value, product=True),
+        data_key="divisor", value=_product_value, part=np.real,
+        product=True),
     ADDITIVE: _Kernel(
         config=_principal_table,
         shift=lambda pp, w: PrincipalParts(
             tuple((p + w, c) for p, c in pp.entries)),
-        data_key="principal_parts", value=_principal_value),
+        data_key="principal_parts", value=_principal_value,
+        part=lambda v: v),
     HARMONIC: _Kernel(
         config=lambda mu: (
             np.array([complex(*loc) for loc, _ in mu.atoms], dtype=complex),
@@ -303,7 +306,7 @@ _KERNELS = {
         shift=lambda mu, w: Potential(
             tuple(((x + w.real, y + w.imag), mass)
                   for (x, y), mass in mu.atoms), dim=mu.dim),
-        data_key="potential", value=_log_kernel_value),
+        data_key="potential", value=_log_kernel_value, part=np.real),
 }
 
 
@@ -325,7 +328,7 @@ def _gap_sup(mode, gap, K, density=64):
     sits on K's boundary; a stagnant chain (no gap) gives 0."""
     if gap is None:
         return 0.0
-    part = runge.MODES[mode].part
+    part = _KERNELS[mode].part
     return float(np.max(np.abs(part(gap(K.boundary_samples(density))))))
 
 
@@ -365,7 +368,9 @@ class LiftingTrace:
         return m, anchor, self.levels[m].solutions[anchor]
 
     def psi(self, n=None) -> SampledFunction:
-        """The stage-n solution as one global function on the window."""
+        """The stage-n solution as one global function on the window. Its
+        product-mode values overflow away from the fitted regions, so
+        product-mode comparisons (`verify_equivariance`) read `log_eval`."""
         if not self.levels:
             return SampledFunction(
                 evaluator=lambda z: np.zeros(np.shape(z), dtype=complex))
@@ -461,11 +466,13 @@ def _solve_chain(mode, n, anchor, toast, prev, locs, weights, epsilon,
     # the patching datum on the chain child is the step from this anchor's
     # bare base up to the child's solution, in this anchor's coordinates:
     # base terms cancel, so only the child's correction survives, as the
-    # gap of the two corrections (the log of the ratio in product mode)
+    # gap of the two corrections (the log of the ratio in product mode),
+    # of which the fit sees the part the rates measure
     _, ca = prev.chain
     gap = _correction_gap(prev.solutions[ca], complex(ca) - anchor, bare, 0j)
+    part = _KERNELS[mode].part
     problem = runge.RungeProblem(toast.region(n - 1, ca).translate(-anchor),
-                                 gap, epsilon=epsilon, mode=mode)
+                                 lambda u: part(gap(u)), epsilon=epsilon)
     try:
         cert = runge.solve(problem)
     except DegreeCapExceeded as exc:
@@ -518,9 +525,7 @@ def _empty_trace(mode, data, window):
 
 def _lift(mode, data, toast, levels, check_membership=True):
     locs, weights = _KERNELS[mode].config(data)
-    N = int(levels)
-    if N < 0:
-        raise ValueError("levels must be nonnegative")
+    N = as_depth(levels)
     if toast is None or not len(locs):
         raise ValueError("a toast built from the data is required")
     _check_toast_matches(toast, locs)
@@ -608,8 +613,9 @@ def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
     """Rebuild `trace` on its data and configuration shifted by -w, with its
     own mode, toast depth, r0 and gamma and its own lift depth (lifting
     without membership), then compare psi_{data-w}(z) with psi_data(z+w)
-    on a grid over the overlap of the two windows. A refusal of the
-    shifted build (non-free input) is recorded, not raised."""
+    on a grid over the overlap of the two windows (in the product mode, Re
+    log psi and Im log psi modulo 2 pi). A refusal of the shifted build
+    (non-free input) is recorded, not raised."""
     if trace.toast is None:
         raise ValueError("an empty trace has no configuration to shift")
     w = complex(q26(w))
@@ -628,9 +634,16 @@ def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
     box = Window(win.xmin + max(0.0, -w.real), win.xmax + min(0.0, -w.real),
                  win.ymin + max(0.0, -w.imag), win.ymax + min(0.0, -w.imag))
     grid = box.inner().grid(max(box.width, box.height) / EQUIVARIANCE_GRID)
-    va = np.asarray(trace.psi()(grid + w))
-    vb = np.asarray(shifted.psi()(grid))
-    deviation = float(np.max(np.abs(vb - va) / (1.0 + np.abs(va))))
+    if _KERNELS[trace.mode].product:
+        la, lb = trace.psi().log_eval(grid + w), shifted.psi().log_eval(grid)
+        with np.errstate(invalid="ignore"):  # a zero on the grid: -inf twice
+            step = np.where(lb == la, 0j, lb - la)
+        turn = np.remainder(step.imag + math.pi, 2 * math.pi) - math.pi
+        deviation = float(np.max(np.maximum(np.abs(step.real), np.abs(turn))))
+    else:
+        va = np.asarray(trace.psi()(grid + w))
+        vb = np.asarray(shifted.psi()(grid))
+        deviation = float(np.max(np.abs(vb - va) / (1.0 + np.abs(va))))
     return EquivarianceReport(shift=w, deviation=deviation,
                               threshold=EQUIVARIANCE_THRESHOLD,
                               passed=bool(deviation < EQUIVARIANCE_THRESHOLD),

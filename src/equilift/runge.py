@@ -1,22 +1,21 @@
 """Polynomial patching engine: one datum on one compact region, escalating
 degree, and a resample-checked error certificate.
 
-A `RungeProblem` holds a region K, a datum h (any callable on complex
-arrays), epsilon and a mode. `solve` fits a polynomial P to h's values on
-K's boundary by least squares and raises the degree along DEGREE_LADDER
-until the boundary sup error, re-measured at twice the fit's sampling
-density, is below epsilon. The table `MODES` holds all that differs between
-the modes:
+A `RungeProblem` holds a region K, a datum h (any callable on arrays) and
+epsilon. `solve` fits a polynomial P to h's values on K's boundary by least
+squares and raises the degree along DEGREE_LADDER until the boundary sup
+error, re-measured at twice the fit's sampling density, is below epsilon.
+The datum's own values pick the fit:
 
-  additive        fits h; the error is sup |P - h|
-  multiplicative  h is a logarithm: fits h's complex values, and the
-                  error is sup |Re P - Re h|, the log-modulus error of
-                  exp(P) against exp(h)
-  harmonic        fits Re h in the real span of 1, Re u^k, Im u^k; the
-                  error is sup |Re P - Re h|
+  complex values  the analytic fit: P in the span of 1, u^k; the error is
+                  sup |P - h|
+  real values     the harmonic fit: Re P in the real span of 1, Re u^k,
+                  Im u^k, so Im P is the harmonic conjugate with constant 0
+                  in the fit frame; the error is sup |Re P - h|
 
-The keys are the lift's own modes, and `MODES[mode].part` (the identity or
-the real part) is also what the lift's rates measure.
+The lift hands the engine the part of its datum that its rates measure
+(`lifting._Kernel.part`): the complex gap in the additive mode, and its real
+part in the product mode (the log-modulus of a ratio) and the harmonic mode.
 
 Runge's theorem needs K's complement to be connected; the engine does not
 check it. Every region the lift passes is a toast region, whose connected
@@ -51,73 +50,29 @@ DENSITY = 64        # fit sampling; errors are re-measured at twice this
 
 @dataclass(frozen=True)
 class RungeProblem:
-    """Fit datum on region to within epsilon; mode fixes which part of the
-    datum's values is fitted and measured (see `MODES`)."""
+    """Fit datum on region to within epsilon; the datum's values, real or
+    complex, pick the fit (see the module docstring)."""
 
     region: CompactRegion
     datum: Callable
     epsilon: float
-    mode: str = "additive"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
 class RungeCertificate:
     """The fitted polynomial plus its error, re-measured at a finer sampling
     than the fit used; the error is below the problem's epsilon. poly
-    approximates the datum (additive) or its real part (multiplicative,
-    where exp(poly) approximates exp(datum) in modulus, and harmonic)."""
+    approximates a complex datum, or has its real part approximate a real
+    one (then Im poly is the harmonic conjugate, 0 at the frame centre)."""
 
     problem: RungeProblem
     degree: int
     poly: ComplexPoly
     error: float
-
-
-# ---------------------------------------------------------------------------
-# modes: what is fitted, in which basis, and which part is measured
-
-
-def _same(v, *_):
-    return v
-
-
-def _harmonic_basis(V):
-    """Real span of 1, Re u^k, Im u^k."""
-    return np.concatenate([V.real, V[:, 1:].imag], axis=1)
-
-
-def _harmonic_pack(sol, deg):
-    """Re(sum q_k u^k) with q_0 = a_0, q_k = b_k - i c_k."""
-    q = np.zeros(deg + 1, dtype=complex)
-    q[0] = sol[0]
-    q[1:] = sol[1:deg + 1] - 1j * sol[deg + 1:]
-    return q
-
-
-@dataclass(frozen=True)
-class _Mode:
-    fit: Callable           # datum values -> the values fitted
-    part: Callable          # values -> the part errors and rates measure
-    basis: Callable         # complex Vandermonde -> design columns
-    pack: Callable          # (solution, degree) -> complex coefficients
-
-
-MODES = {
-    "additive": _Mode(fit=_same, part=_same, basis=_same, pack=_same),
-    "multiplicative": _Mode(fit=_same, part=np.real, basis=_same, pack=_same),
-    "harmonic": _Mode(fit=np.real, part=np.real,
-                      basis=_harmonic_basis, pack=_harmonic_pack),
-}
-
-
-# ---------------------------------------------------------------------------
-# the escalation loop
 
 
 def _vandermonde(pts, z0, scale, degree):
@@ -127,19 +82,20 @@ def _vandermonde(pts, z0, scale, degree):
 
 def _values(datum, pts):
     with np.errstate(all="ignore"):
-        return np.asarray(datum(pts), dtype=complex)
+        values = np.asarray(datum(pts))
+    return values.astype(complex if np.iscomplexobj(values) else float)
 
 
 def _fitter(problem: RungeProblem):
     """The fit at one degree, as a function degree -> (poly, error)."""
-    mode = MODES[problem.mode]
     K = problem.region
     fit_pts = K.boundary_samples(DENSITY)
     check_pts = K.boundary_samples(2 * DENSITY)
-    rhs = mode.fit(_values(problem.datum, fit_pts))
-    check = mode.part(_values(problem.datum, check_pts))
+    rhs = _values(problem.datum, fit_pts)
+    check = _values(problem.datum, check_pts)
     if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(check))):
         raise ValueError("datum is not finite on its region")
+    harmonic = not np.iscomplexobj(rhs)
     # the frame sits at the samples' mean, rounded to the lattice as an
     # offset from the anchor: the offsets are exact differences, so the
     # frame moves exactly with a quantized shift of the whole problem, and
@@ -148,12 +104,20 @@ def _fitter(problem: RungeProblem):
     scale = max(float(np.max(np.abs(fit_pts - z0))), 1e-9)
 
     def fit(deg):
-        A = mode.basis(_vandermonde(fit_pts, z0, scale, deg))
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=RCOND)
-        coeffs = mode.pack(sol, deg)
+        V = _vandermonde(fit_pts, z0, scale, deg)
+        if harmonic:
+            # Re P = a_0 + sum_k b_k Re u^k + c_k Im u^k for the P with
+            # coefficients a_0 and b_k - i c_k
+            A = np.concatenate([V.real, V[:, 1:].imag], axis=1)
+            sol, *_ = np.linalg.lstsq(A, rhs, rcond=RCOND)
+            coeffs = np.concatenate(
+                [sol[:1], sol[1:deg + 1] - 1j * sol[deg + 1:]])
+        else:
+            coeffs, *_ = np.linalg.lstsq(V, rhs, rcond=RCOND)
         poly = ComplexPoly(tuple(coeffs.tolist()), center=z0, scale=scale)
-        error = float(np.max(np.abs(mode.part(poly(check_pts)) - check)))
-        return poly, error
+        fitted = poly(check_pts)
+        error = np.max(np.abs((fitted.real if harmonic else fitted) - check))
+        return poly, float(error)
     return fit
 
 

@@ -16,6 +16,7 @@ formed only for the rare points whose distance rows tie.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -336,14 +337,20 @@ def _grow(a, radius, pool, free):
             reach = max(reach, abs(plug[0]) + plug[1])
 
 
+def as_depth(N) -> int:
+    """N as a hierarchy depth: numpy integers pass, 2.5 and 3.0 do not."""
+    if not isinstance(N, numbers.Integral) or N < 0:
+        raise ValueError(f"depth must be a nonnegative integer, not {N!r}")
+    return int(N)
+
+
 def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     """Build the level-0..N hierarchy over d's points.
 
     Raises NonFreeInput when the configuration has a translation stabilizer
     (or an unbreakable local tie) and WindowTooSmall when the window cannot
     host even the base scale."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    N = as_depth(N)
     if r0 <= 0 or gamma <= 1:
         raise ValueError("need r0 > 0 and gamma > 1")
     if min(d.window.width, d.window.height) < 2 * r0:

@@ -3,7 +3,12 @@ equivariance double-runs, additive and harmonic lanes, trace dumps."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -349,14 +354,30 @@ class TestTypedRefusals:
         first = next(lv for lv in honest.levels[1:]
                      if any(c["certified"] for c in lv.certificates))
         # a rate of 1 is over every epsilon 2**-n with n >= 1; the fits,
-        # which measure the same part, then read an error of 0
-        mode = runge.MODES["multiplicative"]
-        monkeypatch.setitem(runge.MODES, "multiplicative",
-                            replace(mode, part=lambda v: np.ones(v.shape)))
+        # which are handed the same part, fit the constant 1 exactly
+        kernel = lifting._KERNELS[MULTIPLICATIVE]
+        monkeypatch.setitem(lifting._KERNELS, MULTIPLICATIVE,
+                            replace(kernel, part=lambda v: np.ones(v.shape)))
         with pytest.raises(RungeFailure) as info:
             lift_weierstrass(d, toast, 3)
         assert info.value.level == first.n
         assert info.value.anchor == first.chain[1]
+
+    @pytest.mark.parametrize("build", ["toast", "lift"])
+    def test_depth_must_be_an_integer(self, build):
+        # a depth of 2.7 used to lift to depth 2, and a toast of depth 2.5
+        # died in range() with a TypeError
+        d = six_point_divisor()
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        if build == "toast":
+            call = lambda N: build_covariant_toast(d, N, r0=1.0, gamma=4.0)
+        else:
+            call = lambda N: lift_weierstrass(d, toast, N,
+                                              check_membership=False)
+        assert call(np.int64(2)).depth == 2
+        for bad in (2.7, 2.5, 2.0, -1, "2"):
+            with pytest.raises(ValueError, match="depth"):
+                call(bad)
 
     def test_membership_miss_is_refused(self, monkeypatch):
         d = six_point_divisor()
@@ -422,6 +443,11 @@ class TestChainOnly:
             assert problem.epsilon == epsilon
             assert np.array_equal(problem.region.centers, region.centers)
             assert np.array_equal(problem.region.radii, region.radii)
+            # the datum's values pick the fit: the log-modulus (product)
+            # and the potential (harmonic) are real, the additive gap is
+            # complex
+            values = problem.datum(problem.region.boundary_samples(16))
+            assert np.iscomplexobj(values) == (mode == ADDITIVE)
 
     def test_levels_below_first_coverage_hold_none(self, poisson_trace):
         # this input's base point lies in no level-0 or level-1 region:
@@ -694,6 +720,51 @@ class TestEquivariance:
         report = verify_equivariance(lift_mode(mode, d, toast, N), SHIFT)
         assert report.passed and report.deviation == 0.0
 
+    def test_product_mode_compares_log_psi(self, six_trace, monkeypatch):
+        # exp overflows away from the fitted regions; the product-mode
+        # comparison reads log_eval and never the values
+        kernel = lifting._KERNELS[MULTIPLICATIVE]
+        monkeypatch.setitem(lifting._KERNELS, MULTIPLICATIVE, replace(
+            kernel, value=lambda sol, u: np.full(u.shape, np.inf + 0j)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_equivariance(six_trace, SHIFT)
+        assert report.passed and report.deviation == 0.0
+
+    def test_product_zero_on_the_grid_agrees(self):
+        # the origin is a node of the comparison grid on WIN8 under a zero
+        # shift, so log psi is -inf there on both sides
+        d = six_point_divisor()
+        d = Divisor(np.append(d.locs, 0j), np.append(d.mults, 1), WIN8)
+        trace = lift(d, check_membership=False)
+        assert np.isneginf(trace.psi().log_eval(np.array([0j])).real).all()
+        report = verify_equivariance(trace, 0j)
+        assert report.passed and report.deviation == 0.0
+
+    def test_product_arguments_compare_modulo_two_pi(self, six_trace,
+                                                     monkeypatch):
+        # an argument three turns apart is the same psi
+        own = {id(sol) for lv in six_trace.levels
+               for sol in lv.solutions.values()}
+        log_value = LocalSolution.log_value
+
+        def turned(sol, u):
+            v = log_value(sol, u)
+            return v if id(sol) in own else v + 6j * np.pi
+        monkeypatch.setattr(LocalSolution, "log_value", turned)
+        report = verify_equivariance(six_trace, SHIFT)
+        assert report.passed and report.deviation < 1e-12
+
+    def test_product_log_form_sees_a_wrong_shift(self, six_trace,
+                                                 monkeypatch):
+        # doubled multiplicities on the shifted side square psi there
+        kernel = lifting._KERNELS[MULTIPLICATIVE]
+        monkeypatch.setitem(lifting._KERNELS, MULTIPLICATIVE, replace(
+            kernel, shift=lambda d, w: Divisor(
+                d.locs + w, 2 * d.mults, d.window.translate(w))))
+        report = verify_equivariance(six_trace, SHIFT)
+        assert not report.passed and report.deviation > 1.0
+
     def test_refused_shifted_build_is_recorded(self, six_trace, monkeypatch):
         def refuse(*args, **kwargs):
             raise NonFreeInput("divisor has a singly-periodic stabilizer")
@@ -878,7 +949,43 @@ class TestPoisson2d:
 # trace dumps
 
 
+RERUN_DUMPS = """
+import hashlib, json
+from equilift.builders import Potential
+from equilift.core import Window
+from equilift.divisors import PrincipalParts, generate
+from equilift.lifting import (lift_mittag_leffler, lift_poisson_2d,
+                              lift_weierstrass)
+from equilift.toast import build_covariant_toast
+d = generate("poisson", Window(-8, 8, -8, 8), seed=3, intensity=0.2)
+toast = build_covariant_toast(d, 4, r0=1.0, gamma=4.0)
+locs = d.locs.tolist()
+traces = (lift_weierstrass(d, toast, 4),
+          lift_mittag_leffler(
+              PrincipalParts(tuple((p, (1 + 0j,)) for p in locs)), toast, 4),
+          lift_poisson_2d(Potential(
+              tuple(((p.real, p.imag), 1.0) for p in locs), dim=2), toast, 4))
+print(hashlib.sha256("".join(
+    json.dumps(t.to_json()) for t in traces).encode()).hexdigest())
+"""
+
+
 class TestTraceDump:
+    def test_dumps_are_identical_across_reruns(self):
+        # a fresh interpreter per run, each with its own string hashing:
+        # nothing in the lift may depend on set or hash order
+        root = pathlib.Path(__file__).resolve().parents[1]
+        hashes = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+            out = subprocess.run([sys.executable, "-c", RERUN_DUMPS],
+                                 env=env, check=True, capture_output=True,
+                                 text=True)
+            hashes.append(out.stdout.strip())
+        assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
+
     def test_json_round_trips_through_text(self, six_trace):
         dump = six_trace.to_json()
         again = json.loads(json.dumps(dump))

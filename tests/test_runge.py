@@ -18,17 +18,19 @@ DISK = CompactRegion.disk(0j, 1.0)
 PAIR = CompactRegion([-4 + 0j, 4 + 0j], [1.0, 1.0], check_connected=False)
 
 
-def left_right(left, right):
-    """A datum that is left on PAIR's left disk and right on its right."""
-    return lambda z: np.where(np.real(z) < 0, left, right) + 0j
+def left_right(left, right, kind=complex):
+    """A datum that is left on PAIR's left disk and right on its right,
+    with complex values or (kind=float) real ones."""
+    return lambda z: np.where(np.real(z) < 0, left, right).astype(kind)
 
 
 class TestProblemValidation:
-    def test_bad_epsilon_and_mode(self):
-        with pytest.raises(ValueError):
-            RungeProblem(DISK, lambda z: z, epsilon=0.0)
-        with pytest.raises(ValueError):
-            RungeProblem(DISK, lambda z: z, epsilon=1e-6, mode="rational")
+    def test_bad_epsilon(self):
+        # a NaN epsilon used to walk the whole ladder and an infinite one
+        # to certify anything at degree 2
+        for epsilon in (0.0, -1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                RungeProblem(DISK, lambda z: z, epsilon=epsilon)
 
     def test_enclosing_ring_rejected(self):
         # a closed ring of overlapping unit disks traps a hole around 0, so
@@ -101,66 +103,71 @@ class TestAdditive:
 
 
 class TestFrame:
-    @pytest.mark.parametrize("mode", sorted(runge.MODES))
-    def test_two_disk_region_is_framed_at_its_mean(self, mode):
+    @pytest.mark.parametrize("kind", [complex, float])
+    def test_two_disk_region_is_framed_at_its_mean(self, kind):
         # framed at PAIR's first disk, the fit of a datum that jumps between
         # the disks stalls near 2.8e-6; framed at the fit samples' mean (the
-        # origin) it reaches 1e-6 by degree 32. The frame is an exact lattice
-        # offset from the anchor, so a quantized shift of the whole problem
-        # shifts the frame and leaves the certificate unchanged
-        datum = left_right(0.0, 1.0)
-        cert = solve(RungeProblem(PAIR, datum, epsilon=1e-6, mode=mode))
+        # origin) it reaches 1e-6 by degree 32, with the analytic fit of a
+        # complex datum and the harmonic fit of a real one. The frame is an
+        # exact lattice offset from the anchor, so a quantized shift of the
+        # whole problem shifts the frame and leaves the certificate unchanged
+        datum = left_right(0.0, 1.0, kind)
+        cert = solve(RungeProblem(PAIR, datum, epsilon=1e-6))
         assert cert.error < 1e-6
         assert cert.degree <= 32
         assert cert.poly.center == 0j
         w = q26(37.25 + 11.5j)
         moved = solve(RungeProblem(PAIR.translate(w), lambda z: datum(z - w),
-                                   epsilon=1e-6, mode=mode))
+                                   epsilon=1e-6))
         assert moved.poly.center == w
         assert (moved.degree, moved.error) == (cert.degree, cert.error)
         assert moved.poly.coeffs == cert.poly.coeffs
 
 
 def constant_log(c):
-    return lambda z: np.full(np.shape(z), c, dtype=complex)
+    return lambda z: np.full(np.shape(z), c, dtype=float)
 
 
 class TestMultiplicative:
+    # the product mode's datum is a log-modulus, a real datum: the harmonic
+    # fit, with exp(poly) matching exp(datum) in modulus
+
     def test_constant_one_is_exact(self):
-        prob = RungeProblem(DISK, constant_log(0j), epsilon=1e-6,
-                            mode="multiplicative")
+        prob = RungeProblem(DISK, constant_log(0.0), epsilon=1e-6)
         cert = solve(prob)
         assert cert.error == 0.0
         assert abs(np.exp(cert.poly(0.5j)) - 1.0) < 1e-12
 
     def test_two_and_half(self):
-        prob = RungeProblem(PAIR, left_right(math.log(2), math.log(0.5)),
-                            epsilon=1e-4, mode="multiplicative")
+        prob = RungeProblem(
+            PAIR, left_right(math.log(2), math.log(0.5), float),
+            epsilon=1e-4)
         cert = solve(prob)
         assert cert.error < 1e-4
         assert abs(np.exp(cert.poly(-4 + 0j)) - 2.0) < 1e-3
         assert abs(np.exp(cert.poly(4 + 0j)) - 0.5) < 2.5e-4
 
     def test_zero_free_branch_tracking(self):
-        # e^z is zero-free; its log z is fitted as one branch, imaginary
-        # part included
-        prob = RungeProblem(DISK, lambda z: z, epsilon=1e-8,
-                            mode="multiplicative")
+        # e^z is zero-free and log|e^z| = Re z: the fit fixes Im poly as
+        # the harmonic conjugate with constant 0 in the frame (centred at
+        # the origin here), so poly is z itself, no branch to follow
+        prob = RungeProblem(DISK, np.real, epsilon=1e-8)
         cert = solve(prob)
         assert cert.error < 1e-8
         assert cert.degree <= 2  # log of e^z is linear
-        assert abs(cert.poly(0.5j) - 0.5j) < 1e-8
+        assert cert.poly.center == 0j
+        assert abs(cert.poly.coeffs[0]) < 1e-12
+        pts = np.array([0.5j, -0.3 + 0.8j, 0.9 + 0j])
+        assert np.max(np.abs(cert.poly(pts) - pts)) < 1e-8
 
     def test_non_finite_declared_log(self):
         # log = -inf is the log of a datum that vanishes on the whole region
-        prob = RungeProblem(DISK, constant_log(-math.inf), epsilon=1e-6,
-                            mode="multiplicative")
+        prob = RungeProblem(DISK, constant_log(-math.inf), epsilon=1e-6)
         with pytest.raises(ValueError, match="not finite"):
             solve(prob)
 
     def test_log_certificate_is_modulus_based(self):
-        prob = RungeProblem(DISK, lambda z: z, epsilon=1e-8,
-                            mode="multiplicative")
+        prob = RungeProblem(DISK, np.real, epsilon=1e-8)
         cert = solve(prob)
         pts = DISK.boundary_samples(128)
         # log|exp(poly)| = Re poly against log|e^z| = Re z
@@ -173,35 +180,23 @@ class TestHarmonic:
         # log|z-5| on the unit disk: Taylor tail 5^-k/k puts degree 6 near
         # 2e-6, comfortably inside epsilon
         f = lambda z: np.log(np.abs(z - 5.0))
-        cert = solve(RungeProblem(DISK, f, epsilon=1e-5, mode="harmonic"))
+        cert = solve(RungeProblem(DISK, f, epsilon=1e-5))
         assert cert.error < 1e-5
         assert cert.degree <= 8
         pts = np.array([0.2 + 0.3j, -0.8 + 0.1j])
         assert np.max(np.abs(np.real(cert.poly(pts)) - f(pts))) < 1e-5
 
     def test_harmonic_two_targets(self):
-        prob = RungeProblem(PAIR, left_right(0.0, 1.0), epsilon=1e-4,
-                            mode="harmonic")
+        prob = RungeProblem(PAIR, left_right(0.0, 1.0, float), epsilon=1e-4)
         cert = solve(prob)
         assert cert.error < 1e-4
 
     def test_imaginary_part_recovered(self):
         # Im z is harmonic and exactly representable at degree 1
-        prob = RungeProblem(DISK, np.imag, epsilon=1e-10, mode="harmonic")
+        prob = RungeProblem(DISK, np.imag, epsilon=1e-10)
         cert = solve(prob)
         assert cert.degree <= 2
         assert cert.error < 1e-12
-
-
-class TestDispatch:
-    def test_solve_routes_by_mode(self):
-        prob = RungeProblem(DISK, np.exp, epsilon=1e-6)
-        assert solve(prob).problem.mode == "additive"
-        probm = RungeProblem(DISK, lambda z: z, epsilon=1e-6,
-                             mode="multiplicative")
-        assert solve(probm).problem.mode == "multiplicative"
-        probh = RungeProblem(DISK, np.real, epsilon=1e-6, mode="harmonic")
-        assert solve(probh).problem.mode == "harmonic"
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +237,7 @@ def chain_step(lift, n):
         return -np.sum(np.log(np.abs(new[:, None] - z) / norm), axis=0)
     margin = float(np.min(np.abs(new[:, None] - region.centers)
                           - region.radii))
-    return RungeProblem(region, datum, epsilon=2.0 ** -n,
-                        mode="harmonic"), margin
+    return RungeProblem(region, datum, epsilon=2.0 ** -n), margin
 
 
 class TestChainStep:
