@@ -22,6 +22,7 @@ Conventions that the rest of the toolkit relies on:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -388,6 +389,10 @@ def hole_witness(centers, radii):
     the common neighbours k > j, read off as one row intersection; only
     those triples reach the exact meet test. Every decision uses pairwise
     differences only, so verdicts are exactly shift-covariant.
+
+    Toast construction consults it only on the unions its Mayer-Vietoris
+    rule cannot decide and on unions with a pocket fill (see `toast`); the
+    axiom verifier runs it on every region.
     """
     c = np.asarray(centers, dtype=complex)
     r = np.asarray(radii, dtype=float)
@@ -427,9 +432,9 @@ def hole_witness(centers, radii):
             continue
         components += 1
         seen[root] = True
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in neighbors[u]:
                 if not seen[v]:
                     seen[v] = True

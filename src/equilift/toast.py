@@ -11,6 +11,16 @@ the next level unchanged as a repeat, so every region has a parent.
 The distance matrix is built once per toast: each level ranks the points by
 prefixes of the sorted distance rows (`_markers`), and difference vectors are
 formed only for the rare points whose distance rows tie.
+
+Regions must stay simply connected. Before any pocket fill, a grown union is
+the marker's disk D plus absorbed regions, each simply connected and pairwise
+disjoint, so Mayer-Vietoris on the union's nerve decides it from the pieces
+D ∩ x alone (`_no_pocket`): with no two regions adjacent, there is no pocket
+when each region's pieces form one connected graph. The rule is undecided on
+near-tangent pairs, where the nerve could differ from the one a region was
+accepted under. An undecided union, and every union with a fill, goes to
+`hole_witness` through `_pocket_filler`, so every witness and fill is the
+one that check alone would give; `verify_axioms` always runs it.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CompactRegion, Window, circle_crossings, hole_witness, q26
+from .core import (CompactRegion, Window, _disks_triple_meet, circle_crossings,
+                   hole_witness, q26)
 from .divisors import Divisor, detect_stabilizer
 from .errors import NonFreeInput, PocketFillExhausted, WindowTooSmall
 
@@ -37,8 +48,9 @@ class ToastLevel:
     regions: dict            # anchor -> CompactRegion, insertion-ordered
     kinds: dict              # anchor -> "genuine" | "repeat"
     # construction tallies: markers, markers skipped for spacing, markers
-    # that ceded to a senior, and the absorptions and pocket fills of the
-    # regions kept
+    # that ceded to a senior, the absorptions and pocket fills of the
+    # regions kept, and the unions grown (kept or ceded) that went to
+    # hole_witness ("witnessed")
     counts: dict = field(default_factory=dict)
 
     @property
@@ -260,6 +272,71 @@ def _pocket_filler(rel_centers, radii):
     raise PocketFillExhausted(f"every chord of the ring {cyc} is bridged")
 
 
+def _no_pocket(rel_centers, radii, source):
+    """True when a union that `_grow` has not filled yet provably has no
+    complement pocket, None when the pieces cannot decide it.
+
+    Disk 0 is the marker's disk D (source -1), and every other disk belongs
+    to the absorbed pool region named by its source. The regions are
+    simply connected and pairwise disjoint. Split the union's nerve into the
+    subcomplex on the region disks and the closed star of D; they meet in
+    D's link. When no two disks of different regions are adjacent,
+    Mayer-Vietoris gives rank H_1 = sum over regions of (c_i - 1), where
+    c_i counts the components of the pieces D ∩ x, x in region i, two
+    pieces joined when D, x and y meet. So every c_i = 1 means no pocket.
+
+    The adjacency, the triple meets and `tol` are hole_witness's, on the
+    same relative centres; a pair whose piece lies inside D with margin
+    meets D wherever it meets itself, so it needs no triple test. A pair of
+    disks within tol + 2^-24 * max(1, r_max) of tangency makes the rule
+    undecided, since there the nerve could differ from the one under which
+    a region was accepted, or from its q26-rounded radii."""
+    c, r, src = rel_centers, radii, source
+    if len(c) <= 2:
+        return True  # two convex disks ring no pocket, as in hole_witness
+    dist = np.abs(c[:, None] - c[None, :])
+    scale = max(1.0, float(np.max(r)))
+    tol = 1e-9 * max(scale, float(np.max(dist)))
+    gap = dist - (r[:, None] + r[None, :])
+    np.fill_diagonal(gap, -np.inf)
+    if np.any(np.abs(gap) <= tol + 2.0 ** -24 * scale):
+        return None
+    adj = gap <= tol
+    if np.any(adj[1:, 1:] & (src[1:, None] != src[None, 1:])):
+        return None
+    # every region has a piece: it was absorbed for meeting D or another
+    # region, and the latter is excluded above. Pieces of different regions
+    # never meet, so one union-find over all pieces is done when it is
+    # down to one component per region
+    hits = np.flatnonzero(adj[0, 1:]) + 1
+    left = len(hits) - len(np.unique(src[1:]))
+    if not left:
+        return True
+    root = list(range(len(hits)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    sub = np.triu(adj[np.ix_(hits, hits)], 1)
+    inside = (dist[0] + r + tol <= r[0])[hits]
+    cheap = sub & (inside[:, None] | inside[None, :])
+    for tested, need_meet in ((cheap, False), (sub & ~cheap, True)):
+        for i, j in zip(*np.nonzero(tested)):
+            ri, rj = find(i), find(j)
+            x, y = hits[i], hits[j]
+            if ri == rj or need_meet and not _disks_triple_meet(
+                    c[0], r[0], c[x], r[x], c[y], r[y], tol):
+                continue
+            root[ri] = rj
+            left -= 1
+            if not left:
+                return True
+    return None
+
+
 def _reach(a, region):
     """Radius about a of a disk holding the region: max |c - a| + r."""
     return float(np.max(np.abs(region.centers - a) + region.radii))
@@ -297,12 +374,20 @@ def _grow(a, radius, pool, free):
     pocket filled. A region can meet the union only if its anchor lies
     within the two reaches of the anchors; that test (with a relative slack
     far above rounding) decides which regions get the disk test, and it is
-    rerun after every absorption and fill. Returns (centers, radii, absorbed
-    pool indices in order, fills)."""
+    rerun after every absorption and fill.
+
+    Each disk's source (D, its pool index, or a fill) is recorded. Before
+    any fill, `_no_pocket` decides from the pieces D ∩ x whether the union
+    is free of pockets; only a union it cannot decide, and every union with
+    a fill, goes to `_pocket_filler` and so to hole_witness. Returns
+    (centers, radii, absorbed pool indices in order, fills, witnessed),
+    where witnessed says whether hole_witness was consulted."""
     centers = [a]
     radii = [radius]
+    source = [-1]       # -1 for D, the pool index, or -2 for a fill
     absorbed = []
     fills = 0
+    witnessed = False
     avail = free.copy()
     gap = np.abs(a - pool.anchors)
     reach = radius
@@ -318,6 +403,7 @@ def _grow(a, radius, pool, free):
             preg = pool.items[hit][1]
             centers.extend(preg.centers.tolist())
             radii.extend(preg.radii.tolist())
+            source.extend([int(hit)] * len(preg))
             absorbed.append(int(hit))
             avail[hit] = False
             reach = max(reach, _reach(a, preg))
@@ -325,15 +411,20 @@ def _grow(a, radius, pool, free):
         elif start:
             start = 0  # the pass absorbed: rescan, fillers may touch more pool
         else:
-            plug = _pocket_filler(np.array(centers) - a, np.array(radii))
+            rel, rad = np.array(centers) - a, np.array(radii)
+            if not fills and _no_pocket(rel, rad, np.array(source)):
+                return centers, radii, absorbed, fills, witnessed
+            witnessed = True
+            plug = _pocket_filler(rel, rad)
             if plug is None:
-                return centers, radii, absorbed, fills
+                return centers, radii, absorbed, fills, witnessed
             fills += 1
             if fills > 64:
                 raise PocketFillExhausted(
                     f"region at {a} still has pockets after 64 fills")
             centers.append(a + plug[0])
             radii.append(plug[1])
+            source.append(-2)
             reach = max(reach, abs(plug[0]) + plug[1])
 
 
@@ -381,7 +472,7 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
         regions = {}
         kinds = {}
         counts = {"markers": len(marker_idx), "skipped": 0, "ceded": 0,
-                  "absorptions": 0, "fills": 0}
+                  "absorptions": 0, "fills": 0, "witnessed": 0}
         kept_idx = []
         kept_centers = []   # flat disk arrays of every kept union
         kept_radii = []
@@ -390,7 +481,9 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
                 counts["skipped"] += 1
                 continue
             a = complex(pairs.locs[i])
-            centers, radii, absorbed, fills = _grow(a, radius, pool, free)
+            centers, radii, absorbed, fills, witnessed = _grow(a, radius,
+                                                               pool, free)
+            counts["witnessed"] += witnessed
             if _disks_intersect(centers, radii, kept_centers, kept_radii):
                 counts["ceded"] += 1
                 continue  # junior cedes: seniors already took what they touch

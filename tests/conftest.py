@@ -1,0 +1,10 @@
+"""Hypothesis profiles. ``dev`` is loaded by default and keeps the tier-1 run
+short; ``ci`` (``--hypothesis-profile=ci``) runs more examples. Only tests
+that leave ``max_examples`` to the profile see the difference: the rest fix
+their own count."""
+
+from hypothesis import settings
+
+settings.register_profile("dev", max_examples=8)
+settings.register_profile("ci", max_examples=40)
+settings.load_profile("dev")

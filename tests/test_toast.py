@@ -290,20 +290,27 @@ class TestAbsorption:
             [-1.0j])          # 6: taken by a senior
         free = np.ones(7, dtype=bool)
         free[6] = False
-        centers, radii, absorbed, fills = toast_module._grow(0j, 1.0, pool, free)
+        centers, radii, absorbed, fills, witnessed = toast_module._grow(
+            0j, 1.0, pool, free)
         assert absorbed == [1, 2, 3, 4, 0]
         assert centers == [0j, 1.5, -1.75, 4.0, 3.0, 1.875j, -3.5]
         assert radii == [1.0] * 7 and fills == 0
+        # regions 0 and 2 (and 1 and 3) meet, so the pieces cannot decide
+        assert witnessed
         assert free[:6].all()  # the caller marks what it keeps
 
     def test_region_reached_through_a_fill(self, monkeypatch):
+        # the lone disk is pocket-free, so the rule is made undecided for
+        # the forged filler to be consulted
         plugs = iter([(2j, 1.0)])
+        monkeypatch.setattr(toast_module, "_no_pocket",
+                            lambda rel_centers, radii, source: None)
         monkeypatch.setattr(toast_module, "_pocket_filler",
                             lambda rel_centers, radii: next(plugs, None))
         pool = self.pool([3.5j])
-        centers, radii, absorbed, fills = toast_module._grow(
+        centers, radii, absorbed, fills, witnessed = toast_module._grow(
             0j, 1.0, pool, np.ones(1, dtype=bool))
-        assert (absorbed, fills) == ([0], 1)
+        assert (absorbed, fills, witnessed) == ([0], 1, True)
         assert centers == [0j, 2j, 3.5j]
 
 
@@ -346,7 +353,7 @@ class TestPocketFiller:
         c, r = np.array(self.RING) + w, np.array(self.RING_RADII, dtype=float)
         pool = toast_module._Pool.of(
             (ci, CompactRegion([ci], [ri])) for ci, ri in zip(c[1:], r[1:]))
-        centers, radii, absorbed, fills = toast_module._grow(
+        centers, radii, absorbed, fills, _ = toast_module._grow(
             complex(c[0]), float(r[0]), pool, np.ones(5, dtype=bool))
         assert absorbed == [0, 1, 2, 3, 4] and fills == 2
         assert hole_witness(np.array(centers), np.array(radii)) is None
@@ -374,22 +381,194 @@ class TestPocketFiller:
             return toast_module._grow(self.TRIANGLE[0] + shift, 1.0, pool,
                                       np.ones(2, dtype=bool))
 
-        centers, radii, absorbed, fills = grow(0j)
-        assert absorbed == [0, 1] and fills == 1
+        centers, radii, absorbed, fills, witnessed = grow(0j)
+        assert absorbed == [0, 1] and fills == 1 and witnessed
         assert hole_witness(np.array(centers), np.array(radii)) is None
         moved = grow(w)
         assert moved[0] == [c + w for c in centers]
-        assert moved[1:] == (radii, absorbed, fills)
+        assert moved[1:] == (radii, absorbed, fills, witnessed)
+
+
+class TestPocketRule:
+    """`_grow` decides "no pocket" from the pieces D ∩ x before any fill,
+    and sends every union it cannot decide to hole_witness."""
+
+    # D(0, 1) and seven unit disks on the circle of radius 2.5 about 2.5j,
+    # one region: neighbours cross, nothing else meets, and the two ends
+    # meet D apart from each other, so D closes a ring of eight around 2.5j
+    HORSESHOE = [complex(q26(2.5j + 2.5 * np.exp(1j * np.pi * (k / 4 - 0.5))))
+                 for k in range(1, 8)]
+
+    @staticmethod
+    def spy(monkeypatch, name, log):
+        real = getattr(toast_module, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            log.append(out)
+            return out
+
+        monkeypatch.setattr(toast_module, name, wrapper)
+
+    @staticmethod
+    def grow(radius, *regions):
+        """_grow of D(0, radius) against a pool of (centres, radii)."""
+        pool = toast_module._Pool.of(
+            (complex(c[0]), CompactRegion(c, r)) for c, r in regions)
+        return toast_module._grow(0j, radius, pool,
+                                  np.ones(len(regions), dtype=bool))
+
+    def grow_horseshoe(self):
+        return self.grow(1.0, (self.HORSESHOE, [1.0] * 7))
+
+    def test_a_horseshoe_meeting_d_twice_is_undecided(self, monkeypatch):
+        rules, witnesses = [], []
+        self.spy(monkeypatch, "_no_pocket", rules)
+        self.spy(monkeypatch, "hole_witness", witnesses)
+        centers, radii, absorbed, fills, witnessed = self.grow_horseshoe()
+        assert absorbed == [0] and witnessed and fills >= 1
+        assert rules == [None]
+        assert sorted(witnesses[0]) == list(range(8))
+        assert witnesses[-1] is None
+        assert hole_witness(np.array(centers), np.array(radii)) is None
+
+    def test_a_union_after_a_fill_goes_to_hole_witness(self, monkeypatch):
+        rules, witnesses = [], []
+        self.spy(monkeypatch, "_no_pocket", rules)
+        self.spy(monkeypatch, "hole_witness", witnesses)
+        fills = self.grow_horseshoe()[3]
+        # the rule runs once, on the bare union; every filled union is
+        # decided by hole_witness
+        assert len(rules) == 1 and len(witnesses) == fills + 1
+
+    TRIANGLE = TestPocketFiller.TRIANGLE
+    NEAR = 1 - 2.0 ** -26
+
+    @pytest.mark.parametrize("radius, regions, fills", [
+        # one region whose two pieces cross but not on D: a 3-ring
+        (1.0, [(TRIANGLE[1:], [1, 1])], 1),
+        # the same ring from two regions that meet each other
+        (1.0, [(TRIANGLE[1:2], [1]), (TRIANGLE[2:], [1])], 1),
+        # two regions 2^-26 apart, far inside tol (which D's radius sets)
+        (2.0 ** 14, [([1.5], [1]), ([-0.5], [NEAR])], 0),
+        # a near-tangent pair inside one region, which meets D once
+        (1.0, [([1.5, 3.5, 2.5 + 0.5j], [1, NEAR, 1])], 0),
+    ])
+    def test_undecided_unions_go_to_hole_witness(self, monkeypatch, radius,
+                                                 regions, fills):
+        rules = []
+        self.spy(monkeypatch, "_no_pocket", rules)
+        out = self.grow(radius, *regions)
+        assert out[2] == list(range(len(regions)))
+        assert rules == [None] and out[3:] == (fills, True)
+
+    @pytest.mark.parametrize("radius, regions", [
+        (1.0, []),                                          # a lone disk
+        (1.0, [([1.5], [1]), ([-1.5], [1]), ([1.5j, 2.5j], [1, 1])]),
+        (1.0, [([1.5, 1.5 + 0.8j], [1, 1])]),     # pieces meet on D
+        (4.0, [([1.5, 1.5 + 0.8j], [1, 1])]),     # pieces inside D
+    ])
+    def test_pocket_free_unions_skip_hole_witness(self, monkeypatch, radius,
+                                                  regions):
+        monkeypatch.setattr(toast_module, "hole_witness", None)
+        out = self.grow(radius, *regions)
+        assert out[2] == list(range(len(regions))) and out[3:] == (0, False)
+
+
+def _rule_inputs():
+    return st.tuples(st.sampled_from(["poisson", "jittered-lattice"]),
+                     st.integers(0, 2 ** 31 - 1), st.integers(6, 12))
+
+
+@settings(deadline=None)  # the example count comes from the profile
+@given(case=_rule_inputs())
+def test_pocket_rule_agrees_with_hole_witness(case):
+    # every union the rule calls pocket-free is one hole_witness passes
+    kind, seed, half = case
+    d = generate(kind, Window(-half, half, -half, half), seed=seed,
+                 intensity=0.5)
+    rule = toast_module._no_pocket
+
+    def checked(rel_centers, radii, source):
+        verdict = rule(rel_centers, radii, source)
+        assert verdict is None or hole_witness(rel_centers, radii) is None
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toast_module, "_no_pocket", checked)
+        try:
+            build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        except NonFreeInput:
+            pass
+
+
+@pytest.mark.parametrize("kind, half, seed, intensity, filled", [
+    ("poisson", 8, 3, 0.2, False), ("poisson", 16, 3, 0.2, False),
+    ("poisson", 32, 1, 0.2, False),
+    ("jittered-lattice", 8.5, 1252010711, 1.0, False),
+    ("poisson", 16, 0, 0.5, True)])
+def test_the_rule_changes_no_toast(monkeypatch, kind, half, seed, intensity,
+                                   filled):
+    # the same toast when every union goes to hole_witness
+    d = generate(kind, Window(-half, half, -half, half), seed=seed,
+                 intensity=intensity)
+    forest = build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
+    monkeypatch.setattr(toast_module, "_no_pocket", lambda *args: None)
+    witnessed = build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
+    for lv, lw in zip(forest.levels, witnessed.levels):
+        assert lv.anchors == lw.anchors and lv.kinds == lw.kinds
+        for a in lv.anchors:
+            rv, rw = lv.regions[a], lw.regions[a]
+            assert rv.centers.tobytes() == rw.centers.tobytes()
+            assert rv.radii.tobytes() == rw.radii.tobytes()
+        plain = dict(lv.counts, witnessed=None)
+        assert plain == dict(lw.counts, witnessed=None)
+        assert lv.counts["witnessed"] <= lw.counts["witnessed"]
+    assert list(forest.parents.items()) == list(witnessed.parents.items())
+    assert list(forest.children.items()) == list(witnessed.children.items())
+    assert any(lv.counts["fills"] for lv in forest.levels) == filled
+
+
+def test_few_unions_reach_hole_witness():
+    # every one of the ~400 unions of this toast went to hole_witness
+    # before the rule
+    d = generate("poisson", Window(-32, 32, -32, 32), seed=1, intensity=0.2)
+    forest = build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
+    assert sum(lv.counts["witnessed"] for lv in forest.levels) <= 16
 
 
 class TestCounts:
-    def test_tallies_match_the_levels(self, poisson_forest):
-        for lv in poisson_forest.levels:
+    def test_tallies_match_the_levels(self, poisson_forest, monkeypatch):
+        # one _grow call per marker not skipped, level by level; witnessed
+        # counts those that reached hole_witness
+        reached, calls = [False], []
+        filler, grow = toast_module._pocket_filler, toast_module._grow
+
+        def spy_filler(*args):
+            reached[0] = True
+            return filler(*args)
+
+        def spy_grow(*args):
+            reached[0] = False
+            out = grow(*args)
+            calls.append(reached[0])
+            return out
+
+        monkeypatch.setattr(toast_module, "_pocket_filler", spy_filler)
+        monkeypatch.setattr(toast_module, "_grow", spy_grow)
+        rebuilt = build_covariant_toast(poisson_forest.divisor, N=3, r0=1.0,
+                                        gamma=4.0)
+        for lv, lr in zip(poisson_forest.levels, rebuilt.levels):
             c = lv.counts
+            assert lr.counts == c
             genuine = [a for a, k in lv.kinds.items() if k == "genuine"]
             assert len(genuine) == c["markers"] - c["skipped"] - c["ceded"]
             assert c["absorptions"] == sum(
                 len(poisson_forest.children.get((lv.n, a), ())) for a in genuine)
+            grown = c["markers"] - c["skipped"]
+            assert c["witnessed"] == sum(calls[:grown])
+            del calls[:grown]
+        assert not calls
         assert sum(lv.counts["skipped"] + lv.counts["ceded"]
                    for lv in poisson_forest.levels) > 0
 
@@ -445,7 +624,10 @@ class TestRejections:
             build_covariant_toast(d, N=1, gamma=1.0)
 
     def test_endless_pockets_are_a_typed_error(self, monkeypatch):
-        # a filler that never closes the pocket exhausts the fill budget
+        # a filler that never closes the pocket exhausts the fill budget;
+        # the rule is made undecided so that the lone disk reaches it
+        monkeypatch.setattr(toast_module, "_no_pocket",
+                            lambda rel_centers, radii, source: None)
         monkeypatch.setattr(toast_module, "_pocket_filler",
                             lambda rel_centers, radii: (0j, 0.25))
         d = Divisor(np.array([0.5 + 0.5j]), np.array([1]), WIN8)
