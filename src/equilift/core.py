@@ -134,17 +134,20 @@ class Circle:
 
 
 class CompactRegion:
-    """Finite union of closed disks with a connected intersection graph.
+    """A finite union of closed disks, centres and radii on the 2^-26
+    lattice.
 
     Complement connectivity is a checked predicate (``complement_connected``),
     not a construction invariant: verifiers need to build violating fixtures.
     """
 
-    def __init__(self, centers, radii, check_connected=True):
+    def __init__(self, centers, radii):
         centers = np.atleast_1d(np.asarray(centers, dtype=complex))
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if centers.shape != radii.shape or centers.ndim != 1 or len(centers) == 0:
             raise ValueError("centers and radii must be matching nonempty 1d arrays")
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+            raise ValueError("centers and radii must be finite")
         self.centers = q26(centers)
         self.radii = q26(radii)
         # after quantizing: a radius below 2**-27 rounds to 0
@@ -152,8 +155,6 @@ class CompactRegion:
             raise ValueError("radii must be positive")
         self.centers.setflags(write=False)
         self.radii.setflags(write=False)
-        if check_connected and not self._graph_connected():
-            raise ValueError("disk union is not connected")
 
     # -- construction helpers
 
@@ -186,22 +187,6 @@ class CompactRegion:
             float(np.min(xs - self.radii)), float(np.max(xs + self.radii)),
             float(np.min(ys - self.radii)), float(np.max(ys + self.radii)),
         )
-
-    def _graph_connected(self):
-        n = len(self.centers)
-        if n == 1:
-            return True
-        d = np.abs(self.centers[:, None] - self.centers[None, :])
-        adj = d <= (self.radii[:, None] + self.radii[None, :])
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            nxt = np.nonzero(adj[i] & ~seen)[0]
-            seen[nxt] = True
-            stack.extend(nxt.tolist())
-        return bool(seen.all())
 
     def contains(self, z):
         z = np.asarray(z, dtype=complex)
@@ -238,8 +223,7 @@ class CompactRegion:
 
     def translate(self, w):
         """Translate by w. Exact when w is q26-quantized (the usual case)."""
-        r = CompactRegion(self.centers + complex(w), self.radii, check_connected=False)
-        return r
+        return CompactRegion(self.centers + complex(w), self.radii)
 
     def intersects(self, other):
         d = np.abs(self.centers[:, None] - other.centers[None, :])

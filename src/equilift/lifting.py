@@ -215,13 +215,16 @@ def _nearest_base_anchor(toast: ToastForest, x):
     return best[1]
 
 
-def _chain_entry(toast: ToastForest, base, n):
-    """(level, anchor) of the region holding the base point at stage n;
-    below first coverage the nearest base region stands in."""
-    hit = toast.fall_down(base, n)
-    if hit is not None:
-        return hit
-    return (0, _nearest_base_anchor(toast, base))
+def _chain(toast: ToastForest, base, N):
+    """(level, anchor) of the region holding the base point at each stage
+    0..N; below first coverage the nearest base region stands in. Every
+    region lies in its parent, so once a level covers the base point every
+    later one does, and one `locate` per level finds the chain."""
+    chain = [(n, toast.locate(n, base)) for n in range(N + 1)]
+    if chain[0][1] is None:
+        below = (0, _nearest_base_anchor(toast, base))
+        chain = [below if a is None else (n, a) for n, a in chain]
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +374,6 @@ class LiftingTrace:
         """The stage-n solution as one global function on the window. Its
         product-mode values overflow away from the fitted regions, so
         product-mode comparisons (`verify_equivariance`) read `log_eval`."""
-        if not self.levels:
-            return SampledFunction(
-                evaluator=lambda z: np.zeros(np.shape(z), dtype=complex))
         m, anchor, sol = self.solution(n)
         dlog, log_eval = None, None
         if _KERNELS[self.mode].product:
@@ -402,18 +402,15 @@ class LiftingTrace:
                                     self.window.inner())
 
     def to_json(self):
-        data = {_KERNELS[self.mode].data_key: self.data.to_json()}
-        toast_meta = {}
-        if self.toast is not None:
-            toast_meta = {"r0": self.toast.r0, "gamma": self.toast.gamma,
-                          "u0": self.toast.u0}
         return {
             "mode": self.mode,
-            **data,
+            _KERNELS[self.mode].data_key: self.data.to_json(),
             "window": self.window.as_list(),
             "base_point": [self.base_point.real, self.base_point.imag],
             "tail_bound": self.tail_bound,
-            **toast_meta,
+            "r0": self.toast.r0,
+            "gamma": self.toast.gamma,
+            "u0": self.toast.u0,
             "levels": [
                 {
                     "n": lv.n,
@@ -515,18 +512,13 @@ def _check_toast_matches(toast, locs):
         raise ValueError("toast was not built from this configuration")
 
 
-_DEFAULT_EMPTY_WINDOW = Window(-1.0, 1.0, -1.0, 1.0)
-
-
-def _empty_trace(mode, data, window):
-    return LiftingTrace(mode=mode, data=data, toast=None, levels=(),
-                        tail_bound=0.0, window=window)
-
-
 def _lift(mode, data, toast, levels, check_membership=True):
     locs, weights = _KERNELS[mode].config(data)
+    if not len(locs):
+        raise ValueError("empty data: a configuration fixed by every "
+                         "translation has no covariant lift")
     N = as_depth(levels)
-    if toast is None or not len(locs):
+    if toast is None:
         raise ValueError("a toast built from the data is required")
     _check_toast_matches(toast, locs)
     if N > toast.depth:
@@ -537,13 +529,14 @@ def _lift(mode, data, toast, levels, check_membership=True):
     # one q26 gauge point for the whole lift, next to the level-0 chain
     # anchor: every base shares it, so bases cancel exactly between anchors
     # and levels (see the module docstring)
-    chain_a = complex(_chain_entry(toast, base, 0)[1])
+    chains = _chain(toast, base, N)
+    chain_a = complex(chains[0][1])
     gauge_pt = chain_a + _gauge_offset(
         tuple(complex(a) - chain_a for a in locs), toast.u0)
     out_levels = []
     for n in range(N + 1):
         epsilon = 2.0 ** (-n)
-        m, a = chain = _chain_entry(toast, base, n)
+        m, a = chain = chains[n]
         prev = out_levels[-1] if out_levels else None
         # the step n-1 -> n is patched when the chain sits at level n and
         # its level-(n-1) region is a child of the level-n chain region
@@ -582,24 +575,18 @@ def lift_weierstrass(d: Divisor, toast: ToastForest, levels,
     zero-free multiplicative patching."""
     if not d.is_nonnegative():
         raise ValueError("zero prescription needs a nonnegative divisor")
-    if not len(d.locs):
-        raise ValueError("empty divisor: the constant 1 needs no lifting")
     return _lift(MULTIPLICATIVE, d, toast, levels, check_membership)
 
 
 def lift_mittag_leffler(pp: PrincipalParts, toast, levels) -> LiftingTrace:
     """Meromorphic functions with prescribed principal parts, additive
-    patching. Empty prescriptions return the zero trace directly."""
-    if not pp.entries:
-        return _empty_trace(ADDITIVE, pp, _DEFAULT_EMPTY_WINDOW)
+    patching."""
     return _lift(ADDITIVE, pp, toast, levels, check_membership=False)
 
 
 def lift_poisson_2d(mu: Potential, toast, levels) -> LiftingTrace:
     """Subharmonic potentials with prescribed atomic Riesz measure,
     harmonic patching."""
-    if not mu.atoms:
-        return _empty_trace(HARMONIC, mu, _DEFAULT_EMPTY_WINDOW)
     return _lift(HARMONIC, mu, toast, levels, check_membership=False)
 
 
@@ -616,8 +603,6 @@ def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
     on a grid over the overlap of the two windows (in the product mode, Re
     log psi and Im log psi modulo 2 pi). A refusal of the shifted build
     (non-free input) is recorded, not raised."""
-    if trace.toast is None:
-        raise ValueError("an empty trace has no configuration to shift")
     w = complex(q26(w))
     toast = trace.toast
     try:

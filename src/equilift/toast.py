@@ -12,6 +12,11 @@ The distance matrix is built once per toast: each level ranks the points by
 prefixes of the sorted distance rows (`_markers`), and difference vectors are
 formed only for the rare points whose distance rows tie.
 
+A marker's union is grown as arrays of disks and returned as the region
+itself (`_grow`). Every radius is put on the 2^-26 lattice where it is
+made, the level radius and each pocket fill's, so the meeting, pocket and
+ceding tests read the disks the regions store.
+
 Regions must stay simply connected. Before any pocket fill, a grown union is
 the marker's disk D plus absorbed regions, each simply connected and pairwise
 disjoint, so Mayer-Vietoris on the union's nerve decides it from the pieces
@@ -89,16 +94,6 @@ class ToastForest:
         for anchor, region in self.levels[n].regions.items():
             if region.contains(x):
                 return anchor
-        return None
-
-    def fall_down(self, x, n=None):
-        """(m, anchor) for the highest level m <= n whose cover reaches x."""
-        if n is None:
-            n = self.depth
-        for m in range(n, -1, -1):
-            a = self.locate(m, x)
-            if a is not None:
-                return m, a
         return None
 
     def translate(self, w):
@@ -219,11 +214,10 @@ def _markers(pairs, scale):
 
 
 def _disks_intersect(c1, r1, c2, r2):
-    """Any closed disk of list 1 meeting any of list 2 (vectorized)."""
-    if len(c1) == 0 or len(c2) == 0:
-        return False
-    d = np.abs(np.asarray(c1)[:, None] - np.asarray(c2)[None, :])
-    return bool(np.any(d <= np.asarray(r1)[:, None] + np.asarray(r2)[None, :]))
+    """Any closed disk of arrays 1 meeting any of arrays 2 (False when
+    either is empty)."""
+    d = np.abs(c1[:, None] - c2[None, :])
+    return bool(np.any(d <= r1[:, None] + r2[None, :]))
 
 
 def _pocket_filler(rel_centers, radii):
@@ -239,8 +233,9 @@ def _pocket_filler(rel_centers, radii):
     bridging disk is not in the union yet: bridging a chord that an earlier
     fill already bridged would return that fill again, and hole_witness can
     name the same ring after a bridge. Returns (relative center, radius),
-    or None when the union is already simply connected; raises
-    PocketFillExhausted when every chord of the ring is bridged.
+    both on the 2^-26 lattice, or None when the union is already simply
+    connected; raises PocketFillExhausted when every chord of the ring is
+    bridged.
     """
     cyc = hole_witness(rel_centers, radii)
     if cyc is None:
@@ -258,15 +253,14 @@ def _pocket_filler(rel_centers, radii):
             pick = outside if outside else list(pts)
             corners.append(min(pick, key=lambda p: (abs(p - m0), p.real, p.imag)))
         m = q26(complex(np.mean(corners)))
-        return m, 1.25 * max(abs(p - m) for p in corners) + 2.0 ** -20
+        return m, q26(1.25 * max(abs(p - m) for p in corners) + 2.0 ** -20)
     k = len(cyc)
     # x = 0, y = k - 1 is a ring-adjacent pair, not a chord
     chords = sorted((abs(cs[x] - cs[y]), x, y) for x in range(k)
                     for y in range(x + 2, k - (x == 0)))
-    present = set(zip(np.asarray(rel_centers, dtype=complex).tolist(),
-                      np.asarray(radii, dtype=float).tolist()))
+    present = set(zip(rel_centers.tolist(), radii.tolist()))
     for length, x, y in chords:
-        disk = q26((cs[x] + cs[y]) / 2), length / 2 * 1.05 + 2.0 ** -20
+        disk = q26((cs[x] + cs[y]) / 2), q26(length / 2 * 1.05 + 2.0 ** -20)
         if disk not in present:
             return disk
     raise PocketFillExhausted(f"every chord of the ring {cyc} is bridged")
@@ -290,7 +284,7 @@ def _no_pocket(rel_centers, radii, source):
     meets D wherever it meets itself, so it needs no triple test. A pair of
     disks within tol + 2^-24 * max(1, r_max) of tangency makes the rule
     undecided, since there the nerve could differ from the one under which
-    a region was accepted, or from its q26-rounded radii."""
+    a region was accepted."""
     c, r, src = rel_centers, radii, source
     if len(c) <= 2:
         return True  # two convex disks ring no pocket, as in hole_witness
@@ -364,7 +358,7 @@ class _Pool(NamedTuple):
 
 
 def _grow(a, radius, pool, free):
-    """The union a marker at a claims: D(a, radius) plus every free pool
+    """The region a marker at a claims: D(a, radius) plus every free pool
     region that meets it, directly or through regions and pocket fills
     adjoined before, plus the pocket fills that keep it simply connected.
 
@@ -376,15 +370,18 @@ def _grow(a, radius, pool, free):
     far above rounding) decides which regions get the disk test, and it is
     rerun after every absorption and fill.
 
-    Each disk's source (D, its pool index, or a fill) is recorded. Before
-    any fill, `_no_pocket` decides from the pieces D ∩ x whether the union
-    is free of pockets; only a union it cannot decide, and every union with
-    a fill, goes to `_pocket_filler` and so to hole_witness. Returns
-    (centers, radii, absorbed pool indices in order, fills, witnessed),
-    where witnessed says whether hole_witness was consulted."""
-    centers = [a]
-    radii = [radius]
-    source = [-1]       # -1 for D, the pool index, or -2 for a fill
+    The union is kept as arrays of centres, radii and sources (D, the pool
+    index, or a fill), extended on each absorption and fill. Every radius
+    is on the 2^-26 lattice from the start (the level radius, the pool
+    regions' and the fills'), so each test reads the disks the region
+    stores. Before any fill, `_no_pocket` decides from the pieces D ∩ x
+    whether the union is free of pockets; only a union it cannot decide,
+    and every union with a fill, goes to `_pocket_filler` and so to
+    hole_witness. Returns (region, absorbed pool indices in order, fills,
+    witnessed), where witnessed says whether hole_witness was consulted."""
+    centers = np.array([a], dtype=complex)
+    radii = np.array([radius], dtype=float)
+    source = np.array([-1])     # -1 for D, the pool index, or -2 for a fill
     absorbed = []
     fills = 0
     witnessed = False
@@ -401,9 +398,9 @@ def _grow(a, radius, pool, free):
                                         pool.items[idx][1].radii)), None)
         if hit is not None:
             preg = pool.items[hit][1]
-            centers.extend(preg.centers.tolist())
-            radii.extend(preg.radii.tolist())
-            source.extend([int(hit)] * len(preg))
+            centers = np.concatenate((centers, preg.centers))
+            radii = np.concatenate((radii, preg.radii))
+            source = np.concatenate((source, np.full(len(preg), hit)))
             absorbed.append(int(hit))
             avail[hit] = False
             reach = max(reach, _reach(a, preg))
@@ -411,21 +408,22 @@ def _grow(a, radius, pool, free):
         elif start:
             start = 0  # the pass absorbed: rescan, fillers may touch more pool
         else:
-            rel, rad = np.array(centers) - a, np.array(radii)
-            if not fills and _no_pocket(rel, rad, np.array(source)):
-                return centers, radii, absorbed, fills, witnessed
+            rel = centers - a
+            if not fills and _no_pocket(rel, radii, source):
+                break
             witnessed = True
-            plug = _pocket_filler(rel, rad)
+            plug = _pocket_filler(rel, radii)
             if plug is None:
-                return centers, radii, absorbed, fills, witnessed
+                break
             fills += 1
             if fills > 64:
                 raise PocketFillExhausted(
                     f"region at {a} still has pockets after 64 fills")
-            centers.append(a + plug[0])
-            radii.append(plug[1])
-            source.append(-2)
+            centers = np.append(centers, a + plug[0])
+            radii = np.append(radii, plug[1])
+            source = np.append(source, -2)
             reach = max(reach, abs(plug[0]) + plug[1])
+    return CompactRegion(centers, radii), absorbed, fills, witnessed
 
 
 def as_depth(N) -> int:
@@ -442,8 +440,8 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     (or an unbreakable local tie) and WindowTooSmall when the window cannot
     host even the base scale."""
     N = as_depth(N)
-    if r0 <= 0 or gamma <= 1:
-        raise ValueError("need r0 > 0 and gamma > 1")
+    if not (0 < r0 < math.inf and 1 < gamma < math.inf):
+        raise ValueError("need finite r0 > 0 and gamma > 1")
     if min(d.window.width, d.window.height) < 2 * r0:
         raise WindowTooSmall(
             f"window {d.window} cannot host base disks of radius {r0}"
@@ -462,7 +460,7 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     prev_level = None
     for n in range(N + 1):
         scale = r0 * gamma ** n
-        radius = min(scale, cap)
+        radius = q26(min(scale, cap))
         marker_idx = _markers(pairs, scale)
         spacing = 2 * radius + GAP_FRACTION * radius
 
@@ -474,25 +472,25 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
         counts = {"markers": len(marker_idx), "skipped": 0, "ceded": 0,
                   "absorptions": 0, "fills": 0, "witnessed": 0}
         kept_idx = []
-        kept_centers = []   # flat disk arrays of every kept union
-        kept_radii = []
+        # the disks of every region kept so far, for the ceding test
+        kept_centers = np.empty(0, dtype=complex)
+        kept_radii = np.empty(0, dtype=float)
         for i in marker_idx:
             if np.any(pairs.dist[i, kept_idx] < spacing):
                 counts["skipped"] += 1
                 continue
             a = complex(pairs.locs[i])
-            centers, radii, absorbed, fills, witnessed = _grow(a, radius,
-                                                               pool, free)
+            region, absorbed, fills, witnessed = _grow(a, radius, pool, free)
             counts["witnessed"] += witnessed
-            if _disks_intersect(centers, radii, kept_centers, kept_radii):
+            if _disks_intersect(region.centers, region.radii,
+                                kept_centers, kept_radii):
                 counts["ceded"] += 1
                 continue  # junior cedes: seniors already took what they touch
-            region = CompactRegion(np.array(centers), np.array(radii))
             regions[a] = region
             kinds[a] = "genuine"
             kept_idx.append(i)
-            kept_centers.extend(centers)
-            kept_radii.extend(radii)
+            kept_centers = np.concatenate((kept_centers, region.centers))
+            kept_radii = np.concatenate((kept_radii, region.radii))
             counts["absorptions"] += len(absorbed)
             counts["fills"] += fills
             free[absorbed] = False

@@ -537,7 +537,7 @@ def test_complement_connected_single_disk():
 
 
 def test_complement_connected_two_disjoint_disks():
-    K = CompactRegion([0j, 5 + 0j], [1.0, 1.0], check_connected=False)
+    K = CompactRegion([0j, 5 + 0j], [1.0, 1.0])
     assert K.complement_connected() is True
 
 
@@ -563,7 +563,7 @@ def test_hole_witness_with_two_core_components():
     assert sorted(witness) == list(range(3, 11))
     for a, b in zip(witness, witness[1:] + witness[:1]):
         assert abs((cluster + ring)[a] - (cluster + ring)[b]) < 2
-    K = CompactRegion(cluster + ring, [1.0] * 11, check_connected=False)
+    K = CompactRegion(cluster + ring, [1.0] * 11)
     assert K.complement_connected() is False
 
 
@@ -690,9 +690,29 @@ def test_hole_without_witness_is_a_typed_error(monkeypatch):
 # region geometry
 
 
-def test_region_requires_connected_union():
-    with pytest.raises(ValueError):
-        CompactRegion([0j, 5 + 0j], [1.0, 1.0])
+def test_region_accepts_a_disconnected_union():
+    # two unit disks 5 apart: a union of disks is a region whether or not
+    # its disks meet
+    K = CompactRegion([0j, 5 + 0j], [1.0, 1.0])
+    assert K.contains(0.5 + 0j) and K.contains(5.75 + 0j)
+    assert not K.contains(2.5 + 0j)
+    assert K.complement_connected() is True
+    assert core.hole_witness(K.centers, K.radii) is None
+    one, two = CompactRegion.disk(0j, 1.0), CompactRegion.disk(5 + 0j, 1.0)
+    assert np.array_equal(K.boundary_samples(),
+                          np.concatenate([one.boundary_samples(),
+                                          two.boundary_samples()]))
+
+
+@pytest.mark.parametrize("centers, radii", [
+    ([0j, complex(math.nan, 0)], [1.0, 1.0]),
+    ([0j, complex(0, math.inf)], [1.0, 1.0]),
+    ([0j, 1 + 0j], [1.0, math.nan]),
+    ([0j, 1 + 0j], [math.inf, 1.0]),
+])
+def test_region_refuses_non_finite_geometry(centers, radii):
+    with pytest.raises(ValueError, match="finite"):
+        CompactRegion(centers, radii)
 
 
 def test_region_refuses_a_radius_that_quantizes_to_zero():
@@ -717,9 +737,8 @@ def test_sup_monotone_under_disk_extension():
     # boundary sample sets of disk-list extensions are supersets, so a sup
     # over them is monotone with no slack
     f = ComplexPoly((0.3, -1.2, 0.0, 2.5 + 1j))
-    K = CompactRegion([0j, 1.5 + 0j], [1.0, 0.8], check_connected=False)
-    K2 = CompactRegion([0j, 1.5 + 0j, -0.5 + 1j], [1.0, 0.8, 1.1],
-                       check_connected=False)
+    K = CompactRegion([0j, 1.5 + 0j], [1.0, 0.8])
+    K2 = CompactRegion([0j, 1.5 + 0j, -0.5 + 1j], [1.0, 0.8, 1.1])
     s, s2 = K.boundary_samples(), K2.boundary_samples()
     assert np.array_equal(s2[:len(s)], s)
     assert np.max(np.abs(f(s))) <= np.max(np.abs(f(s2)))
@@ -746,7 +765,7 @@ def test_stamped_area_matches_contains(seed):
     rng = np.random.default_rng([seed, 5])
     for n in (1, 3, 9, 25):
         centers, radii = random_family(rng, n)
-        K = CompactRegion(centers, radii, check_connected=False)
+        K = CompactRegion(centers, radii)
         for h in PITCHES:
             assert K.area(h) == dense_area(K, h), (n, h)
 
@@ -769,7 +788,7 @@ def test_lattice_mask_matches_contains(seed):
     # and some miss it altogether
     rng = np.random.default_rng([seed, 6])
     centers, radii = random_family(rng, 30)
-    K = CompactRegion(centers, radii, check_connected=False)
+    K = CompactRegion(centers, radii)
     for h in PITCHES:
         grid = Window(-2.5, 1.75, -1.0, 3.0).grid(h)
         mask = K.lattice_mask(grid)

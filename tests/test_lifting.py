@@ -200,7 +200,7 @@ class TestDivisorRecovery:
         with pytest.raises(ValueError):
             lift_weierstrass(neg, None, 2)
         empty = Divisor(np.array([]), np.array([]), WIN8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty data"):
             lift_weierstrass(empty, None, 2)
 
     def test_toast_must_match_data(self, six_trace):
@@ -774,11 +774,6 @@ class TestEquivariance:
         assert math.isnan(report.deviation)
         assert report.refusal.startswith("NonFreeInput")
 
-    def test_empty_trace_is_rejected(self):
-        trace = lift_mittag_leffler(PrincipalParts(()), None, 3)
-        with pytest.raises(ValueError):
-            verify_equivariance(trace, SHIFT)
-
     def test_zero_set_shifts_with_the_data(self, six_trace):
         # multiplicity-exact: the shifted build puts its zeros at z - w,
         # the double zero included
@@ -839,9 +834,9 @@ def test_base_point_and_chain_commute_with_q26_shifts(case):
     except NonFreeInput:
         return
     toast_w = build_covariant_toast(moved, N=3, r0=1.0, gamma=4.0)
-    for n in range(4):
-        m, a = lifting._chain_entry(toast, base, n)
-        assert lifting._chain_entry(toast_w, base + w, n) == (m, a + w)
+    chain = lifting._chain(toast, base, 3)
+    assert lifting._chain(toast_w, base + w, 3) == [(m, a + w)
+                                                    for m, a in chain]
 
 
 # ---------------------------------------------------------------------------
@@ -891,11 +886,14 @@ class TestMittagLeffler:
         assert report.passed, report.deviation
         assert report.deviation == 0.0
 
-    def test_empty_prescription_is_zero(self):
-        trace = lift_mittag_leffler(PrincipalParts(()), None, 3)
-        assert trace.depth == -1 or trace.depth == 0 or not trace.levels
-        z = np.array([0j, 1 + 1j, -2.5])
-        assert np.array_equal(trace.psi()(z), np.zeros(3, dtype=complex))
+    def test_empty_prescription_is_refused(self):
+        # an empty configuration is fixed by every translation, so it has
+        # no covariant lift; the refusal comes before the toast and the
+        # depth are read
+        with pytest.raises(ValueError, match="empty data"):
+            lift_mittag_leffler(PrincipalParts(()), None, 3)
+        with pytest.raises(ValueError, match="empty data"):
+            lift_mittag_leffler(PrincipalParts(()), "not a toast", 3.7)
 
 
 # ---------------------------------------------------------------------------
@@ -939,10 +937,11 @@ class TestPoisson2d:
         with pytest.raises(ValueError):
             lift_poisson_2d(Potential.from_json(dump), None, 2)
 
-    def test_empty_measure_is_zero(self):
-        trace = lift_poisson_2d(Potential((), dim=2), None, 3)
-        z = np.array([0j, 1 + 1j])
-        assert np.array_equal(trace.psi()(z), np.zeros(2, dtype=complex))
+    def test_empty_measure_is_refused(self):
+        with pytest.raises(ValueError, match="empty data"):
+            lift_poisson_2d(Potential((), dim=2), None, 3)
+        with pytest.raises(ValueError, match="empty data"):
+            lift_poisson_2d(Potential((), dim=2), "not a toast", 3.7)
 
 
 # ---------------------------------------------------------------------------

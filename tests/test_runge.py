@@ -15,7 +15,7 @@ from equilift.toast import build_covariant_toast
 
 DISK = CompactRegion.disk(0j, 1.0)
 # two unit disks 8 apart as one region; its complement is connected
-PAIR = CompactRegion([-4 + 0j, 4 + 0j], [1.0, 1.0], check_connected=False)
+PAIR = CompactRegion([-4 + 0j, 4 + 0j], [1.0, 1.0])
 
 
 def left_right(left, right, kind=complex):

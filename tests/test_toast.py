@@ -69,13 +69,13 @@ class TestTwoPoints:
         kids = set(forest.children[(1, 0j)])
         assert kids == {(0, 0j), (0, 3 + 0j)}
 
-    def test_locate_and_fall_down(self):
+    def test_locate(self):
         forest = self.forest()
         assert forest.locate(0, 0.5 + 0j) == 0j
         assert forest.locate(0, 3.2 + 0.1j) == 3 + 0j
         assert forest.locate(0, 1.7 + 0j) is None  # between the base disks
-        assert forest.fall_down(1.7 + 0j, 1) == (1, 0j)
-        assert forest.fall_down(0.5 + 0j, 0) == (0, 0j)
+        assert forest.locate(1, 1.7 + 0j) == 0j
+        assert forest.locate(1, 0.5 + 0j) == 0j
 
     def test_axioms(self):
         report = verify_axioms(self.forest())
@@ -117,8 +117,7 @@ class TestPoissonForest:
 
     def test_every_divisor_point_reached(self, forest):
         for p in forest.divisor.locs:
-            hit = forest.fall_down(p)
-            assert hit is not None
+            assert forest.locate(forest.depth, p) is not None
 
     def test_repeats_carry_region_unchanged(self, forest):
         found = 0
@@ -290,11 +289,12 @@ class TestAbsorption:
             [-1.0j])          # 6: taken by a senior
         free = np.ones(7, dtype=bool)
         free[6] = False
-        centers, radii, absorbed, fills, witnessed = toast_module._grow(
+        region, absorbed, fills, witnessed = toast_module._grow(
             0j, 1.0, pool, free)
         assert absorbed == [1, 2, 3, 4, 0]
-        assert centers == [0j, 1.5, -1.75, 4.0, 3.0, 1.875j, -3.5]
-        assert radii == [1.0] * 7 and fills == 0
+        assert region.centers.tolist() == [0j, 1.5, -1.75, 4.0, 3.0, 1.875j,
+                                           -3.5]
+        assert region.radii.tolist() == [1.0] * 7 and fills == 0
         # regions 0 and 2 (and 1 and 3) meet, so the pieces cannot decide
         assert witnessed
         assert free[:6].all()  # the caller marks what it keeps
@@ -308,10 +308,10 @@ class TestAbsorption:
         monkeypatch.setattr(toast_module, "_pocket_filler",
                             lambda rel_centers, radii: next(plugs, None))
         pool = self.pool([3.5j])
-        centers, radii, absorbed, fills, witnessed = toast_module._grow(
+        region, absorbed, fills, witnessed = toast_module._grow(
             0j, 1.0, pool, np.ones(1, dtype=bool))
         assert (absorbed, fills, witnessed) == ([0], 1, True)
-        assert centers == [0j, 2j, 3.5j]
+        assert region.centers.tolist() == [0j, 2j, 3.5j]
 
 
 class TestPocketFiller:
@@ -325,7 +325,7 @@ class TestPocketFiller:
         c, r = np.array(self.TRIANGLE), np.ones(3)
         assert len(hole_witness(c, r)) == 3
         m, radius = toast_module._pocket_filler(c, r)
-        assert m == q26(m) and radius < 0.5
+        assert m == q26(m) and radius == q26(radius) and radius < 0.5
         c, r = np.append(c, m), np.append(r, radius)
         assert hole_witness(c, r) is None
         assert toast_module._pocket_filler(c, r) is None
@@ -337,7 +337,7 @@ class TestPocketFiller:
         r = np.full(4, 0.875)
         assert len(hole_witness(c, r)) == 4
         m, radius = toast_module._pocket_filler(c, r)
-        assert (m, radius) == (0j, 2 / 2 * 1.05 + 2.0 ** -20)
+        assert (m, radius) == (0j, q26(2 / 2 * 1.05 + 2.0 ** -20))
         c, r = np.append(c, m), np.append(r, radius)
         assert hole_witness(c, r) is None
         assert toast_module._pocket_filler(c, r) is None
@@ -353,20 +353,21 @@ class TestPocketFiller:
         c, r = np.array(self.RING) + w, np.array(self.RING_RADII, dtype=float)
         pool = toast_module._Pool.of(
             (ci, CompactRegion([ci], [ri])) for ci, ri in zip(c[1:], r[1:]))
-        centers, radii, absorbed, fills, _ = toast_module._grow(
+        region, absorbed, fills, _ = toast_module._grow(
             complex(c[0]), float(r[0]), pool, np.ones(5, dtype=bool))
         assert absorbed == [0, 1, 2, 3, 4] and fills == 2
-        assert hole_witness(np.array(centers), np.array(radii)) is None
+        assert hole_witness(region.centers, region.radii) is None
         # the second fill is a new disk, not the first one again
-        assert (centers[-1], radii[-1]) != (centers[-2], radii[-2])
-        assert centers[-2:] == [w + 0.6875 + 0.25j, w - 0.25 - 0.875j]
+        assert region.disks()[-1] != region.disks()[-2]
+        assert region.centers[-2:].tolist() == [w + 0.6875 + 0.25j,
+                                                w - 0.25 - 0.875j]
 
     def test_a_ring_with_every_chord_bridged_is_refused(self, monkeypatch):
         # a rhombus whose two chords already carry their bridging disks,
         # with hole_witness forced to name the ring again
         c = np.array([1.25 + 0j, 1j, -1.25 + 0j, -1j, 0j, 0j])
-        r = np.array([0.875] * 4 + [1.05 + 2.0 ** -20,
-                                    1.25 * 1.05 + 2.0 ** -20])
+        r = np.array([0.875] * 4 + [q26(1.05 + 2.0 ** -20),
+                                    q26(1.25 * 1.05 + 2.0 ** -20)])
         monkeypatch.setattr(toast_module, "hole_witness",
                             lambda centers, radii: (0, 1, 2, 3))
         assert toast_module._pocket_filler(c[:5], r[:5]) == (0j, r[5])
@@ -381,12 +382,13 @@ class TestPocketFiller:
             return toast_module._grow(self.TRIANGLE[0] + shift, 1.0, pool,
                                       np.ones(2, dtype=bool))
 
-        centers, radii, absorbed, fills, witnessed = grow(0j)
+        region, absorbed, fills, witnessed = grow(0j)
         assert absorbed == [0, 1] and fills == 1 and witnessed
-        assert hole_witness(np.array(centers), np.array(radii)) is None
+        assert hole_witness(region.centers, region.radii) is None
         moved = grow(w)
-        assert moved[0] == [c + w for c in centers]
-        assert moved[1:] == (radii, absorbed, fills, witnessed)
+        assert moved[0].centers.tobytes() == (region.centers + w).tobytes()
+        assert moved[0].radii.tobytes() == region.radii.tobytes()
+        assert moved[1:] == (absorbed, fills, witnessed)
 
 
 class TestPocketRule:
@@ -425,18 +427,18 @@ class TestPocketRule:
         rules, witnesses = [], []
         self.spy(monkeypatch, "_no_pocket", rules)
         self.spy(monkeypatch, "hole_witness", witnesses)
-        centers, radii, absorbed, fills, witnessed = self.grow_horseshoe()
+        region, absorbed, fills, witnessed = self.grow_horseshoe()
         assert absorbed == [0] and witnessed and fills >= 1
         assert rules == [None]
         assert sorted(witnesses[0]) == list(range(8))
         assert witnesses[-1] is None
-        assert hole_witness(np.array(centers), np.array(radii)) is None
+        assert hole_witness(region.centers, region.radii) is None
 
     def test_a_union_after_a_fill_goes_to_hole_witness(self, monkeypatch):
         rules, witnesses = [], []
         self.spy(monkeypatch, "_no_pocket", rules)
         self.spy(monkeypatch, "hole_witness", witnesses)
-        fills = self.grow_horseshoe()[3]
+        fills = self.grow_horseshoe()[2]
         # the rule runs once, on the bare union; every filled union is
         # decided by hole_witness
         assert len(rules) == 1 and len(witnesses) == fills + 1
@@ -459,8 +461,8 @@ class TestPocketRule:
         rules = []
         self.spy(monkeypatch, "_no_pocket", rules)
         out = self.grow(radius, *regions)
-        assert out[2] == list(range(len(regions)))
-        assert rules == [None] and out[3:] == (fills, True)
+        assert out[1] == list(range(len(regions)))
+        assert rules == [None] and out[2:] == (fills, True)
 
     @pytest.mark.parametrize("radius, regions", [
         (1.0, []),                                          # a lone disk
@@ -472,7 +474,7 @@ class TestPocketRule:
                                                   regions):
         monkeypatch.setattr(toast_module, "hole_witness", None)
         out = self.grow(radius, *regions)
-        assert out[2] == list(range(len(regions))) and out[3:] == (0, False)
+        assert out[1] == list(range(len(regions))) and out[2:] == (0, False)
 
 
 def _rule_inputs():
@@ -622,6 +624,14 @@ class TestRejections:
             build_covariant_toast(d, N=-1)
         with pytest.raises(ValueError):
             build_covariant_toast(d, N=1, gamma=1.0)
+
+    @pytest.mark.parametrize("r0, gamma", [
+        (math.nan, 4.0), (math.inf, 4.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_parameters(self, r0, gamma):
+        # a NaN r0 once built regions of NaN radii, and a NaN gamma built
+        d = generate("poisson", WIN8, seed=3, intensity=0.2)
+        with pytest.raises(ValueError, match="finite"):
+            build_covariant_toast(d, N=2, r0=r0, gamma=gamma)
 
     def test_endless_pockets_are_a_typed_error(self, monkeypatch):
         # a filler that never closes the pocket exhausts the fill budget;
