@@ -133,6 +133,13 @@ class Circle:
     radius: float
 
 
+def disks_meet(c1, r1, c2, r2):
+    """True iff some closed disk of (c1, r1) meets some closed disk of (c2,
+    r2), |c1 - c2| <= r1 + r2 (False when either is empty)."""
+    d = np.abs(c1[:, None] - c2[None, :])
+    return bool(np.any(d <= r1[:, None] + r2[None, :]))
+
+
 class CompactRegion:
     """A finite union of closed disks, centres and radii on the 2^-26
     lattice.
@@ -226,8 +233,7 @@ class CompactRegion:
         return CompactRegion(self.centers + complex(w), self.radii)
 
     def intersects(self, other):
-        d = np.abs(self.centers[:, None] - other.centers[None, :])
-        return bool((d <= self.radii[:, None] + other.radii[None, :]).any())
+        return disks_meet(self.centers, self.radii, other.centers, other.radii)
 
     # -- sampling (deterministic, covariant)
 
@@ -288,41 +294,6 @@ class CompactRegion:
                    for c, r in zip(self.centers, self.radii))
 
 
-def _gf2_echelon(mat):
-    """Row echelon form over GF(2): (reduced rows, [(pivot col, row)]).
-
-    Holes of planar compacts are torsion-free, so mod-2 ranks give the
-    same Betti numbers as rational ones while staying exact in floats.
-    """
-    a = mat.copy()
-    pivots = []
-    rows = a.shape[0]
-    rank = 0
-    for col in range(a.shape[1]):
-        hit = np.flatnonzero(a[rank:, col])
-        if len(hit) == 0:
-            continue
-        piv = hit[0] + rank
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        others = a[:, col].astype(bool)
-        others[rank] = False
-        a[others] ^= a[rank]
-        pivots.append((col, rank))
-        rank += 1
-        if rank == rows:
-            break
-    return a[:rank], pivots
-
-
-def _gf2_in_rowspace(vec, ech, pivots):
-    v = vec.copy()
-    for col, row in pivots:
-        if v[col]:
-            v ^= ech[row]
-    return not v.any()
-
-
 def circle_crossings(c1, r1, c2, r2):
     """Crossing points of two circles; the radical-axis point (doubled) when
     tangent within rounding. Callers re-test membership, so spurious
@@ -356,23 +327,49 @@ def _disks_triple_meet(c1, r1, c2, r2, c3, r3, tol):
     return False
 
 
+def _nerve(c, r):
+    """The intersection graph of the disks (c, r), n >= 1, as both pocket
+    tests read it: (dist, tol, adj) with dist the centre distances, tol =
+    1e-9 * max(1, max r, max dist), and adj[i, j] = dist <= r_i + r_j +
+    tol, empty on the diagonal."""
+    dist = np.abs(c[:, None] - c[None, :])
+    tol = 1e-9 * max(1.0, float(np.max(r)), float(np.max(dist)))
+    adj = dist <= r[:, None] + r[None, :] + tol
+    np.fill_diagonal(adj, False)
+    return dist, tol, adj
+
+
+def _xor_reduce(vec, basis):
+    """vec (an int, one bit per edge) reduced by an XOR basis {leading bit:
+    row}: 0 exactly when vec lies in the basis' span over GF(2)."""
+    while vec and vec.bit_length() - 1 in basis:
+        vec ^= basis[vec.bit_length() - 1]
+    return vec
+
+
 def hole_witness(centers, radii):
     """Indices of disks ringing a complement pocket, or None if none exists.
 
     Disks are convex, so their union is homotopy equivalent to the nerve of
-    the family (which only needs pairs and triples: a triple meet reduces to
-    finitely many candidate points, and higher meets never affect first
-    homology). A bounded complement component exists exactly when some
-    1-cycle is not a mod-2 combination of triple-meet triangles; the witness
-    returned is a shortest such fundamental cycle of the intersection graph,
-    as a ring-ordered index tuple. The graph has E - V + C independent
-    cycles (C its components, counted by the breadth-first forest the
-    fundamental cycles come from), and only the triangles need a GF(2)
-    elimination. Edges are the upper triangle of the 2-core's adjacency,
-    in row-major order, and the triangle candidates of an edge (i, j) are
-    the common neighbours k > j, read off as one row intersection; only
-    those triples reach the exact meet test. Every decision uses pairwise
-    differences only, so verdicts are exactly shift-covariant.
+    the family (`_nerve`; it only needs pairs and triples: a triple meet
+    reduces to finitely many candidate points, and higher meets never affect
+    first homology). A bounded complement component exists exactly when
+    some 1-cycle is not a mod-2 combination of triple-meet triangles; the
+    witness returned is a shortest such fundamental cycle of the
+    intersection graph, as a ring-ordered index tuple. The graph has E - V
+    + C independent cycles (C its components, counted by the breadth-first
+    forest the fundamental cycles come from). Holes of planar compacts are
+    torsion-free, so mod-2 ranks give the same Betti numbers as rational
+    ones. Each triangle boundary and each cycle is a Python int whose set
+    bits are its edge ids; the triangles are kept as an XOR basis {leading
+    bit: row}, whose size is their rank, and a cycle is a pocket when it
+    does not reduce to 0. That algebra is exact, and neither the rank nor
+    the span depends on which basis is kept. Edges are the upper triangle of
+    the 2-core's adjacency, in row-major order, and the triangle candidates
+    of an edge (i, j) are the common neighbours k > j, read off as one row
+    intersection; only those triples reach the exact meet test. Every
+    decision uses pairwise differences only, so verdicts are exactly
+    shift-covariant.
 
     Toast construction consults it only on the unions its Mayer-Vietoris
     rule cannot decide and on unions with a pocket fill (see `toast`); the
@@ -383,10 +380,7 @@ def hole_witness(centers, radii):
     n = len(c)
     if n <= 2:
         return None
-    dist = np.abs(c[:, None] - c[None, :])
-    tol = 1e-9 * max(1.0, float(np.max(r)), float(np.max(dist)))
-    adj = dist <= r[:, None] + r[None, :] + tol
-    np.fill_diagonal(adj, False)
+    _, tol, adj = _nerve(c, r)
     # leaf disks are collapsible in the nerve: 1-cycles live in the 2-core
     alive = np.ones(n, dtype=bool)
     deg = adj.sum(axis=1)
@@ -401,11 +395,10 @@ def hole_witness(centers, radii):
         return None
     sub = adj[np.ix_(verts, verts)]
     m = len(verts)
-    # edges in row-major order; eid[i, j] = eid[j, i] is the index of {i, j}
+    # edges in row-major order; eid[i, j] (i < j) is the index of {i, j}
     iu, ju = np.nonzero(np.triu(sub, 1))
     edges = list(zip(iu.tolist(), ju.tolist()))
-    eid = np.zeros((m, m), dtype=np.int64)
-    eid[iu, ju] = eid[ju, iu] = np.arange(len(edges))
+    eid = {e: k for k, e in enumerate(edges)}
     neighbors = [np.flatnonzero(sub[i]).tolist() for i in range(m)]
     parent = [-1] * m
     depth = [0] * m
@@ -428,20 +421,20 @@ def hole_witness(centers, radii):
     # every vertex of the 2-core has degree >= 2, so there is a cycle
     cycles = len(edges) - m + components
     # triangle candidates of edge (i, j): the common neighbours k > j
-    tri = []
+    basis = {}
     for e, (i, j) in enumerate(edges):
-        for k in (np.flatnonzero(sub[i, j + 1:] & sub[j, j + 1:]) + j + 1):
+        common = np.flatnonzero(sub[i, j + 1:] & sub[j, j + 1:]) + j + 1
+        for k in common.tolist():
             if _disks_triple_meet(c[verts[i]], r[verts[i]], c[verts[j]],
                                   r[verts[j]], c[verts[k]], r[verts[k]], tol):
-                tri.append((e, eid[i, k], eid[j, k]))
-    tri = np.array(tri, dtype=np.int64).reshape(-1, 3)
-    d2 = np.zeros((len(tri), len(edges)), dtype=np.uint8)
-    np.put_along_axis(d2, tri, 1, axis=1)
-    ech, pivots = _gf2_echelon(d2)
-    if cycles == len(pivots):
+                row = _xor_reduce(
+                    (1 << e) | (1 << eid[i, k]) | (1 << eid[j, k]), basis)
+                if row:
+                    basis[row.bit_length() - 1] = row
+    if cycles == len(basis):
         return None
     # some pocket exists; fundamental cycles span the cycle space, so at
-    # least one of them lies outside the triangle row space
+    # least one of them lies outside the triangle span
     tree = {(min(u, parent[u]), max(u, parent[u])) for u in range(m)
             if parent[u] >= 0}
     candidates = []
@@ -465,9 +458,10 @@ def hole_witness(centers, radii):
         candidates.append(ring)
     candidates.sort(key=lambda ring: (len(ring), ring))
     for ring in candidates:
-        vec = np.zeros(len(edges), dtype=np.uint8)
-        vec[eid[ring, ring[1:] + ring[:1]]] = 1
-        if not _gf2_in_rowspace(vec, ech, pivots):
+        # a fundamental cycle is simple: its edges are distinct bits
+        vec = sum(1 << eid[min(a, b), max(a, b)]
+                  for a, b in zip(ring, ring[1:] + ring[:1]))
+        if _xor_reduce(vec, basis):
             return tuple(int(verts[i]) for i in ring)
     raise HoleWitnessNotFound("cycle space not spanned by fundamental cycles")
 

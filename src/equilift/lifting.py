@@ -206,15 +206,6 @@ def _base_point(locs):
     return first + complex(q26(complex(np.mean(locs - first))))
 
 
-def _nearest_base_anchor(toast: ToastForest, x):
-    best = None
-    for anchor, region in toast.levels[0].regions.items():
-        d = float(np.min(np.abs(x - region.centers) - region.radii))
-        if best is None or d < best[0]:
-            best = (d, anchor)
-    return best[1]
-
-
 def _chain(toast: ToastForest, base, N):
     """(level, anchor) of the region holding the base point at each stage
     0..N; below first coverage the nearest base region stands in. Every
@@ -222,7 +213,7 @@ def _chain(toast: ToastForest, base, N):
     later one does, and one `locate` per level finds the chain."""
     chain = [(n, toast.locate(n, base)) for n in range(N + 1)]
     if chain[0][1] is None:
-        below = (0, _nearest_base_anchor(toast, base))
+        below = (0, toast.nearest(0, base))
         chain = [below if a is None else (n, a) for n, a in chain]
     return chain
 
@@ -602,8 +593,16 @@ def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
     without membership), then compare psi_{data-w}(z) with psi_data(z+w)
     on a grid over the overlap of the two windows (in the product mode, Re
     log psi and Im log psi modulo 2 pi). A refusal of the shifted build
-    (non-free input) is recorded, not raised."""
+    (non-free input) is recorded, not raised; a shift that leaves the
+    windows no overlap raises ValueError before anything is rebuilt."""
     w = complex(q26(w))
+    win = trace.window
+    bounds = (win.xmin + max(0.0, -w.real), win.xmax + min(0.0, -w.real),
+              win.ymin + max(0.0, -w.imag), win.ymax + min(0.0, -w.imag))
+    if not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+        raise ValueError(f"shift {w} leaves the window {win} no overlap "
+                         "with its shifted copy")
+    box = Window(*bounds)
     toast = trace.toast
     try:
         toast_w = build_covariant_toast(
@@ -615,9 +614,6 @@ def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
                                   passed=False, refusal=f"NonFreeInput: {exc}")
     shifted = _lift(trace.mode, _KERNELS[trace.mode].shift(trace.data, -w),
                     toast_w, trace.depth, check_membership=False)
-    win = trace.window
-    box = Window(win.xmin + max(0.0, -w.real), win.xmax + min(0.0, -w.real),
-                 win.ymin + max(0.0, -w.imag), win.ymax + min(0.0, -w.imag))
     grid = box.inner().grid(max(box.width, box.height) / EQUIVARIANCE_GRID)
     if _KERNELS[trace.mode].product:
         la, lb = trace.psi().log_eval(grid + w), shifted.psi().log_eval(grid)

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (CompactRegion, Window, _disks_triple_meet, circle_crossings,
-                   hole_witness, q26)
+from .core import (CompactRegion, Window, _disks_triple_meet, _nerve,
+                   circle_crossings, disks_meet, hole_witness, q26)
 from .divisors import Divisor, detect_stabilizer
 from .errors import NonFreeInput, PocketFillExhausted, WindowTooSmall
 
@@ -89,12 +89,25 @@ class ToastForest:
     def region(self, n, anchor):
         return self.levels[n].regions[anchor]
 
+    def _clearances(self, n, x):
+        """min |x - c| - r over each level-n region's disks, in level order,
+        from one pass over the level's disks: <= 0 exactly when the region
+        holds x (the test of `CompactRegion.contains`)."""
+        regions = self.levels[n].regions.values()
+        centers = np.concatenate([reg.centers for reg in regions])
+        radii = np.concatenate([reg.radii for reg in regions])
+        starts = np.cumsum([0] + [len(reg) for reg in regions])[:-1]
+        return np.minimum.reduceat(np.abs(x - centers) - radii, starts)
+
     def locate(self, n, x):
-        """Anchor of the unique level-n region containing x, or None."""
-        for anchor, region in self.levels[n].regions.items():
-            if region.contains(x):
-                return anchor
-        return None
+        """Anchor of the first level-n region containing x, or None."""
+        held = np.flatnonzero(self._clearances(n, x) <= 0)
+        return self.levels[n].anchors[held[0]] if len(held) else None
+
+    def nearest(self, n, x):
+        """Anchor of the first level-n region of least clearance
+        min |x - c| - r over its disks."""
+        return self.levels[n].anchors[int(np.argmin(self._clearances(n, x)))]
 
     def translate(self, w):
         w = complex(w)
@@ -213,13 +226,6 @@ def _markers(pairs, scale):
     return out[np.argsort(-rank[out], kind="stable")].tolist()
 
 
-def _disks_intersect(c1, r1, c2, r2):
-    """Any closed disk of arrays 1 meeting any of arrays 2 (False when
-    either is empty)."""
-    d = np.abs(c1[:, None] - c2[None, :])
-    return bool(np.any(d <= r1[:, None] + r2[None, :]))
-
-
 def _pocket_filler(rel_centers, radii):
     """One covariant disk plugging (or splitting) a complement pocket.
 
@@ -279,23 +285,21 @@ def _no_pocket(rel_centers, radii, source):
     c_i counts the components of the pieces D ∩ x, x in region i, two
     pieces joined when D, x and y meet. So every c_i = 1 means no pocket.
 
-    The adjacency, the triple meets and `tol` are hole_witness's, on the
-    same relative centres; a pair whose piece lies inside D with margin
-    meets D wherever it meets itself, so it needs no triple test. A pair of
-    disks within tol + 2^-24 * max(1, r_max) of tangency makes the rule
-    undecided, since there the nerve could differ from the one under which
-    a region was accepted."""
+    The distances, the adjacency and `tol` are hole_witness's: both read
+    them from `core._nerve`, here on the relative centres, and the triple
+    meets are its `_disks_triple_meet`. A pair whose piece lies inside D
+    with margin meets D wherever it meets itself, so it needs no triple
+    test. A pair of disks within tol + 2^-24 * max(1, r_max) of tangency
+    makes the rule undecided, since there the nerve could differ from the
+    one under which a region was accepted."""
     c, r, src = rel_centers, radii, source
     if len(c) <= 2:
         return True  # two convex disks ring no pocket, as in hole_witness
-    dist = np.abs(c[:, None] - c[None, :])
-    scale = max(1.0, float(np.max(r)))
-    tol = 1e-9 * max(scale, float(np.max(dist)))
+    dist, tol, adj = _nerve(c, r)
     gap = dist - (r[:, None] + r[None, :])
-    np.fill_diagonal(gap, -np.inf)
-    if np.any(np.abs(gap) <= tol + 2.0 ** -24 * scale):
+    np.fill_diagonal(gap, np.inf)
+    if np.any(np.abs(gap) <= tol + 2.0 ** -24 * max(1.0, float(np.max(r)))):
         return None
-    adj = gap <= tol
     if np.any(adj[1:, 1:] & (src[1:, None] != src[None, 1:])):
         return None
     # every region has a piece: it was absorbed for meeting D or another
@@ -393,9 +397,9 @@ def _grow(a, radius, pool, free):
         near = avail[start:] & _may_meet(gap[start:],
                                          reach + pool.reach[start:])
         hit = next((idx for idx in np.flatnonzero(near) + start
-                    if _disks_intersect(centers, radii,
-                                        pool.items[idx][1].centers,
-                                        pool.items[idx][1].radii)), None)
+                    if disks_meet(centers, radii,
+                                  pool.items[idx][1].centers,
+                                  pool.items[idx][1].radii)), None)
         if hit is not None:
             preg = pool.items[hit][1]
             centers = np.concatenate((centers, preg.centers))
@@ -482,8 +486,8 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
             a = complex(pairs.locs[i])
             region, absorbed, fills, witnessed = _grow(a, radius, pool, free)
             counts["witnessed"] += witnessed
-            if _disks_intersect(region.centers, region.radii,
-                                kept_centers, kept_radii):
+            if disks_meet(region.centers, region.radii,
+                          kept_centers, kept_radii):
                 counts["ceded"] += 1
                 continue  # junior cedes: seniors already took what they touch
             regions[a] = region

@@ -267,6 +267,10 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential((((0.0, 0.0, 0.0), 1.0),), dim=3)
 
+    def test_rejects_a_location_off_the_plane(self):
+        with pytest.raises(ValueError, match="not 2-dimensional"):
+            Potential((((0.0, 0.0, 1.0), 1.0),), dim=2)
+
     def test_rejects_non_finite_data(self):
         # a NaN mass passes `mass <= 0`; JSON readers accept NaN and Infinity
         for text in ('{"dim": 2, "atoms": [{"loc": [0.0, 0.0], "mass": NaN}]}',

@@ -567,9 +567,43 @@ def test_hole_witness_with_two_core_components():
     assert K.complement_connected() is False
 
 
+def gf2_echelon(mat):
+    """Row echelon form of a uint8 matrix over GF(2): (reduced rows,
+    [(pivot col, row)]), by dense numpy elimination."""
+    a = mat.copy()
+    pivots = []
+    rows = a.shape[0]
+    rank = 0
+    for col in range(a.shape[1]):
+        hit = np.flatnonzero(a[rank:, col])
+        if len(hit) == 0:
+            continue
+        piv = hit[0] + rank
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        others = a[:, col].astype(bool)
+        others[rank] = False
+        a[others] ^= a[rank]
+        pivots.append((col, rank))
+        rank += 1
+        if rank == rows:
+            break
+    return a[:rank], pivots
+
+
+def gf2_in_rowspace(vec, ech, pivots):
+    v = vec.copy()
+    for col, row in pivots:
+        if v[col]:
+            v ^= ech[row]
+    return not v.any()
+
+
 def loop_hole_witness(centers, radii):
     """The loop form hole_witness replaced: edges and triangle candidates
-    from Python loops over all pairs and triples of the 2-core."""
+    from Python loops over all pairs and triples of the 2-core, and the
+    GF(2) algebra as a dense uint8 matrix in numpy elimination, not
+    hole_witness's XOR basis on ints."""
     c = np.asarray(centers, dtype=complex)
     r = np.asarray(radii, dtype=float)
     n = len(c)
@@ -617,7 +651,7 @@ def loop_hole_witness(centers, radii):
                 rows.append(row)
     d2 = (np.array(rows, dtype=np.uint8) if rows
           else np.zeros((0, len(edges)), dtype=np.uint8))
-    ech, pivots = core._gf2_echelon(d2)
+    ech, pivots = gf2_echelon(d2)
     if len(edges) - m + components == len(pivots):
         return None
     tree = {(min(u, parent[u]), max(u, parent[u])) for u in range(m)
@@ -643,7 +677,7 @@ def loop_hole_witness(centers, radii):
         vec = np.zeros(len(edges), dtype=np.uint8)
         for a, b in zip(ring, ring[1:] + ring[:1]):
             vec[eidx[(min(a, b), max(a, b))]] = 1
-        if not core._gf2_in_rowspace(vec, ech, pivots):
+        if not gf2_in_rowspace(vec, ech, pivots):
             return tuple(int(verts[i]) for i in ring)
     raise HoleWitnessNotFound("cycle space not spanned by fundamental cycles")
 
@@ -666,7 +700,7 @@ def random_family(rng, n, ring=0):
 def test_hole_witness_matches_the_loop_form():
     rng = np.random.default_rng(17)
     outcomes = []
-    for n in (3, 5, 8, 12, 20, 30, 45):
+    for n in (3, 5, 8, 12, 20, 30, 45, 80, 160, 300):
         for ring in (0, 0, 6, 9):
             centers, radii = random_family(rng, n, ring)
             witness = core.hole_witness(centers, radii)
@@ -678,8 +712,8 @@ def test_hole_witness_matches_the_loop_form():
 
 def test_hole_without_witness_is_a_typed_error(monkeypatch):
     # exact GF(2) ranks never leave the pocket without a ringing cycle; a
-    # row-space test that accepts every cycle forces the guard
-    monkeypatch.setattr(core, "_gf2_in_rowspace", lambda vec, ech, pivots: True)
+    # reduction that puts every vector in the span forces the guard
+    monkeypatch.setattr(core, "_xor_reduce", lambda vec, basis: 0)
     centers = [2.5 * np.exp(2j * np.pi * k / 8) for k in range(8)]
     with pytest.raises(HoleWitnessNotFound) as err:
         core.hole_witness(centers, [1.0] * 8)
@@ -713,6 +747,25 @@ def test_region_accepts_a_disconnected_union():
 def test_region_refuses_non_finite_geometry(centers, radii):
     with pytest.raises(ValueError, match="finite"):
         CompactRegion(centers, radii)
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 0, 1), (2, 1, 0, 1),
+                                    (0, 1, 1, 1), (0, 1, 2, 1)])
+def test_window_refuses_an_empty_extent(bounds):
+    with pytest.raises(ValueError, match="xmin < xmax"):
+        Window(*bounds)
+
+
+@pytest.mark.parametrize("centers, radii", [([0j, 1j], [1.0]), ([], [])])
+def test_region_refuses_mismatched_or_empty_arrays(centers, radii):
+    with pytest.raises(ValueError, match="matching nonempty"):
+        CompactRegion(centers, radii)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_poly_refuses_a_nonpositive_scale(scale):
+    with pytest.raises(ValueError, match="scale must be positive"):
+        ComplexPoly((1 + 0j,), scale=scale)
 
 
 def test_region_refuses_a_radius_that_quantizes_to_zero():

@@ -54,6 +54,10 @@ class TestDivisor:
         dump["points"][0]["mult"] = 2.0
         assert Divisor.from_json(dump).mults.tolist() == [2]
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            Divisor(np.array([0j, 1j]), np.array([1]), WIN8)
+
     def test_rejects_duplicate_locations(self):
         with pytest.raises(ValueError):
             Divisor(np.array([1j, 1j]), np.array([1, 1]), WIN8)
@@ -168,6 +172,14 @@ class TestGenerate:
         with pytest.raises(EmptyWindow):
             generate("periodic-lattice", Window(0.1, 0.9, 0.1, 0.9), spacing=8.0)
 
+    @pytest.mark.parametrize("kind, kw", [
+        ("poisson", {"intensity": 0.0}), ("poisson", {"intensity": -0.5}),
+        ("jittered-lattice", {"spacing": 0.0}),
+        ("periodic-lattice", {"spacing": -1.0})])
+    def test_refuses_nonpositive_intensity_or_spacing(self, kind, kw):
+        with pytest.raises(ValueError, match="must be positive"):
+            generate(kind, WIN8, **kw)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("fibonacci", WIN8)
@@ -178,6 +190,12 @@ class TestGenerate:
 
 
 class TestStabilizer:
+    def test_empty_divisor_is_refused(self):
+        empty = Divisor(np.array([], dtype=complex), np.array([], dtype=int),
+                        WIN8)
+        with pytest.raises(EmptyWindow):
+            detect_stabilizer(empty)
+
     def test_single_point_is_free(self):
         d = Divisor(np.array([0.5 + 0.5j]), np.array([1]), WIN8)
         rep = detect_stabilizer(d)
@@ -344,6 +362,14 @@ class TestExtractPrincipalParts:
                           '"coeffs": [[1.0, 0.0], [Infinity, 0.0]]}]}')
         with pytest.raises(ValueError, match="finite"):
             PrincipalParts.from_json(dump)
+
+    @pytest.mark.parametrize("entries, match", [
+        (((0j, ()),), "nonempty"),
+        (((0j, (1 + 0j, 0j)),), "c_m != 0"),
+        (((1j, (1 + 0j,)), (1j, (2 + 0j,))), "pairwise distinct")])
+    def test_principal_parts_refuse_malformed_entries(self, entries, match):
+        with pytest.raises(ValueError, match=match):
+            PrincipalParts(entries)
 
     def test_principal_parts_json_round_trip(self):
         pp = PrincipalParts(((1j, (1 + 2j, 3 + 0j)), (2 + 0j, (0.5 + 0j,))))

@@ -379,6 +379,23 @@ class TestTypedRefusals:
             with pytest.raises(ValueError, match="depth"):
                 call(bad)
 
+    def test_rate_needs_a_level_of_the_trace(self, six_trace):
+        K = CompactRegion.disk(six_trace.base_point, 1.0)
+        for n in (0, six_trace.depth + 1):
+            with pytest.raises(ValueError, match="1 <= n <= depth"):
+                six_trace.rate(n, K)
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, HARMONIC])
+    def test_membership_needs_a_zero_prescription(self, mode):
+        d = six_point_divisor()
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        with pytest.raises(ValueError, match="zero prescriptions"):
+            lift_mode(mode, d, toast, 3).verify_membership()
+
+    def test_lift_without_a_toast_is_refused(self):
+        with pytest.raises(ValueError, match="toast built from the data"):
+            lift_weierstrass(six_point_divisor(), None, 3)
+
     def test_membership_miss_is_refused(self, monkeypatch):
         d = six_point_divisor()
         toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
@@ -774,6 +791,22 @@ class TestEquivariance:
         assert math.isnan(report.deviation)
         assert report.refusal.startswith("NonFreeInput")
 
+    def test_shift_without_overlap_is_refused_before_rebuilding(
+            self, monkeypatch):
+        # a shift longer than the window leaves no box to compare on; the
+        # refusal names the shift and the window, and nothing is rebuilt
+        d = generate("poisson", WIN8, seed=3, intensity=0.3)
+        trace = lift(d, check_membership=False)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("the shifted side was rebuilt")
+        monkeypatch.setattr(lifting, "build_covariant_toast", rebuild)
+        for w in (20 + 0j, complex(0, -20), 16 + 0.5j):
+            with pytest.raises(ValueError) as info:
+                verify_equivariance(trace, w)
+            assert str(w) in str(info.value)
+            assert str(trace.window) in str(info.value)
+
     def test_zero_set_shifts_with_the_data(self, six_trace):
         # multiplicity-exact: the shifted build puts its zeros at z - w,
         # the double zero included
@@ -930,6 +963,27 @@ class TestPoisson2d:
         assert len(rows) == 50
         for row in rows:
             assert row["slack"] >= -1e-8, row
+
+    def test_probes_need_a_harmonic_trace(self, six_trace):
+        with pytest.raises(ValueError, match="harmonic traces"):
+            poisson_submean_probe(six_trace)
+
+    def test_probes_refuse_atoms_too_dense_to_place_circles(self):
+        # atoms on a 0.1 grid over the probe box leave every centre within
+        # 0.1 of an atom, so no circle can be placed
+        mu = Potential((((0.5, 0.5), 1.0), ((2.25, -0.75), 1.5)), dim=2)
+        trace = lift_poisson_2d(mu, potential_toast(mu), 3)
+        grid = np.arange(-50, 51) / 10
+        dense = Potential(tuple(((x, y), 1.0) for x in grid for y in grid),
+                          dim=2)
+        with pytest.raises(ValueError, match="probe count"):
+            poisson_submean_probe(replace(trace, data=dense), count=4)
+
+    def test_dump_round_trips_the_measure(self):
+        mu = Potential((((0.5, 0.5), 1.0), ((2.25, -0.75), 1.5)), dim=2)
+        trace = lift_poisson_2d(mu, potential_toast(mu), 3)
+        dump = json.loads(json.dumps(trace.to_json()))
+        assert Potential.from_json(dump["potential"]) == mu
 
     def test_dim_guard(self):
         # a 3D measure read from a dump never reaches the planar lift

@@ -119,6 +119,43 @@ class TestPoissonForest:
         for p in forest.divisor.locs:
             assert forest.locate(forest.depth, p) is not None
 
+    def test_locate_and_nearest_match_the_region_loop(self, forest):
+        # reference: the regions one at a time in level order; locate takes
+        # the first that contains x, nearest the first of least clearance
+        def loop_locate(n, x):
+            for a, reg in forest.levels[n].regions.items():
+                if reg.contains(x):
+                    return a
+            return None
+
+        def loop_nearest(n, x):
+            best = None
+            for a, reg in forest.levels[n].regions.items():
+                d = float(np.min(np.abs(x - reg.centers) - reg.radii))
+                if best is None or d < best[0]:
+                    best = (d, a)
+            return best[1]
+
+        rng = np.random.default_rng(5)
+        scattered = q26(rng.uniform(-16, 16, 200)
+                        + 1j * rng.uniform(-16, 16, 200)).tolist()
+        for n, lv in enumerate(forest.levels):
+            regions = list(lv.regions.values())
+            # points exactly on a disk's circle, and halfway between the
+            # anchors of consecutive regions
+            on_circle = [c + s * r for reg in regions
+                         for c, r in reg.disks() for s in (1, -1j)]
+            between = [(a + b) / 2 for a, b in zip(lv.anchors, lv.anchors[1:])]
+            held = 0
+            for x in on_circle + between + scattered:
+                want = loop_locate(n, x)
+                assert forest.locate(n, x) == want, (n, x)
+                assert forest.nearest(n, x) == loop_nearest(n, x), (n, x)
+                held += want is not None
+            assert held
+            if n == 0:
+                assert held < len(on_circle) + len(between) + len(scattered)
+
     def test_repeats_carry_region_unchanged(self, forest):
         found = 0
         for lv in forest.levels[1:]:
@@ -537,6 +574,24 @@ def test_few_unions_reach_hole_witness():
     d = generate("poisson", Window(-32, 32, -32, 32), seed=1, intensity=0.2)
     forest = build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
     assert sum(lv.counts["witnessed"] for lv in forest.levels) <= 16
+
+
+def test_building_calls_no_region_intersects(poisson_forest, monkeypatch):
+    # the build meets disks through core.disks_meet, so traced
+    # CompactRegion.intersects calls count the verifier's pairs only
+    calls = []
+    intersects = CompactRegion.intersects
+
+    def counted(self, other):
+        calls.append(other)
+        return intersects(self, other)
+
+    monkeypatch.setattr(CompactRegion, "intersects", counted)
+    forest = build_covariant_toast(poisson_forest.divisor, N=3, r0=1.0,
+                                   gamma=4.0)
+    assert calls == []
+    verify_axioms(forest)
+    assert calls
 
 
 class TestCounts:
