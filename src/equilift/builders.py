@@ -122,7 +122,13 @@ def verify_divisor_match(f, d: Divisor, window=None) -> dict:
     `max_position_error`, `max_residual`: the largest pre-rounding
     argument-principle residual over the per-point circles (a count is
     refused above 0.25), and `max_newton_steps`: the most Newton steps any
-    root refinement took."""
+    root refinement took. A point of negative multiplicity (a pole) is
+    refused with a ValueError that names it."""
+    poles = np.flatnonzero(d.mults < 0)
+    if len(poles):
+        k = poles[0]
+        raise ValueError(f"divisor match checks zeros, but {d.locs[k]} has "
+                         f"multiplicity {d.mults[k]}")
     mismatches = []
     max_pos = 0.0
     max_steps = 0

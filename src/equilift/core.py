@@ -22,6 +22,7 @@ Conventions that the rest of the toolkit relies on:
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +48,12 @@ def q26(z):
     if isinstance(z, complex):
         return complex(round(z.real * _Q) / _Q, round(z.imag * _Q) / _Q)
     return round(float(z) * _Q) / _Q
+
+
+def _check_pitch(h):
+    """Refuse a grid pitch h that is not finite and positive."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"grid pitch must be finite and positive, not {h!r}")
 
 
 def q26_trunc(z):
@@ -113,6 +120,7 @@ class Window:
 
     def grid(self, h):
         """Cell-center grid at resolution h, returned as a complex 2d array."""
+        _check_pitch(h)
         nx = max(2, int(math.ceil(self.width / h)))
         ny = max(2, int(math.ceil(self.height / h)))
         xs = self.xmin + (np.arange(nx) + 0.5) * (self.width / nx)
@@ -242,15 +250,15 @@ class CompactRegion:
 
         All per-circle points are kept, including those interior to another
         disk: sample sets of disk-list extensions are then supersets, which
-        makes sups over them monotone under extension, exactly.
+        makes sups over them monotone under extension, exactly. A disk of
+        radius r gets max(12, ceil(density * r)) points, and all disks are
+        sampled in one array pass, disk after disk.
         """
-        pts = []
-        for c, r in zip(self.centers, self.radii):
-            m = max(12, int(math.ceil(density * r)))
-            theta = 2 * np.pi * np.arange(m) / m
-            off = q26_trunc(r * np.exp(1j * theta))
-            pts.append(c + off)
-        return np.concatenate(pts)
+        m = np.maximum(12, np.ceil(density * self.radii)).astype(int)
+        k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        theta = 2 * np.pi * k / np.repeat(m, m)
+        off = q26_trunc(np.repeat(self.radii, m) * np.exp(1j * theta))
+        return np.repeat(self.centers, m) + off
 
     # -- topology checks
 
@@ -264,6 +272,7 @@ class CompactRegion:
 
     def area(self, h):
         """Grid estimate of the union area at pitch h (deterministic)."""
+        _check_pitch(h)
         bb = self.bounding_box()
         a = self.anchor
         i0 = int(math.floor((bb.xmin - a.real) / h))
@@ -713,10 +722,6 @@ class ComplexPoly:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         u = (z - self.center) / self.scale
@@ -764,12 +769,19 @@ def contour_integral(g, circles, orders=1, nodes=256):
     nodes) array with one row per circle, in chunks of at most
     BASE_SUM_BLOCK nodes (one circle when it has more); every order is read
     from those same values. A non-finite value of g gives non-finite
-    moments in its own row only."""
+    moments in its own row only. `nodes` must be a positive integer and
+    every radius finite and positive (ValueError)."""
     circles = list(circles)
     if not all(isinstance(c, Circle) for c in circles):
         raise TypeError("contours must be Circles")
+    if not (isinstance(nodes, numbers.Integral) and nodes > 0):
+        raise ValueError(f"nodes must be a positive integer, not {nodes!r}")
     centre = np.array([complex(c.center) for c in circles], dtype=complex)
     radius = np.array([float(c.radius) for c in circles], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(radius) & (radius > 0)))
+    if len(bad):
+        raise ValueError(f"circle radius must be finite and positive, not "
+                         f"{float(radius[bad[0]])}")
     theta = 2 * np.pi * np.arange(nodes) / nodes
     e = np.exp(1j * theta)
     out = np.empty((len(circles), orders + 1), dtype=complex)

@@ -250,6 +250,7 @@ def generate(kind, window: Window, seed=0, intensity=1.0,
 
 COMBINATION_TOL = 1e-9  # float residual of the integer-combination test
 CANDIDATE_POINTS = 50   # points whose differences are candidate periods
+PROBES = 10             # points the quick filter tests each candidate on
 
 
 def _candidate_vectors(locs):
@@ -272,6 +273,16 @@ def _window_part(locs, mults, win):
     return locs[keep][order], mults[keep][order]
 
 
+def _comparison_bounds(inner: Window, v):
+    """(xmin, xmax, ymin, ymax) of the window on which d + v is compared
+    with d: the inner window less the strips that v moves in from outside
+    it, shrunk by 1e-9 more. v may be an array of shifts, one bound each."""
+    return (inner.xmin + np.maximum(0, -v.real) + 1e-9,
+            inner.xmax - np.maximum(0, v.real) - 1e-9,
+            inner.ymin + np.maximum(0, -v.imag) + 1e-9,
+            inner.ymax - np.maximum(0, v.imag) - 1e-9)
+
+
 def _is_period(d: Divisor, v, inner: Window):
     """Does d + v equal d on their common inner window, multiplicities
     included? A window too small to compare, or holding no point, reads
@@ -279,8 +290,7 @@ def _is_period(d: Divisor, v, inner: Window):
     pad = abs(v)
     if not (inner.width > 2 * pad + 1e-6 and inner.height > 2 * pad + 1e-6):
         return False
-    win = Window(inner.xmin + max(0, -v.real) + 1e-9, inner.xmax - max(0, v.real) - 1e-9,
-                 inner.ymin + max(0, -v.imag) + 1e-9, inner.ymax - max(0, v.imag) - 1e-9)
+    win = Window(*_comparison_bounds(inner, v))
     locs_a, mults_a = _window_part(d.locs, d.mults, win)
     locs_b, mults_b = _window_part(d.locs + v, d.mults, win)
     return (len(locs_a) > 0 and np.array_equal(locs_a, locs_b)
@@ -299,9 +309,11 @@ def _is_combination(v, gens):
 
 
 def _canonical_vector(v):
+    """v or -v, whichever points to the right half plane (up on the
+    imaginary axis), with signed zeros cleared."""
     if v.real < 0 or (v.real == 0 and v.imag < 0):
-        return -v
-    return v
+        v = -v
+    return complex(v.real + 0.0, v.imag + 0.0)
 
 
 def detect_stabilizer(d: Divisor) -> StabilizerReport:
@@ -311,18 +323,25 @@ def detect_stabilizer(d: Divisor) -> StabilizerReport:
     centroid, shortest first. A candidate is a period when d + v equals d
     on the inner window shrunk by v, multiplicities included; on the 2**-26
     lattice that comparison is exact. Integer combinations of the periods
-    found so far are skipped, and two independent periods end the scan."""
+    found so far are skipped, and two independent periods end the scan.
+
+    A quick filter goes first and rejects only what `_is_period` rejects:
+    each probe (one of the PROBES points nearest the centroid) that lies in
+    v's comparison window must have its preimage probe - v in d."""
     if len(d) == 0:
         raise EmptyWindow("stabilizer of an empty divisor is undefined")
     inner = d.window.inner()
     locs = d.locs
     cands = np.array(_candidate_vectors(locs), dtype=complex)
-    # quick filter: a period maps each of a few probe points onto a point
-    probes = locs[: min(10, len(locs))]
-    shifted = cands[:, None] + probes[None, :]
+    near = np.argsort(np.abs(locs - complex(np.mean(locs))), kind="stable")
+    probes = locs[near[:PROBES]]
+    x0, x1, y0, y1 = (b[:, None] for b in _comparison_bounds(inner, cands))
+    inside = ((probes.real >= x0) & (probes.real <= x1)
+              & (probes.imag >= y0) & (probes.imag <= y1))
+    pre = probes[None, :] - cands[:, None]
     ordered = np.sort_complex(locs)
-    idx = np.minimum(np.searchsorted(ordered, shifted), len(ordered) - 1)
-    hits = (ordered[idx] == shifted).all(axis=1)
+    idx = np.minimum(np.searchsorted(ordered, pre), len(ordered) - 1)
+    hits = (~inside | (ordered[idx] == pre)).all(axis=1)
     gens = []
     for v in cands[hits].tolist():
         if _is_combination(v, gens):

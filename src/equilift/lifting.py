@@ -64,24 +64,9 @@ and point and runs Horner over the orders (`LocalSolution` has the
 formulas).
 
 Membership (`verify_membership`) hands `verify_divisor_match` the whole
-divisor and the inner window: the data points in that window are
-checked, and every separating circle clears every data point, those
-outside the window included. It counts zeros with 512 contour nodes per
-circle. Each circle's radius is at most 0.45 of the gap to the nearest
-data point, so the trapezoid error from the prescribed zeros decays like
-0.45^nodes and far fewer nodes would resolve them. That bound says
-nothing about a zero the lift did not prescribe: one sitting close to a
-contour is resolved only at full resolution, so the node count stays 512
-until a bound covers unprescribed zeros too. What the nodes cost is the
-sum over zeros in dlog psi. Every circle is counted in one `count_zeros`
-call, which evaluates dlog on a (circles x nodes) array in chunks of
-rows, and `core.cauchy_sum` sums each row on its own: the zeros near
-that circle one by one, and the zeros beyond 8 times its radius as one
-Taylor series about its centre, whose truncation error is at most 2^-53
-relative to the size of their terms. The roots are then refined
-together: each Newton step evaluates dlog once, on one array holding the
-iterate of every point still moving, and each iterate follows the same
-sequence it would alone.
+divisor and the inner window; its docstring and those of `cauchy_sum` and
+`refine_zero` give the contour nodes, the circles' gap, the far field and
+the Newton batching.
 """
 
 from __future__ import annotations
@@ -259,16 +244,6 @@ def _principal_table(pp):
     return np.array([p for p, _ in pp.entries], dtype=complex), table
 
 
-def _correction_gap(hi, a_hi, lo, a_lo):
-    """The global function P_hi(z - a_hi) - P_lo(z - a_lo)."""
-    p_hi, p_lo = hi.correction, lo.correction
-
-    def gap(z):
-        z = np.asarray(z, dtype=complex)
-        return p_hi(z - a_hi) - p_lo(z - a_lo)
-    return gap
-
-
 @dataclass(frozen=True)
 class _Kernel:
     config: Callable        # data -> (locations, weights)
@@ -308,12 +283,16 @@ def _chain_gap(levels, n):
     """The step from psi_{n-1} to psi_n as the gap of the two correction
     polynomials: shared base data cancel exactly, so log(psi_n / psi_{n-1})
     (multiplicative) or psi_n - psi_{n-1} (additive; its real part,
-    harmonic) is that gap. None when the chain is stagnant."""
+    harmonic) is that gap, the global function P_n(z - a_n) -
+    P_{n-1}(z - a_{n-1}) of the two chain anchors' corrections. None when
+    the chain is stagnant."""
     hi_m, hi_a = levels[n].chain
     lo_m, lo_a = levels[n - 1].chain
-    hi = levels[hi_m].solutions[hi_a]
-    lo = levels[lo_m].solutions[lo_a]
-    return None if hi is lo else _correction_gap(hi, hi_a, lo, lo_a)
+    hi = levels[hi_m].solutions[hi_a].correction
+    lo = levels[lo_m].solutions[lo_a].correction
+    if hi is lo:
+        return None
+    return lambda z: hi(z - hi_a) - lo(z - lo_a)
 
 
 def _gap_sup(mode, gap, K, density=64):
@@ -332,27 +311,41 @@ def _gap_sup(mode, gap, K, density=64):
 
 @dataclass(frozen=True)
 class LiftingLevel:
+    """Stage n of a lift; its patching tolerance `epsilon` is 2^-n."""
+
     n: int
-    epsilon: float
     solutions: dict          # chain anchor -> LocalSolution; empty when
                              # the chain sits below this level
     chain: tuple             # (level, anchor) selected for psi_n
     certificates: tuple      # dicts: radius, value, certified
 
+    @property
+    def epsilon(self):
+        return 2.0 ** (-self.n)
+
 
 @dataclass(frozen=True)
 class LiftingTrace:
+    """A lift: its data, toast and levels. The window is the toast's, and
+    the tail bound 2^-N that of the last level."""
+
     mode: str
     data: object             # Divisor | PrincipalParts | Potential
     toast: ToastForest
     levels: tuple            # LiftingLevel, n = 0..N
-    tail_bound: float
-    window: Window
     base_point: complex = 0j
 
     @property
     def depth(self):
         return len(self.levels) - 1
+
+    @property
+    def window(self) -> Window:
+        return self.toast.divisor.window
+
+    @property
+    def tail_bound(self):
+        return self.levels[-1].epsilon
 
     def solution(self, n=None):
         """(level, anchor, LocalSolution) backing psi_n."""
@@ -429,8 +422,7 @@ class EquivarianceReport:
 
     shift: complex
     deviation: float          # nan when the pipeline refused the input
-    threshold: float
-    passed: bool
+    passed: bool              # deviation < EQUIVARIANCE_THRESHOLD
     refusal: str = ""
     grid_points: int = 0
 
@@ -453,14 +445,15 @@ def _solve_chain(mode, n, anchor, toast, prev, locs, weights, epsilon,
         return bare
     # the patching datum on the chain child is the step from this anchor's
     # bare base up to the child's solution, in this anchor's coordinates:
-    # base terms cancel, so only the child's correction survives, as the
-    # gap of the two corrections (the log of the ratio in product mode),
-    # of which the fit sees the part the rates measure
+    # base terms cancel and the bare correction is 0, so the step is the
+    # child's correction (the log of the ratio in product mode), of which
+    # the fit sees the part the rates measure
     _, ca = prev.chain
-    gap = _correction_gap(prev.solutions[ca], complex(ca) - anchor, bare, 0j)
+    child, offset = prev.solutions[ca].correction, complex(ca) - anchor
     part = _KERNELS[mode].part
     problem = runge.RungeProblem(toast.region(n - 1, ca).translate(-anchor),
-                                 lambda u: part(gap(u)), epsilon=epsilon)
+                                 lambda u: part(child(u - offset)),
+                                 epsilon=epsilon)
     try:
         cert = runge.solve(problem)
     except DegreeCapExceeded as exc:
@@ -474,11 +467,12 @@ def _ladder(base):
     return tuple(CompactRegion([complex(base)], [2.0 ** j]) for j in range(4))
 
 
-def _certify_level(mode, levels, toast, n, ladder, epsilon, patched):
+def _certify_level(mode, levels, toast, n, ladder, patched):
     """Ladder rates for the step n-1 -> n, with the paper-backed flag: when
     the step was patched (or is stagnant), a disk inside the chain's
     level-(n-1) region is covered by the patching bound and must come in
-    under epsilon."""
+    under the level's epsilon."""
+    epsilon = levels[n].epsilon
     lo_m, lo_a = levels[n - 1].chain
     gap = _chain_gap(levels, n)
     region_lo = toast.region(lo_m, lo_a)
@@ -514,7 +508,6 @@ def _lift(mode, data, toast, levels, check_membership=True):
     _check_toast_matches(toast, locs)
     if N > toast.depth:
         raise ValueError(f"toast depth {toast.depth} is below levels {N}")
-    window = toast.divisor.window
     base = _base_point(locs)
     ladder = _ladder(base)
     # one q26 gauge point for the whole lift, next to the level-0 chain
@@ -526,27 +519,24 @@ def _lift(mode, data, toast, levels, check_membership=True):
         tuple(complex(a) - chain_a for a in locs), toast.u0)
     out_levels = []
     for n in range(N + 1):
-        epsilon = 2.0 ** (-n)
         m, a = chain = chains[n]
         prev = out_levels[-1] if out_levels else None
         # the step n-1 -> n is patched when the chain sits at level n and
         # its level-(n-1) region is a child of the level-n chain region
         patched = m == n and prev is not None and \
             prev.chain in toast.children.get(chain, ())
-        sols = {}
+        level = LiftingLevel(n=n, solutions={}, chain=chain, certificates=())
         if m == n:
-            sols[a] = _solve_chain(mode, n, a, toast,
-                                   prev if patched else None, locs, weights,
-                                   epsilon, gauge_pt)
-        out_levels.append(LiftingLevel(n=n, epsilon=epsilon, solutions=sols,
-                                       chain=chain, certificates=()))
+            level.solutions[a] = _solve_chain(
+                mode, n, a, toast, prev if patched else None, locs, weights,
+                level.epsilon, gauge_pt)
+        out_levels.append(level)
         if n >= 1:
             certs = _certify_level(mode, out_levels, toast, n, ladder,
-                                   epsilon, patched)
-            out_levels[-1] = replace(out_levels[-1], certificates=certs)
+                                   patched)
+            out_levels[-1] = replace(level, certificates=certs)
     trace = LiftingTrace(mode=mode, data=data, toast=toast,
-                         levels=tuple(out_levels), tail_bound=2.0 ** (-N),
-                         window=window, base_point=base)
+                         levels=tuple(out_levels), base_point=base)
     if check_membership:
         report = trace.verify_membership()
         if not report["matched"]:
@@ -610,7 +600,6 @@ def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
             toast.r0, toast.gamma)
     except NonFreeInput as exc:
         return EquivarianceReport(shift=w, deviation=float("nan"),
-                                  threshold=EQUIVARIANCE_THRESHOLD,
                                   passed=False, refusal=f"NonFreeInput: {exc}")
     shifted = _lift(trace.mode, _KERNELS[trace.mode].shift(trace.data, -w),
                     toast_w, trace.depth, check_membership=False)
@@ -626,7 +615,6 @@ def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
         vb = np.asarray(shifted.psi()(grid))
         deviation = float(np.max(np.abs(vb - va) / (1.0 + np.abs(va))))
     return EquivarianceReport(shift=w, deviation=deviation,
-                              threshold=EQUIVARIANCE_THRESHOLD,
                               passed=bool(deviation < EQUIVARIANCE_THRESHOLD),
                               grid_points=int(grid.size))
 

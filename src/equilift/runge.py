@@ -67,12 +67,16 @@ class RungeCertificate:
     """The fitted polynomial plus its error, re-measured at a finer sampling
     than the fit used; the error is below the problem's epsilon. poly
     approximates a complex datum, or has its real part approximate a real
-    one (then Im poly is the harmonic conjugate, 0 at the frame centre)."""
+    one (then Im poly is the harmonic conjugate, 0 at the frame centre).
+    `degree` is the ladder degree of the fit, one below poly's coefficient
+    count."""
 
-    problem: RungeProblem
-    degree: int
     poly: ComplexPoly
     error: float
+
+    @property
+    def degree(self):
+        return len(self.poly.coeffs) - 1
 
 
 def _vandermonde(pts, z0, scale, degree):
@@ -134,8 +138,7 @@ def solve(problem: RungeProblem) -> RungeCertificate:
         poly, error = fit(deg)
         best = min(best, error)
         if error < problem.epsilon:
-            return RungeCertificate(problem=problem, degree=deg, poly=poly,
-                                    error=error)
+            return RungeCertificate(poly=poly, error=error)
     raise DegreeCapExceeded(
         f"degree cap {DEFAULT_CAP} reached with error {best:.3e} "
         f"(epsilon {problem.epsilon:.3e})",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,17 +75,37 @@ class ToastLevel:
 
 @dataclass(frozen=True)
 class ToastForest:
+    """The levels and the one parent link of each region below the top;
+    `children` and the safety radius `u0` derive from these."""
+
     levels: tuple             # ToastLevel for n = 0..N
-    parents: dict             # (n, anchor) -> (n+1, anchor')
-    children: dict            # (n, anchor) -> tuple of (n-1, anchor'')
+    parents: dict             # (n, anchor) -> (n+1, anchor'), in the order
+                              # the regions were absorbed or repeated
     divisor: Divisor
     r0: float
     gamma: float
-    u0: float
 
     @property
     def depth(self):
         return len(self.levels) - 1
+
+    @property
+    def u0(self):
+        """Radius of the safety disk every region holds about its anchor."""
+        return self.r0 / 2
+
+    @cached_property
+    def children(self):
+        """(n, anchor) -> tuple of (n-1, anchor''), the inverse of `parents`:
+        an entry for every region, in level order, () for a region with no
+        children, and each tuple in `parents` order, which is the order of
+        absorption (a repeat's one child is itself). Links to a region the
+        levels do not hold are left out."""
+        kids = {(lv.n, a): [] for lv in self.levels for a in lv.regions}
+        for child, parent in self.parents.items():
+            if parent in kids:
+                kids[parent].append(child)
+        return {key: tuple(v) for key, v in kids.items()}
 
     def region(self, n, anchor):
         return self.levels[n].regions[anchor]
@@ -114,10 +135,8 @@ class ToastForest:
         return ToastForest(
             levels=tuple(lv.translate(w) for lv in self.levels),
             parents={(n, a + w): (m, b + w) for (n, a), (m, b) in self.parents.items()},
-            children={(n, a + w): tuple((m, b + w) for m, b in cs)
-                      for (n, a), cs in self.children.items()},
             divisor=self.divisor.translate(w, move_window=True),
-            r0=self.r0, gamma=self.gamma, u0=self.u0,
+            r0=self.r0, gamma=self.gamma,
         )
 
 
@@ -202,8 +221,10 @@ def _markers(pairs, scale):
     inside groups of equal rows. This is the order of the Python key tuples
     (distance tuple, vector tuple). The radius-2*scale neighbor rows are
     prefixes of the sorted distance rows built once per toast. No spatial
-    tree: from level 2 up the 2*scale ball holds most of the points, so a
-    tree would not shrink the work.
+    tree: on a window of half-side L = 32 the 2*scale ball holds most of
+    the points from level 2 up (radius 32 there), so a tree would not
+    shrink the work; from L = 64 up it holds a shrinking share of them at
+    level 2, and a grid or tree would pay (ROADMAP item 7).
 
     Competitors are scanned in index order. An exact key tie with the first
     competitor whose key is not smaller means the two points see identical
@@ -455,11 +476,9 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
         raise NonFreeInput(f"divisor has a {rep.kind} stabilizer {rep.generators}")
 
     pairs = _Pairs.of(d.locs)
-    u0 = r0 / 2
     cap = d.window.diameter
     levels = []
     parents = {}
-    children = {}
 
     prev_level = None
     for n in range(N + 1):
@@ -498,8 +517,6 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
             counts["absorptions"] += len(absorbed)
             counts["fills"] += fills
             free[absorbed] = False
-            children[(n, a)] = tuple((n - 1, pool.items[idx][0])
-                                     for idx in absorbed)
             for idx in absorbed:
                 parents[(n - 1, pool.items[idx][0])] = (n, a)
         for idx in np.flatnonzero(free):
@@ -507,12 +524,11 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
             regions[pa] = preg
             kinds[pa] = "repeat"
             parents[(n - 1, pa)] = (n, pa)
-            children[(n, pa)] = ((n - 1, pa),)
         levels.append(ToastLevel(n, regions, kinds, counts))
         prev_level = levels[-1]
 
-    return ToastForest(levels=tuple(levels), parents=parents, children=children,
-                       divisor=d, r0=r0, gamma=gamma, u0=u0)
+    return ToastForest(levels=tuple(levels), parents=parents, divisor=d,
+                       r0=r0, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

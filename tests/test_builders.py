@@ -155,6 +155,16 @@ class TestMembershipMismatches:
                                          "total_counted": 3}]
         assert verify_divisor_match(f, d, Window(-1, 2.25, -1, 1))["matched"]
 
+    def test_a_pole_in_the_divisor_is_refused(self):
+        # Newton used to run from the pole at 2 to a zero and report a
+        # position error of 1.0 there
+        f = weierstrass(D([(0j, 1), (1 + 0j, 1)]))
+        d = D([(0j, 1), (2 + 0j, -1)])
+        with pytest.raises(ValueError, match=r"\(2\+0j\) has multiplicity -1"):
+            verify_divisor_match(f, d)
+        with pytest.raises(ValueError, match="zeros"):
+            verify_divisor_match(f, d, Window(-1, 1, -1, 1))
+
 
 class TestMittagLeffler:
     def test_single_simple_pole(self):

@@ -138,6 +138,26 @@ def test_count_zeros_takes_only_circles():
         count_zeros(f, [Circle(0, 1), (0, 1)])
 
 
+@pytest.mark.parametrize("nodes", [-4, 0, 2.0, 2.5])
+def test_count_zeros_refuses_nodes_that_are_not_a_positive_integer(nodes):
+    # -4 used to count 0 zeros with residual 0, and 0 to divide by zero
+    f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
+    with pytest.raises(ValueError, match=f"nodes must be a positive integer, "
+                                         f"not {nodes}"):
+        count_zeros(f, [Circle(0, 1)], nodes=nodes)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_contour_integral_refuses_a_radius_not_finite_and_positive(radius):
+    # a zero radius used to give NaN moments
+    with pytest.raises(ValueError, match=f"radius must be finite and "
+                                         f"positive, not {radius}"):
+        contour_integral(lambda z: z, [Circle(0, 1), Circle(2, radius)])
+    f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
+    with pytest.raises(ValueError, match="radius"):
+        count_zeros(f, [Circle(0, radius)])
+
+
 def test_count_zeros_nodes_parameter():
     # the benchmark tracer reads `nodes` by name, or as the third
     # positional argument, with this default
@@ -773,6 +793,45 @@ def test_region_refuses_a_radius_that_quantizes_to_zero():
     # a disk of radius 0
     with pytest.raises(ValueError, match="positive"):
         CompactRegion([0j, 0.5], [1e-9, 1.0])
+
+
+@pytest.mark.parametrize("h", [-1.0, 0, 0.0, math.nan, math.inf])
+def test_grid_and_area_refuse_a_pitch_not_finite_and_positive(h):
+    # grid(-1.0) used to return a 2 x 2 grid, grid(0) and area(0) to divide
+    # by zero and area(-0.1) to raise IndexError
+    with pytest.raises(ValueError, match=f"pitch must be finite and "
+                                         f"positive, not {h}"):
+        Window(-1, 1, -1, 1).grid(h)
+    with pytest.raises(ValueError, match="pitch"):
+        UNIT_DISK.area(h)
+    with pytest.raises(ValueError, match="pitch"):
+        UNIT_DISK.area(-0.1)
+
+
+def loop_boundary_samples(region, density):
+    """The per-disk form of `boundary_samples`."""
+    pts = []
+    for c, r in zip(region.centers, region.radii):
+        m = max(12, int(math.ceil(density * r)))
+        theta = 2 * np.pi * np.arange(m) / m
+        pts.append(c + core.q26_trunc(r * np.exp(1j * theta)))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_boundary_samples_match_the_per_disk_loop(seed):
+    # radii below 12 / density (the 12-point floor) and off the dyadic
+    # grid; the samples must agree bit for bit, in disk order
+    rng = np.random.default_rng([seed, 11])
+    k = int(rng.integers(1, 40))
+    region = CompactRegion(rng.uniform(-9, 9, k) + 1j * rng.uniform(-9, 9, k),
+                           rng.choice([0.01, 0.1, 1 / 3, 0.7, 2.9], k)
+                           * rng.uniform(0.5, 1.5, k))
+    for density in (16, 48, 64, 128, 256):
+        want = loop_boundary_samples(region, density)
+        got = region.boundary_samples(density)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_contains_and_samples():

@@ -12,6 +12,7 @@ from equilift.divisors import (
     Divisor,
     PrincipalParts,
     StabilizerReport,
+    _is_period,
     detect_stabilizer,
     extract_principal_parts,
     generate,
@@ -265,6 +266,40 @@ class TestStabilizer:
         moved = d.translate(0.25 + 0.125j, move_window=True)
         assert detect_stabilizer(moved).generators == detect_stabilizer(d).generators
 
+    @pytest.mark.parametrize("win", [
+        Window(-4, 4, -4, 4), Window(-3, 3, -3, 3), Window(-5, 5, -5, 5),
+        Window(-3.75, 4.25, -4.5, 3.5), Window(0.5, 8.5, -2.25, 5.75)])
+    def test_small_lattices_keep_both_periods(self, win):
+        # the quick filter used to probe the first stored points, on the
+        # window's left edge, and demand that p + v be a point even where
+        # the period test compares nothing: it dropped the period 1j
+        d = generate("periodic-lattice", win, spacing=1.0)
+        assert _is_period(d, 1j, win.inner())
+        assert detect_stabilizer(d) == StabilizerReport(
+            "doubly-periodic", (1 + 0j, 1j))
+
+    def test_irregular_columns_with_a_vertical_period(self):
+        # 11 irregular columns x 8 rows: a period 1j and nothing else
+        xs = np.sort(np.random.default_rng(3).uniform(-8, 8, 11))
+        locs = q26(np.array([complex(x, y) for x in xs for y in range(-4, 4)]))
+        d = Divisor(locs, np.ones(len(locs), dtype=int), Window(-8, 8, -4, 4))
+        assert _is_period(d, 1j, d.window.inner())
+        assert detect_stabilizer(d) == StabilizerReport("singly-periodic",
+                                                        (1j,))
+
+    @pytest.mark.parametrize("win", [Window(-8, 8, -8, 8),
+                                     Window(-4, 4, -4, 4)])
+    def test_point_order_does_not_change_the_report(self, win):
+        # listing a lattice in reverse used to give ((1-0j), (-0+1j)): the
+        # report is compared by repr, which tells signed zeros apart
+        d = generate("periodic-lattice", win, spacing=1.0)
+        want = repr(detect_stabilizer(d))
+        orders = [np.arange(len(d))[::-1],
+                  np.random.default_rng(9).permutation(len(d))]
+        for order in orders:
+            moved = Divisor(d.locs[order], d.mults[order], d.window)
+            assert repr(detect_stabilizer(moved)) == want
+
 
 # ---------------------------------------------------------------------------
 # principal-part extraction
@@ -299,6 +334,15 @@ class TestExtractPrincipalParts:
         f = SampledFunction(lambda z: np.exp(z))
         pp = extract_principal_parts(f, [0j], radius=0.5)
         assert len(pp) == 0
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5])
+    def test_radius_not_positive_is_refused(self, radius):
+        # a zero radius used to fail as "poles and coefficients must be
+        # finite", from the NaN moments
+        f = SampledFunction(lambda z: 1 / z)
+        with pytest.raises(ValueError, match=f"radius must be finite and "
+                                             f"positive, not {radius}"):
+            extract_principal_parts(f, [0j, 3 + 0j], radius)
 
     def test_overlapping_circles(self):
         f = SampledFunction(lambda z: 1 / z)

@@ -543,6 +543,23 @@ class TestGauge:
         for sol in product_solutions(trace):
             assert all(c == 0 for c in sol.correction.coeffs)
 
+    def test_a_blocked_candidate_turns_a_quarter(self):
+        # the nearest other point 0.1 puts the first candidate at -0.25,
+        # where a data point sits; the next one is turned by i
+        assert lifting._gauge_offset((0j, 0.1 + 0j, -0.25 + 0j), 0.5) == -0.25j
+
+    def test_a_blocked_first_ring_shrinks(self):
+        # all four turns at u0/4 are blocked, so the candidate halves
+        offsets = (0j, 0.1 + 0j, -0.25 + 0j, -0.25j, 0.25 + 0j, 0.25j)
+        assert lifting._gauge_offset(offsets, 0.5) == -0.125
+
+    def test_every_candidate_blocked_is_refused(self):
+        # data on all 12 candidates (4 turns of u0/4, u0/8 and u0/16)
+        offsets = (0j,) + tuple(0.25 * k * rot for k in (1, 0.5, 0.25)
+                                for rot in (1, 1j, -1, -1j))
+        with pytest.raises(ValueError, match="no clear normalization point"):
+            lifting._gauge_offset(offsets, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # blocked base sums against per-offset loops
@@ -1021,6 +1038,52 @@ traces = (lift_weierstrass(d, toast, 4),
 print(hashlib.sha256("".join(
     json.dumps(t.to_json()) for t in traces).encode()).hexdigest())
 """
+
+
+class TestRecordsTheBenchmarkReads:
+    """The attributes the benchmark's tracer and checks read from a real
+    toast and lift: per-level solution offsets, and the toast's parents,
+    children and kinds."""
+
+    def test_lift_records(self, poisson_trace):
+        trace, d = poisson_trace
+        assert trace.window == trace.toast.divisor.window == d.window
+        held = 0
+        for n, lv in enumerate(trace.levels):
+            assert lv.n == n and lv.epsilon == 2.0 ** -n
+            for a, sol in lv.solutions.items():
+                assert isinstance(sol, LocalSolution) and sol.anchor == a
+                assert sol.offsets.dtype == complex
+                assert np.array_equal(sol.offsets, d.locs - a)
+                held += 1
+        assert held > 0
+
+    def test_toast_links(self, poisson_trace):
+        toast = poisson_trace[0].toast
+        parents, children = toast.parents, toast.children
+        # one entry per region, in level order
+        assert list(children) == [(lv.n, a) for lv in toast.levels
+                                  for a in lv.regions]
+        # every region below the top has one parent, and children is its
+        # inverse, each tuple in the order of parents
+        below = [(lv.n, a) for lv in toast.levels[:-1] for a in lv.regions]
+        assert sorted(parents, key=repr) == sorted(below, key=repr)
+        for key, kids in children.items():
+            assert kids == tuple(c for c, p in parents.items() if p == key)
+        repeats = 0
+        for lv in toast.levels:
+            for a, kind in lv.kinds.items():
+                if lv.n == 0:
+                    assert kind == "genuine" and children[(0, a)] == ()
+                elif kind == "repeat":
+                    repeats += 1
+                    # a repeat links to itself one level down
+                    assert parents[(lv.n - 1, a)] == (lv.n, a)
+                    assert children[(lv.n, a)] == ((lv.n - 1, a),)
+                    assert lv.regions[a] is toast.levels[lv.n - 1].regions[a]
+                else:
+                    assert kind == "genuine"
+        assert repeats > 0
 
 
 class TestTraceDump:

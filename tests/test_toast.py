@@ -702,15 +702,44 @@ class TestRejections:
         assert "after 64 fills" in str(err.value)
 
 
+def test_children_and_u0_derive_from_parents_and_r0():
+    disk = CompactRegion.disk
+    lv0 = ToastLevel(0, {0j: disk(0j, 1.0), 3 + 0j: disk(3 + 0j, 1.0),
+                         9 + 0j: disk(9 + 0j, 1.0)},
+                     dict.fromkeys((0j, 3 + 0j, 9 + 0j), "genuine"))
+    lv1 = ToastLevel(1, {3 + 0j: disk(1.5 + 0j, 3.0),
+                         9 + 0j: lv0.regions[9 + 0j]},
+                     {3 + 0j: "genuine", 9 + 0j: "repeat"})
+    # absorption order, a repeat's self-link and a link to no region
+    parents = {(0, 3 + 0j): (1, 3 + 0j), (0, 0j): (1, 3 + 0j),
+               (0, 9 + 0j): (1, 9 + 0j), (0, 5j): (1, 5j)}
+    d = Divisor(np.array([0j, 3, 9]), np.array([1, 1, 1]), WIN8)
+    forest = ToastForest(levels=(lv0, lv1), parents=parents, divisor=d,
+                         r0=1.5, gamma=4.0)
+    want = [((0, 0j), ()), ((0, 3 + 0j), ()), ((0, 9 + 0j), ()),
+            ((1, 3 + 0j), ((0, 3 + 0j), (0, 0j))),
+            ((1, 9 + 0j), ((0, 9 + 0j),))]
+    assert list(forest.children.items()) == want
+    assert forest.u0 == 0.75
+    w = 0.5 - 0.25j
+    moved = forest.translate(w)
+    assert list(moved.children.items()) == [
+        ((n, a + w), tuple((m, b + w) for m, b in kids))
+        for (n, a), kids in want]
+    assert moved.u0 == forest.u0
+    with pytest.raises(TypeError):
+        ToastForest(levels=(lv0,), parents={}, children={}, divisor=d,
+                    r0=1.0, gamma=4.0)
+
+
 class TestViolationDetection:
     """verify_axioms must catch hand-built broken hierarchies with witnesses."""
 
     @staticmethod
-    def forged(levels, parents=None, children=None):
+    def forged(levels, parents=None):
         d = Divisor(np.array([0j]), np.array([1]), WIN8)
         return ToastForest(levels=tuple(levels), parents=parents or {},
-                           children=children or {}, divisor=d,
-                           r0=1.0, gamma=4.0, u0=0.5)
+                           divisor=d, r0=1.0, gamma=4.0)
 
     def test_same_level_overlap_detected(self):
         lv = ToastLevel(0, {0j: CompactRegion.disk(0j, 1.0),
@@ -805,8 +834,8 @@ class TestPrunedVerifier:
     @staticmethod
     def forged(levels, window=WIN8):
         d = Divisor(np.array([0j]), np.array([1]), window)
-        return ToastForest(levels=tuple(levels), parents={}, children={},
-                           divisor=d, r0=1.0, gamma=4.0, u0=0.5)
+        return ToastForest(levels=tuple(levels), parents={}, divisor=d,
+                           r0=1.0, gamma=4.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pair_witnesses_match_all_pairs(self, seed):
