@@ -1,13 +1,15 @@
 """Toast hierarchy construction, axioms, covariance, and violation detection."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equilift import toast as toast_module
-from equilift.core import CompactRegion, Window, hole_witness, q26
+from equilift.core import (CompactRegion, Window, circle_crossings,
+                           disks_meet, hole_witness, q26)
 from equilift.divisors import Divisor, generate
 from equilift.errors import (EquiliftError, NonFreeInput, PocketFillExhausted,
                              WindowTooSmall)
@@ -17,8 +19,7 @@ WIN8 = Window(-8, 8, -8, 8)
 WIN16 = Window(-16, 16, -16, 16)
 
 PASSING = ("same-level-disjoint", "simply-connected", "cross-level-nested",
-           "parent-exists", "directed", "anchor-disk", "top-cover",
-           "child-bound")
+           "parent-exists", "directed", "anchor-disk", "top-cover")
 
 
 def single_point_forest(N=3):
@@ -308,7 +309,8 @@ class TestMarkerRanks:
 
 
 class TestAbsorption:
-    """Growth of one region against a forged pool of overlapping regions."""
+    """Growth of one region against a forged pool of disjoint regions, as
+    every level's pool is."""
 
     @staticmethod
     def pool(*regions):
@@ -317,24 +319,26 @@ class TestAbsorption:
 
     def test_in_order_scan(self):
         pool = self.pool(
-            [-3.5],           # 0: meets only region 2, so waits for pass two
-            [1.5],            # 1: meets D(0, 1)
+            [3.75, 1.875],    # 0: meets D(0, 1) through its second disk
+            [10.0],           # 1: out of reach
             [-1.75],          # 2: meets D(0, 1)
-            [4.0, 3.0],       # 3: meets region 1 only, absorbed in pass one
+            [-1.5j],          # 3: meets D(0, 1), taken by a senior
             [1.875j],         # 4: meets D(0, 1)
-            [10.0],           # 5: out of reach
-            [-1.0j])          # 6: taken by a senior
-        free = np.ones(7, dtype=bool)
-        free[6] = False
+            [-4.0])           # 5: 0.25 from region 2, meets nothing
+        assert not any(disks_meet(x.centers, x.radii, y.centers, y.radii)
+                       for k, (_, x) in enumerate(pool.items)
+                       for _, y in pool.items[k + 1:])
+        free = np.ones(6, dtype=bool)
+        free[3] = False
         region, absorbed, fills, witnessed = toast_module._grow(
             0j, 1.0, pool, free)
-        assert absorbed == [1, 2, 3, 4, 0]
-        assert region.centers.tolist() == [0j, 1.5, -1.75, 4.0, 3.0, 1.875j,
-                                           -3.5]
-        assert region.radii.tolist() == [1.0] * 7 and fills == 0
-        # regions 0 and 2 (and 1 and 3) meet, so the pieces cannot decide
-        assert witnessed
-        assert free[:6].all()  # the caller marks what it keeps
+        assert absorbed == [0, 2, 4]
+        assert region.centers.tolist() == [0j, 3.75, 1.875, -1.75, 1.875j]
+        assert region.radii.tolist() == [1.0] * 5
+        # each region meets D once and no two regions are adjacent, so the
+        # pieces decide it
+        assert (fills, witnessed) == (0, False)
+        assert free.tolist() == [True] * 3 + [False] + [True] * 2
 
     def test_region_reached_through_a_fill(self, monkeypatch):
         # the lone disk is pocket-free, so the rule is made undecided for
@@ -388,11 +392,13 @@ class TestPocketFiller:
     @pytest.mark.parametrize("w", [0j, q26(3.7 - 12.3j)])
     def test_a_ring_named_again_is_split_at_its_next_chord(self, w):
         c, r = np.array(self.RING) + w, np.array(self.RING_RADII, dtype=float)
-        pool = toast_module._Pool.of(
-            (ci, CompactRegion([ci], [ri])) for ci, ri in zip(c[1:], r[1:]))
+        # the other five disks chain into one pool region, which closes the
+        # ring through D
+        pool = toast_module._Pool.of([(complex(c[1]),
+                                       CompactRegion(c[1:], r[1:]))])
         region, absorbed, fills, _ = toast_module._grow(
-            complex(c[0]), float(r[0]), pool, np.ones(5, dtype=bool))
-        assert absorbed == [0, 1, 2, 3, 4] and fills == 2
+            complex(c[0]), float(r[0]), pool, np.ones(1, dtype=bool))
+        assert absorbed == [0] and fills == 2
         assert hole_witness(region.centers, region.radii) is None
         # the second fill is a new disk, not the first one again
         assert region.disks()[-1] != region.disks()[-2]
@@ -410,6 +416,31 @@ class TestPocketFiller:
         assert toast_module._pocket_filler(c[:5], r[:5]) == (0j, r[5])
         with pytest.raises(PocketFillExhausted):
             toast_module._pocket_filler(c, r)
+
+    @pytest.mark.parametrize("pair, third", [
+        ((1.0, 1.0), (1.5 + 0j, 1.0)),         # one disk twice
+        ((0.5, 1.25), (1.25 + 0j, 1.0)),       # the third meets both
+        ((0.5, 1.25), (0.25 + 0.25j, 2.0)),    # the third holds both
+    ])
+    def test_a_concentric_pair_rings_no_pocket(self, pair, third):
+        # circle_crossings gives a concentric pair no points, but no 3-ring
+        # holds one: the smaller disk's meet with the third disk lies in the
+        # larger disk, so the triangle is filled
+        (r1, r2), (c3, r3) = pair, third
+        c, r = np.array([0j, 0j, c3]), np.array([r1, r2, r3])
+        assert circle_crossings(0j, r1, 0j, r2) == ()
+        assert hole_witness(c, r) is None
+        assert toast_module._pocket_filler(c, r) is None
+
+    def test_a_ring_beside_a_concentric_pair_is_closed(self):
+        # the triangle's pocket with a smaller disk inside its first disk:
+        # the ring named leaves the pair apart, and one fill closes it
+        c = np.array(self.TRIANGLE + [0j])
+        r = np.array([1.0, 1.0, 1.0, 0.5])
+        assert sorted(hole_witness(c, r)) == [0, 1, 2]
+        m, radius = toast_module._pocket_filler(c, r)
+        assert (m, radius) == toast_module._pocket_filler(c[:3], r[:3])
+        assert hole_witness(np.append(c, m), np.append(r, radius)) is None
 
     @pytest.mark.parametrize("w", [q26(3.7 - 12.3j), q26(-25.1 + 0.6j)])
     def test_fills_commute_with_q26_shifts(self, w):
@@ -566,6 +597,132 @@ def test_the_rule_changes_no_toast(monkeypatch, kind, half, seed, intensity,
     assert list(forest.parents.items()) == list(witnessed.parents.items())
     assert list(forest.children.items()) == list(witnessed.children.items())
     assert any(lv.counts["fills"] for lv in forest.levels) == filled
+
+
+def reference_grow(a, radius, pool, free):
+    """The multi-pass `_grow` the one-pass form replaced. Each pass scans
+    the pool in index order and adjoins every region that meets the union
+    as it stands (the reach test first, then `disks_meet`), so a region
+    absorbed early in a pass can reach a later one; passes repeat until one
+    adjoins nothing, and only then is a pocket filled."""
+    centers = np.array([a], dtype=complex)
+    radii = np.array([radius], dtype=float)
+    source = np.array([-1])
+    absorbed, fills, witnessed = [], 0, False
+    avail = free.copy()
+    gap = np.abs(a - pool.anchors)
+    reach = radius
+    start = 0
+    while True:
+        near = avail[start:] & toast_module._may_meet(
+            gap[start:], reach + pool.reach[start:])
+        hit = next((idx for idx in np.flatnonzero(near) + start
+                    if disks_meet(centers, radii, pool.items[idx][1].centers,
+                                  pool.items[idx][1].radii)), None)
+        if hit is not None:
+            preg = pool.items[hit][1]
+            centers = np.concatenate((centers, preg.centers))
+            radii = np.concatenate((radii, preg.radii))
+            source = np.concatenate((source, np.full(len(preg), hit)))
+            absorbed.append(int(hit))
+            avail[hit] = False
+            reach = max(reach, float(np.max(np.abs(preg.centers - a)
+                                            + preg.radii)))
+            start = hit + 1
+        elif start:
+            start = 0
+        else:
+            rel = centers - a
+            if not fills and toast_module._no_pocket(rel, radii, source):
+                break
+            witnessed = True
+            plug = toast_module._pocket_filler(rel, radii)
+            if plug is None:
+                break
+            fills += 1
+            if fills > 64:
+                raise PocketFillExhausted(
+                    f"region at {a} still has pockets after 64 fills")
+            centers = np.append(centers, a + plug[0])
+            radii = np.append(radii, plug[1])
+            source = np.append(source, -2)
+            reach = max(reach, abs(plug[0]) + plug[1])
+    return CompactRegion(centers, radii), absorbed, fills, witnessed
+
+
+def pool_is_disjoint(pool):
+    """No two disks of different pool regions meet, by the test of
+    `disks_meet`."""
+    c, r = pool.centers, pool.radii
+    meet = np.abs(c[:, None] - c[None, :]) <= r[:, None] + r[None, :]
+    return not np.any(meet & (pool.owner[:, None] != pool.owner[None, :]))
+
+
+@settings(deadline=None)  # the example count comes from the profile
+@given(case=_rule_inputs())
+@example(case=("poisson", 0, 16))  # 515 points, with a pocket fill
+def test_grow_matches_the_multi_pass_scan(case):
+    kind, seed, half = case
+    d = generate(kind, Window(-half, half, -half, half), seed=seed,
+                 intensity=0.5)
+    grow, pools, fills = toast_module._grow, {}, []
+
+    def checked(a, radius, pool, free):
+        out = grow(a, radius, pool, free)
+        ref = reference_grow(a, radius, pool, free)
+        assert out[1:] == ref[1:]
+        assert out[0].centers.tobytes() == ref[0].centers.tobytes()
+        assert out[0].radii.tobytes() == ref[0].radii.tobytes()
+        if id(pool) not in pools:
+            pools[id(pool)] = pool_is_disjoint(pool)
+        fills.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toast_module, "_grow", checked)
+        try:
+            build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        except NonFreeInput:
+            return
+    assert fills and all(pools.values())
+    if case == ("poisson", 0, 16):
+        assert any(fills)
+
+
+def toast_digest(forest):
+    """sha256 over each level's kinds (anchors in order) and counts, its
+    regions' centre and radius bytes, and the parent links in order."""
+    h = hashlib.sha256()
+    for lv in forest.levels:
+        h.update(repr((lv.n, list(lv.kinds.items()),
+                       sorted(lv.counts.items()))).encode())
+        for reg in lv.regions.values():
+            h.update(reg.centers.tobytes())
+            h.update(reg.radii.tobytes())
+    h.update(repr(list(forest.parents.items())).encode())
+    return h.hexdigest()
+
+
+# Poisson toasts on Window(-half, half, -half, half), N=4, r0=1, gamma=4,
+# pinned as the multi-pass `_grow` built them; the last has a pocket fill
+TOAST_DIGESTS = {
+    (8, 3, 0.2):
+        "0a0b8cb976f0d7e60ba32113a6335c58d4bf6ba2674ad82213a155e76e034f9f",
+    (16, 3, 0.2):
+        "6ffe17fd70187658d91da650f14999122899ceb0e9d2e84f3a18e49652768ce0",
+    (32, 3, 0.2):
+        "67ee95580f5d2c5b69157319c5a831e090b1455707ef5a5deaa60ebb5de125af",
+    (16, 0, 0.5):
+        "0b9b12916dff2095dbc8c39ff63873e628dbd2b782a32ce80c3876fa18331927",
+}
+
+
+@pytest.mark.parametrize("half, seed, intensity", list(TOAST_DIGESTS))
+def test_toast_dumps_are_pinned(half, seed, intensity):
+    d = generate("poisson", Window(-half, half, -half, half), seed=seed,
+                 intensity=intensity)
+    forest = build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
+    assert toast_digest(forest) == TOAST_DIGESTS[half, seed, intensity]
 
 
 def test_few_unions_reach_hole_witness():
@@ -790,6 +947,33 @@ class TestViolationDetection:
         lv = ToastLevel(0, {0j: CompactRegion.disk(5 + 0j, 1.0)}, {0j: "genuine"})
         report = verify_axioms(self.forged([lv]))
         assert report["anchor-disk"]["status"] == "fail"
+
+    @pytest.mark.parametrize("caught, kids", [
+        # overlapping children inside the parent, each holding its anchor disk
+        ("same-level-disjoint",
+         [(q26(0.4 * np.exp(1j * np.pi * k / 3)), 0.5) for k in range(6)]),
+        # disjoint children holding their anchor disks, outside the parent
+        ("parent-exists", [(3 + 1.25 * k + 0j, 0.5) for k in range(6)]),
+        # disjoint children inside the parent, too small for their anchor disks
+        ("anchor-disk",
+         [(q26(0.5 * np.exp(1j * np.pi * k / 3)), 0.1) for k in range(6)]),
+    ])
+    def test_too_many_children_are_caught_without_a_count_bound(self, caught,
+                                                                kids):
+        # six children exceed a count bounded by area(parent) / (pi u0^2),
+        # as disjoint children inside their parent, each holding its anchor
+        # disk, are; so one of those three axioms must fail
+        parent = CompactRegion.disk(0j, 1.0)
+        lv0 = ToastLevel(0, {a: CompactRegion.disk(a, r) for a, r in kids},
+                         {a: "genuine" for a, _ in kids})
+        lv1 = ToastLevel(1, {0j: parent}, {0j: "genuine"})
+        forest = self.forged([lv0, lv1], {(0, a): (1, 0j) for a, _ in kids})
+        u0 = forest.u0
+        bound = parent.area(h=u0 / 4) * 1.1 / (math.pi * u0 ** 2) + 1
+        assert len(kids) > bound
+        report = verify_axioms(forest)
+        assert "child-bound" not in report
+        assert report[caught]["status"] == "fail"
 
     def test_top_cover_violation_detected(self):
         lv = ToastLevel(0, {0j: CompactRegion.disk(0j, 1.0)}, {0j: "genuine"})
