@@ -161,13 +161,18 @@ class CompactRegion:
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
         if centers.shape != radii.shape or centers.ndim != 1 or len(centers) == 0:
             raise ValueError("centers and radii must be matching nonempty 1d arrays")
-        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+        # q26 of the coordinates and radii in one array of lattice units
+        units = np.empty((3, len(radii)))
+        units[0], units[1], units[2] = centers.real, centers.imag, radii
+        if not np.isfinite(units).all():
             raise ValueError("centers and radii must be finite")
-        self.centers = q26(centers)
-        self.radii = q26(radii)
+        units = np.rint(units * _Q)
         # after quantizing: a radius below 2**-27 rounds to 0
-        if np.any(self.radii <= 0):
+        if (units[2] <= 0).any():
             raise ValueError("radii must be positive")
+        # assembled as q26 assembles complex values, signed zeros included
+        self.centers = (units[0] + 1j * units[1]) / _Q
+        self.radii = units[2] / _Q
         self.centers.setflags(write=False)
         self.radii.setflags(write=False)
 

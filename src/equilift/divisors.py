@@ -256,14 +256,13 @@ PROBES = 10             # points the quick filter tests each candidate on
 def _candidate_vectors(locs):
     """Difference vectors among the CANDIDATE_POINTS points nearest the
     configuration's own centroid (a covariant stand-in for 'nearest the
-    origin')."""
+    origin'), each once, unsorted."""
     if len(locs) > CANDIDATE_POINTS:
         centroid = complex(np.mean(locs))
         order = np.argsort(np.abs(locs - centroid), kind="stable")
         locs = locs[order[:CANDIDATE_POINTS]]
     diff = (locs[:, None] - locs[None, :]).ravel()
-    uniq = np.unique(diff[np.abs(diff) > 0])
-    return sorted(uniq.tolist(), key=lambda v: (abs(v), math.atan2(v.imag, v.real)))
+    return np.unique(diff[np.abs(diff) > 0])
 
 
 def _window_part(locs, mults, win):
@@ -285,15 +284,16 @@ def _comparison_bounds(inner: Window, v):
 
 def _is_period(d: Divisor, v, inner: Window):
     """Does d + v equal d on their common inner window, multiplicities
-    included? A window too small to compare, or holding no point, reads
-    False."""
+    included? A window too small to compare, or holding fewer than two
+    points, reads False: a candidate v = p - q always matches at the point
+    it was drawn from, so a match on one point proves nothing."""
     pad = abs(v)
     if not (inner.width > 2 * pad + 1e-6 and inner.height > 2 * pad + 1e-6):
         return False
     win = Window(*_comparison_bounds(inner, v))
     locs_a, mults_a = _window_part(d.locs, d.mults, win)
     locs_b, mults_b = _window_part(d.locs + v, d.mults, win)
-    return (len(locs_a) > 0 and np.array_equal(locs_a, locs_b)
+    return (len(locs_a) > 1 and np.array_equal(locs_a, locs_b)
             and np.array_equal(mults_a, mults_b))
 
 
@@ -327,12 +327,13 @@ def detect_stabilizer(d: Divisor) -> StabilizerReport:
 
     A quick filter goes first and rejects only what `_is_period` rejects:
     each probe (one of the PROBES points nearest the centroid) that lies in
-    v's comparison window must have its preimage probe - v in d."""
+    v's comparison window must have its preimage probe - v in d. It runs on
+    the unsorted candidates, and only its survivors are sorted."""
     if len(d) == 0:
         raise EmptyWindow("stabilizer of an empty divisor is undefined")
     inner = d.window.inner()
     locs = d.locs
-    cands = np.array(_candidate_vectors(locs), dtype=complex)
+    cands = _candidate_vectors(locs)
     near = np.argsort(np.abs(locs - complex(np.mean(locs))), kind="stable")
     probes = locs[near[:PROBES]]
     x0, x1, y0, y1 = (b[:, None] for b in _comparison_bounds(inner, cands))
@@ -343,7 +344,8 @@ def detect_stabilizer(d: Divisor) -> StabilizerReport:
     idx = np.minimum(np.searchsorted(ordered, pre), len(ordered) - 1)
     hits = (~inside | (ordered[idx] == pre)).all(axis=1)
     gens = []
-    for v in cands[hits].tolist():
+    for v in sorted(cands[hits].tolist(),
+                    key=lambda v: (abs(v), math.atan2(v.imag, v.real))):
         if _is_combination(v, gens):
             continue
         if _is_period(d, v, inner):

@@ -8,11 +8,16 @@ are pairwise disjoint; a region either gets absorbed into a next-level region
 (its disks are adjoined verbatim, making nesting literal) or is re-listed at
 the next level unchanged as a repeat, so every region has a parent.
 
-The distance matrix is built once per toast: each level ranks the points by
-prefixes of the sorted distance rows (`_markers`), and difference vectors are
-formed only for the rare points whose distance rows tie. A marker within the
-spacing of a kept one is skipped; the points so blocked are one boolean mask,
-updated from one distance row per kept marker.
+The points are bucketed once per toast in a uniform grid (`_Grid`), and each
+test reads only the cells it needs; no n x n table is built. Each level ranks
+the points by the first few entries of their sorted distance rows, read once
+per toast, reads whole rows only for points whose first entries tie
+(`_ranks`), and forms difference vectors only for the rare points whose whole
+rows tie. A point is beaten when a higher rank lies within the scale: a range
+maximum over the cells inside its ball settles most points, pair tests the
+rest (`_markers`). A marker within the spacing of a kept one is skipped; the
+markers near each marker come from a grid over the markers alone
+(`_spacing`).
 
 A marker's union is grown as arrays of disks and returned as the region
 itself (`_grow`). What it may absorb is the previous level's regions, held
@@ -52,6 +57,8 @@ from .errors import NonFreeInput, PocketFillExhausted, WindowTooSmall
 GAP_FRACTION = 0.01      # pruning gap between genuine base disks, in units of r_n
 NEIGHBOR_SCALE = 2.0     # signature neighborhood radius, in units of the level scale
 REACH_SLACK = 1e-9       # relative slack of the reach test, far above rounding
+GRID_CHUNK = 1 << 14     # candidate pairs per chunk of a grid query
+ROW_PREFIX = 4           # distance-row columns every point is ranked on first
 
 
 @dataclass(frozen=True)
@@ -150,107 +157,301 @@ class ToastForest:
 # construction
 
 
-class _Pairs(NamedTuple):
-    """Pairwise geometry of a toast's points, built once per toast."""
-    locs: np.ndarray
-    dist: np.ndarray     # dist[i, j] = |locs[j] - locs[i]|
-    rows: np.ndarray     # row i of dist without its zeros, ascending, inf-padded
+class _Grid:
+    """A toast's points bucketed in square cells, built once per toast.
 
-    @classmethod
-    def of(cls, locs):
-        locs = np.asarray(locs, dtype=complex)
-        dist = np.abs(locs[None, :] - locs[:, None])
-        rows = np.sort(np.where(dist > 0, dist, np.inf), axis=1)
-        return cls(locs, dist, rows)
+    The cell side h is a power of two near the mean point spacing, and the
+    points are stored cell by cell in row-major cell order, index order
+    within a cell, so the points of one cell row's run of cells are one
+    slice (`order[start[c]:start[c1]]`). The points must lie on the 2^-26
+    lattice, as a divisor's do: then x - xmin and its quotient by h are
+    exact, and a point within distance rho < m * h of another lies within m
+    cells of it on both axes. Every distance is the `abs` of the exact
+    difference of two points, as a dense table would hold it, so each
+    query reads only the cells it needs and still sees the same numbers."""
+
+    def __init__(self, locs):
+        self.locs = locs = np.asarray(locs, dtype=complex)
+        n = len(locs)
+        self.x0, self.y0 = float(locs.real.min()), float(locs.imag.min())
+        width = float(locs.real.max()) - self.x0
+        height = float(locs.imag.max()) - self.y0
+        span = max(width, height)
+        # about one point per cell, collinear points included
+        area = max(width * height, span * span / n)
+        self.h = 2.0 ** round(math.log2(math.sqrt(area / n))) if span else 1.0
+        self.cx = np.floor((locs.real - self.x0) / self.h).astype(np.int64)
+        self.cy = np.floor((locs.imag - self.y0) / self.h).astype(np.int64)
+        self.ncx, self.ncy = int(self.cx.max()) + 1, int(self.cy.max()) + 1
+        cell = self.cy * self.ncx + self.cx
+        self.order = np.argsort(cell, kind="stable")
+        self.start = np.searchsorted(cell[self.order],
+                                     np.arange(self.ncx * self.ncy + 1))
+
+    @cached_property
+    def head(self):
+        """The first ROW_PREFIX columns of every point's sorted distance
+        row, which every level cuts at its own radius."""
+        return self.rows(np.arange(len(self.locs)), ROW_PREFIX, np.inf)
+
+    def block(self, idx, m):
+        """(q, j) index arrays: every point j of the cells within m cells of
+        idx[q]'s cell on both axes, q ascending. They come in chunks of
+        whole queries, each chunk's query count times its largest pair
+        count at most GRID_CHUNK unless one query alone has more."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if 2 * m + 1 >= self.ncy:
+            dy = np.arange(self.ncy)[None, :]          # every cell row
+        else:
+            dy = self.cy[idx, None] + np.arange(-m, m + 1)
+        slab = max(1, GRID_CHUNK // dy.shape[1])
+        for s0 in range(0, len(idx), slab):
+            q = np.arange(s0, min(s0 + slab, len(idx)))
+            rows = dy if dy.shape[0] == 1 else dy[q]
+            ok = (rows >= 0) & (rows < self.ncy)
+            base = np.where(ok, rows, 0) * self.ncx
+            cx = self.cx[idx[q], None]
+            lo = self.start[base + np.maximum(cx - m, 0)]
+            count = np.where(ok, self.start[base + np.minimum(
+                cx + m, self.ncx - 1) + 1] - lo, 0)
+            per = count.sum(axis=1)
+            a = 0
+            while a < len(q):
+                top = np.maximum.accumulate(per[a:a + GRID_CHUNK])
+                fits = np.arange(1, len(top) + 1) * top <= GRID_CHUNK
+                b = a + max(1, int(fits.sum()))
+                lo_p, n_p = lo[a:b].ravel(), count[a:b].ravel()
+                offset = np.repeat(lo_p - (np.cumsum(n_p) - n_p), n_p)
+                yield (np.repeat(q[a:b], per[a:b]),
+                       self.order[offset + np.arange(len(offset))])
+                a = b
+
+    def within(self, idx, radius):
+        """(q, j, d) chunks: the points j with d = |locs[j] - locs[idx[q]]|
+        <= radius, the query itself included."""
+        whole = max(self.ncx, self.ncy)
+        # radius < m * h, so the blocks hold every such point
+        m = whole if radius >= whole * self.h else int(radius // self.h) + 1
+        for q, j in self.block(idx, m):
+            d = np.abs(self.locs[j] - self.locs[idx[q]])
+            keep = d <= radius
+            yield q[keep], j[keep], d[keep]
+
+    def rows(self, idx, k, lim):
+        """(len(idx), k) table: for each idx[q], the k smallest distances d
+        with 0 < d <= lim to the other points, ascending and padded with -1,
+        which is the first k columns of its sorted distance row cut at lim.
+
+        Blocks grow from about 2k points by doubling m until a query's k-th
+        distance, or lim, lies inside the block (below m * h). A chunk's
+        distances are laid out one query per row and partitioned there."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.full((len(idx), k), -1.0)
+        load = len(self.locs) / (self.ncx * self.ncy)
+        m = max(1, math.ceil(math.sqrt(2 * k / (math.pi * load))))
+        todo = np.arange(len(idx))
+        while len(todo):
+            tab = np.full((len(todo), k), np.inf)
+            for q, j in self.block(idx[todo], m):
+                d = np.abs(self.locs[j] - self.locs[idx[todo[q]]])
+                keep = (d > 0) & (d <= lim)
+                q, d = q[keep], d[keep]
+                if not len(q):
+                    continue
+                place = _places(q)
+                part = np.full((q[-1] - q[0] + 1, max(k, place.max() + 1)),
+                               np.inf)
+                part[q - q[0], place] = d
+                part = np.partition(part, k - 1, axis=1)[:, :k]
+                tab[q[0]:q[-1] + 1] = np.sort(part, axis=1)
+            whole = m >= max(self.ncx, self.ncy)
+            settled = whole | (np.minimum(tab[:, -1], lim) < m * self.h)
+            out[todo[settled]] = np.where(tab[settled] < np.inf,
+                                          tab[settled], -1.0)
+            todo = todo[~settled]
+            m *= 2
+        return out
+
+    def square_max(self, values, half):
+        """Per point, the largest of `values` (nonnegative) over the cells
+        that lie wholly inside the square of half side `half` about it, or
+        -1 where that square holds no whole cell.
+
+        A sparse table of the cells' maxima over 2^a x 2^b blocks answers
+        each square with four overlapping blocks."""
+        nx, ny = self.ncx, self.ncy
+        cell = np.full(nx * ny, -1, dtype=np.int64)
+        held = np.flatnonzero(np.diff(self.start))
+        cell[held] = np.maximum.reduceat(values[self.order], self.start[held])
+        table = np.full((nx.bit_length(), ny.bit_length(), ny, nx), -1,
+                        dtype=np.int64)
+        table[0, 0] = cell.reshape(ny, nx)
+        for a in range(table.shape[0]):
+            if a:
+                w, s = nx - (1 << a) + 1, 1 << (a - 1)
+                table[a, 0, :, :w] = np.maximum(table[a - 1, 0, :, :w],
+                                                table[a - 1, 0, :, s:s + w])
+            for b in range(1, table.shape[1]):
+                t, s = ny - (1 << b) + 1, 1 << (b - 1)
+                table[a, b, :t] = np.maximum(table[a, b - 1, :t],
+                                             table[a, b - 1, s:s + t])
+        x, y = self.locs.real - self.x0, self.locs.imag - self.y0
+        x0 = np.maximum(np.ceil((x - half) / self.h), 0).astype(np.int64)
+        x1 = np.minimum(np.floor((x + half) / self.h) - 1, nx - 1).astype(np.int64)
+        y0 = np.maximum(np.ceil((y - half) / self.h), 0).astype(np.int64)
+        y1 = np.minimum(np.floor((y + half) / self.h) - 1, ny - 1).astype(np.int64)
+        ok = (x1 >= x0) & (y1 >= y0)
+        x0, x1, y0, y1 = (np.where(ok, v, 0) for v in (x0, x1, y0, y1))
+        a = np.frexp(x1 - x0 + 1)[1] - 1      # floor(log2(length))
+        b = np.frexp(y1 - y0 + 1)[1] - 1
+        xs, ys = x1 - (1 << a) + 1, y1 - (1 << b) + 1
+        best = np.maximum(np.maximum(table[a, b, y0, x0], table[a, b, y0, xs]),
+                          np.maximum(table[a, b, ys, x0], table[a, b, ys, xs]))
+        return np.where(ok, best, -1)
 
 
-def _ranks(pairs, scale):
+def _places(q):
+    """Each element's place in its run of equal values of q."""
+    at = np.arange(len(q))
+    start = np.ones(len(q), dtype=bool)
+    start[1:] = q[1:] != q[:-1]
+    return at - np.maximum.accumulate(np.where(start, at, 0))
+
+
+def _ranks(grid, scale):
     """Integer rank per point that orders the points as their signature keys
     do, equal ranks exactly for equal keys.
 
     A point's key is its ascending distances to the neighbors within
     NEIGHBOR_SCALE * scale (lex-larger means more isolated), then its
     descending neighbor difference vectors, which separate swap-symmetric
-    points while staying a function of differences only."""
-    n = len(pairs.locs)
+    points while staying a function of differences only.
+
+    The distance rows are compared through their first ROW_PREFIX columns
+    (-1 after a row's end makes a strict prefix compare smaller, as in
+    tuples). Only points that tie with another on them read their whole
+    rows and, where those tie too, their difference vectors, each in one
+    lexsort of a padded table. Such ties need local symmetry, so on
+    generic inputs they are rare, and the tables stay small."""
+    n = len(grid.locs)
     lim = NEIGHBOR_SCALE * scale
-    lengths = np.count_nonzero(pairs.rows <= lim, axis=1)
-    width = int(lengths.max())
-    # sort by a prefix of the rows, doubled while two adjacent sorted rows tie
-    # on it and go on past it; once none do, the prefix order is the order of
-    # the whole rows, and a tie on the prefix is a tie of the whole rows
-    k = min(width, 4)
-    while True:
-        # -1 after a row's end makes a strict prefix compare smaller, as in
-        # tuples
-        padded = np.where(np.arange(k) < lengths[:, None],
-                          pairs.rows[:, :k], -1.0)
-        order = np.lexsort(padded.T[::-1]) if k else np.arange(n)
-        srt = padded[order]
-        new = np.ones(n, dtype=bool)
-        new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-        longer = lengths[order] > k
-        if k == width or not np.any(~new[1:] & (longer[1:] | longer[:-1])):
-            break
-        k = min(2 * k, width)
+    # the rows cut at lim: their entries beyond it come last
+    rows = np.where(grid.head <= lim, grid.head, -1.0)
+    group = _dense(np.zeros(n, dtype=np.int64), rows)
+    tie = np.flatnonzero((np.bincount(group)[group] > 1) & (rows[:, 0] >= 0))
+    if not len(tie):
+        return group * n
+    q, j, d = map(np.concatenate, zip(*grid.within(tie, lim)))
+    q, j, d = q[d > 0], j[d > 0], d[d > 0]
+    # each tying point's whole row, one table row, ascending, -1 after it
+    place = _places(q)
+    whole = np.full((len(tie), int(place.max()) + 1), np.inf)
+    whole[q, place] = d
+    whole.sort(axis=1)
+    whole[whole == np.inf] = -1.0
+    sub = np.zeros(n, dtype=np.int64)
+    sub[tie] = _dense(group[tie], whole)
+    group = _dense(group, sub[:, None])
     # rank = n * (distance-row group) + (place of the vectors in the group)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = (np.cumsum(new) - 1) * n
-    # exact distance-row ties need local symmetry, so they are rare: only
-    # there are the difference vectors compared
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], n)
-    for s, e in zip(starts, ends):
-        if e - s < 2 or lengths[order[s]] == 0:
-            continue
-        vecs = {}
-        for i in order[s:e]:
-            mask = (pairs.dist[i] > 0) & (pairs.dist[i] <= lim)
-            v = pairs.locs[mask] - pairs.locs[i]
-            vecs[i] = tuple(sorted(zip(v.real.tolist(), v.imag.tolist()),
-                                   reverse=True))
-        sub = {key: k for k, key in enumerate(sorted(set(vecs.values())))}
-        for i, key in vecs.items():
-            rank[i] += sub[key]
+    rank = group * n
+    tied = np.bincount(group)[group[tie]] > 1
+    if tied.any():
+        keep = tied[q]
+        at = np.cumsum(tied) - 1        # place among the tied points
+        q, v = at[q[keep]], grid.locs[j[keep]] - grid.locs[tie[q[keep]]]
+        del j, d, keep
+        # each point's vectors in descending (re, im) order, one table row
+        srt = np.lexsort((v.imag, v.real, q))[::-1]
+        q, v = q[srt], v[srt]
+        place = _places(q)
+        table = np.zeros((int(tied.sum()), 2 * (int(place.max()) + 1)))
+        table[q, 2 * place] = v.real
+        table[q, 2 * place + 1] = v.imag
+        rank[tie[tied]] += _dense(group[tie[tied]], table, within=True)
     return rank
 
 
-def _markers(pairs, scale):
+def _dense(group, table, within=False):
+    """Dense rank of the rows (group, table row), ordered by group and then
+    lexicographically by the row; with `within`, the rank inside each
+    group instead."""
+    order = np.lexsort(table.T[::-1]) if table.shape[1] else np.arange(len(group))
+    order = order[np.argsort(group[order], kind="stable")]
+    srt, grp = table[order], group[order]
+    first = np.ones(len(group), dtype=bool)    # a group's first row
+    first[1:] = grp[1:] != grp[:-1]
+    new = first.copy()
+    new[1:] |= np.any(srt[1:] != srt[:-1], axis=1)
+    dense = np.cumsum(new) - 1
+    if within:
+        dense -= dense[first][np.cumsum(first) - 1]
+    out = np.empty(len(group), dtype=np.int64)
+    out[order] = dense
+    return out
+
+
+def _markers(grid, scale):
     """Indices whose key strictly dominates every competitor within `scale`,
     most isolated first.
 
-    Keys are compared through `_ranks`: the distance rows, padded with -1,
-    are ranked lexicographically by `np.lexsort` on a prefix of their
-    columns, which doubles only while two adjacent sorted rows tie on it and
-    one of them goes on past it (a few columns at every level, where all of
-    them cost up to n), and the difference-vector tiebreak is built only
-    inside groups of equal rows. This is the order of the Python key tuples
-    (distance tuple, vector tuple). The radius-2*scale neighbor rows are
-    prefixes of the sorted distance rows built once per toast. No spatial
-    tree: on a window of half-side L = 32 the 2*scale ball holds most of
-    the points from level 2 up (radius 32 there), so a tree would not
-    shrink the work; from L = 64 up it holds a shrinking share of them at
-    level 2, and a grid or tree would pay (ROADMAP item 7).
+    Keys are compared through `_ranks`, which gives the order of the Python
+    key tuples (distance tuple, vector tuple). A point is beaten when some
+    competitor's rank is at least its own. Most points are beaten by a
+    higher rank in a cell wholly inside their scale ball: a range maximum
+    over the cells of the square inscribed in the ball finds those
+    (`_Grid.square_max`), or one global maximum once the ball covers every
+    point. Points it does not settle, and points whose rank another point
+    shares, are checked pair by pair over the cells the ball meets.
 
     Competitors are scanned in index order. An exact key tie with the first
     competitor whose key is not smaller means the two points see identical
     difference-vector neighborhoods, i.e. a local translation symmetry the
     covariant rule cannot break. Markers with equal keys (never
     competitors) keep index order."""
-    rank = _ranks(pairs, scale)
-    rival = ((pairs.dist > 0) & (pairs.dist <= scale)
-             & (rank[None, :] >= rank[:, None]))
-    beaten = rival.any(axis=1)
-    first = rival.argmax(axis=1)
-    tied = beaten & (rank[first] == rank)
+    rank = _ranks(grid, scale)
+    n = len(rank)
+    locs = grid.locs
+    # the ball wholly covers a cell, or every point, when it does so with
+    # room for rounding to spare
+    slack = 1e-9 * (scale + float(np.max(np.abs(locs))))
+    diameter = math.hypot(float(np.ptp(locs.real)), float(np.ptp(locs.imag)))
+    if diameter <= scale - slack:
+        higher = rank < rank.max()
+    else:
+        higher = grid.square_max(rank, (scale - slack) / math.sqrt(2)) > rank
+    _, inverse, counts = np.unique(rank, return_inverse=True,
+                                   return_counts=True)
+    shared = counts[inverse] > 1
+    beaten = higher & ~shared
+    check = np.flatnonzero(~beaten)
+    first = np.full(n, n)    # the first competitor of rank >= rank[i], or n
+    for q, j, d in grid.within(check, scale):
+        i = check[q]
+        rival = (d > 0) & (rank[j] >= rank[i])
+        np.minimum.at(first, i[rival], j[rival])
+    beaten[check] = first[check] < n
+    tied = (first < n) & (rank[np.minimum(first, n - 1)] == rank)
     if tied.any():
         i = int(np.argmax(tied))
         raise NonFreeInput(
-            f"points {pairs.locs[i]} and {pairs.locs[first[i]]} are locally "
+            f"points {locs[i]} and {locs[first[i]]} are locally "
             f"indistinguishable at scale {scale}"
         )
     out = np.flatnonzero(~beaten)
     return out[np.argsort(-rank[out], kind="stable")].tolist()
+
+
+def _spacing(locs, spacing):
+    """For each of the markers at locs, the markers closer than `spacing`
+    to it (itself included), from a grid over the markers alone: markers
+    lie more than a scale apart, so each has few within the spacing."""
+    if not len(locs):
+        return []
+    grid = _Grid(locs)
+    q, j, d = map(np.concatenate,
+                  zip(*grid.within(np.arange(len(locs)), spacing)))
+    q, j = q[d < spacing], j[d < spacing]
+    return np.split(j, np.searchsorted(q, np.arange(1, len(locs))))
 
 
 def _pocket_filler(rel_centers, radii):
@@ -482,7 +683,7 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     if rep.kind != "free":
         raise NonFreeInput(f"divisor has a {rep.kind} stabilizer {rep.generators}")
 
-    pairs = _Pairs.of(d.locs)
+    grid = _Grid(d.locs)
     cap = d.window.diameter
     levels = []
     parents = {}
@@ -491,8 +692,8 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     for n in range(N + 1):
         scale = r0 * gamma ** n
         radius = q26(min(scale, cap))
-        marker_idx = _markers(pairs, scale)
-        spacing = 2 * radius + GAP_FRACTION * radius
+        marker_idx = _markers(grid, scale)
+        near = _spacing(grid.locs[marker_idx], 2 * radius + GAP_FRACTION * radius)
 
         pool = _Pool.of(prev_level.regions.items() if prev_level else ())
         free = np.ones(len(pool.items), dtype=bool)
@@ -501,16 +702,16 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
         kinds = {}
         counts = {"markers": len(marker_idx), "skipped": 0, "ceded": 0,
                   "absorptions": 0, "fills": 0, "witnessed": 0}
-        # blocked[j]: point j lies within spacing of a kept marker
-        blocked = np.zeros(len(pairs.locs), dtype=bool)
+        # blocked[k]: marker k lies within spacing of a kept marker
+        blocked = np.zeros(len(marker_idx), dtype=bool)
         # the disks of every region kept so far, for the ceding test
         kept_centers = np.empty(0, dtype=complex)
         kept_radii = np.empty(0, dtype=float)
-        for i in marker_idx:
-            if blocked[i]:
+        for k, i in enumerate(marker_idx):
+            if blocked[k]:
                 counts["skipped"] += 1
                 continue
-            a = complex(pairs.locs[i])
+            a = complex(grid.locs[i])
             region, absorbed, fills, witnessed = _grow(a, radius, pool, free)
             counts["witnessed"] += witnessed
             if disks_meet(region.centers, region.radii,
@@ -519,7 +720,7 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
                 continue  # junior cedes: seniors already took what they touch
             regions[a] = region
             kinds[a] = "genuine"
-            blocked |= pairs.dist[i] < spacing
+            blocked[near[k]] = True
             kept_centers = np.concatenate((kept_centers, region.centers))
             kept_radii = np.concatenate((kept_radii, region.radii))
             counts["absorptions"] += len(absorbed)

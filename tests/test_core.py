@@ -788,6 +788,24 @@ def test_poly_refuses_a_nonpositive_scale(scale):
         ComplexPoly((1 + 0j,), scale=scale)
 
 
+def test_region_stores_q26_of_its_input_to_the_byte():
+    # every sign class of each centre part, zeros and values that round to
+    # a zero of either sign among them: the arrays q26 gives, signed zeros
+    # included, and read-only
+    parts = [0.0, -0.0, 1e-12, -1e-12, 1.5, -1.5, 0.1, -2.0 ** 20 - 0.3]
+    re, im = np.meshgrid(parts, parts)
+    centers = np.empty(re.size, dtype=complex)
+    centers.real, centers.imag = re.ravel(), im.ravel()
+    radii = np.resize([1.0, 0.3, 2.0 ** -20, 7.7], len(centers))
+    for c, r in ((centers, radii), (centers[::-3], radii[::-3]),
+                 (centers[:1], radii[:1])):
+        region = CompactRegion(c, r)
+        assert region.centers.tobytes() == q26(c).tobytes()
+        assert region.radii.tobytes() == q26(r).tobytes()
+        assert not (region.centers.flags.writeable
+                    or region.radii.flags.writeable)
+
+
 def test_region_refuses_a_radius_that_quantizes_to_zero():
     # 1e-9 is positive but below half the 2**-26 step: stored, it would be
     # a disk of radius 0

@@ -2,10 +2,10 @@
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from equilift.core import SampledFunction, Window, q26
 from equilift.divisors import (
@@ -88,13 +88,13 @@ class TestDivisor:
         # the 48 x 48 lattice: a pairwise distance table would take
         # 2304^2 x 16 bytes, about 85 MB
         win = Window(-24.5, 23.5, -24.5, 23.5)
-        tracemalloc.start()
-        try:
+
+        def build():
             d = generate("periodic-lattice", win, spacing=1.0)
             d.translate(q26(0.25 + 0.5j))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return d
+
+        d, peak = traced_peak(build)
         assert len(d) == 48 * 48
         assert peak < 10e6
 
@@ -299,6 +299,15 @@ class TestStabilizer:
         for order in orders:
             moved = Divisor(d.locs[order], d.mults[order], d.window)
             assert repr(detect_stabilizer(moved)) == want
+
+    @pytest.mark.parametrize("seed", [15, 18, 30, 147, 193, 202, 265, 278,
+                                      342, 424, 440, 893, 935])
+    def test_a_match_on_one_point_is_no_period(self, seed):
+        # 11-21 free points; each of these seeds once read periodic (15
+        # doubly) because a comparison window held only the point the
+        # candidate was drawn from, where v = p - q always matches
+        d = generate("poisson", Window(-3, 3, -3, 3), seed=seed, intensity=0.5)
+        assert detect_stabilizer(d) == StabilizerReport("free", ())
 
 
 # ---------------------------------------------------------------------------

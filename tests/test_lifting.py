@@ -7,12 +7,12 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
 from equilift import lifting, runge
@@ -186,12 +186,7 @@ class TestDivisorRecovery:
                      intensity=0.2)
         assert len(d) == 804
         trace = lift(d, N=4)
-        tracemalloc.start()
-        try:
-            report = trace.verify_membership()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(trace.verify_membership)
         assert report["matched"]
         assert peak < 4e6
 

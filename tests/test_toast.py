@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings, strategies as st
 
 from equilift import toast as toast_module
@@ -245,7 +246,7 @@ def reference_markers(locs, scale):
 
 
 def rank_markers(locs, scale):
-    return toast_module._markers(toast_module._Pairs.of(locs), scale)
+    return toast_module._markers(toast_module._Grid(locs), scale)
 
 
 def marker_outcome(markers, locs, scale):
@@ -270,7 +271,7 @@ class TestMarkerRanks:
     def test_row_prefix_ranks_below(self):
         # within 2: point 0 sees (1,), point 1 sees (1, 2), point 3 sees (2,)
         locs = np.array([0j, 1 + 0j, 3 + 0j])
-        ranks = toast_module._ranks(toast_module._Pairs.of(locs), 1.0)
+        ranks = toast_module._ranks(toast_module._Grid(locs), 1.0)
         assert ranks[0] < ranks[1] < ranks[2]
         assert reference_markers(locs, 1.0) == rank_markers(locs, 1.0) == [2, 1]
 
@@ -296,9 +297,9 @@ class TestMarkerRanks:
     def test_rows_tying_past_the_first_prefix(self, first, second):
         one, two = self.STARS[first], self.STARS[second]
         locs = np.concatenate([one, 40 + two])
-        pairs = toast_module._Pairs.of(locs)
-        ranks = toast_module._ranks(pairs, 3.0)
-        rows = pairs.rows[[0, len(one)], :4]
+        grid = toast_module._Grid(locs)
+        ranks = toast_module._ranks(grid, 3.0)
+        rows = grid.rows([0, len(one)], 4, np.inf)
         assert np.array_equal(rows[0], rows[1])
         # a row that ends compares below its continuations: c < a < b
         assert (ranks[0] < ranks[len(one)]) == ("cab".index(first)
@@ -306,6 +307,51 @@ class TestMarkerRanks:
         for scale in (3.0, 1.0, 16.0):
             assert (marker_outcome(rank_markers, locs, scale)
                     == marker_outcome(reference_markers, locs, scale)), scale
+
+
+def marker_inputs():
+    """Point sets for the marker rule: generated windows, lattice patches
+    with holes (ties everywhere, often unbreakable) and the STARS pairs."""
+    half = st.integers(2, 8)
+    generated = st.builds(
+        lambda kind, seed, h: generate(kind, Window(-h, h, -h, h), seed=seed,
+                                       intensity=0.5).locs,
+        st.sampled_from(["poisson", "jittered-lattice", "almost-periodic"]),
+        st.integers(0, 2 ** 31 - 1), half)
+
+    def patch(nx, ny, step, holes, w):
+        pts = np.array([complex(x, y) * step for y in range(ny)
+                        for x in range(nx)])
+        keep = np.ones(len(pts), dtype=bool)
+        keep[[h % len(pts) for h in holes]] = False
+        keep[-1] = True
+        return q26(pts[keep] + w)
+
+    coords = st.floats(-40, 40, allow_nan=False)
+    patches = st.builds(patch, st.integers(1, 9), st.integers(1, 9),
+                        st.sampled_from([0.75, 1.0, 1.5]),
+                        st.lists(st.integers(0, 80), max_size=6),
+                        st.builds(complex, coords, coords))
+    stars = st.builds(
+        lambda one, two, gap: np.concatenate([TestMarkerRanks.STARS[one],
+                                              gap + TestMarkerRanks.STARS[two]]),
+        st.sampled_from("abc"), st.sampled_from("abc"),
+        st.sampled_from([7.5, 12.0, 40.0, 17.25j]))
+    return st.one_of(generated, patches, stars)
+
+
+@settings(deadline=None)  # the example count comes from the profile
+@given(locs=marker_inputs())
+@example(locs=np.array([complex(x, y) for y in range(9) for x in range(9)]))
+@example(locs=np.concatenate([TestMarkerRanks.STARS["a"],
+                              40 + TestMarkerRanks.STARS["b"]]))
+def test_grid_markers_match_the_tuple_keys(locs):
+    # markers, their order and every NonFreeInput message, at each level
+    # scale of a gamma = 4 toast
+    for n in range(5):
+        scale = 4.0 ** n
+        assert (marker_outcome(rank_markers, locs, scale)
+                == marker_outcome(reference_markers, locs, scale)), n
 
 
 class TestAbsorption:
@@ -703,26 +749,51 @@ def toast_digest(forest):
     return h.hexdigest()
 
 
-# Poisson toasts on Window(-half, half, -half, half), N=4, r0=1, gamma=4,
-# pinned as the multi-pass `_grow` built them; the last has a pocket fill
+# toasts with N=4, r0=1, gamma=4, keyed by (kind, window, seed, intensity),
+# a window given as a half side or as (xmin, xmax, ymin, ymax). The Poisson
+# ones were pinned as the multi-pass `_grow` built them (the last has a
+# pocket fill); the lattice-like ones before the grid replaced the n x n
+# point tables. Their distance rows tie: 221 of the 225 points of the
+# symmetric almost-periodic window at level 0 and 210 at every level above,
+# and 8 and 2 points at level 1 in the two shifted windows
 TOAST_DIGESTS = {
-    (8, 3, 0.2):
+    ("poisson", 8, 3, 0.2):
         "0a0b8cb976f0d7e60ba32113a6335c58d4bf6ba2674ad82213a155e76e034f9f",
-    (16, 3, 0.2):
+    ("poisson", 16, 3, 0.2):
         "6ffe17fd70187658d91da650f14999122899ceb0e9d2e84f3a18e49652768ce0",
-    (32, 3, 0.2):
+    ("poisson", 32, 3, 0.2):
         "67ee95580f5d2c5b69157319c5a831e090b1455707ef5a5deaa60ebb5de125af",
-    (16, 0, 0.5):
+    ("poisson", 16, 0, 0.5):
         "0b9b12916dff2095dbc8c39ff63873e628dbd2b782a32ce80c3876fa18331927",
+    ("jittered-lattice", 8.5, 1, 0.3):
+        "45cca39a34bb0eefbce8cb6bd18f9b35508fbcd311242a5604eec2f3e3af3156",
+    ("almost-periodic", 7, 0, 0.3):
+        "5569938b5fd58f3f06692ed2259f0fa4ebd18eb75355122a1610ff0b3d9910a6",
+    ("almost-periodic", (1.75, 15.75, -9, 5), 0, 0.3):
+        "80699be3ce82439594e9e05786b1de034a23b7beb330c3f961cdc4fc96d024cd",
+    ("almost-periodic", (2.5, 16.5, 3, 17), 0, 0.3):
+        "abd3448bb988e1018958651f134fc01d634dea97e0326fff79ac168ee3172d26",
 }
 
 
-@pytest.mark.parametrize("half, seed, intensity", list(TOAST_DIGESTS))
-def test_toast_dumps_are_pinned(half, seed, intensity):
-    d = generate("poisson", Window(-half, half, -half, half), seed=seed,
-                 intensity=intensity)
+@pytest.mark.parametrize("kind, window, seed, intensity", list(TOAST_DIGESTS))
+def test_toast_dumps_are_pinned(kind, window, seed, intensity):
+    bounds = window if isinstance(window, tuple) else (-window, window) * 2
+    d = generate(kind, Window(*bounds), seed=seed, intensity=intensity)
     forest = build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
-    assert toast_digest(forest) == TOAST_DIGESTS[half, seed, intensity]
+    assert toast_digest(forest) == TOAST_DIGESTS[kind, window, seed,
+                                                  intensity]
+
+
+def test_toast_memory_is_below_the_point_tables():
+    # 804 points: the two n x n float tables and the rival matrices peaked
+    # at 16.6 MB; the largest union nerve alone takes about 4 MB
+    d = generate("poisson", Window(-32, 32, -32, 32), seed=3, intensity=0.2)
+    assert len(d) == 804
+    forest, peak = traced_peak(
+        lambda: build_covariant_toast(d, N=4, r0=1.0, gamma=4.0))
+    assert forest.depth == 4
+    assert peak < 6e6
 
 
 def test_few_unions_reach_hole_witness():
@@ -797,6 +868,8 @@ def shift_inputs():
 
 @settings(max_examples=6, deadline=None)
 @given(case=shift_inputs())
+# 15 free points that were refused as singly periodic
+@example(case=("poisson", 202, complex(q26(3.7 - 12.3j))))
 def test_build_commutes_with_q26_shifts(case):
     kind, seed, w = case
     d = generate(kind, Window(-3, 3, -3, 3), seed=seed, intensity=0.5)
