@@ -40,14 +40,25 @@ _Q = 2.0 ** 26
 
 
 def q26(z):
-    """Round to the 2**-26 lattice. Exact representation for |z| < 2**26."""
+    """Round to the 2**-26 lattice. Exact representation for |z| < 2**26.
+
+    A Python scalar gives the bytes of the array path, signed zeros
+    included: the array path rounds half to even and keeps the sign of a
+    zero (np.rint), and its complex assembly leaves -0.0 in the real part
+    only beside a negative imaginary part and never in the imaginary part."""
     if isinstance(z, np.ndarray):
         if np.iscomplexobj(z):
             return (np.round(z.real * _Q) + 1j * np.round(z.imag * _Q)) / _Q
         return np.round(z * _Q) / _Q
     if isinstance(z, complex):
-        return complex(round(z.real * _Q) / _Q, round(z.imag * _Q) / _Q)
-    return round(float(z) * _Q) / _Q
+        re, im = _rint(z.real * _Q), _rint(z.imag * _Q)
+        return complex((re + (-0.0 if im < 0 else 0.0)) / _Q, im / _Q + 0.0)
+    return _rint(float(z) * _Q) / _Q
+
+
+def _rint(x):
+    """np.rint(x) for a finite float: half to even, with the sign of x."""
+    return math.copysign(float(round(x)), x)
 
 
 def _check_pitch(h):
@@ -181,6 +192,21 @@ class CompactRegion:
     @staticmethod
     def disk(center, radius):
         return CompactRegion([complex(center)], [float(radius)])
+
+    @classmethod
+    def disks_of(cls, centers, radius):
+        """One one-disk region per centre, all of one radius, quantized and
+        checked in one pass: region k holds the bytes that
+        ``CompactRegion([centers[k]], [radius])`` would, as read-only views
+        of the pass's arrays."""
+        whole = cls(centers, np.full(len(centers), float(radius)))
+        out = []
+        for k in range(len(whole)):
+            region = cls.__new__(cls)
+            region.centers = whole.centers[k:k + 1]
+            region.radii = whole.radii[k:k + 1]
+            out.append(region)
+        return out
 
     def disks(self):
         return list(zip(self.centers.tolist(), self.radii.tolist()))
@@ -341,16 +367,81 @@ def _disks_triple_meet(c1, r1, c2, r2, c3, r3, tol):
     return False
 
 
-def _nerve(c, r):
+# candidate pairs per chunk of the nerve's searches
+NERVE_CHUNK = 1 << 16
+
+
+def _nerve(c, r, guard=0.0):
     """The intersection graph of the disks (c, r), n >= 1, as both pocket
-    tests read it: (dist, tol, adj) with dist the centre distances, tol =
-    1e-9 * max(1, max r, max dist), and adj[i, j] = dist <= r_i + r_j +
-    tol, empty on the diagonal."""
-    dist = np.abs(c[:, None] - c[None, :])
-    tol = 1e-9 * max(1.0, float(np.max(r)), float(np.max(dist)))
-    adj = dist <= r[:, None] + r[None, :] + tol
-    np.fill_diagonal(adj, False)
-    return dist, tol, adj
+    tests read it, from the pairs that can meet: (i, j, dist, adj, tol).
+
+    tol = 1e-9 * max(1, max r, max dist) over every pair of centres
+    (`_max_dist`). The pairs (i, j), i < j in row-major order, are every
+    adjacent pair and every pair with dist - (r_i + r_j) <= tol + guard;
+    dist holds their centre distances and adj their adjacency dist <= r_i +
+    r_j + tol. Each number is the one a dense n x n table held, and no such
+    table is built.
+
+    Such a pair's shadows on an axis, the intervals c_i +- (r_i + (tol +
+    guard) / 2), overlap. So the disks are swept along the longer side of
+    their bounding box in the order of their shadows' left ends, each
+    taking as candidates the disks whose shadow starts inside its own
+    (widened far past rounding), and the exact tests above decide. A disk
+    of radius 64 among unit disks meets only the candidates its own shadow
+    reaches, where one uniform grid would put it in many cells."""
+    n = len(c)
+    x, y = c.real, c.imag
+    tol = 1e-9 * max(1.0, float(r.max()), _max_dist(c))
+    if y.max() - y.min() > x.max() - x.min():
+        x = y
+    w = ((r + (tol + guard) / 2) * (1 + 2.0 ** -20)
+         + 2.0 ** -40 * float(np.abs(x).max()))
+    order = (x - w).argsort(kind="stable")
+    left = (x - w)[order]
+    # the candidates of sorted place p are the count[p] places after it,
+    # numbered first[p] .. last[p] - 1 in one list over all places
+    count = left.searchsorted((x + w)[order], "right") - np.arange(1, n + 1)
+    last = np.cumsum(count)
+    first = last - count
+    out = []
+    s = 0
+    while s < n:
+        # whole runs of candidates, about NERVE_CHUNK at a time
+        e = max(s + 1, int(last.searchsorted(first[s] + NERVE_CHUNK, "right")))
+        p = np.arange(s, e).repeat(count[s:e])
+        q = order[p]
+        k = order[p + 1 + np.arange(first[s], last[e - 1]) - first[p]]
+        dist = np.abs(c[q] - c[k])
+        reach = r[q] + r[k]
+        adj = dist <= reach + tol
+        near = adj | (dist - reach <= tol + guard)
+        out.append((np.minimum(q, k)[near], np.maximum(q, k)[near],
+                    dist[near], adj[near]))
+        s = e
+    i, j, dist, adj = map(np.concatenate, zip(*out))
+    srt = (i * n + j).argsort()
+    return i[srt], j[srt], dist[srt], adj[srt], tol
+
+
+def _max_dist(c):
+    """max |c_i - c_j| over every pair, the value a dense table's max held,
+    from the centres that can reach it. With m the centre of c's bounding
+    box, |c_i - c_j| <= |c_i - m| + max |c - m|, so a pair above the
+    distance `lower` of one pair needs |c_i - m| >= lower - max |c - m|;
+    those centres, with a margin far past rounding, are scanned pair by
+    pair in blocks. On a roughly round union they lie in a thin rim."""
+    x, y = c.real, c.imag
+    m = complex((x.min() + x.max()) / 2, (y.min() + y.max()) / 2)
+    rad = np.abs(c - m)
+    far = int(rad.argmax())
+    lower = float(np.abs(c - c[far]).max())
+    slack = 1e-9 * (lower + float(rad[far]) + abs(m))
+    rim = c[rad >= lower - float(rad[far]) - slack]
+    step = max(1, NERVE_CHUNK // len(rim))
+    for s in range(0, len(rim), step):
+        lower = max(lower, float(np.abs(rim[s:s + step, None]
+                                        - rim[None, :]).max()))
+    return lower
 
 
 def _xor_reduce(vec, basis):
@@ -378,12 +469,13 @@ def hole_witness(centers, radii):
     bits are its edge ids; the triangles are kept as an XOR basis {leading
     bit: row}, whose size is their rank, and a cycle is a pocket when it
     does not reduce to 0. That algebra is exact, and neither the rank nor
-    the span depends on which basis is kept. Edges are the upper triangle of
-    the 2-core's adjacency, in row-major order, and the triangle candidates
-    of an edge (i, j) are the common neighbours k > j, read off as one row
-    intersection; only those triples reach the exact meet test. Every
-    decision uses pairwise differences only, so verdicts are exactly
-    shift-covariant.
+    the span depends on which basis is kept. Edges are the nerve's adjacent
+    pairs inside the 2-core, in row-major order, and the triangle candidates
+    of an edge (i, j) are the common neighbours k > j, one intersection of
+    two neighbour sets; only those triples reach the exact meet test. No
+    table over all pairs is built: the work and memory follow the pairs
+    `_nerve` finds. Every decision uses pairwise differences only, so
+    verdicts are exactly shift-covariant.
 
     Toast construction consults it only on the unions its Mayer-Vietoris
     rule cannot decide and on unions with a pocket fill (see `toast`); the
@@ -394,26 +486,36 @@ def hole_witness(centers, radii):
     n = len(c)
     if n <= 2:
         return None
-    _, tol, adj = _nerve(c, r)
+    i, j, _, adj, tol = _nerve(c, r)
+    i, j = i[adj], j[adj]
     # leaf disks are collapsible in the nerve: 1-cycles live in the 2-core
     alive = np.ones(n, dtype=bool)
-    deg = adj.sum(axis=1)
+    deg = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     while True:
         drop = alive & (deg <= 1)
         if not drop.any():
             break
         alive[drop] = False
-        deg -= adj[:, drop].sum(axis=1)
+        deg -= (np.bincount(i[drop[j]], minlength=n)
+                + np.bincount(j[drop[i]], minlength=n))
     verts = np.flatnonzero(alive)
     if len(verts) == 0:
         return None
-    sub = adj[np.ix_(verts, verts)]
     m = len(verts)
-    # edges in row-major order; eid[i, j] (i < j) is the index of {i, j}
-    iu, ju = np.nonzero(np.triu(sub, 1))
-    edges = list(zip(iu.tolist(), ju.tolist()))
+    # the 2-core's edges, renumbered in order, so still row-major; eid[i,
+    # j] (i < j) is the index of {i, j}
+    at = np.cumsum(alive) - 1
+    both = alive[i] & alive[j]
+    edges = list(zip(at[i[both]].tolist(), at[j[both]].tolist()))
     eid = {e: k for k, e in enumerate(edges)}
-    neighbors = [np.flatnonzero(sub[i]).tolist() for i in range(m)]
+    # row-major order lists each vertex's lower neighbours, then its higher
+    # ones, each ascending
+    neighbors = [[] for _ in range(m)]
+    higher = [set() for _ in range(m)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+        higher[u].add(v)
     parent = [-1] * m
     depth = [0] * m
     seen = [False] * m
@@ -437,8 +539,7 @@ def hole_witness(centers, radii):
     # triangle candidates of edge (i, j): the common neighbours k > j
     basis = {}
     for e, (i, j) in enumerate(edges):
-        common = np.flatnonzero(sub[i, j + 1:] & sub[j, j + 1:]) + j + 1
-        for k in common.tolist():
+        for k in sorted(higher[i] & higher[j]):
             if _disks_triple_meet(c[verts[i]], r[verts[i]], c[verts[j]],
                                   r[verts[j]], c[verts[k]], r[verts[k]], tol):
                 row = _xor_reduce(

@@ -19,14 +19,19 @@ rest (`_markers`). A marker within the spacing of a kept one is skipped; the
 markers near each marker come from a grid over the markers alone
 (`_spacing`).
 
-A marker's union is grown as arrays of disks and returned as the region
-itself (`_grow`). What it may absorb is the previous level's regions, held
-as one array of disks (`_Pool`). They are pairwise disjoint, so a region
-meets the union only through the marker's disk D or a pocket fill: one
-array test of D against the pool's disks, and one of each fill, finds all
-that the union absorbs. Every radius is put on the 2^-26 lattice where it
-is made, the level radius and each pocket fill's, so the meeting, pocket
-and ceding tests read the disks the regions store.
+Level 0 grows nothing: it has no pool, so each kept marker's region is its
+own disk, and kept markers lie the spacing 2 r + GAP_FRACTION r apart, so
+none cedes; the level's regions are made in one pass (`_base_level`).
+Above it, a marker's union is grown as arrays of disks and returned as the
+region itself (`_grow`). What it may absorb is the previous level's
+regions, held as one array of disks (`_Pool`). They are pairwise disjoint,
+so a region meets the union only through the marker's disk D or a pocket
+fill: one array test of D against the pool's disks, and one of each fill,
+finds all that the union absorbs. A grown region cedes when it meets a
+kept one; only kept disks within its reach are tested. Every radius is put
+on the 2^-26 lattice where it is made, the level radius and each pocket
+fill's, so the meeting, pocket and ceding tests read the disks the regions
+store.
 
 Regions must stay simply connected. Before any pocket fill, a grown union is
 the marker's disk D plus absorbed regions, each simply connected and pairwise
@@ -36,7 +41,9 @@ when each region's pieces form one connected graph. The rule is undecided on
 near-tangent pairs, where the nerve could differ from the one a region was
 accepted under. An undecided union, and every union with a fill, goes to
 `hole_witness` through `_pocket_filler`, so every witness and fill is the
-one that check alone would give; `verify_axioms` always runs it.
+one that check alone would give; `verify_axioms` always runs it. Both read
+the union's nerve as the list of disk pairs that can meet (`core._nerve`),
+so their memory follows the pairs, not the square of the disk count.
 """
 
 from __future__ import annotations
@@ -442,16 +449,34 @@ def _markers(grid, scale):
 
 
 def _spacing(locs, spacing):
-    """For each of the markers at locs, the markers closer than `spacing`
-    to it (itself included), from a grid over the markers alone: markers
-    lie more than a scale apart, so each has few within the spacing."""
-    if not len(locs):
-        return []
-    grid = _Grid(locs)
+    """The markers closer than `spacing` to each of the markers at locs
+    (itself included), as (j, bounds): marker k's are j[bounds[k]:bounds[k
+    + 1]]. They come from a grid over the markers alone: markers lie more
+    than a scale apart, so each has few within the spacing."""
     q, j, d = map(np.concatenate,
-                  zip(*grid.within(np.arange(len(locs)), spacing)))
-    q, j = q[d < spacing], j[d < spacing]
-    return np.split(j, np.searchsorted(q, np.arange(1, len(locs))))
+                  zip(*_Grid(locs).within(np.arange(len(locs)), spacing)))
+    return j[d < spacing], np.searchsorted(q[d < spacing],
+                                           np.arange(len(locs) + 1))
+
+
+def _base_level(locs, radius, near):
+    """Level 0: the markers at locs, in rank order, that no kept marker
+    blocks, each as its own disk, anchor -> region.
+
+    Level 0 has no pool, so a region is its marker's disk D(a, radius).
+    Kept markers lie at least the spacing 2 r + GAP_FRACTION r apart, so no
+    two of these disks meet and none cedes: no union is grown, and the
+    level's ceded, absorptions, fills and witnessed stay 0."""
+    j, bounds = near
+    blocked = np.zeros(len(locs), dtype=bool)
+    kept = []
+    for k in range(len(locs)):
+        if not blocked[k]:
+            kept.append(k)
+            blocked[j[bounds[k]:bounds[k + 1]]] = True
+    anchors = locs[kept]
+    return dict(zip(anchors.tolist(),
+                    CompactRegion.disks_of(anchors, radius)))
 
 
 def _pocket_filler(rel_centers, radii):
@@ -514,28 +539,32 @@ def _no_pocket(rel_centers, radii, source):
     c_i counts the components of the pieces D ∩ x, x in region i, two
     pieces joined when D, x and y meet. So every c_i = 1 means no pocket.
 
-    The distances, the adjacency and `tol` are hole_witness's: both read
-    them from `core._nerve`, here on the relative centres, and the triple
-    meets are its `_disks_triple_meet`. A pair whose piece lies inside D
-    with margin meets D wherever it meets itself, so it needs no triple
-    test. A pair of disks within tol + 2^-24 * max(1, r_max) of tangency
-    makes the rule undecided, since there the nerve could differ from the
-    one under which a region was accepted."""
+    The pairs, the adjacency and `tol` are hole_witness's: both read them
+    from `core._nerve`, here on the relative centres, which also lists the
+    pairs near tangency, and the triple meets are its `_disks_triple_meet`.
+    D's adjacent pairs come first in the nerve's row-major order; with
+    their distances they are all of D's row the rule reads. A pair whose
+    piece lies inside D with margin meets D wherever it meets itself, so it
+    needs no triple test. A pair of disks within tol + 2^-24 * max(1,
+    r_max) of tangency makes the rule undecided, since there the nerve
+    could differ from the one under which a region was accepted. Nothing
+    is built over all pairs."""
     c, r, src = rel_centers, radii, source
     if len(c) <= 2:
         return True  # two convex disks ring no pocket, as in hole_witness
-    dist, tol, adj = _nerve(c, r)
-    gap = dist - (r[:, None] + r[None, :])
-    np.fill_diagonal(gap, np.inf)
-    if np.any(np.abs(gap) <= tol + 2.0 ** -24 * max(1.0, float(np.max(r)))):
+    guard = 2.0 ** -24 * max(1.0, float(np.max(r)))
+    i, j, dist, adj, tol = _nerve(c, r, guard)
+    if np.any(np.abs(dist - (r[i] + r[j])) <= tol + guard):
         return None
-    if np.any(adj[1:, 1:] & (src[1:, None] != src[None, 1:])):
+    i, j, dist = i[adj], j[adj], dist[adj]
+    if np.any((i > 0) & (src[i] != src[j])):
         return None
     # every region has a piece: it was absorbed for meeting D or another
     # region, and the latter is excluded above. Pieces of different regions
     # never meet, so one union-find over all pieces is done when it is
     # down to one component per region
-    hits = np.flatnonzero(adj[0, 1:]) + 1
+    row = i == 0
+    hits = j[row]
     left = len(hits) - len(np.unique(src[1:]))
     if not left:
         return True
@@ -547,11 +576,15 @@ def _no_pocket(rel_centers, radii, source):
             i = root[i]
         return i
 
-    sub = np.triu(adj[np.ix_(hits, hits)], 1)
-    inside = (dist[0] + r + tol <= r[0])[hits]
-    cheap = sub & (inside[:, None] | inside[None, :])
-    for tested, need_meet in ((cheap, False), (sub & ~cheap, True)):
-        for i, j in zip(*np.nonzero(tested)):
+    inside = dist[row] + r[hits] + tol <= r[0]
+    # the adjacent pairs of pieces, numbered by place in hits
+    at = np.full(len(c), -1)
+    at[hits] = np.arange(len(hits))
+    pair = (at[i] >= 0) & (at[j] >= 0)
+    pi, pj = at[i[pair]], at[j[pair]]
+    cheap = inside[pi] | inside[pj]
+    for tested, need_meet in ((cheap, False), (~cheap, True)):
+        for i, j in zip(pi[tested].tolist(), pj[tested].tolist()):
             ri, rj = find(i), find(j)
             x, y = hits[i], hits[j]
             if ri == rj or need_meet and not _disks_triple_meet(
@@ -588,7 +621,7 @@ class _Pool(NamedTuple):
         items = list(items)
         anchors = np.array([a for a, _ in items], dtype=complex)
         sizes = [len(r) for _, r in items]
-        # the empty head lets a pool of no regions (level 0's) concatenate
+        # the empty head lets a pool of no regions concatenate
         centers = np.concatenate([np.empty(0, dtype=complex)]
                                  + [r.centers for _, r in items])
         radii = np.concatenate([np.empty(0)] + [r.radii for _, r in items])
@@ -687,21 +720,26 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     cap = d.window.diameter
     levels = []
     parents = {}
-
-    prev_level = None
     for n in range(N + 1):
         scale = r0 * gamma ** n
         radius = q26(min(scale, cap))
         marker_idx = _markers(grid, scale)
         near = _spacing(grid.locs[marker_idx], 2 * radius + GAP_FRACTION * radius)
 
-        pool = _Pool.of(prev_level.regions.items() if prev_level else ())
+        counts = {"markers": len(marker_idx), "skipped": 0, "ceded": 0,
+                  "absorptions": 0, "fills": 0, "witnessed": 0}
+        if not n:
+            regions = _base_level(grid.locs[marker_idx], radius, near)
+            kinds = dict.fromkeys(regions, "genuine")
+            counts["skipped"] = len(marker_idx) - len(regions)
+            levels.append(ToastLevel(n, regions, kinds, counts))
+            continue
+        pool = _Pool.of(levels[-1].regions.items())
         free = np.ones(len(pool.items), dtype=bool)
 
         regions = {}
         kinds = {}
-        counts = {"markers": len(marker_idx), "skipped": 0, "ceded": 0,
-                  "absorptions": 0, "fills": 0, "witnessed": 0}
+        j, bounds = near
         # blocked[k]: marker k lies within spacing of a kept marker
         blocked = np.zeros(len(marker_idx), dtype=bool)
         # the disks of every region kept so far, for the ceding test
@@ -714,13 +752,16 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
             a = complex(grid.locs[i])
             region, absorbed, fills, witnessed = _grow(a, radius, pool, free)
             counts["witnessed"] += witnessed
+            # only kept disks within the region's reach about a can meet it
+            reach = float((np.abs(region.centers - a) + region.radii).max())
+            close = _may_meet(np.abs(kept_centers - a), reach + kept_radii)
             if disks_meet(region.centers, region.radii,
-                          kept_centers, kept_radii):
+                          kept_centers[close], kept_radii[close]):
                 counts["ceded"] += 1
                 continue  # junior cedes: seniors already took what they touch
             regions[a] = region
             kinds[a] = "genuine"
-            blocked[near[k]] = True
+            blocked[j[bounds[k]:bounds[k + 1]]] = True
             kept_centers = np.concatenate((kept_centers, region.centers))
             kept_radii = np.concatenate((kept_radii, region.radii))
             counts["absorptions"] += len(absorbed)
@@ -734,7 +775,6 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
             kinds[pa] = "repeat"
             parents[(n - 1, pa)] = (n, pa)
         levels.append(ToastLevel(n, regions, kinds, counts))
-        prev_level = levels[-1]
 
     return ToastForest(levels=tuple(levels), parents=parents, divisor=d,
                        r0=r0, gamma=gamma)

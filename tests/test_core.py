@@ -977,6 +977,48 @@ def test_q26_quantization():
     assert v != 0.37 and abs(v - 0.37) < 2 ** -26
 
 
+# both signs of zero, values that round to a zero of either sign, a tie
+# that rounds to even, and values that round away from zero
+Q26_PARTS = [0.0, -0.0, 1e-12, -1e-12, 2.0 ** -27, -2.0 ** -27,
+             2.5 * 2.0 ** -26, -2.5 * 2.0 ** -26, 1.5, -1.5, 0.37, -0.37,
+             -2.0 ** 20 - 0.3]
+
+
+def test_q26_scalars_match_the_array_path():
+    # the scalar paths once gave 0-1.5j for complex(-0.0, -1.5), where the
+    # array path (what CompactRegion stores) gives -0-1.5j, and 0.0 for
+    # -1e-12 against -0.0
+    def as_bytes(v):
+        return np.array([v]).tobytes()
+
+    for re in Q26_PARTS:
+        for im in Q26_PARTS:
+            z = complex(re, im)
+            out = q26(z)
+            assert type(out) is complex
+            assert as_bytes(out) == as_bytes(q26(np.array([z]))[0]), z
+            assert as_bytes(q26(np.complex128(z))) == as_bytes(out), z
+        out = q26(re)
+        assert type(out) is float
+        assert as_bytes(out) == as_bytes(q26(np.array([re]))[0]), re
+        assert as_bytes(q26(np.float64(re))) == as_bytes(out), re
+
+
+def test_disks_of_stores_what_one_region_each_would():
+    centers = np.array([complex(re, im) for re in Q26_PARTS[::2]
+                        for im in Q26_PARTS[1::2]])
+    regions = CompactRegion.disks_of(centers, 0.37)
+    assert len(regions) == len(centers)
+    for c, region in zip(centers, regions):
+        one = CompactRegion([c], [0.37])
+        assert region.centers.tobytes() == one.centers.tobytes()
+        assert region.radii.tobytes() == one.radii.tobytes()
+        assert not (region.centers.flags.writeable
+                    or region.radii.flags.writeable)
+    with pytest.raises(ValueError, match="positive"):
+        CompactRegion.disks_of(centers, 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 

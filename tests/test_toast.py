@@ -8,13 +8,14 @@ import pytest
 from conftest import traced_peak
 from hypothesis import example, given, settings, strategies as st
 
-from equilift import toast as toast_module
-from equilift.core import (CompactRegion, Window, circle_crossings,
+from equilift import core as core_module, toast as toast_module
+from equilift.core import (CompactRegion, Window, _nerve, circle_crossings,
                            disks_meet, hole_witness, q26)
 from equilift.divisors import Divisor, generate
 from equilift.errors import (EquiliftError, NonFreeInput, PocketFillExhausted,
                              WindowTooSmall)
 from equilift.toast import ToastForest, ToastLevel, build_covariant_toast, verify_axioms
+from test_core import loop_hole_witness
 
 WIN8 = Window(-8, 8, -8, 8)
 WIN16 = Window(-16, 16, -16, 16)
@@ -787,13 +788,232 @@ def test_toast_dumps_are_pinned(kind, window, seed, intensity):
 
 def test_toast_memory_is_below_the_point_tables():
     # 804 points: the two n x n float tables and the rival matrices peaked
-    # at 16.6 MB; the largest union nerve alone takes about 4 MB
+    # at 16.6 MB, and the dense nerve of the largest union (391 disks) at
+    # 4.3 MB; with neither the whole toast peaks at about 1.2 MB
     d = generate("poisson", Window(-32, 32, -32, 32), seed=3, intensity=0.2)
     assert len(d) == 804
     forest, peak = traced_peak(
         lambda: build_covariant_toast(d, N=4, r0=1.0, gamma=4.0))
     assert forest.depth == 4
-    assert peak < 6e6
+    assert peak < 2.5e6
+
+
+def assert_level0_is_spaced_disks(forest):
+    """The facts level 0 is built on: its regions are the disks D(a, r0)
+    of anchors at least 2.01 r0 apart, none ceded or grown."""
+    lv, r0 = forest.levels[0], q26(forest.r0)
+    a = np.array(lv.anchors)
+    gaps = np.abs(a[:, None] - a[None, :]) + np.diag(np.full(len(a), np.inf))
+    assert gaps.min() >= (2 + toast_module.GAP_FRACTION) * r0
+    assert set(lv.kinds.values()) == {"genuine"}
+    for anchor, region in lv.regions.items():
+        assert region.disks() == [(anchor, r0)]
+    for tally in ("ceded", "absorptions", "fills", "witnessed"):
+        assert lv.counts[tally] == 0
+    assert lv.counts["markers"] - lv.counts["skipped"] == len(a)
+
+
+class TestBaseLevel:
+    """A level-0 region is its marker's disk: the level has no pool to
+    absorb, and kept markers lie the spacing apart, so nothing cedes."""
+
+    @pytest.mark.parametrize("kind, window, seed, intensity",
+                             list(TOAST_DIGESTS))
+    def test_pinned_toasts(self, kind, window, seed, intensity):
+        bounds = window if isinstance(window, tuple) else (-window, window) * 2
+        d = generate(kind, Window(*bounds), seed=seed, intensity=intensity)
+        assert_level0_is_spaced_disks(
+            build_covariant_toast(d, N=1, r0=1.0, gamma=4.0))
+
+    @settings(deadline=None)  # the example count comes from the profile
+    @given(case=_rule_inputs(), r0=st.sampled_from([0.75, 1.0, 1.5]))
+    def test_generated_toasts(self, case, r0):
+        kind, seed, half = case
+        d = generate(kind, Window(-half, half, -half, half), seed=seed,
+                     intensity=0.5)
+        try:
+            forest = build_covariant_toast(d, N=0, r0=r0, gamma=4.0)
+        except NonFreeInput:
+            return
+        assert_level0_is_spaced_disks(forest)
+
+    def test_level0_grows_no_union(self, poisson_forest, monkeypatch):
+        monkeypatch.setattr(toast_module, "_grow", None)
+        forest = build_covariant_toast(poisson_forest.divisor, N=0, r0=1.0,
+                                       gamma=4.0)
+        assert forest.levels[0].regions.keys() == \
+            poisson_forest.levels[0].regions.keys()
+
+
+# ---------------------------------------------------------------------------
+# the sparse nerve against the dense tables it replaced
+
+
+def dense_nerve(c, r):
+    """The dense form of `core._nerve`: (dist, tol, adj) as n x n tables."""
+    dist = np.abs(c[:, None] - c[None, :])
+    tol = 1e-9 * max(1.0, float(np.max(r)), float(np.max(dist)))
+    adj = dist <= r[:, None] + r[None, :] + tol
+    np.fill_diagonal(adj, False)
+    return dist, tol, adj
+
+
+def reference_no_pocket(rel_centers, radii, source):
+    """`toast._no_pocket` as it read the dense tables."""
+    c, r, src = rel_centers, radii, source
+    if len(c) <= 2:
+        return True
+    dist, tol, adj = dense_nerve(c, r)
+    gap = dist - (r[:, None] + r[None, :])
+    np.fill_diagonal(gap, np.inf)
+    if np.any(np.abs(gap) <= tol + 2.0 ** -24 * max(1.0, float(np.max(r)))):
+        return None
+    if np.any(adj[1:, 1:] & (src[1:, None] != src[None, 1:])):
+        return None
+    hits = np.flatnonzero(adj[0, 1:]) + 1
+    left = len(hits) - len(np.unique(src[1:]))
+    if not left:
+        return True
+    root = list(range(len(hits)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    sub = np.triu(adj[np.ix_(hits, hits)], 1)
+    inside = (dist[0] + r + tol <= r[0])[hits]
+    cheap = sub & (inside[:, None] | inside[None, :])
+    for tested, need_meet in ((cheap, False), (sub & ~cheap, True)):
+        for i, j in zip(*np.nonzero(tested)):
+            ri, rj = find(i), find(j)
+            x, y = hits[i], hits[j]
+            if ri == rj or need_meet and not toast_module._disks_triple_meet(
+                    c[0], r[0], c[x], r[x], c[y], r[y], tol):
+                continue
+            root[ri] = rj
+            left -= 1
+            if not left:
+                return True
+    return None
+
+
+@st.composite
+def disk_families(draw):
+    """(centres, radii, sources) of 3 to 30 disks on the 2^-26 lattice, disk
+    0 playing D: mixed radii of 1, 4, 16 and 64 beside fill-like ones,
+    disks placed within the near-tangent guard of tangency, concentric
+    pairs, or a far disk whose distance sets tol. The sources are the
+    components of the other disks, or drawn at random."""
+    kind = draw(st.sampled_from(["mixed", "tangent", "concentric", "far"]))
+    n = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "mixed":
+        r = rng.choice([1.0, 4.0, 16.0, 64.0, 0.3, 2.7], n)
+        c = rng.uniform(-40, 40, n) + 1j * rng.uniform(-40, 40, n)
+    elif kind == "tangent":
+        # each disk near tangency to an earlier one, off by a step inside
+        # or just outside tol + 2^-24 (the guard), or by nothing
+        c, r = [0j], [float(rng.choice([1.0, 4.0]))]
+        for _ in range(n - 1):
+            b = int(rng.integers(len(c)))
+            rr = float(rng.choice([1.0, 0.5, 4.0]))
+            off = float(rng.choice([0.0, 2.0 ** -26, -2.0 ** -26, 2.0 ** -23,
+                                    -2.0 ** -23, 1e-9, 2.0 ** -20, 0.1]))
+            c.append(c[b] + (r[b] + rr + off) * np.exp(
+                2j * np.pi * rng.integers(0, 16) / 16))
+            r.append(rr)
+    elif kind == "concentric":
+        c = rng.uniform(-4, 4, n) + 1j * rng.uniform(-4, 4, n)
+        c[1::2] = c[0:n - 1:2]
+        r = rng.uniform(0.3, 2.5, n)
+    else:
+        c = rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)
+        c[-1] = complex(rng.uniform(100, 5000), rng.uniform(-5000, 5000))
+        r = rng.uniform(0.5, 1.5, n)
+    c, r = q26(np.asarray(c, dtype=complex)), q26(np.asarray(r, dtype=float))
+    src = np.full(n, -1)
+    if draw(st.booleans()):
+        src[1:] = rng.integers(0, 3, n - 1)
+    else:
+        _, _, adj = dense_nerve(c, r)
+        for k in range(1, n):
+            stack = [k] if src[k] < 0 else []
+            while stack:
+                u = stack.pop()
+                if src[u] < 0:
+                    src[u] = k
+                    stack += [v for v in np.flatnonzero(adj[u]) if v > 0]
+    return c, r, src
+
+
+class TestSparseNerve:
+    """`core._nerve` lists the pairs that can meet instead of building n x
+    n tables; both pocket tests read it and must decide as before."""
+
+    @settings(deadline=None)  # the example count comes from the profile
+    @given(family=disk_families())
+    def test_pairs_are_the_dense_tables(self, family):
+        # in whole chunks, and in chunks of about 5 candidates
+        c, r, _ = family
+        guard = 2.0 ** -24 * max(1.0, float(np.max(r)))
+        d_dist, d_tol, d_adj = dense_nerve(c, r)
+        gap = d_dist - (r[:, None] + r[None, :])
+        want = np.nonzero(np.triu(d_adj | (gap <= d_tol + guard), 1))
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk in (core_module.NERVE_CHUNK, 5):
+                mp.setattr(core_module, "NERVE_CHUNK", chunk)
+                i, j, dist, adj, tol = _nerve(c, r, guard)
+                assert tol == d_tol
+                assert np.array_equal(i, want[0])
+                assert np.array_equal(j, want[1])
+                assert dist.tobytes() == d_dist[i, j].tobytes()
+                assert np.array_equal(adj, d_adj[i, j])
+
+    @settings(deadline=None)  # the example count comes from the profile
+    @given(family=disk_families())
+    def test_verdicts_and_witnesses_match_the_dense_form(self, family):
+        c, r, src = family
+        assert toast_module._no_pocket(c - c[0], r, src) == \
+            reference_no_pocket(c - c[0], r, src)
+        assert hole_witness(c, r) == loop_hole_witness(c, r)
+
+    @settings(deadline=None)  # the example count comes from the profile
+    @given(case=_rule_inputs())
+    @example(case=("poisson", 0, 16))  # 515 points, with a pocket fill
+    def test_every_toast_union_gets_the_dense_verdict(self, case):
+        kind, seed, half = case
+        d = generate(kind, Window(-half, half, -half, half), seed=seed,
+                     intensity=0.5)
+        rule = toast_module._no_pocket
+
+        def checked(rel_centers, radii, source):
+            verdict = rule(rel_centers, radii, source)
+            assert verdict == reference_no_pocket(rel_centers, radii, source)
+            return verdict
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(toast_module, "_no_pocket", checked)
+            try:
+                build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+            except NonFreeInput:
+                pass
+
+    def test_pocket_tests_stay_below_the_dense_tables(self):
+        # D(0.3 + 0.2j, 3) over a 40 x 40 lattice of unit disks 1.9 apart,
+        # 1,601 disks: the dense tables peaked at 61.5 MB in hole_witness
+        # and 66.6 MB in _no_pocket
+        xs = 1.9 * (np.arange(40) - 19.5)
+        c = q26(np.concatenate(([0.3 + 0.2j],
+                                (xs[None, :] + 1j * xs[:, None]).ravel())))
+        r = np.concatenate(([3.0], np.ones(1600)))
+        src = np.concatenate(([-1], np.zeros(1600, dtype=int)))
+        verdict, peak = traced_peak(
+            lambda: toast_module._no_pocket(c, r, src))
+        assert verdict is None and peak < 8e6
+        witness, peak = traced_peak(lambda: hole_witness(c, r))
+        assert len(witness) == 3 and peak < 8e6
 
 
 def test_few_unions_reach_hole_witness():
@@ -824,8 +1044,9 @@ def test_building_calls_no_region_intersects(poisson_forest, monkeypatch):
 
 class TestCounts:
     def test_tallies_match_the_levels(self, poisson_forest, monkeypatch):
-        # one _grow call per marker not skipped, level by level; witnessed
-        # counts those that reached hole_witness
+        # one _grow call per marker not skipped, level by level from level
+        # 1 on (a level-0 region is its marker's disk, made without _grow);
+        # witnessed counts those that reached hole_witness
         reached, calls = [False], []
         filler, grow = toast_module._pocket_filler, toast_module._grow
 
@@ -850,7 +1071,7 @@ class TestCounts:
             assert len(genuine) == c["markers"] - c["skipped"] - c["ceded"]
             assert c["absorptions"] == sum(
                 len(poisson_forest.children.get((lv.n, a), ())) for a in genuine)
-            grown = c["markers"] - c["skipped"]
+            grown = c["markers"] - c["skipped"] if lv.n else 0
             assert c["witnessed"] == sum(calls[:grown])
             del calls[:grown]
         assert not calls
@@ -920,14 +1141,15 @@ class TestRejections:
 
     def test_endless_pockets_are_a_typed_error(self, monkeypatch):
         # a filler that never closes the pocket exhausts the fill budget;
-        # the rule is made undecided so that the lone disk reaches it
+        # the rule is made undecided so that the level-1 union (D and the
+        # level-0 disk it absorbs) reaches it: level 0 grows no union
         monkeypatch.setattr(toast_module, "_no_pocket",
                             lambda rel_centers, radii, source: None)
         monkeypatch.setattr(toast_module, "_pocket_filler",
                             lambda rel_centers, radii: (0j, 0.25))
         d = Divisor(np.array([0.5 + 0.5j]), np.array([1]), WIN8)
         with pytest.raises(PocketFillExhausted) as err:
-            build_covariant_toast(d, N=0)
+            build_covariant_toast(d, N=1)
         assert isinstance(err.value, EquiliftError)
         assert "after 64 fills" in str(err.value)
 
