@@ -367,35 +367,28 @@ def _disks_triple_meet(c1, r1, c2, r2, c3, r3, tol):
     return False
 
 
-# candidate pairs per chunk of the nerve's searches
+# candidate pairs per chunk of the disk-pair sweep and `_max_dist`
 NERVE_CHUNK = 1 << 16
 
 
-def _nerve(c, r, guard=0.0):
-    """The intersection graph of the disks (c, r), n >= 1, as both pocket
-    tests read it, from the pairs that can meet: (i, j, dist, adj, tol).
+def _disk_pairs(c, r, pad):
+    """(i, j, dist): the pairs i < j of the disks (c, r), n >= 1, in
+    row-major order with dist - (r_i + r_j) <= pad, and their centre
+    distances, each the one a dense n x n table held, though no such table
+    is built. At pad 0 the test is `disks_meet`'s.
 
-    tol = 1e-9 * max(1, max r, max dist) over every pair of centres
-    (`_max_dist`). The pairs (i, j), i < j in row-major order, are every
-    adjacent pair and every pair with dist - (r_i + r_j) <= tol + guard;
-    dist holds their centre distances and adj their adjacency dist <= r_i +
-    r_j + tol. Each number is the one a dense n x n table held, and no such
-    table is built.
-
-    Such a pair's shadows on an axis, the intervals c_i +- (r_i + (tol +
-    guard) / 2), overlap. So the disks are swept along the longer side of
-    their bounding box in the order of their shadows' left ends, each
-    taking as candidates the disks whose shadow starts inside its own
-    (widened far past rounding), and the exact tests above decide. A disk
-    of radius 64 among unit disks meets only the candidates its own shadow
-    reaches, where one uniform grid would put it in many cells."""
+    Such a pair's shadows on an axis, c_i +- (r_i + pad / 2), overlap. So
+    the disks are swept along the longer side of their bounding box in the
+    order of their shadows' left ends, each taking as candidates the disks
+    whose shadow starts inside its own (widened far past rounding), and the
+    exact test decides. A disk of radius 64 among unit disks meets only the
+    candidates its own shadow reaches, where one uniform grid would put it
+    in many cells."""
     n = len(c)
     x, y = c.real, c.imag
-    tol = 1e-9 * max(1.0, float(r.max()), _max_dist(c))
     if y.max() - y.min() > x.max() - x.min():
         x = y
-    w = ((r + (tol + guard) / 2) * (1 + 2.0 ** -20)
-         + 2.0 ** -40 * float(np.abs(x).max()))
+    w = (r + pad / 2) * (1 + 2.0 ** -20) + 2.0 ** -40 * float(np.abs(x).max())
     order = (x - w).argsort(kind="stable")
     left = (x - w)[order]
     # the candidates of sorted place p are the count[p] places after it,
@@ -412,15 +405,31 @@ def _nerve(c, r, guard=0.0):
         q = order[p]
         k = order[p + 1 + np.arange(first[s], last[e - 1]) - first[p]]
         dist = np.abs(c[q] - c[k])
-        reach = r[q] + r[k]
-        adj = dist <= reach + tol
-        near = adj | (dist - reach <= tol + guard)
+        near = dist - (r[q] + r[k]) <= pad
         out.append((np.minimum(q, k)[near], np.maximum(q, k)[near],
-                    dist[near], adj[near]))
+                    dist[near]))
         s = e
-    i, j, dist, adj = map(np.concatenate, zip(*out))
+    i, j, dist = map(np.concatenate, zip(*out))
     srt = (i * n + j).argsort()
-    return i[srt], j[srt], dist[srt], adj[srt], tol
+    return i[srt], j[srt], dist[srt]
+
+
+def _nerve(c, r, guard=0.0):
+    """The intersection graph of the disks (c, r), n >= 1, as both pocket
+    tests read it, from the pairs that can meet: (i, j, dist, adj, tol).
+
+    tol = 1e-9 * max(1, max r, max dist) over every pair of centres
+    (`_max_dist`). The pairs (i, j), i < j in row-major order, are every
+    adjacent pair and every pair with dist - (r_i + r_j) <= tol + guard;
+    dist holds their centre distances and adj their adjacency dist <= r_i +
+    r_j + tol: from `_disk_pairs`, its pad widened past the rounding of
+    these tests, each number as a dense n x n table held it."""
+    tol = 1e-9 * max(1.0, float(r.max()), _max_dist(c))
+    i, j, dist = _disk_pairs(c, r, (tol + guard) * (1 + 2.0 ** -10))
+    reach = r[i] + r[j]
+    adj = dist <= reach + tol
+    near = adj | (dist - reach <= tol + guard)
+    return i[near], j[near], dist[near], adj[near], tol
 
 
 def _max_dist(c):

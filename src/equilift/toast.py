@@ -44,6 +44,8 @@ accepted under. An undecided union, and every union with a fill, goes to
 one that check alone would give; `verify_axioms` always runs it. Both read
 the union's nerve as the list of disk pairs that can meet (`core._nerve`),
 so their memory follows the pairs, not the square of the disk count.
+`verify_axioms` finds the regions that meet from one sweep over the disks
+of every level (`_region_pairs`, on the sweep `_nerve` reads too).
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (CompactRegion, Window, _disks_triple_meet, _nerve,
-                   circle_crossings, disks_meet, hole_witness, q26)
+from .core import (CompactRegion, Window, _disk_pairs, _disks_triple_meet,
+                   _nerve, circle_crossings, disks_meet, hole_witness, q26)
 from .divisors import Divisor, detect_stabilizer
 from .errors import NonFreeInput, PocketFillExhausted, WindowTooSmall
 
@@ -597,39 +599,24 @@ def _no_pocket(rel_centers, radii, source):
     return None
 
 
-def _may_meet(gap, reach):
-    """The reach test: two regions whose anchors lie `gap` apart can meet
-    only if gap <= their summed reaches `reach`, up to REACH_SLACK."""
-    return gap <= reach * (1 + REACH_SLACK)
-
-
 class _Pool(NamedTuple):
-    """A level's regions as one array of disks: at construction the
-    previous level's, which a new region may absorb; in the verifier each
-    level's, for its pair loops. The disks are the regions' own,
-    concatenated in level order, and each region's reach about its anchor
-    a is max |c - a| + r over its disks."""
+    """The previous level's regions as one array of disks, which a new
+    region may absorb: the regions' own disks, concatenated in level
+    order."""
     items: list          # (anchor, CompactRegion), in level order
-    anchors: np.ndarray
     centers: np.ndarray  # every region's disks, in level order
     radii: np.ndarray
     owner: np.ndarray    # owner[k] = index of the region holding disk k
-    reach: np.ndarray
 
     @classmethod
     def of(cls, items):
         items = list(items)
-        anchors = np.array([a for a, _ in items], dtype=complex)
-        sizes = [len(r) for _, r in items]
         # the empty head lets a pool of no regions concatenate
         centers = np.concatenate([np.empty(0, dtype=complex)]
                                  + [r.centers for _, r in items])
         radii = np.concatenate([np.empty(0)] + [r.radii for _, r in items])
-        owner = np.repeat(np.arange(len(items)), sizes)
-        starts = np.cumsum([0] + sizes)[:-1]
-        reach = np.maximum.reduceat(np.abs(centers - anchors[owner]) + radii,
-                                    starts)
-        return cls(items, anchors, centers, radii, owner, reach)
+        owner = np.repeat(np.arange(len(items)), [len(r) for _, r in items])
+        return cls(items, centers, radii, owner)
 
 
 def _grow(a, radius, pool, free):
@@ -754,7 +741,8 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
             counts["witnessed"] += witnessed
             # only kept disks within the region's reach about a can meet it
             reach = float((np.abs(region.centers - a) + region.radii).max())
-            close = _may_meet(np.abs(kept_centers - a), reach + kept_radii)
+            close = (np.abs(kept_centers - a)
+                     <= (reach + kept_radii) * (1 + REACH_SLACK))
             if disks_meet(region.centers, region.radii,
                           kept_centers[close], kept_radii[close]):
                 counts["ceded"] += 1
@@ -792,20 +780,26 @@ def _contained(lower, upper):
     return _disk_subset(lower, upper) or lower.contained_in(upper)
 
 
-def _meeting_pairs(lower, upper):
-    """The (anchor, region) pairs of two pools whose regions intersect, in
-    row-major order (each unordered pair once when lower is upper).
-
-    Only pairs that pass the reach test go to `intersects`. Regions that
-    meet always pass it, whether or not their anchors lie in them, so the
-    pairs are those of the all-pairs loop."""
-    for i, item in enumerate(lower.items):
-        start = i + 1 if lower is upper else 0
-        near = _may_meet(np.abs(lower.anchors[i] - upper.anchors[start:]),
-                         lower.reach[i] + upper.reach[start:])
-        for j in np.flatnonzero(near) + start:
-            if item[1].intersects(upper.items[j][1]):
-                yield item, upper.items[j]
+def _region_pairs(forest):
+    """The regions that meet, as pairs ((m, a, region), (n, b, region)),
+    m <= n, in the order of loops over m, n >= m, a's place and b's (each
+    pair once when m = n), from one `core._disk_pairs` sweep at pad 0, the
+    test of `disks_meet`, over the disks of every level."""
+    items = [(lv.n, a, reg) for lv in forest.levels
+             for a, reg in lv.regions.items()]
+    if not items:
+        return []
+    owner = np.repeat(np.arange(len(items)), [len(reg) for *_, reg in items])
+    i, j, _ = _disk_pairs(np.concatenate([reg.centers for *_, reg in items]),
+                          np.concatenate([reg.radii for *_, reg in items]),
+                          0.0)
+    # owner[i] <= owner[j], since the disks are numbered in region order
+    key = np.unique((owner[i] * len(items) + owner[j])[owner[i] != owner[j]])
+    lo, hi = key // len(items), key % len(items)
+    level = np.array([n for n, *_ in items])
+    srt = np.lexsort((hi, lo, level[hi], level[lo]))
+    return [(items[x], items[y])
+            for x, y in zip(lo[srt].tolist(), hi[srt].tolist())]
 
 
 def verify_axioms(forest: ToastForest) -> dict:
@@ -818,14 +812,16 @@ def verify_axioms(forest: ToastForest) -> dict:
     def entry(status, witnesses=()):
         return {"status": status, "witnesses": list(witnesses)[:8]}
 
-    pools = [_Pool.of(lv.regions.items()) for lv in forest.levels]
+    # checks 1 and 2 read one list of the region pairs that meet
+    same, cross = [], []
+    for (m, la, lreg), (n, ua, ureg) in _region_pairs(forest):
+        if m == n:
+            same.append((m, la, ua))
+        elif not _contained(lreg, ureg):
+            cross.append((m, la, n, ua))
 
     # 1: same-level regions pairwise disjoint
-    witnesses = []
-    for lv, pool in zip(forest.levels, pools):
-        for (a, _), (b, _) in _meeting_pairs(pool, pool):
-            witnesses.append((lv.n, a, b))
-    report["same-level-disjoint"] = entry("fail" if witnesses else "pass", witnesses)
+    report["same-level-disjoint"] = entry("fail" if same else "pass", same)
 
     # 1b: every region is simply connected (no complement pockets); a repeat
     # region is the same object at every level it is listed at, so each
@@ -841,13 +837,7 @@ def verify_axioms(forest: ToastForest) -> dict:
     report["simply-connected"] = entry("fail" if witnesses else "pass", witnesses)
 
     # 2: cross-level pairs disjoint or nested upward
-    witnesses = []
-    for m in range(forest.depth + 1):
-        for n in range(m + 1, forest.depth + 1):
-            for (la, lreg), (ua, ureg) in _meeting_pairs(pools[m], pools[n]):
-                if not _contained(lreg, ureg):
-                    witnesses.append((m, la, n, ua))
-    report["cross-level-nested"] = entry("fail" if witnesses else "pass", witnesses)
+    report["cross-level-nested"] = entry("fail" if cross else "pass", cross)
 
     # 3: every region below the top has a containing parent
     witnesses = []

@@ -9,8 +9,8 @@ from conftest import traced_peak
 from hypothesis import example, given, settings, strategies as st
 
 from equilift import core as core_module, toast as toast_module
-from equilift.core import (CompactRegion, Window, _nerve, circle_crossings,
-                           disks_meet, hole_witness, q26)
+from equilift.core import (CompactRegion, Window, _disk_pairs, _nerve,
+                           circle_crossings, disks_meet, hole_witness, q26)
 from equilift.divisors import Divisor, generate
 from equilift.errors import (EquiliftError, NonFreeInput, PocketFillExhausted,
                              WindowTooSmall)
@@ -657,12 +657,16 @@ def reference_grow(a, radius, pool, free):
     source = np.array([-1])
     absorbed, fills, witnessed = [], 0, False
     avail = free.copy()
-    gap = np.abs(a - pool.anchors)
+    # each pool region's anchor and its reach max |c - anchor| + r about it
+    gap = np.abs(a - np.array([pa for pa, _ in pool.items], dtype=complex))
+    pool_reach = np.array([float(np.max(np.abs(preg.centers - pa)
+                                        + preg.radii))
+                           for pa, preg in pool.items])
     reach = radius
     start = 0
     while True:
-        near = avail[start:] & toast_module._may_meet(
-            gap[start:], reach + pool.reach[start:])
+        near = avail[start:] & (gap[start:] <= (reach + pool_reach[start:])
+                                * (1 + toast_module.REACH_SLACK))
         hit = next((idx for idx in np.flatnonzero(near) + start
                     if disks_meet(centers, radii, pool.items[idx][1].centers,
                                   pool.items[idx][1].radii)), None)
@@ -955,12 +959,14 @@ class TestSparseNerve:
     @settings(deadline=None)  # the example count comes from the profile
     @given(family=disk_families())
     def test_pairs_are_the_dense_tables(self, family):
-        # in whole chunks, and in chunks of about 5 candidates
+        # in whole chunks, and in chunks of about 5 candidates; at pad 0,
+        # `_disk_pairs` lists the pairs of the dense disks_meet test
         c, r, _ = family
         guard = 2.0 ** -24 * max(1.0, float(np.max(r)))
         d_dist, d_tol, d_adj = dense_nerve(c, r)
         gap = d_dist - (r[:, None] + r[None, :])
         want = np.nonzero(np.triu(d_adj | (gap <= d_tol + guard), 1))
+        meet = np.nonzero(np.triu(d_dist <= r[:, None] + r[None, :], 1))
         with pytest.MonkeyPatch.context() as mp:
             for chunk in (core_module.NERVE_CHUNK, 5):
                 mp.setattr(core_module, "NERVE_CHUNK", chunk)
@@ -970,6 +976,10 @@ class TestSparseNerve:
                 assert np.array_equal(j, want[1])
                 assert dist.tobytes() == d_dist[i, j].tobytes()
                 assert np.array_equal(adj, d_adj[i, j])
+                i, j, dist = _disk_pairs(c, r, 0.0)
+                assert np.array_equal(i, meet[0])
+                assert np.array_equal(j, meet[1])
+                assert dist.tobytes() == d_dist[i, j].tobytes()
 
     @settings(deadline=None)  # the example count comes from the profile
     @given(family=disk_families())
@@ -1025,8 +1035,9 @@ def test_few_unions_reach_hole_witness():
 
 
 def test_building_calls_no_region_intersects(poisson_forest, monkeypatch):
-    # the build meets disks through core.disks_meet, so traced
-    # CompactRegion.intersects calls count the verifier's pairs only
+    # neither the build nor verify_axioms calls CompactRegion.intersects:
+    # both meet disks through array tests (core.disks_meet, the pool's
+    # array test and core._disk_pairs), not region by region
     calls = []
     intersects = CompactRegion.intersects
 
@@ -1039,7 +1050,7 @@ def test_building_calls_no_region_intersects(poisson_forest, monkeypatch):
                                    gamma=4.0)
     assert calls == []
     verify_axioms(forest)
-    assert calls
+    assert calls == []
 
 
 class TestCounts:
@@ -1278,8 +1289,9 @@ class TestViolationDetection:
 
 
 def all_pairs_witnesses(forest):
-    """The all-pairs loops the verifier's reach test prunes: witnesses of
-    "same-level-disjoint" and "cross-level-nested", in loop order."""
+    """The all-pairs loops, one `intersects` test per region pair:
+    witnesses of "same-level-disjoint" and "cross-level-nested", in loop
+    order."""
     same, cross = [], []
     for lv in forest.levels:
         items = list(lv.regions.items())
@@ -1408,6 +1420,50 @@ class TestPrunedVerifier:
         assert report["simply-connected"] == {
             "status": "fail",
             "witnesses": [(0, 2.5 + 0j), (1, 2.5 + 0j), (2, 2.5 + 0j)]}
+
+
+def dense_region_pairs(forest):
+    """The region pairs that meet, as (m, a, n, b), from one dense table of
+    the `disks_meet` test over every disk of every level, read in the order
+    of loops over level m, level n >= m and the places of a and b (each
+    pair once when m = n)."""
+    items = [(lv.n, a, reg) for lv in forest.levels
+             for a, reg in lv.regions.items()]
+    c = np.concatenate([reg.centers for *_, reg in items])
+    r = np.concatenate([reg.radii for *_, reg in items])
+    owner = np.repeat(np.arange(len(items)), [len(reg) for *_, reg in items])
+    ii, jj = np.nonzero(np.abs(c[:, None] - c[None, :])
+                        <= r[:, None] + r[None, :])
+    meet = np.zeros((len(items), len(items)), dtype=bool)
+    meet[owner[ii], owner[jj]] = True
+    level = np.array([n for n, *_ in items])
+    out = []
+    for m in range(forest.depth + 1):
+        for n in range(m, forest.depth + 1):
+            rows, cols = np.flatnonzero(level == m), np.flatnonzero(level == n)
+            sub = meet[np.ix_(rows, cols)]
+            for x, y in zip(*np.nonzero(np.triu(sub, 1) if m == n else sub)):
+                out.append((m, items[rows[x]][1], n, items[cols[y]][1]))
+    return out
+
+
+@pytest.mark.parametrize("kind, half, seed, intensity", [
+    ("poisson", 8, 3, 0.2), ("poisson", 16, 3, 0.2),
+    ("jittered-lattice", 8.5, 1252010711, 1.0)])
+def test_region_pairs_match_the_dense_disk_table(kind, half, seed,
+                                                 intensity):
+    # real toasts, with repeats (one region object at several levels) and
+    # a top level whose disk has the window's diameter
+    d = generate(kind, Window(-half, half, -half, half), seed=seed,
+                 intensity=intensity)
+    forest = build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
+    assert any("repeat" in lv.kinds.values() for lv in forest.levels)
+    top = forest.levels[-1].regions.values()
+    assert max(reg.radii.max() for reg in top) == q26(d.window.diameter)
+    pairs = [(m, a, n, b) for (m, a, _), (n, b, _)
+             in toast_module._region_pairs(forest)]
+    want = dense_region_pairs(forest)
+    assert len(want) > 100 and pairs == want
 
 
 class TestDiskSetCache:
