@@ -718,10 +718,68 @@ def nearest_gaps(points, others=None):
     return gaps
 
 
-# far field of cauchy_sum: a source is far from a row of targets when
-# |b - c| > FAR_RATIO * rho, and its Taylor series keeps FAR_ORDER terms
+# the far field of a source sum: a source is far from a row of targets when
+# |b - c| > FAR_RATIO * rho, and the Cauchy kernel's series keeps FAR_ORDER
+# terms; rows of no more than FAR_ORDER targets sum every source directly
 FAR_RATIO = 8.0
 FAR_ORDER = 18
+
+
+@dataclass(frozen=True)
+class SourceSum:
+    """sum_j weights[j] * term(u, b_j) over the sources b_j, with the Taylor
+    series of its far sources; no weights (None) when the terms carry them.
+
+    `term(u, j)` maps targets u (shape (k, r), or (1, r) broadcast) and a
+    column of source indices j (shape (k, 1)) to the terms of those sources
+    at u. `taylor(x, far, c)` maps a block of rows, with centres c
+    (rows, 1), far masks (rows, sources) and x = 1 / (b - c) at the far
+    sources (0 at the near ones), to the coefficients a_k (order, rows) of
+    sum_far weights[j] * term(u, b_j) = sum_k a_k (u - c)^k; its kernel
+    states the series length and the tail bound."""
+
+    sources: np.ndarray
+    weights: Optional[np.ndarray]
+    term: Callable
+    taylor: Callable
+
+    def direct(self, u):
+        """The direct `base_sum` over every source."""
+        j = np.arange(len(self.sources))[:, None]
+        weights = self.weights
+        if weights is None:
+            weights = np.ones(len(self.sources))
+        return base_sum(lambda row: self.term(row, j), u, weights)
+
+    def weighted(self, u, j):
+        """weights[j] * term(u, j) for a column j of source indices."""
+        t = self.term(u, j)
+        if self.weights is not None:
+            t *= self.weights[j]
+        return t
+
+
+def power_moments(x, weights, count):
+    """sum_j x[:, j]^e weights[j] for e = 1..count, shaped (count, rows) plus
+    the trailing shape of `weights` (one column per weight column)."""
+    # converted once: `@` would convert real weights again at every power
+    wc = np.asarray(weights).astype(complex)
+    out = np.empty((count, len(x)) + wc.shape[1:], dtype=complex)
+    power = x.copy()
+    for e in range(count):
+        out[e] = power @ wc
+        if e + 1 < count:
+            power *= x
+    return out
+
+
+def _horner(coeffs, t):
+    """sum_k coeffs[k][:, None] t^k for rows of t, by Horner."""
+    acc = np.repeat(coeffs[-1][:, None], t.shape[1], axis=1)
+    for a in coeffs[-2::-1]:
+        acc *= t
+        acc += a[:, None]
+    return acc
 
 
 def cauchy_sum(u, b, w):
@@ -751,11 +809,85 @@ def cauchy_sum(u, b, w):
     u = np.asarray(u, dtype=complex)
     b, w = np.asarray(b, dtype=complex), np.asarray(w)
     rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1] if u.ndim else 1)
+    s = SourceSum(b, w, term=lambda v, j: 1 / (v - b[j]),
+                  taylor=lambda x, far, c: -power_moments(x, w, FAR_ORDER))
     out = np.empty(rows.shape, dtype=complex)
-    step = max(1, BASE_SUM_BLOCK // max(len(b), rows.shape[1]))
-    for s in range(0, len(rows), step):
-        out[s:s + step] = _cauchy_rows(rows[s:s + step], b, w)
+    step = _rows_per_chunk(len(b), rows.shape[1])
+    for i in range(0, len(rows), step):
+        out[i:i + step] = _series_rows(rows[i:i + step], s)
     return out.reshape(u.shape)
+
+
+# targets per tile of a `tiled_sum`
+TILE_TARGETS = 64
+
+
+def tiled_sum(u, s: SourceSum):
+    """The source sum `s` at every entry of u, shaped like u, through a far
+    field per tile of targets.
+
+    The finite targets are grouped into square tiles of about TILE_TARGETS
+    targets over their bounding box, from the values of u alone; each tile
+    is one row of `cauchy_sum`'s engine, with its own centre, radius, far
+    set and series, its near sources summed directly. A tile of no more
+    than FAR_ORDER targets, every non-finite target, and a batch of no
+    more than FAR_ORDER finite targets go to the direct `base_sum` (a batch
+    of nothing but such targets is exactly `s.direct(u)`). Tiles go in
+    chunks of at most BASE_SUM_BLOCK tile-by-source elements, so memory
+    grows with neither the source count nor the size of u."""
+    u = np.asarray(u, dtype=complex)
+    flat = u.reshape(-1)
+    finite = np.isfinite(flat)
+    if np.count_nonzero(finite) <= FAR_ORDER:
+        return s.direct(u)
+    members, valid, rest = _tiles(flat, finite)
+    out = np.empty(flat.shape, dtype=complex)
+    step = _rows_per_chunk(len(s.sources), members.shape[1])
+    for i in range(0, len(members), step):
+        at, keep = members[i:i + step], valid[i:i + step]
+        out[at[keep]] = _series_rows(flat[at], s)[keep]
+    if len(rest):
+        out[rest] = s.direct(flat[rest])
+    return out.reshape(u.shape)
+
+
+def _tiles(z, finite):
+    """Square tiles of about TILE_TARGETS of the finite entries of z: the
+    positions of the entries of tiles of more than FAR_ORDER as rows, each
+    padded with its last entry, the mask of the unpadded entries, and the
+    positions of the other entries, the non-finite ones included."""
+    at = np.flatnonzero(finite)
+    x, y = z.real[at], z.imag[at]
+    x0, y0 = x.min(), y.min()
+    w, h = float(x.max() - x0), float(y.max() - y0)
+    k = len(at) / TILE_TARGETS
+    side = max(math.sqrt(w * h / k), max(w, h) / k)
+    nx = ny = 1
+    if 0 < side < math.inf:
+        nx, ny = max(1, round(w / side)), max(1, round(h / side))
+    key = np.zeros(len(at), dtype=int)
+    for v, v0, size, cells, scale in ((y, y0, h, ny, nx), (x, x0, w, nx, 1)):
+        if cells > 1:
+            cell = ((v - v0) * (cells / size)).astype(int)
+            key += scale * np.minimum(cell, cells - 1, out=cell)
+    order = at[np.argsort(key, kind="stable")]
+    counts = np.bincount(key, minlength=nx * ny)
+    counts = counts[counts > 0]
+    starts = np.cumsum(counts) - counts
+    big = counts > FAR_ORDER
+    width = int(counts[big].max(initial=0))
+    span = np.arange(width)
+    pos = starts[big, None] + np.minimum(span, counts[big, None] - 1)
+    rest = np.concatenate([order[np.repeat(~big, counts)],
+                           np.flatnonzero(~finite)])
+    return order[pos], span < counts[big, None], rest
+
+
+def _rows_per_chunk(sources, width):
+    """Rows of `width` targets per chunk of a source sum over `sources`
+    sources: at most BASE_SUM_BLOCK source-by-row elements, and at most as
+    many targets."""
+    return max(1, BASE_SUM_BLOCK // max(sources, width))
 
 
 def _far_sources(u, b):
@@ -772,43 +904,36 @@ def _far_sources(u, b):
     return c, far
 
 
-def _cauchy_rows(u, b, w):
-    """cauchy_sum of a 2-D u, one row at a time."""
-    c, far = _far_sources(u, b)
+def _series_rows(u, s):
+    """The source sum `s` of a 2-D u, one row at a time: near sources
+    directly, far ones as the row's Taylor series, and a row without far
+    sources as the direct sum."""
+    c, far = _far_sources(u, s.sources)
     out = np.empty(u.shape, dtype=complex)
     taylor = far.any(axis=1)
     for i in np.flatnonzero(~taylor):
-        out[i] = base_sum(lambda row: 1 / (row - b[:, None]), u[i], w)
+        out[i] = s.direct(u[i])
     if not taylor.any():
         return out
-    u, c, far = u[taylor], c[taylor], far[taylor]
-    near = np.zeros(u.shape, dtype=complex)
-    # near (row, source) pairs in row order; the q-th near source of every
-    # row that has one is summed in one step, so each step adds one term
-    # per row (at most BASE_SUM_BLOCK elements) in source order
+    # rows by their count of near sources, most first: the rows with a q-th
+    # near source are then a leading slice, and step q adds the term of
+    # that source to each of them (at most BASE_SUM_BLOCK elements), so
+    # every row sums its near sources in source order
+    rows = np.flatnonzero(taylor)
+    sizes = np.count_nonzero(~far[rows], axis=1)
+    by_size = np.argsort(-sizes, kind="stable")
+    rows, sizes = rows[by_size], sizes[by_size]
+    u, c, far = u[rows], c[rows], far[rows]
     ri, sj = np.nonzero(~far)
-    rank = np.arange(len(ri)) - np.searchsorted(ri, ri)
-    for q in range(rank.max(initial=-1) + 1):
-        r, j = ri[rank == q], sj[rank == q]
-        terms = 1 / (u[r] - b[j, None])
-        terms *= w[j, None]
-        near[r] += terms
-    # x^(k+1) of every far source of each row, zero at the near ones
-    x = np.divide(1, b - c, out=np.zeros(far.shape, dtype=complex), where=far)
-    # converted once: `@` would convert a real w again at every order
-    wc = w.astype(complex)
-    moments = np.empty((FAR_ORDER, len(u), 1), dtype=complex)
-    power = x.copy()
-    for k in range(FAR_ORDER):
-        moments[k, :, 0] = power @ wc
-        if k + 1 < FAR_ORDER:
-            power *= x
-    t = u - c
-    acc = np.repeat(moments[-1], u.shape[1], axis=1)
-    for m in moments[-2::-1]:
-        acc *= t
-        acc += m
-    out[taylor] = near - acc
+    nearest = np.zeros((len(u), sizes[0]), dtype=int)
+    nearest[ri, np.arange(len(ri)) - np.searchsorted(ri, ri)] = sj
+    near = np.zeros(u.shape, dtype=complex)
+    for q in range(sizes[0]):
+        m = np.count_nonzero(sizes > q)
+        near[:m] += s.weighted(u[:m], nearest[:m, q, None])
+    x = np.divide(1, s.sources - c, out=np.zeros(far.shape, dtype=complex),
+                  where=far)
+    out[rows] = near + _horner(s.taylor(x, far, c), u - c)
     return out
 
 

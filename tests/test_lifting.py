@@ -1,6 +1,7 @@
 """Lifting recursion: stage chains, certificates, divisor recovery,
 equivariance double-runs, additive and harmonic lanes, trace dumps."""
 
+import hashlib
 import json
 import math
 import os
@@ -15,10 +16,11 @@ import pytest
 from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
-from equilift import lifting, runge
+from equilift import core, lifting, runge
 from equilift.builders import Potential, verify_divisor_match
-from equilift.core import (BASE_SUM_BLOCK, FAR_RATIO, Circle, CompactRegion,
-                           ComplexPoly, Window, base_sum, count_zeros, q26)
+from equilift.core import (BASE_SUM_BLOCK, FAR_ORDER, FAR_RATIO, Circle,
+                           CompactRegion, ComplexPoly, Window, base_sum,
+                           count_zeros, q26)
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts, generate
 from equilift.errors import (DegreeCapExceeded, DivisorMismatch,
                              NonFreeInput, RungeFailure)
@@ -715,6 +717,319 @@ class TestKernelEdgeCases:
         assert not np.isfinite(got[:len(sol.offsets)]).any()
         assert np.isfinite(got[len(sol.offsets):]).all()
         assert_matches_loop(got, want, u)
+
+
+# ---------------------------------------------------------------------------
+# psi's far field against the direct form
+
+
+def direct_value(sol, u):
+    """`LocalSolution.value` as the direct sum over every offset (the form
+    before the per-tile far field), kept as the reference: exp(log_value),
+    whose digest is pinned below, in the product mode."""
+    u = np.asarray(u, dtype=complex)
+    b = sol.offsets[:, None]
+    with np.errstate(all="ignore"):
+        if sol.mode == MULTIPLICATIVE:
+            return np.exp(sol.log_value(u))
+        if sol.mode == HARMONIC:
+            return np.real(sol.correction(u)) + base_sum(
+                lambda row: np.log(np.abs(row - b)), u,
+                sol.weights) / (2 * math.pi)
+        table = sol.weights
+
+        def term(row):
+            r = 1 / (row - b)
+            acc = table[:, -1:] * r
+            for k in range(table.shape[1] - 2, -1, -1):
+                acc += table[:, k:k + 1]
+                acc *= r
+            return acc
+        return sol.correction(u) + base_sum(term, u, np.ones(len(table)))
+
+
+def term_size(sol, u):
+    """The scale of the direct form's rounding at u: |psi| in the product
+    mode (its error is an error of log psi), else the correction's size
+    plus the sum of the sizes of the terms."""
+    u = np.asarray(u, dtype=complex)
+    with np.errstate(all="ignore"):
+        if sol.mode == MULTIPLICATIVE:
+            return np.abs(direct_value(sol, u))
+        d = np.abs(u[..., None] - sol.offsets)
+        if sol.mode == HARMONIC:
+            return np.abs(sol.correction(u).real) + np.sum(
+                np.abs(sol.weights * np.log(d)), axis=-1) / (2 * math.pi)
+        orders = np.arange(1, sol.weights.shape[1] + 1)
+        return np.abs(sol.correction(u)) + np.sum(
+            np.abs(sol.weights) / d[..., None] ** orders, axis=(-2, -1))
+
+
+def assert_far_field_matches(sol, u):
+    """value against the direct form: the same finiteness, and within
+    1e-12 of the term size (1e-322 apart from it: subnormal products)."""
+    with np.errstate(all="ignore"):
+        got, want = sol.value(u), direct_value(sol, u)
+    assert got.shape == want.shape == np.shape(u)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    err = np.abs(got[finite] - want[finite])
+    assert np.all(err <= 1e-12 * term_size(sol, u)[finite] + 1e-322)
+    return got
+
+
+def hand_solution(mode, offsets, rng, order=3):
+    """A solution on the given offsets: multiplicities 1 to 3, principal
+    parts of orders 1 to `order`, or masses in [0.5, 2], and a linear
+    correction."""
+    n = len(offsets)
+    if mode == ADDITIVE:
+        weights = np.zeros((n, order), dtype=complex)
+        for j, row in enumerate(weights):
+            k = 1 + j % order
+            row[:k] = rng.normal(size=k) + 1j * rng.normal(size=k)
+    elif mode == HARMONIC:
+        weights = rng.uniform(0.5, 2.0, n)
+    else:
+        weights = rng.integers(1, 4, n).astype(float)
+    gauge = 0j
+    if mode == MULTIPLICATIVE:
+        gauge = complex(q26(complex(*rng.uniform(-1, 1, 2))))
+        while np.any(offsets == gauge):
+            gauge += 2.0 ** -10
+    return LocalSolution(anchor=0j, mode=mode, offsets=offsets,
+                         weights=weights, gauge=gauge,
+                         correction=ComplexPoly((0.25 - 0.5j, 0.01j)))
+
+
+TINY_STEP = 1e-200 * np.exp(0.7j)
+
+
+@st.composite
+def far_field_cases(draw):
+    """(solution, grid) with targets planted on offsets, within 1e-200 of
+    them, and at nan and infinities. Grids of 8k + 1 nodes a side put node
+    lines on the tile edges (the tiles then span 8 pitches)."""
+    mode = draw(st.sampled_from(MODES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    offsets = q26(rng.uniform(-6, 6, n) + 1j * rng.uniform(-6, 6, n))
+    sol = hand_solution(mode, offsets, rng)
+    cols = draw(st.sampled_from([17, 24, 33, 40]))
+    rows = draw(st.sampled_from([3, 17, 33, 40]))
+    pitch = draw(st.sampled_from([0.03, 0.125, 0.3]))
+    corner = complex(q26(complex(*rng.uniform(-8, 4, 2))))
+    grid = corner + pitch * (np.arange(cols) + 1j * np.arange(rows)[:, None])
+    flat = grid.reshape(-1)
+    plant = rng.choice(flat.size, size=min(flat.size, 3 + 2 * n),
+                       replace=False)
+    picks = rng.integers(0, n, len(plant))
+    specials = [complex("nan"), complex("inf"), complex(0, float("-inf")),
+                complex("nan+1j")]
+    for k, (at, j) in enumerate(zip(plant, picks)):
+        if k < len(specials):
+            flat[at] = specials[k]
+        elif k % 2:
+            flat[at] = offsets[j]
+        else:
+            flat[at] = offsets[j] + TINY_STEP
+    return sol, grid
+
+
+class TestFarField:
+    @settings(deadline=None)  # the example count comes from the profile
+    @given(case=far_field_cases())
+    def test_matches_the_direct_form(self, case):
+        sol, grid = case
+        got = assert_far_field_matches(sol, grid)
+        flat = grid.reshape(-1)
+        # small batches are the direct path bit for bit
+        for size in (1, 5, FAR_ORDER):
+            small = flat[:size]
+            with np.errstate(all="ignore"):
+                assert np.array_equal(sol.value(small),
+                                      direct_value(sol, small),
+                                      equal_nan=True)
+        # a single z, alone and inside the grid
+        for at in np.flatnonzero(np.isfinite(flat))[::97]:
+            with np.errstate(all="ignore"):
+                alone = sol.value(flat[at])
+            assert np.array_equal(alone, direct_value(sol, flat[at]),
+                                  equal_nan=True)
+            if np.isfinite(alone):
+                scale = term_size(sol, flat[at])
+                err = abs(got.reshape(-1)[at] - alone)
+                assert err <= 1e-12 * scale + 1e-322
+
+    def test_series_lengths_are_the_least_with_the_bound(self):
+        q = 1 / FAR_RATIO
+
+        def log_tail(p):
+            return q ** (p + 1) / ((p + 1) * (1 - q))
+        assert log_tail(lifting.LOG_ORDER) <= 2.0 ** -53
+        assert log_tail(lifting.LOG_ORDER - 1) > 2.0 ** -53
+        assert [lifting._pole_order(k) for k in (1, 2, 3)] == [18, 20, 21]
+        for k in (1, 2, 3):
+            # the tail sum_{m >= p} C(m+k-1, k-1) q^m itself, cut far out
+            def pole_tail(p):
+                return sum(math.comb(m + k - 1, k - 1) * q ** m
+                           for m in range(p, p + 200))
+            p = lifting._pole_order(k)
+            assert pole_tail(p) <= 2.0 ** -53 < pole_tail(p - 1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_truncation_bound_at_the_far_edge(self, mode, monkeypatch):
+        # one tile of 64 targets on the unit circle about 1, every offset
+        # just beyond FAR_RATIO * rho on one ray, and the target 2 towards
+        # them: every series term has the same sign and |t x_j| is close
+        # to q, the worst case of the stated tails
+        u = 1.0 + np.exp(2j * np.pi * np.arange(64) / 64)
+        b = 1.0 + FAR_RATIO * (1 + 1e-9 * np.arange(1, 6))
+        sol = hand_solution(mode, b + 0j, np.random.default_rng(3))
+        taken = spy_moments(monkeypatch)
+        got = assert_far_field_matches(sol, u)
+        assert taken == [1]
+        want = direct_value(sol, u)
+        q, x = 1 / FAR_RATIO, np.abs(1 / (b - 1.0))
+        if mode == ADDITIVE:
+            orders = np.arange(1, 4)
+            bound = 2.0 ** -53 * np.sum(np.abs(sol.weights)
+                                        * x[:, None] ** orders)
+        else:
+            tail = q ** 17 / (17 * (1 - q)) * np.sum(np.abs(sol.weights))
+            bound = (tail / (2 * math.pi) if mode == HARMONIC
+                     else tail * abs(want[0]))
+        eps = np.finfo(float).eps
+        assert abs(got[0] - want[0]) <= bound + 8 * eps * term_size(sol, u[0])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nodes_on_tile_edges(self, mode, monkeypatch):
+        # 33 x 33 nodes make 4 x 4 tiles of 8 pitches: node lines 8, 16 and
+        # 24 lie on tile edges; every tile takes a far field
+        rng = np.random.default_rng(7)
+        offsets = q26(rng.uniform(-40, 40, 300)
+                      + 1j * rng.uniform(-40, 40, 300))
+        sol = hand_solution(mode, offsets, rng)
+        grid = -4 - 4j + 0.25 * (np.arange(33) + 1j * np.arange(33)[:, None])
+        edges = (grid.real[0] - grid.real[0, 0]) * 4 / np.ptp(grid.real)
+        assert np.array_equal(edges[::8], np.arange(5))
+        members, _, rest = core._tiles(grid.reshape(-1),
+                                       np.ones(grid.size, dtype=bool))
+        assert members.shape[0] == 16 and not len(rest)
+        taken = spy_moments(monkeypatch)
+        assert_far_field_matches(sol, grid)
+        assert sum(taken) == 16
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_finite_targets_in_a_grid(self, mode):
+        # non-finite targets go to the direct sum, bit for bit, inside a
+        # grid whose other targets take the far field (psi's correction is
+        # not finite there either, so the sum is read from core.tiled_sum)
+        sol, grid = grid_solution(mode), benchmark_grid()
+        bad = ([3, 64, 127], [5, 64, 0])
+        grid[bad] = [complex("nan"), complex("inf"), complex(1, -math.inf)]
+        assert_far_field_matches(sol, grid)
+        kernel = {MULTIPLICATIVE: lifting._product_sum,
+                  ADDITIVE: lifting._principal_sum,
+                  HARMONIC: lifting._log_kernel_sum}[mode](sol)
+        with np.errstate(all="ignore"):
+            got = core.tiled_sum(grid, kernel)[bad]
+            want = kernel.direct(grid[bad])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_small_batches_take_no_far_field(self, mode, monkeypatch):
+        sol = grid_solution(mode)
+        taken = spy_moments(monkeypatch)
+        u = benchmark_grid()[:3, :6]
+        with np.errstate(all="ignore"):
+            assert np.array_equal(sol.value(u), direct_value(sol, u))
+        assert not taken
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_grid_memory_is_bounded(self, mode):
+        # 16,384 targets and 819 offsets: the whole table would be 215 MB;
+        # the far field holds a few arrays of one entry per target (256 kB
+        # each) and chunks of BASE_SUM_BLOCK tile-by-offset elements, a peak
+        # of about 1.5 MB (the blocked direct sum peaked at about 1.6 MB)
+        sol, grid = grid_solution(mode), benchmark_grid()
+        with np.errstate(all="ignore"):
+            _, peak = traced_peak(lambda: sol.value(grid))
+        assert peak < 4e6
+
+    def test_product_value_is_exp_of_log_value(self):
+        sol, grid = grid_solution(MULTIPLICATIVE), benchmark_grid()
+        with np.errstate(all="ignore"):
+            got, want = sol.value(grid), np.exp(sol.log_value(grid))
+        assert np.all(np.isfinite(want))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_log_forms_are_pinned(self):
+        # digests taken with the direct sums, before the far field existed:
+        # log_value and dlog do not take psi's far field
+        sol, grid = grid_solution(MULTIPLICATIVE), benchmark_grid()
+        with np.errstate(all="ignore"):
+            log_value, dlog = sol.log_value(grid), sol.dlog(grid)
+        assert hashlib.sha256(log_value.tobytes()).hexdigest() == (
+            "d6d381885a0b94d06f658ba7627790c40d928ed5f2b9d74997ed8f38668383d7")
+        assert hashlib.sha256(dlog.tobytes()).hexdigest() == (
+            "233199061b22e3679f3d33006ea51da7879f4f9379c4074ba79879e44fa8fcdf")
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, HARMONIC])
+    def test_shift_double_run_is_exact_on_a_far_field_grid(self, mode,
+                                                            monkeypatch):
+        # tiles come from the anchor-relative u alone, so the value grids of
+        # a lift and of its shifted lift agree bit for bit
+        d = generate("poisson", Window(-12, 12, -12, 12), seed=3,
+                     intensity=0.2)
+        d_w = d.translate(-SHIFT, move_window=True)
+        traces = [lift_mode(mode, x, build_covariant_toast(x, N=3, r0=1.0,
+                                                           gamma=4.0), 3)
+                  for x in (d, d_w)]
+        grid = q26(Window(-8, 8, -8, 8).grid(0.25))
+        taken = spy_moments(monkeypatch)
+        a, b = traces[0].psi()(grid + SHIFT), traces[1].psi()(grid)
+        assert taken and np.array_equal(a, b)
+
+
+def grid_solution(mode):
+    """819 offsets uniform on the q26 lattice of [-32, 32]^2, as in a
+    weierstrass-800 input, orders 1 and 2 in the additive mode."""
+    rng = np.random.default_rng(819)
+    offsets = q26(rng.uniform(-32, 32, 819) + 1j * rng.uniform(-32, 32, 819))
+    if mode == ADDITIVE:
+        weights = rng.normal(size=(819, 2)) + 1j * rng.normal(size=(819, 2))
+    elif mode == HARMONIC:
+        weights = rng.uniform(0.5, 2.0, 819)
+    else:
+        weights = np.ones(819)
+    gauge = complex(q26(0.5 + 0.25j)) if mode == MULTIPLICATIVE else 0j
+    return LocalSolution(anchor=0j, mode=mode, offsets=offsets,
+                         weights=weights, gauge=gauge,
+                         correction=ComplexPoly((0.25 - 0.5j, 0.01j)))
+
+
+def benchmark_grid():
+    """The 128 x 128 cell-centre lattice of the inner window of [-32, 32]^2,
+    as modes-200 evaluates psi on."""
+    win = Window(-32, 32, -32, 32).inner(0.15)
+    xs = win.xmin + (np.arange(128) + 0.5) * (win.width / 128)
+    ys = win.ymin + (np.arange(128) + 0.5) * (win.height / 128)
+    return xs[None, :] + 1j * ys[:, None]
+
+
+def spy_moments(monkeypatch):
+    """Record the number of rows of every far-field moment table psi's
+    kernels build."""
+    taken = []
+    moments = lifting.power_moments
+
+    def spy(x, weights, count):
+        taken.append(len(x))
+        return moments(x, weights, count)
+    monkeypatch.setattr(lifting, "power_moments", spy)
+    return taken
 
 
 # ---------------------------------------------------------------------------

@@ -1421,6 +1421,47 @@ class TestPrunedVerifier:
             "status": "fail",
             "witnesses": [(0, 2.5 + 0j), (1, 2.5 + 0j), (2, 2.5 + 0j)]}
 
+    def test_anchor_disks_decided_once_per_region(self, monkeypatch):
+        # the region anchored at 0 lies away from its anchor, and is listed
+        # at every level: one covers_disk call, a witness per listing
+        off = CompactRegion.disk(5 + 0j, 1.0)
+        disk = CompactRegion.disk(10j, 1.0)
+        levels = [ToastLevel(n, {0j: off, 10j: disk},
+                             {0j: "genuine", 10j: "genuine"})
+                  for n in range(3)]
+        calls = []
+        covers = CompactRegion.covers_disk
+        monkeypatch.setattr(CompactRegion, "covers_disk",
+                            lambda self, c, r: calls.append(self)
+                            or covers(self, c, r))
+        report = verify_axioms(self.forged(levels, Window(-16, 16, -16, 16)))
+        assert len(calls) == 2
+        assert report["anchor-disk"] == {
+            "status": "fail", "witnesses": [(0, 0j), (1, 0j), (2, 0j)]}
+
+    def test_anchor_disks_of_a_toast_with_repeats(self, monkeypatch):
+        # one covers_disk call per distinct region of a real toast, and the
+        # report of one call per listing, anchors rounded one at a time
+        d = generate("poisson", WIN16, seed=3, intensity=0.2)
+        forest = build_covariant_toast(d, N=4, r0=1.0, gamma=4.0)
+        listed = [(lv.n, a, reg) for lv in forest.levels
+                  for a, reg in lv.regions.items()]
+        distinct = {id(reg) for _, _, reg in listed}
+        assert len(distinct) < len(listed)
+        u0 = q26(forest.u0)
+        want = [(n, a) for n, a, reg in listed
+                if not reg.covers_disk(q26(complex(a)), u0)]
+        calls = []
+        covers = CompactRegion.covers_disk
+        monkeypatch.setattr(CompactRegion, "covers_disk",
+                            lambda self, c, r: calls.append(self)
+                            or covers(self, c, r))
+        report = verify_axioms(forest)
+        assert len(calls) == len(distinct)
+        assert {id(reg) for reg in calls} == distinct
+        assert report["anchor-disk"] == {
+            "status": "fail" if want else "pass", "witnesses": want[:8]}
+
 
 def dense_region_pairs(forest):
     """The region pairs that meet, as (m, a, n, b), from one dense table of
