@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Circle, ComplexPoly, SampledFunction, Window, base_sum,
-                   cauchy_sum, count_zeros, log_modulus_arg, nearest_gaps,
+                   cauchy_sum, count_zeros, log_modulus_arg, nearest_gaps, q26,
                    refine_zero)
 from .divisors import Divisor, PrincipalParts
 from .errors import EvaluationOnAtom
@@ -111,11 +111,16 @@ def verify_divisor_match(f, d: Divisor, window=None) -> dict:
     gap to the nearest other point of d), so every circle clears every
     point of d, those outside the window included. The gaps come from
     `core.nearest_gaps`, and every circle is counted in one `count_zeros`
-    call, one row of its dlog batch per circle. Every point whose count
-    matches is then refined, all at once, by one `refine_zero` call, and
-    its root must stay within POSITION_TOL of the prescribed location.
-    With no window, d claims to be f's whole zero set, and one circle
-    enclosing every point catches stray extra zeros.
+    call, one row of its dlog batch per circle. The same integral gives
+    each circle's first moment s1, the sum of (z - p) over the zeros z
+    inside, so a point of multiplicity m whose count matches has its zero
+    at p + s1 / m. Every such point is refined, all at once, by one
+    `refine_zero` call started at q26(p + s1 / m), the moment position on
+    the lattice the data live on, and its root must stay within
+    POSITION_TOL of the prescribed location. A zero on that lattice is
+    then its own start: dlog is not finite there and Newton takes no
+    step. With no window, d claims to be f's whole zero set, and one
+    circle enclosing every point catches stray extra zeros.
 
     The report holds `matched`, the `mismatches` (count failures first,
     then position failures, then the total), the largest root offset
@@ -129,47 +134,34 @@ def verify_divisor_match(f, d: Divisor, window=None) -> dict:
         k = poles[0]
         raise ValueError(f"divisor match checks zeros, but {d.locs[k]} has "
                          f"multiplicity {d.mults[k]}")
-    mismatches = []
-    max_pos = 0.0
-    max_steps = 0
     keep = slice(None) if window is None else window.contains(d.locs)
     locs, mults = d.locs[keep], d.mults[keep]
     radii = np.minimum(0.25, 0.45 * nearest_gaps(locs, d.locs))
-    counts, residuals = count_zeros(
+    counts, residuals, moments = count_zeros(
         f, [Circle(p, r) for p, r in zip(locs.tolist(), radii.tolist())],
         nodes=CONTOUR_NODES)
     max_residual = float(residuals.max(initial=0.0))
-    counted = []
-    for p, m, n, radius in zip(locs.tolist(), mults.tolist(), counts.tolist(),
-                               radii.tolist()):
-        if n != m:
-            mismatches.append({"point": p, "expected": int(m), "counted": int(n)})
-        else:
-            counted.append((p, m, radius))
-    if counted:
-        p, m, radius = (np.array(v) for v in zip(*counted))
-        s = 0.3 * radius
-        # Newton's basin around p shrinks to ~m/|background| when the
-        # combined field of the other zeros is strong; start inside it
-        with np.errstate(all="ignore"):
-            back = np.abs(f.dlog(p + s) - m / s)
-            s = np.where(back > 0, np.minimum(s, 0.25 * m / back), s)
-        roots, steps = refine_zero(f, p + s, m)
-        err = np.abs(roots - p)
-        max_pos, max_steps = float(err.max()), int(steps.max())
-        mismatches += [{"point": q, "position_error": e}
-                       for q, e in zip(p.tolist(), err.tolist())
-                       if e > POSITION_TOL]
+    ok = counts == mults
+    mismatches = [{"point": p, "expected": int(m), "counted": int(n)}
+                  for p, m, n in zip(locs[~ok].tolist(), mults[~ok].tolist(),
+                                     counts[~ok].tolist())]
+    p, m = locs[ok], mults[ok]
+    roots, steps = refine_zero(f, q26(p + moments[ok] / m), m)
+    err = np.abs(roots - p)
+    mismatches += [{"point": q, "position_error": e}
+                   for q, e in zip(p.tolist(), err.tolist())
+                   if e > POSITION_TOL]
     if window is None and len(locs):
         center = complex(np.mean(locs))
         span = float(np.max(np.abs(locs - center))) + 1.0
-        (total,), _ = count_zeros(f, [Circle(center, span)], nodes=2048)
+        (total,), _, _ = count_zeros(f, [Circle(center, span)], nodes=2048)
         if total != int(np.sum(mults)):
             mismatches.append({"total_expected": int(np.sum(mults)),
                                "total_counted": int(total)})
     return {"matched": not mismatches, "mismatches": mismatches,
-            "max_position_error": max_pos, "max_residual": max_residual,
-            "max_newton_steps": max_steps}
+            "max_position_error": float(err.max(initial=0.0)),
+            "max_residual": max_residual,
+            "max_newton_steps": int(steps.max(initial=0))}
 
 
 # ---------------------------------------------------------------------------

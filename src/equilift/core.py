@@ -965,8 +965,11 @@ class ComplexPoly:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         u = (z - self.center) / self.scale
-        out = np.zeros_like(u)
-        for c in reversed(self.coeffs):
+        # Horner from the leading nonzero coefficient: a zero start times an
+        # infinite u would be NaN, so even a constant would be lost at inf
+        *rest, top = np.trim_zeros(self.coeffs, "b") or (0j,)
+        out = np.full_like(u, top)
+        for c in reversed(rest):
             out = out * u + c
         return out
 
@@ -1040,16 +1043,22 @@ def contour_integral(g, circles, orders=1, nodes=256):
 def count_zeros(f, contours, nodes=512):
     """Argument-principle counts of zeros minus poles of f inside each
     circle of the sequence `contours`: column 1 of
-    `contour_integral(f.dlog, contours, nodes=nodes)`, the contour integral
-    of f.dlog by the trapezoid rule on `nodes` equiangular nodes per
-    circle. A dlog built on `cauchy_sum` sums each row of that batch on
-    its own.
+    `contour_integral(f.dlog, contours, orders=2, nodes=nodes)`, the
+    contour integral of f.dlog by the trapezoid rule on `nodes` equiangular
+    nodes per circle. A dlog built on `cauchy_sum` sums each row of that
+    batch on its own.
 
-    Returns the integer counts and the pre-rounding residuals, one per
-    circle. A residual above 0.25, or a non-finite integral, raises
-    ContourThroughZero for the first such circle in input order.
+    Returns the integer counts, the pre-rounding residuals and the first
+    moments, one per circle. The first moment is column 2 of the same
+    integral, sum m_k (z_k - c) over the zeros z_k (multiplicity m_k; a
+    pole counts with its negative order) inside the circle with centre c:
+    a lone zero of multiplicity m sits at c + moment / m (Delves and
+    Lyness, Math. Comp. 21, 1967). A residual above 0.25, or a non-finite
+    integral, raises ContourThroughZero for the first such circle in input
+    order.
     """
-    vals = contour_integral(f.dlog, contours, nodes=nodes)[:, 1]
+    vals, first = contour_integral(f.dlog, contours, orders=2,
+                                   nodes=nodes)[:, 1:].T
     finite = np.isfinite(vals)
     counts = np.round(np.where(finite, vals.real, 0.0))
     residual = np.abs(vals - counts)
@@ -1061,7 +1070,7 @@ def count_zeros(f, contours, nodes=512):
                 "logarithmic derivative not finite on contour")
         raise ContourThroughZero(
             f"argument-principle residual {residual[k]:.3g} exceeds 0.25")
-    return counts.astype(int), residual
+    return counts.astype(int), residual, first
 
 
 # Newton steps a guess may take before refine_zero gives up on it

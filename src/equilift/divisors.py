@@ -248,7 +248,6 @@ def generate(kind, window: Window, seed=0, intensity=1.0,
 # exactly. A shift is a period exactly when it maps the divisor onto itself on
 # the comparison window, multiplicities included: no tolerance enters.
 
-COMBINATION_TOL = 1e-9  # float residual of the integer-combination test
 CANDIDATE_POINTS = 50   # points whose differences are candidate periods
 PROBES = 10             # points the quick filter tests each candidate on
 
@@ -298,14 +297,15 @@ def _is_period(d: Divisor, v, inner: Window):
 
 
 def _is_combination(v, gens):
-    """Is v an integer multiple of the one period found so far (within
-    COMBINATION_TOL)? detect_stabilizer stops at its second period, so
-    gens never holds two when it asks."""
+    """Is v an integer multiple of the one period found so far? v and the
+    period are differences of lattice points, so k times the period is
+    exact and the test is equality. detect_stabilizer stops at its second
+    period, so gens never holds two when it asks."""
     if not gens:
         return False
     (g,) = gens
     k = round((v.real * g.real + v.imag * g.imag) / (abs(g) ** 2))
-    return abs(v - k * g) <= COMBINATION_TOL
+    return v == k * g
 
 
 def _canonical_vector(v):

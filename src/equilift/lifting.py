@@ -334,6 +334,7 @@ def _principal_table(pp):
 class _Kernel:
     config: Callable        # data -> (locations, weights)
     shift: Callable         # (data, w) -> the data moved by w
+    data_type: type         # the class of the data
     data_key: str           # to_json key of the data
     value: Callable         # (LocalSolution, u) -> correction plus base terms
     part: Callable          # gap values -> the part fits and rates measure
@@ -347,15 +348,15 @@ _KERNELS = {
                           np.asarray(d.mults, dtype=float)),
         shift=lambda d, w: d.translate(w, move_window=True),
         data_key="divisor", value=_product_value, part=np.real,
-        product=True),
+        data_type=Divisor, product=True),
     ADDITIVE: _Kernel(
         config=_principal_table,
         shift=lambda pp, w: PrincipalParts(
             tuple((p + w, c) for p, c in pp.entries)),
         data_key="principal_parts", value=_principal_value,
-        part=lambda v: v),
+        data_type=PrincipalParts, part=lambda v: v),
     HARMONIC: _Kernel(
-        config=lambda mu: (
+        data_type=Potential, config=lambda mu: (
             np.array([complex(*loc) for loc, _ in mu.atoms], dtype=complex),
             np.array([mass for _, mass in mu.atoms], dtype=float)),
         shift=lambda mu, w: Potential(
@@ -434,9 +435,11 @@ class LiftingTrace:
         return self.levels[-1].epsilon
 
     def solution(self, n=None):
-        """(level, anchor, LocalSolution) backing psi_n."""
+        """(level, anchor, LocalSolution) backing psi_n, 0 <= n <= depth."""
         if n is None:
             n = self.depth
+        if not (isinstance(n, (int, np.integer)) and 0 <= n <= self.depth):
+            raise ValueError(f"level {n!r} is not in 0..{self.depth}")
         m, anchor = self.levels[n].chain
         return m, anchor, self.levels[m].solutions[anchor]
 
@@ -458,8 +461,8 @@ class LiftingTrace:
         """r_n(K): sup over K of the step from psi_{n-1} to psi_n, read on
         K's boundary at any sampling density. Zero exactly when the chain
         is stagnant."""
-        if not 1 <= n <= self.depth:
-            raise ValueError("rate needs 1 <= n <= depth")
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= self.depth):
+            raise ValueError(f"rate needs 1 <= n <= depth, not {n!r}")
         return _gap_sup(self.mode, _chain_gap(self.levels, n), K, density)
 
     def verify_membership(self, n=None):
@@ -584,6 +587,10 @@ def _check_toast_matches(toast, locs):
 
 
 def _lift(mode, data, toast, levels, check_membership=True):
+    want = _KERNELS[mode].data_type
+    if not isinstance(data, want):
+        raise ValueError(f"{mode} lifting takes a {want.__name__}, not "
+                         f"{type(data).__name__}")
     locs, weights = _KERNELS[mode].config(data)
     if not len(locs):
         raise ValueError("empty data: a configuration fixed by every "
@@ -640,7 +647,7 @@ def lift_weierstrass(d: Divisor, toast: ToastForest, levels,
                      check_membership=True) -> LiftingTrace:
     """Entire functions with zero set d, built level by level with
     zero-free multiplicative patching."""
-    if not d.is_nonnegative():
+    if isinstance(d, Divisor) and not d.is_nonnegative():
         raise ValueError("zero prescription needs a nonnegative divisor")
     return _lift(MULTIPLICATIVE, d, toast, levels, check_membership)
 
@@ -670,7 +677,10 @@ def verify_equivariance(trace: LiftingTrace, w) -> EquivarianceReport:
     on a grid over the overlap of the two windows (in the product mode, Re
     log psi and Im log psi modulo 2 pi). A refusal of the shifted build
     (non-free input) is recorded, not raised; a shift that leaves the
-    windows no overlap raises ValueError before anything is rebuilt."""
+    windows no overlap, or a shift that is not finite, raises ValueError
+    before anything is rebuilt."""
+    if not np.isfinite(w):
+        raise ValueError(f"shift must be finite, not {w}")
     w = complex(q26(w))
     win = trace.window
     bounds = (win.xmin + max(0.0, -w.real), win.xmax + min(0.0, -w.real),

@@ -144,6 +144,18 @@ class TestMembershipMismatches:
         assert abs(entry["position_error"] - 2.0 ** -20) < 1e-15
         assert report["max_position_error"] == entry["position_error"]
 
+    def test_newton_refines_a_zero_off_the_lattice(self):
+        # a double zero at a, off the 2^-26 lattice and 3.3e-10 from its
+        # prescribed point 0: its moment start rounds to the lattice, and
+        # Newton walks from there to a
+        a = complex(1e-9 / 3, -2e-9 / 7)
+        f = SampledFunction(evaluator=lambda z: (z - a) ** 2 * (z - 1.5),
+                            dlog=lambda z: 2 / (z - a) + 1 / (z - 1.5))
+        report = verify_divisor_match(f, D([(0j, 2), (1.5 + 0j, 1)]))
+        assert report["matched"], report["mismatches"]
+        assert abs(report["max_position_error"] - abs(a)) < 1e-15
+        assert report["max_newton_steps"] >= 1
+
     def test_total_circle_catches_an_unprescribed_zero(self):
         # f has a zero at 2.5 that d does not prescribe: every per-point
         # circle clears it, so only the enclosing circle, which runs when

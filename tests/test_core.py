@@ -100,10 +100,10 @@ def test_count_zeros_batch_matches_one_circle_at_a_time():
     dist = np.abs(d.locs - (0.5 + 0.5j))
     r = max(np.arange(4, 6, 0.125), key=lambda r: np.min(np.abs(dist - r)))
     circles += [Circle(0.5 + 0.5j, r), Circle(40.0, 1.0)]
-    counts, residuals = count_zeros(f, circles)
+    counts, residuals, _ = count_zeros(f, circles)
     assert counts.dtype.kind == "i" and counts.shape == residuals.shape
     for circle, n, res in zip(circles, counts, residuals):
-        (n1,), (res1,) = count_zeros(f, [circle])
+        (n1,), (res1,), _ = count_zeros(f, [circle])
         assert n == n1 and abs(res - res1) <= 1e-14
     assert counts[:-2].tolist() == d.mults[list(ks)].tolist()
     assert counts[-2] == d.mults[dist < r].sum() > 1
@@ -127,9 +127,20 @@ def test_count_zeros_raises_for_the_first_failing_circle():
 
 def test_count_zeros_empty_batch():
     f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
-    counts, residuals = count_zeros(f, [])
+    counts, residuals, _ = count_zeros(f, [])
     assert counts.shape == residuals.shape == (0,)
     assert counts.dtype.kind == "i" and residuals.dtype.kind == "f"
+
+
+def test_count_zeros_first_moments():
+    # the third value is sum m_k (z_k - c) over the zeros inside each circle
+    a, b = 0.3 - 0.2j, -0.25 + 0.4j
+    f = SampledFunction(evaluator=lambda z: (z - a) ** 2 * (z - b),
+                        dlog=lambda z: 2 / (z - a) + 1 / (z - b))
+    counts, _, moments = count_zeros(f, [Circle(0.1, 1.0), Circle(a, 0.1)])
+    assert counts.tolist() == [3, 2]
+    assert abs(moments[0] - (2 * (a - 0.1) + (b - 0.1))) < 1e-14
+    assert abs(moments[1]) < 1e-15
 
 
 def test_count_zeros_takes_only_circles():
@@ -786,6 +797,16 @@ def test_region_refuses_mismatched_or_empty_arrays(centers, radii):
 def test_poly_refuses_a_nonpositive_scale(scale):
     with pytest.raises(ValueError, match="scale must be positive"):
         ComplexPoly((1 + 0j,), scale=scale)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, complex(0, math.inf),
+                               complex(0, -math.inf)])
+def test_poly_constants_hold_at_infinite_points(z):
+    # Horner starts from the leading nonzero coefficient; from a zero start
+    # every constant read 0 * inf + c = NaN at an infinite point
+    with np.errstate(all="ignore"):
+        assert ComplexPoly((2 - 1j,))(z) == 2 - 1j
+        assert ComplexPoly((2 - 1j, 0j, 0j), center=1, scale=2)(z) == 2 - 1j
 
 
 def test_region_stores_q26_of_its_input_to_the_byte():

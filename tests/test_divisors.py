@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
+from equilift import divisors
 from equilift.core import SampledFunction, Window, q26
 from equilift.divisors import (
     Divisor,
@@ -286,6 +287,30 @@ class TestStabilizer:
         assert _is_period(d, 1j, d.window.inner())
         assert detect_stabilizer(d) == StabilizerReport("singly-periodic",
                                                         (1j,))
+
+    def test_one_lattice_step_off_a_multiple_is_no_combination(
+            self, monkeypatch):
+        # two combs on the real axis, one 2^-26 right of the other: the long
+        # candidates k +- 2^-26 pass the probe filter (no probe lies in
+        # their comparison window) and reach the combination test, which
+        # tells them from the multiples k of the period 1 by equality
+        eps = 2.0 ** -26
+        locs = np.array([m + s for m in range(-7, 8) for s in (0.0, eps)])
+        d = Divisor(locs, np.ones(len(locs), dtype=int), WIN8)
+        asked = []
+        real = divisors._is_combination
+
+        def spy(v, gens):
+            asked.append((v, real(v, gens)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(divisors, "_is_combination", spy)
+        assert detect_stabilizer(d) == StabilizerReport("singly-periodic",
+                                                        (1 + 0j,))
+        off = [out for v, out in asked if abs(v - round(v.real)) == eps]
+        multiples = [out for v, out in asked if v == round(v.real) != 1]
+        assert off and not any(off)
+        assert multiples and all(multiples)
 
     @pytest.mark.parametrize("win", [Window(-8, 8, -8, 8),
                                      Window(-4, 4, -4, 4)])

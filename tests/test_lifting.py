@@ -112,7 +112,7 @@ class TestDivisorRecovery:
 
     def test_double_zero_multiplicity(self, six_trace):
         psi = six_trace.psi()
-        (k,), _ = count_zeros(psi, [Circle(3.0 - 2.0j, 0.3)])
+        (k,), _, _ = count_zeros(psi, [Circle(3.0 - 2.0j, 0.3)])
         assert k == 2
 
     def test_poisson_membership(self, poisson_trace):
@@ -129,11 +129,14 @@ class TestDivisorRecovery:
         assert 0.0 <= report["max_residual"] < 1e-10
 
     def test_poisson_newton_steps_reported(self, poisson_trace):
-        # every refinement starts inside Newton's basin: a handful of
-        # quadratically convergent steps, never the 60-step cap
+        # psi's zeros sit on the 2^-26 lattice, and each refinement starts
+        # at its circle's moment position rounded to that lattice: on the
+        # zero itself, where dlog is not finite and Newton takes no step
         trace, _ = poisson_trace
-        steps = trace.verify_membership()["max_newton_steps"]
-        assert isinstance(steps, int) and 1 <= steps <= 8
+        report = trace.verify_membership()
+        steps = report["max_newton_steps"]
+        assert isinstance(steps, int) and steps == 0
+        assert report["max_position_error"] == 0.0
 
     def test_membership_clears_zeros_outside_the_inner_window(self):
         # membership checks the inner window's zeros only, but its circles
@@ -179,6 +182,26 @@ class TestDivisorRecovery:
         for key in ("mismatches", "max_position_error", "max_newton_steps"):
             assert got[key] == want[key], key
         assert abs(got["max_residual"] - want["max_residual"]) < 1e-12
+
+    def test_membership_makes_one_newton_pass(self):
+        # psi's zeros sit on the 2^-26 lattice, so every moment start is its
+        # zero and Newton's first dlog pass is its last; the basin estimate
+        # took one more pass, and Newton walked back from it in about five
+        d = generate("poisson", Window(-16, 16, -16, 16), seed=3,
+                     intensity=0.2)
+        assert len(d) == 196
+        psi = lift(d).psi()
+        rows = []
+
+        def dlog(z):
+            if np.ndim(z) < 2:
+                rows.append(np.size(z))
+            return psi.dlog(z)
+
+        report = verify_divisor_match(replace(psi, dlog=dlog), d,
+                                      d.window.inner(0.15))
+        assert report["matched"]
+        assert len(rows) <= 1
 
     def test_membership_memory_is_bounded(self):
         # 804 points: one (circles x 512) dlog batch would peak at about
@@ -378,9 +401,40 @@ class TestTypedRefusals:
 
     def test_rate_needs_a_level_of_the_trace(self, six_trace):
         K = CompactRegion.disk(six_trace.base_point, 1.0)
-        for n in (0, six_trace.depth + 1):
+        for n in (0, six_trace.depth + 1, 1.5):
             with pytest.raises(ValueError, match="1 <= n <= depth"):
                 six_trace.rate(n, K)
+
+    def test_psi_needs_a_level_of_the_trace(self, six_trace):
+        # psi(9) on a depth-3 trace raised IndexError, and psi(-1) or
+        # solution(-2) silently read another level
+        for n in (six_trace.depth + 1, 9, -1, -2, 1.0):
+            with pytest.raises(ValueError, match=r"is not in 0\.\.3"):
+                six_trace.psi(n)
+            with pytest.raises(ValueError, match=r"is not in 0\.\.3"):
+                six_trace.solution(n)
+        assert six_trace.solution(np.int64(0))[0] == 0
+
+    @pytest.mark.parametrize("lift_fn, want", [
+        (lift_weierstrass, "Divisor"),
+        (lift_mittag_leffler, "PrincipalParts"),
+        (lift_poisson_2d, "Potential")])
+    def test_lift_names_the_data_type_its_mode_takes(self, lift_fn, want):
+        # the additive and harmonic lifts of a Divisor raised AttributeError
+        d = six_point_divisor()
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        wrong = d if lift_fn is not lift_weierstrass else \
+            PrincipalParts(((0.5 + 0.5j, (1 + 0j,)),))
+        with pytest.raises(ValueError, match=rf"takes a {want}, not "
+                                             rf"{type(wrong).__name__}"):
+            lift_fn(wrong, toast, 3)
+
+    @pytest.mark.parametrize("w", [math.inf, complex(0, -math.inf),
+                                   math.nan, complex(1, math.nan)])
+    def test_shift_must_be_finite(self, six_trace, w):
+        # inf raised OverflowError from q26, and NaN an unnamed message
+        with pytest.raises(ValueError, match="shift must be finite"):
+            verify_equivariance(six_trace, w)
 
     @pytest.mark.parametrize("mode", [ADDITIVE, HARMONIC])
     def test_membership_needs_a_zero_prescription(self, mode):
@@ -705,6 +759,21 @@ class TestKernelEdgeCases:
             # the loop's branch: the arguments differ by no multiple of 2 pi
             assert np.all(np.round((got.imag - want.imag) / (2 * math.pi)) == 0)
             assert_matches_loop(sol.value(u), loop_value(sol, None, u), u)
+
+    def test_psi_at_infinite_points(self):
+        # psi read nan+nanj at an infinite point in every mode: Horner
+        # started from zero, and 0 * inf is NaN. The additive base sum
+        # vanishes at infinity, and the harmonic one is +inf
+        d = six_point_divisor()
+        toast = build_covariant_toast(d, N=3, r0=1.0, gamma=4.0)
+        additive, harmonic = (lift_mode(m, d, toast, 3)
+                              for m in (ADDITIVE, HARMONIC))
+        (c, *rest) = additive.solution()[2].correction.coeffs
+        assert rest and not any(rest)  # a fitted correction, constant
+        for z in (math.inf, -math.inf, complex(0, math.inf),
+                  complex(0, -math.inf)):
+            assert additive.psi()(z) == c
+            assert harmonic.psi()(z).real == math.inf
 
     def test_principal_parts_at_and_near_poles(self):
         sol, coeffs = edge_solution(ADDITIVE)
@@ -1143,7 +1212,7 @@ class TestEquivariance:
         assert report["matched"]
         assert report["max_position_error"] < 1e-8
         psi = shifted.psi()
-        (k,), _ = count_zeros(
+        (k,), _, _ = count_zeros(
             psi, [Circle(complex(q26(3.0 - 2.0j - SHIFT)), 0.3)])
         assert k == 2
 

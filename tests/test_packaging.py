@@ -1,8 +1,9 @@
 """Packaging: every console script pyproject.toml declares must resolve to
 a callable in the package, the pipeline modules import without scipy,
 every error class is raised somewhere in the package, every module-level
-private name or constant is read somewhere in it, and every function the
-benchmark tracer rebinds exists."""
+private name or constant is read somewhere in it, every function the
+benchmark tracer rebinds exists, and every public function, class and
+method of the package is read somewhere outside its own definition."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -128,3 +130,48 @@ def test_traced_functions_exist():
                 for meth in tables[table].values()
                 if not callable(getattr(CompactRegion, meth, None))]
     assert missing == []
+
+
+def _references(tree):
+    """Every name a tree reads: loaded names, attributes, imported names
+    and identifier strings (the benchmark tracer rebinds by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def _public_definitions(tree):
+    """Public module-level functions and classes, and the public methods of
+    the classes, as (qualified name, definition node)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, defs) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_helper_is_called():
+    # a public function, class or method that nothing in the package, the
+    # tests or the benchmark reads is a helper that nothing calls; its own
+    # body does not count
+    files = [p for folder in ("src", "tests", "liftbench")
+             for p in sorted((ROOT / folder).rglob("*.py"))]
+    refs = Counter()
+    for path in files:
+        refs.update(_references(ast.parse(path.read_text())))
+    unused = [f"{path.name}:{qualname}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for qualname, node in _public_definitions(
+                  ast.parse(path.read_text()))
+              if refs[node.name] == Counter(_references(node))[node.name]]
+    assert unused == []
