@@ -104,23 +104,25 @@ POSITION_TOL = 1e-8
 def verify_divisor_match(f, d: Divisor, window=None) -> dict:
     """Argument-principle check that f's zeros are the points of d.
 
-    d is f's whole prescribed divisor, and f needs only `dlog`. The points
+    d is f's whole prescribed divisor, and f needs only `dlog`; it may
+    also have `dlog_moments`, the contour moments of its dlog. The points
     checked are d's points inside `window`, or all of them when window is
     None. Per checked point: the winding count on a separating circle
     equals the multiplicity. The circle's radius is min(0.25, 0.45 x the
     gap to the nearest other point of d), so every circle clears every
     point of d, those outside the window included. The gaps come from
     `core.nearest_gaps`, and every circle is counted in one `count_zeros`
-    call, one row of its dlog batch per circle. The same integral gives
-    each circle's first moment s1, the sum of (z - p) over the zeros z
-    inside, so a point of multiplicity m whose count matches has its zero
-    at p + s1 / m. Every such point is refined, all at once, by one
-    `refine_zero` call started at q26(p + s1 / m), the moment position on
-    the lattice the data live on, and its root must stay within
-    POSITION_TOL of the prescribed location. A zero on that lattice is
-    then its own start: dlog is not finite there and Newton takes no
-    step. With no window, d claims to be f's whole zero set, and one
-    circle enclosing every point catches stray extra zeros.
+    call, on f.dlog_moments when f has them (psi's sum only the zeros near
+    each circle on its nodes) and on f.dlog at every node otherwise. The
+    same integral gives each circle's first moment s1, the sum of (z - p)
+    over the zeros z inside, so a point of multiplicity m whose count
+    matches has its zero at p + s1 / m. Every such point is refined, all
+    at once, by one `refine_zero` call started at q26(p + s1 / m), the
+    moment position on the lattice the data live on, and its root must
+    stay within POSITION_TOL of the prescribed location. A zero on that
+    lattice is then its own start: dlog is not finite there and Newton
+    takes no step. With no window, d claims to be f's whole zero set, and
+    one circle enclosing every point catches stray extra zeros.
 
     The report holds `matched`, the `mismatches` (count failures first,
     then position failures, then the total), the largest root offset

@@ -640,12 +640,18 @@ def _circle_covered(c, r, centers, radii):
 class SampledFunction:
     """A function on the plane: vectorized evaluator plus optional
     closures: ``dlog`` (f'/f, all that zero counting and refinement read),
-    ``log_eval`` (a value L with exp(L) = f, stable where |f| overflows).
+    ``log_eval`` (a value L with exp(L) = f, stable where |f| overflows)
+    and ``dlog_moments``. When given, ``dlog_moments(circles, orders,
+    nodes)`` must be the contour moments of ``dlog``, columns 1..orders of
+    ``contour_integral(dlog, circles, orders, nodes)`` up to rounding;
+    ``count_zeros`` then reads it instead of evaluating ``dlog`` on the
+    nodes.
     """
 
     evaluator: Callable
     dlog: Optional[Callable] = None
     log_eval: Optional[Callable] = None
+    dlog_moments: Optional[Callable] = None
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -809,13 +815,19 @@ def cauchy_sum(u, b, w):
     u = np.asarray(u, dtype=complex)
     b, w = np.asarray(b, dtype=complex), np.asarray(w)
     rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1] if u.ndim else 1)
-    s = SourceSum(b, w, term=lambda v, j: 1 / (v - b[j]),
-                  taylor=lambda x, far, c: -power_moments(x, w, FAR_ORDER))
+    s = _cauchy_kernel(b, w)
     out = np.empty(rows.shape, dtype=complex)
     step = _rows_per_chunk(len(b), rows.shape[1])
     for i in range(0, len(rows), step):
         out[i:i + step] = _series_rows(rows[i:i + step], s)
     return out.reshape(u.shape)
+
+
+def _cauchy_kernel(b, w):
+    """The source sum of w_j / (u - b_j), with the far series of
+    `cauchy_sum`."""
+    return SourceSum(b, w, term=lambda v, j: 1 / (v - b[j]),
+                     taylor=lambda x, far, c: -power_moments(x, w, FAR_ORDER))
 
 
 # targets per tile of a `tiled_sum`
@@ -915,25 +927,34 @@ def _series_rows(u, s):
         out[i] = s.direct(u[i])
     if not taylor.any():
         return out
-    # rows by their count of near sources, most first: the rows with a q-th
-    # near source are then a leading slice, and step q adds the term of
-    # that source to each of them (at most BASE_SUM_BLOCK elements), so
-    # every row sums its near sources in source order
     rows = np.flatnonzero(taylor)
-    sizes = np.count_nonzero(~far[rows], axis=1)
-    by_size = np.argsort(-sizes, kind="stable")
-    rows, sizes = rows[by_size], sizes[by_size]
     u, c, far = u[rows], c[rows], far[rows]
-    ri, sj = np.nonzero(~far)
-    nearest = np.zeros((len(u), sizes[0]), dtype=int)
-    nearest[ri, np.arange(len(ri)) - np.searchsorted(ri, ri)] = sj
-    near = np.zeros(u.shape, dtype=complex)
-    for q in range(sizes[0]):
-        m = np.count_nonzero(sizes > q)
-        near[:m] += s.weighted(u[:m], nearest[:m, q, None])
     x = np.divide(1, s.sources - c, out=np.zeros(far.shape, dtype=complex),
                   where=far)
-    out[rows] = near + _horner(s.taylor(x, far, c), u - c)
+    out[rows] = _near_sum(u, far, s) + _horner(s.taylor(x, far, c), u - c)
+    return out
+
+
+def _near_sum(u, far, s):
+    """The source sum `s` over the near sources of each row of a 2-D u
+    (those with `far` False in the row's mask), term by term in source
+    order; a row without near sources sums to 0."""
+    # rows by their count of near sources, most first: the rows with a q-th
+    # near source are then a leading slice, and step q adds the term of
+    # that source to each of them (at most BASE_SUM_BLOCK elements)
+    sizes = np.count_nonzero(~far, axis=1)
+    by_size = np.argsort(-sizes, kind="stable")
+    sizes = sizes[by_size]
+    ri, sj = np.nonzero(~far[by_size])
+    nearest = np.zeros((len(u), sizes.max(initial=0)), dtype=int)
+    nearest[ri, np.arange(len(ri)) - np.searchsorted(ri, ri)] = sj
+    near = np.zeros(u.shape, dtype=complex)
+    sorted_u = u[by_size]
+    for q in range(nearest.shape[1]):
+        m = np.count_nonzero(sizes > q)
+        near[:m] += s.weighted(sorted_u[:m], nearest[:m, q, None])
+    out = np.empty_like(near)
+    out[by_size] = near
     return out
 
 
@@ -999,6 +1020,41 @@ class ComplexPoly:
 # contour quadrature
 
 
+def _circle_batch(circles, orders, nodes):
+    """Centres and radii of the sequence `circles`, and the unit roots
+    e^(i theta_k) of `nodes` equiangular nodes, after the checks that every
+    contour quadrature makes: each contour a Circle (TypeError), its radius
+    finite and positive, `orders` a non-negative integer and `nodes` a
+    positive integer (ValueError naming the value)."""
+    circles = list(circles)
+    if not all(isinstance(c, Circle) for c in circles):
+        raise TypeError("contours must be Circles")
+    if not (isinstance(nodes, numbers.Integral) and nodes > 0):
+        raise ValueError(f"nodes must be a positive integer, not {nodes!r}")
+    if not (isinstance(orders, numbers.Integral) and orders >= 0):
+        raise ValueError(
+            f"orders must be a non-negative integer, not {orders!r}")
+    centre = np.array([complex(c.center) for c in circles], dtype=complex)
+    radius = np.array([float(c.radius) for c in circles], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(radius) & (radius > 0)))
+    if len(bad):
+        raise ValueError(f"circle radius must be finite and positive, not "
+                         f"{float(radius[bad[0]])}")
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    return centre, radius, np.exp(1j * theta)
+
+
+def _trapezoid(term, re, orders):
+    """Columns 0..orders of the trapezoid moments of node values `term`
+    (circles, nodes): column j is mean_k term_k re_k^j."""
+    nodes = term.shape[1]
+    cols = [np.sum(term, axis=1) / nodes]
+    for _ in range(orders):
+        term = term * re
+        cols.append(np.sum(term, axis=1) / nodes)
+    return np.stack(cols, axis=1)
+
+
 def contour_integral(g, circles, orders=1, nodes=256):
     """Trapezoid moments of g on every circle of the sequence `circles`:
     a complex array shaped (circles, orders + 1) whose entry j is
@@ -1012,41 +1068,72 @@ def contour_integral(g, circles, orders=1, nodes=256):
     nodes) array with one row per circle, in chunks of at most
     BASE_SUM_BLOCK nodes (one circle when it has more); every order is read
     from those same values. A non-finite value of g gives non-finite
-    moments in its own row only. `nodes` must be a positive integer and
-    every radius finite and positive (ValueError)."""
-    circles = list(circles)
-    if not all(isinstance(c, Circle) for c in circles):
-        raise TypeError("contours must be Circles")
-    if not (isinstance(nodes, numbers.Integral) and nodes > 0):
-        raise ValueError(f"nodes must be a positive integer, not {nodes!r}")
-    centre = np.array([complex(c.center) for c in circles], dtype=complex)
-    radius = np.array([float(c.radius) for c in circles], dtype=float)
-    bad = np.flatnonzero(~(np.isfinite(radius) & (radius > 0)))
-    if len(bad):
-        raise ValueError(f"circle radius must be finite and positive, not "
-                         f"{float(radius[bad[0]])}")
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    e = np.exp(1j * theta)
-    out = np.empty((len(circles), orders + 1), dtype=complex)
+    moments in its own row only. Contours must be Circles (TypeError);
+    radii finite and positive, `orders` a non-negative integer and `nodes`
+    a positive integer (ValueError). This is the path for any g; a sum of
+    Cauchy kernels has its own (`cauchy_moments`)."""
+    centre, radius, e = _circle_batch(circles, orders, nodes)
+    out = np.empty((len(centre), orders + 1), dtype=complex)
     step = max(1, BASE_SUM_BLOCK // nodes)
-    for s in range(0, len(circles), step):
+    for s in range(0, len(centre), step):
         re = radius[s:s + step, None] * e
         with np.errstate(all="ignore"):
             term = np.asarray(g(centre[s:s + step, None] + re), dtype=complex)
-            out[s:s + step, 0] = np.sum(term, axis=1) / nodes
-            for j in range(1, orders + 1):
-                term = term * re
-                out[s:s + step, j] = np.sum(term, axis=1) / nodes
+            out[s:s + step] = _trapezoid(term, re, orders)
+    return out
+
+
+def cauchy_moments(smooth, b, w, circles, orders=1, nodes=256, origin=0j):
+    """Columns 1..orders of `contour_integral(g, circles, orders, nodes)`
+    for g(z) = smooth(u) + sum_j w[j] / (u - b[j]), read in u = z -
+    origin: the circle (c, r) has the nodes (c - origin) + r e^(i theta_k),
+    exact when c and origin lie on the 2^-26 lattice. Same checks as
+    `contour_integral`.
+
+    The nodes take only the smooth part and each circle's near sources.
+    A source with |b_k - c| > FAR_RATIO * r is far from the circle (c, r),
+    and its columns vanish: with t = u - c and x_k = 1 / (b_k - c),
+    w_k / (u - b_k) = -w_k x_k sum_m (t x_k)^m, and on N equiangular nodes
+    the trapezoid mean of t^(m+j) is r^(m+j) when N divides m + j and 0
+    otherwise (Trefethen and Weideman, SIAM Review 56(3), 2014). So far
+    source k adds -w_k x_k sum_{l >= 1} x_k^(lN-j) r^(lN) to column j, at
+    most q^(N-j) / (1 - q^N) |w_k x_k| r^j with q = 1 / FAR_RATIO. Once
+    N - j >= FAR_ORDER, the dropped part of column j is below 2^-53
+    sum_far |w_k x_k| r^j, `cauchy_sum`'s bound; with fewer nodes
+    (N - orders < FAR_ORDER) every source is summed on the nodes. The near
+    sources go through the near loop of `cauchy_sum`'s rows.
+
+    smooth is evaluated on every node, so a smooth part that swamps the
+    sources in rounding still shows in the columns. The nodes go in chunks
+    of at most BASE_SUM_BLOCK source-by-circle and node elements, as rows
+    of `cauchy_sum` do, and a non-finite node value (a node on a near
+    source) gives non-finite columns in its own row only."""
+    centre, radius, e = _circle_batch(circles, orders, nodes)
+    b, w = np.asarray(b, dtype=complex), np.asarray(w)
+    s = _cauchy_kernel(b, w)
+    out = np.empty((len(centre), orders), dtype=complex)
+    step = _rows_per_chunk(len(b), nodes)
+    for i in range(0, len(centre), step):
+        c, r = centre[i:i + step, None] - origin, radius[i:i + step, None]
+        re = r * e
+        with np.errstate(all="ignore"):
+            far = (np.abs(b - c) > FAR_RATIO * r) & (
+                nodes - orders >= FAR_ORDER)
+            u = c + re
+            term = np.asarray(smooth(u), dtype=complex) + _near_sum(u, far, s)
+            out[i:i + step] = _trapezoid(term, re, orders)[:, 1:]
     return out
 
 
 def count_zeros(f, contours, nodes=512):
     """Argument-principle counts of zeros minus poles of f inside each
-    circle of the sequence `contours`: column 1 of
-    `contour_integral(f.dlog, contours, orders=2, nodes=nodes)`, the
-    contour integral of f.dlog by the trapezoid rule on `nodes` equiangular
-    nodes per circle. A dlog built on `cauchy_sum` sums each row of that
-    batch on its own.
+    circle of the sequence `contours`: column 1 of the contour moments of
+    f.dlog, the contour integral of f.dlog by the trapezoid rule on
+    `nodes` equiangular nodes per circle. The moments are
+    `f.dlog_moments(contours, 2, nodes)` when f has them (psi in the
+    product mode: `cauchy_moments`, which sums only the sources near each
+    circle) and `contour_integral(f.dlog, contours, orders=2,
+    nodes=nodes)[:, 1:]` otherwise.
 
     Returns the integer counts, the pre-rounding residuals and the first
     moments, one per circle. The first moment is column 2 of the same
@@ -1057,8 +1144,12 @@ def count_zeros(f, contours, nodes=512):
     integral, raises ContourThroughZero for the first such circle in input
     order.
     """
-    vals, first = contour_integral(f.dlog, contours, orders=2,
-                                   nodes=nodes)[:, 1:].T
+    if getattr(f, "dlog_moments", None) is not None:
+        columns = f.dlog_moments(contours, 2, nodes)
+    else:
+        columns = contour_integral(f.dlog, contours, orders=2,
+                                   nodes=nodes)[:, 1:]
+    vals, first = columns.T
     finite = np.isfinite(vals)
     counts = np.round(np.where(finite, vals.real, 0.0))
     residual = np.abs(vals - counts)

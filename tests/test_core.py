@@ -7,6 +7,7 @@ is asserted against the implementation.
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,42 @@ from equilift.errors import (ContourThroughZero, EquiliftError,
                              HoleWitnessNotFound, NoConvergence)
 
 UNIT_DISK = CompactRegion.disk(0, 1)
+
+# the two paths to the contour moments of a dlog: "generic" evaluates any
+# dlog on the nodes (contour_integral), "cauchy" sums a smooth part plus
+# Cauchy kernels with only the near sources on the nodes (cauchy_moments)
+MOMENT_PATHS = ("generic", "cauchy")
+ZERO = ComplexPoly((0j,))
+
+
+def contour_moments(path, circles, orders=1, nodes=256):
+    """Columns 1..orders of the contour moments of 1/z through `path`."""
+    if path == "generic":
+        return contour_integral(lambda z: 1 / z, circles, orders,
+                                nodes)[:, 1:]
+    return core.cauchy_moments(ZERO, [0j], [1.0], circles, orders, nodes)
+
+
+def direct_dlog(smooth, b, w):
+    """z -> smooth(z) + sum_j w_j / (z - b_j), one source at a time."""
+    def dlog(z):
+        z = np.asarray(z, dtype=complex)
+        return smooth(z) + sum((wj / (z - bj) for bj, wj in zip(b, w)),
+                               np.zeros(z.shape, complex))
+    return dlog
+
+
+def cauchy_function(path, b, w, smooth=ZERO):
+    """A function with dlog smooth + sum_j w_j / (z - b_j), whose contour
+    moments count_zeros reads through `path`. count_zeros reads no value,
+    so there is no evaluator."""
+    b, w = np.asarray(b, dtype=complex), np.asarray(w, dtype=float)
+    moments = None
+    if path == "cauchy":
+        def moments(circles, orders, nodes):
+            return core.cauchy_moments(smooth, b, w, circles, orders, nodes)
+    return SampledFunction(evaluator=None, dlog=direct_dlog(smooth, b, w),
+                           dlog_moments=moments)
 
 
 def dyadic(lo, hi):
@@ -110,13 +147,13 @@ def test_count_zeros_batch_matches_one_circle_at_a_time():
     assert counts[-1] == 0
 
 
-def test_count_zeros_raises_for_the_first_failing_circle():
+@pytest.mark.parametrize("path", MOMENT_PATHS)
+def test_count_zeros_raises_for_the_first_failing_circle(path):
     # zeros on a node of A (dlog not finite there), between two nodes of B
-    # (the trapezoid sum is about 1/2 off an integer) and inside C
+    # (the trapezoid sum is about 1/2 off an integer) and inside C; each
+    # circle passes through or beside a source near it
     on_b = 5 + np.exp(1j * np.pi / 512)
-    f = SampledFunction(
-        evaluator=lambda z: (z - 1) * (z - on_b) * (z + 5),
-        dlog=lambda z: 1 / (z - 1) + 1 / (z - on_b) + 1 / (z + 5))
+    f = cauchy_function(path, [1, on_b, -5], [1.0, 1.0, 1.0])
     a, b, c = Circle(0, 1), Circle(5, 1), Circle(-5, 1)
     assert count_zeros(f, [c])[0].tolist() == [1]
     with pytest.raises(ContourThroughZero, match="not finite"):
@@ -143,30 +180,47 @@ def test_count_zeros_first_moments():
     assert abs(moments[1]) < 1e-15
 
 
-def test_count_zeros_takes_only_circles():
-    f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
+@pytest.mark.parametrize("path", MOMENT_PATHS)
+def test_count_zeros_takes_only_circles(path):
+    f = cauchy_function(path, [0j], [1.0])
     with pytest.raises(TypeError):
         count_zeros(f, [Circle(0, 1), (0, 1)])
+    with pytest.raises(TypeError):
+        contour_moments(path, [Circle(0, 1), (0, 1)])
 
 
+@pytest.mark.parametrize("path", MOMENT_PATHS)
 @pytest.mark.parametrize("nodes", [-4, 0, 2.0, 2.5])
-def test_count_zeros_refuses_nodes_that_are_not_a_positive_integer(nodes):
+def test_count_zeros_refuses_nodes_that_are_not_a_positive_integer(path,
+                                                                  nodes):
     # -4 used to count 0 zeros with residual 0, and 0 to divide by zero
-    f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
+    f = cauchy_function(path, [0j], [1.0])
     with pytest.raises(ValueError, match=f"nodes must be a positive integer, "
                                          f"not {nodes}"):
         count_zeros(f, [Circle(0, 1)], nodes=nodes)
 
 
+@pytest.mark.parametrize("path", MOMENT_PATHS)
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
-def test_contour_integral_refuses_a_radius_not_finite_and_positive(radius):
+def test_contour_integral_refuses_a_radius_not_finite_and_positive(path,
+                                                                   radius):
     # a zero radius used to give NaN moments
     with pytest.raises(ValueError, match=f"radius must be finite and "
                                          f"positive, not {radius}"):
-        contour_integral(lambda z: z, [Circle(0, 1), Circle(2, radius)])
-    f = SampledFunction(evaluator=lambda z: z, dlog=lambda z: 1 / z)
+        contour_moments(path, [Circle(0, 1), Circle(2, radius)])
+    f = cauchy_function(path, [0j], [1.0])
     with pytest.raises(ValueError, match="radius"):
         count_zeros(f, [Circle(0, radius)])
+
+
+@pytest.mark.parametrize("path", MOMENT_PATHS)
+@pytest.mark.parametrize("orders", [-1, 1.5, "2", None])
+def test_contour_moments_refuse_orders_not_a_non_negative_integer(path,
+                                                                  orders):
+    # -1 raised IndexError and 1.5 TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"orders must be a non-negative integer, not {orders!r}")):
+        contour_moments(path, [Circle(0, 1)], orders=orders)
 
 
 def test_count_zeros_nodes_parameter():
@@ -557,6 +611,95 @@ def test_contour_integral_every_order_from_one_evaluation():
     centres = np.array([c.center for c in circles])
     assert np.max(np.abs(moments[:, 0] - np.exp(centres))) < 1e-12
     assert np.max(np.abs(moments[:, 1:])) < 1e-12
+
+
+# contour moments of Cauchy sums: far sources add nothing to columns >= 1
+
+
+@st.composite
+def cauchy_cases(draw):
+    """Sources (integer weights, so that counts are integers), a smooth
+    part, circles, one of them with source 0 at exactly FAR_RATIO * r from
+    its centre, and a node count: 8 and 16 nodes sum every source on the
+    nodes, FAR_ORDER + 2 sits at the edge of the far test for 2 orders."""
+    n = draw(st.integers(1, 12))
+    b = np.array(draw(st.lists(dyadic(-8, 8), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)),
+                 dtype=float)
+    smooth = ComplexPoly(tuple(draw(st.lists(dyadic(-1, 1), min_size=1,
+                                             max_size=3))))
+    radii = st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0])
+    circles = [Circle(c, r) for c, r in draw(st.lists(
+        st.tuples(dyadic(-8, 8), radii), min_size=1, max_size=6))]
+    r = draw(radii)
+    circles.append(Circle(b[0] - core.FAR_RATIO * r, r))
+    nodes = draw(st.sampled_from([8, 16, core.FAR_ORDER + 2, 64, 512]))
+    return b, w, smooth, circles, nodes, draw(st.integers(0, 3))
+
+
+def count_outcome(f, circles, nodes):
+    try:
+        return count_zeros(f, circles, nodes)[0].tolist()
+    except ContourThroughZero:
+        return "refused"
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cauchy_cases())
+def test_cauchy_moments_match_the_generic_path(case):
+    # oracle: the trapezoid moments of the direct sum; a far source adds
+    # at most q^(N-j) / (1 - q^N) |w x| r^j to column j
+    b, w, smooth, circles, nodes, orders = case
+    edge = circles[-1]
+    assert abs(b[0] - edge.center) == core.FAR_RATIO * edge.radius
+    got = core.cauchy_moments(smooth, b, w, circles, orders, nodes)
+    want = contour_integral(direct_dlog(smooth, b, w), circles, orders,
+                            nodes)[:, 1:]
+    assert got.shape == want.shape == (len(circles), orders)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    q, e = 1 / core.FAR_RATIO, np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    j = np.arange(1, orders + 1)
+    for k, circle in enumerate(circles):
+        c, r = circle.center, circle.radius
+        z = c + r * e
+        with np.errstate(all="ignore"):
+            size = np.max(np.abs(smooth(z)) + loop_cauchy(z, b, w)[1])
+        far = (np.abs(b - c) > core.FAR_RATIO * r) & (
+            nodes - orders >= core.FAR_ORDER)
+        tail = q ** (nodes - j) / (1 - q ** nodes) * np.sum(
+            np.abs(w[far] / (b[far] - c))) * r ** j
+        ok = np.isfinite(want[k])
+        err = np.abs(got[k] - want[k])[ok]
+        assert np.all(err <= tail[ok] + 1e-13 * size * r ** j[ok]), k
+    # counts through count_zeros agree, unless the reference sits on a
+    # rounding or refusal edge
+    vals = contour_integral(direct_dlog(smooth, b, w), circles, 2,
+                            nodes)[:, 1]
+    with np.errstate(invalid="ignore"):
+        res = np.abs(vals - np.round(vals.real))
+        edge = np.isfinite(vals) & ((np.abs(res - 0.25) < 1e-9)
+                                    | (np.abs(vals.real % 1 - 0.5) < 1e-9))
+    if not edge.any():
+        assert count_outcome(cauchy_function("cauchy", b, w, smooth),
+                             circles, nodes) == count_outcome(
+            cauchy_function("generic", b, w, smooth), circles, nodes)
+
+
+def test_cauchy_moments_of_membership_circles(poisson_804):
+    # 804 sources, most of them far from each circle: counts equal the
+    # generic path's and columns agree within 1e-13 of the term sizes
+    locs, w = poisson_804
+    ks = range(0, 804, 7)
+    gaps = core.nearest_gaps(locs[list(ks)], locs)
+    circles = [Circle(locs[k], min(0.25, 0.45 * g)) for k, g in zip(ks, gaps)]
+    smooth = ComplexPoly((0.5 - 0.25j, 0.01))
+    generic = cauchy_function("generic", locs, w, smooth)
+    fast = cauchy_function("cauchy", locs, w, smooth)
+    counts, res, first = count_zeros(fast, circles)
+    want = count_zeros(generic, circles)
+    assert counts.tolist() == want[0].tolist() == [1] * len(circles)
+    assert np.max(np.abs(res - want[1])) < 1e-13
+    assert np.max(np.abs(first - want[2])) < 1e-13
 
 
 # ---------------------------------------------------------------------------

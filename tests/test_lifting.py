@@ -22,8 +22,8 @@ from equilift.core import (BASE_SUM_BLOCK, FAR_ORDER, FAR_RATIO, Circle,
                            CompactRegion, ComplexPoly, Window, base_sum,
                            count_zeros, q26)
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts, generate
-from equilift.errors import (DegreeCapExceeded, DivisorMismatch,
-                             NonFreeInput, RungeFailure)
+from equilift.errors import (ContourThroughZero, DegreeCapExceeded,
+                             DivisorMismatch, NonFreeInput, RungeFailure)
 from equilift.lifting import (ADDITIVE, HARMONIC, MULTIPLICATIVE,
                               LocalSolution, lift_mittag_leffler,
                               lift_poisson_2d, lift_weierstrass,
@@ -154,9 +154,10 @@ class TestDivisorRecovery:
         assert report["matched"], report["mismatches"]
 
     def test_membership_parity_with_the_direct_sum(self):
-        # psi's dlog sums each contour's far zeros as one Taylor series; a
-        # copy of psi whose dlog takes every zero directly must give the
-        # same report on a 196-point input
+        # psi counts on its contour moments, which skip each contour's far
+        # zeros; a copy of psi without them, whose dlog takes every zero
+        # directly on the nodes, must give the same report on a 196-point
+        # input
         d = generate("poisson", Window(-16, 16, -16, 16), seed=3,
                      intensity=0.2)
         assert len(d) == 196
@@ -177,7 +178,8 @@ class TestDivisorRecovery:
         reach = np.abs(sol.offsets[:, None] - (checked - anchor))
         assert np.all(np.sum(reach > FAR_RATIO * 0.25, axis=0) > 100)
         got = trace.verify_membership()
-        want = verify_divisor_match(replace(psi, dlog=direct_dlog), d, inner)
+        want = verify_divisor_match(
+            replace(psi, dlog=direct_dlog, dlog_moments=None), d, inner)
         assert got["matched"] and want["matched"]
         for key in ("mismatches", "max_position_error", "max_newton_steps"):
             assert got[key] == want[key], key
@@ -203,10 +205,50 @@ class TestDivisorRecovery:
         assert report["matched"]
         assert len(rows) <= 1
 
+    def test_counting_psi_zeros_takes_no_far_series(self, poisson_trace,
+                                                     monkeypatch):
+        # the far zeros of each contour add nothing to its moments, so no
+        # far-field moment table is built (the dlog batch built one per
+        # chunk of circles)
+        trace, _ = poisson_trace
+        taken = spy_moments(monkeypatch, core)
+        forbid_generic_moments(monkeypatch)
+        assert trace.verify_membership()["matched"]
+        assert not taken
+
+    def test_a_swamping_correction_is_refused_on_the_moment_path(
+            self, six_trace, monkeypatch):
+        # a correction derivative of about 1e19 on the contours buries the
+        # zeros' share of the node values in its rounding; the moments
+        # evaluate it on every node, so the count is refused, not made
+        trace = with_correction(six_trace, 3, ComplexPoly((0j, 0j, 1e18)))
+        forbid_generic_moments(monkeypatch)
+        with pytest.raises(ContourThroughZero, match="exceeds 0.25"):
+            trace.verify_membership()
+
+    def test_a_psi_missing_one_zero_is_refused(self, monkeypatch):
+        # offsets without the first data point: its circle counts 0 on
+        # the moment path, and the lift is refused
+        d = six_point_divisor()
+        solve = lifting._solve_chain
+
+        def without_first(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            return replace(sol, offsets=sol.offsets[1:],
+                           weights=sol.weights[1:])
+        monkeypatch.setattr(lifting, "_solve_chain", without_first)
+        forbid_generic_moments(monkeypatch)
+        missed = {"point": complex(d.locs[0]), "expected": int(d.mults[0]),
+                  "counted": 0}
+        with pytest.raises(DivisorMismatch) as info:
+            lift(d)
+        assert f"[{missed}]" in str(info.value)
+
     def test_membership_memory_is_bounded(self):
         # 804 points: one (circles x 512) dlog batch would peak at about
-        # 16.6 MB, one circle at a time at about 1 MB; the batch goes in
-        # chunks of rows, about 3 MB
+        # 16.6 MB, one circle at a time at about 1 MB; the contour moments
+        # go in chunks of circles, about 1.4 MB (3 MB as chunks of a dlog
+        # batch)
         d = generate("poisson", Window(-32, 32, -32, 32), seed=3,
                      intensity=0.2)
         assert len(d) == 804
@@ -1088,17 +1130,24 @@ def benchmark_grid():
     return xs[None, :] + 1j * ys[:, None]
 
 
-def spy_moments(monkeypatch):
-    """Record the number of rows of every far-field moment table psi's
-    kernels build."""
+def spy_moments(monkeypatch, module=lifting):
+    """Record the number of rows of every far-field moment table built
+    through `module`: psi's kernels in `lifting`, `cauchy_sum` in `core`."""
     taken = []
-    moments = lifting.power_moments
+    moments = module.power_moments
 
     def spy(x, weights, count):
         taken.append(len(x))
         return moments(x, weights, count)
-    monkeypatch.setattr(lifting, "power_moments", spy)
+    monkeypatch.setattr(module, "power_moments", spy)
     return taken
+
+
+def forbid_generic_moments(monkeypatch):
+    """Fail a zero count that evaluates dlog on the contour nodes."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_zeros took the generic contour path")
+    monkeypatch.setattr(core, "contour_integral", forbidden)
 
 
 # ---------------------------------------------------------------------------
@@ -1191,13 +1240,15 @@ class TestEquivariance:
             self, monkeypatch):
         # a shift longer than the window leaves no box to compare on; the
         # refusal names the shift and the window, and nothing is rebuilt
+        # (1e308 raised OverflowError from q26)
         d = generate("poisson", WIN8, seed=3, intensity=0.3)
         trace = lift(d, check_membership=False)
 
         def rebuild(*args, **kwargs):
             raise AssertionError("the shifted side was rebuilt")
         monkeypatch.setattr(lifting, "build_covariant_toast", rebuild)
-        for w in (20 + 0j, complex(0, -20), 16 + 0.5j):
+        for w in (20 + 0j, complex(0, -20), 16 + 0.5j, 1e308 + 0j,
+                  complex(0, -1e308)):
             with pytest.raises(ValueError) as info:
                 verify_equivariance(trace, w)
             assert str(w) in str(info.value)
