@@ -45,19 +45,25 @@ def q26(z):
     A Python scalar gives the bytes of the array path, signed zeros
     included: the array path rounds half to even and keeps the sign of a
     zero (np.rint), and its complex assembly leaves -0.0 in the real part
-    only beside a negative imaginary part and never in the imaginary part."""
+    only beside a negative imaginary part and never in the imaginary part.
+    A scalar that is not finite, or whose 2**26 multiple overflows, is
+    refused with a ValueError that names it; arrays are not checked (their
+    callers check finiteness first)."""
     if isinstance(z, np.ndarray):
         if np.iscomplexobj(z):
             return (np.round(z.real * _Q) + 1j * np.round(z.imag * _Q)) / _Q
         return np.round(z * _Q) / _Q
     if isinstance(z, complex):
-        re, im = _rint(z.real * _Q), _rint(z.imag * _Q)
+        re, im = _rint(z.real * _Q, z), _rint(z.imag * _Q, z)
         return complex((re + (-0.0 if im < 0 else 0.0)) / _Q, im / _Q + 0.0)
-    return _rint(float(z) * _Q) / _Q
+    return _rint(float(z) * _Q, z) / _Q
 
 
-def _rint(x):
-    """np.rint(x) for a finite float: half to even, with the sign of x."""
+def _rint(x, z):
+    """np.rint(x) for x, 2**26 times a part of the scalar z: half to even,
+    with the sign of x. A non-finite x is refused, naming z."""
+    if not math.isfinite(x):
+        raise ValueError(f"q26 needs a finite 2**26 multiple, not {z!r}")
     return math.copysign(float(round(x)), x)
 
 
@@ -645,7 +651,9 @@ class SampledFunction:
     nodes)`` must be the contour moments of ``dlog``, columns 1..orders of
     ``contour_integral(dlog, circles, orders, nodes)`` up to rounding;
     ``count_zeros`` then reads it instead of evaluating ``dlog`` on the
-    nodes.
+    nodes. psi in the product mode carries it (`cauchy_moments`, as
+    `builders.EntireApprox` has it); a function given by ``dlog`` alone is
+    counted from ``dlog`` at every node.
     """
 
     evaluator: Callable
@@ -724,9 +732,12 @@ def nearest_gaps(points, others=None):
     return gaps
 
 
-# the far field of a source sum: a source is far from a row of targets when
-# |b - c| > FAR_RATIO * rho, and the Cauchy kernel's series keeps FAR_ORDER
-# terms; rows of no more than FAR_ORDER targets sum every source directly
+# the far field of a source sum: a source is far from a tile of targets
+# (centre c, radius rho) when |b - c| > FAR_RATIO * rho, and from a contour
+# circle (c, r) when |b - c| > FAR_RATIO * r. FAR_ORDER is the least p with
+# q^p / (1 - q) <= 2^-53 at q = 1 / FAR_RATIO: the tail of a geometric
+# series in q cut after p terms, relative to its first term. Tiles of no
+# more than FAR_ORDER targets sum every source directly
 FAR_RATIO = 8.0
 FAR_ORDER = 18
 
@@ -734,7 +745,8 @@ FAR_ORDER = 18
 @dataclass(frozen=True)
 class SourceSum:
     """sum_j weights[j] * term(u, b_j) over the sources b_j, with the Taylor
-    series of its far sources; no weights (None) when the terms carry them.
+    series of its far sources when `tiled_sum` evaluates it; no weights
+    (None) when the terms carry them.
 
     `term(u, j)` maps targets u (shape (k, r), or (1, r) broadcast) and a
     column of source indices j (shape (k, 1)) to the terms of those sources
@@ -742,12 +754,13 @@ class SourceSum:
     (rows, 1), far masks (rows, sources) and x = 1 / (b - c) at the far
     sources (0 at the near ones), to the coefficients a_k (order, rows) of
     sum_far weights[j] * term(u, b_j) = sum_k a_k (u - c)^k; its kernel
-    states the series length and the tail bound."""
+    states the series length and the tail bound. A sum that is only
+    summed directly or near contour circles has no series (None)."""
 
     sources: np.ndarray
     weights: Optional[np.ndarray]
     term: Callable
-    taylor: Callable
+    taylor: Optional[Callable] = None
 
     def direct(self, u):
         """The direct `base_sum` over every source."""
@@ -789,45 +802,22 @@ def _horner(coeffs, t):
 
 
 def cauchy_sum(u, b, w):
-    """sum_j w[j] / (u - b[j]) at every entry of u, shaped like u.
-
-    u is a batch of rows of targets, one per slice along its last axis (a
-    0-d or 1-D u is one row), and each row is summed on its own: its result
-    depends on that row alone, so each separating circle of a batched zero
-    count keeps its own centre, radius and far set. A row has centre c =
-    mean(row) and radius rho = max |row - c|. A source with |b_j - c| >
-    FAR_RATIO * rho is far: with t = u - c and x_j = 1 / (b_j - c), the
-    far sources sum to the Taylor series -sum_k M_k t^k, M_k = sum_far w_j
-    x_j^(k+1), evaluated by Horner. Since |t x_j| <= q = 1 / FAR_RATIO,
-    cutting the series after p = FAR_ORDER terms leaves a tail of at most
-    q^p / (1 - q) <= 2^-53 relative to sum_far |w_j x_j|; p = 18 is the
-    least order with that bound at q = 1/8. The near sources are summed
-    directly.
-
-    A row with no far source is the direct `base_sum` over every source:
-    an empty row, a row of no more than FAR_ORDER targets (where the
-    FAR_ORDER moments of a far source cost as much as the reciprocals they
-    replace) and a row whose targets span the sources. A target on a near
-    source gives a non-finite value in its own row only; no target can lie
-    on a far one. Rows go in chunks of at most BASE_SUM_BLOCK source-by-row
-    elements, and at most as many targets, so the memory of a call grows
-    with neither the source count nor the number of rows."""
-    u = np.asarray(u, dtype=complex)
-    b, w = np.asarray(b, dtype=complex), np.asarray(w)
-    rows = u.reshape(math.prod(u.shape[:-1]), u.shape[-1] if u.ndim else 1)
-    s = _cauchy_kernel(b, w)
-    out = np.empty(rows.shape, dtype=complex)
-    step = _rows_per_chunk(len(b), rows.shape[1])
-    for i in range(0, len(rows), step):
-        out[i:i + step] = _series_rows(rows[i:i + step], s)
-    return out.reshape(u.shape)
+    """sum_j w[j] / (u - b[j]) at every entry of u, shaped like u: the
+    direct `base_sum` over every source, in blocks of at most
+    BASE_SUM_BLOCK source-by-target elements, so its memory grows with
+    neither the source count nor the size of u. A target on a source gives
+    a non-finite value at that target only. Zero counts read the moments of
+    this sum through `cauchy_moments`; the sum itself serves Newton, whose
+    batch of every counted point spans the window and so leaves no source
+    for a far field to take."""
+    return _cauchy_kernel(np.asarray(b, dtype=complex),
+                          np.asarray(w)).direct(u)
 
 
 def _cauchy_kernel(b, w):
-    """The source sum of w_j / (u - b_j), with the far series of
-    `cauchy_sum`."""
-    return SourceSum(b, w, term=lambda v, j: 1 / (v - b[j]),
-                     taylor=lambda x, far, c: -power_moments(x, w, FAR_ORDER))
+    """The source sum of w_j / (u - b_j), with no far series: `cauchy_sum`
+    sums it directly and `cauchy_moments` only near each circle."""
+    return SourceSum(b, w, term=lambda v, j: 1 / (v - b[j]))
 
 
 # targets per tile of a `tiled_sum`
@@ -840,8 +830,8 @@ def tiled_sum(u, s: SourceSum):
 
     The finite targets are grouped into square tiles of about TILE_TARGETS
     targets over their bounding box, from the values of u alone; each tile
-    is one row of `cauchy_sum`'s engine, with its own centre, radius, far
-    set and series, its near sources summed directly. A tile of no more
+    is one row of `_series_rows`, with its own centre, radius, far set and
+    series, its near sources summed directly. A tile of no more
     than FAR_ORDER targets, every non-finite target, and a batch of no
     more than FAR_ORDER finite targets go to the direct `base_sum` (a batch
     of nothing but such targets is exactly `s.direct(u)`). Tiles go in
@@ -902,25 +892,16 @@ def _rows_per_chunk(sources, width):
     return max(1, BASE_SUM_BLOCK // max(sources, width))
 
 
-def _far_sources(u, b):
-    """Centre c (rows, 1) and far mask |b - c| > FAR_RATIO * rho (rows,
-    len(b)) of each row of u; a row of no more than FAR_ORDER targets,
-    an empty one included, has no far source and c = 0."""
-    if u.shape[1] <= FAR_ORDER:
-        return (np.zeros((len(u), 1), dtype=complex),
-                np.zeros((len(u), len(b)), dtype=bool))
-    c = u.mean(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        rho = np.abs(u - c).max(axis=1, keepdims=True)
-        far = np.abs(b - c) > FAR_RATIO * rho
-    return c, far
-
-
 def _series_rows(u, s):
     """The source sum `s` of a 2-D u, one row at a time: near sources
     directly, far ones as the row's Taylor series, and a row without far
-    sources as the direct sum."""
-    c, far = _far_sources(u, s.sources)
+    sources as the direct sum. A row has centre c = mean(row) and radius
+    rho = max |row - c|, and a source is far from it when |b - c| >
+    FAR_RATIO * rho."""
+    c = u.mean(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        rho = np.abs(u - c).max(axis=1, keepdims=True)
+        far = np.abs(s.sources - c) > FAR_RATIO * rho
     out = np.empty(u.shape, dtype=complex)
     taylor = far.any(axis=1)
     for i in np.flatnonzero(~taylor):
@@ -1023,9 +1004,9 @@ class ComplexPoly:
 def _circle_batch(circles, orders, nodes):
     """Centres and radii of the sequence `circles`, and the unit roots
     e^(i theta_k) of `nodes` equiangular nodes, after the checks that every
-    contour quadrature makes: each contour a Circle (TypeError), its radius
-    finite and positive, `orders` a non-negative integer and `nodes` a
-    positive integer (ValueError naming the value)."""
+    contour quadrature makes: each contour a Circle (TypeError), its centre
+    finite, its radius finite and positive, `orders` a non-negative integer
+    and `nodes` a positive integer (ValueError naming the value)."""
     circles = list(circles)
     if not all(isinstance(c, Circle) for c in circles):
         raise TypeError("contours must be Circles")
@@ -1036,6 +1017,9 @@ def _circle_batch(circles, orders, nodes):
             f"orders must be a non-negative integer, not {orders!r}")
     centre = np.array([complex(c.center) for c in circles], dtype=complex)
     radius = np.array([float(c.radius) for c in circles], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(centre))
+    if len(bad):
+        raise ValueError(f"circle centre must be finite, not {centre[bad[0]]}")
     bad = np.flatnonzero(~(np.isfinite(radius) & (radius > 0)))
     if len(bad):
         raise ValueError(f"circle radius must be finite and positive, not "
@@ -1069,9 +1053,9 @@ def contour_integral(g, circles, orders=1, nodes=256):
     BASE_SUM_BLOCK nodes (one circle when it has more); every order is read
     from those same values. A non-finite value of g gives non-finite
     moments in its own row only. Contours must be Circles (TypeError);
-    radii finite and positive, `orders` a non-negative integer and `nodes`
-    a positive integer (ValueError). This is the path for any g; a sum of
-    Cauchy kernels has its own (`cauchy_moments`)."""
+    centres finite, radii finite and positive, `orders` a non-negative
+    integer and `nodes` a positive integer (ValueError). This is the path
+    for any g; a sum of Cauchy kernels has its own (`cauchy_moments`)."""
     centre, radius, e = _circle_batch(circles, orders, nodes)
     out = np.empty((len(centre), orders + 1), dtype=complex)
     step = max(1, BASE_SUM_BLOCK // nodes)
@@ -1099,14 +1083,14 @@ def cauchy_moments(smooth, b, w, circles, orders=1, nodes=256, origin=0j):
     source k adds -w_k x_k sum_{l >= 1} x_k^(lN-j) r^(lN) to column j, at
     most q^(N-j) / (1 - q^N) |w_k x_k| r^j with q = 1 / FAR_RATIO. Once
     N - j >= FAR_ORDER, the dropped part of column j is below 2^-53
-    sum_far |w_k x_k| r^j, `cauchy_sum`'s bound; with fewer nodes
-    (N - orders < FAR_ORDER) every source is summed on the nodes. The near
-    sources go through the near loop of `cauchy_sum`'s rows.
+    sum_far |w_k x_k| r^j; with fewer nodes (N - orders < FAR_ORDER) every
+    source is summed on the nodes. The near sources go through
+    `_near_sum`, the near loop of `tiled_sum`'s tiles.
 
     smooth is evaluated on every node, so a smooth part that swamps the
     sources in rounding still shows in the columns. The nodes go in chunks
-    of at most BASE_SUM_BLOCK source-by-circle and node elements, as rows
-    of `cauchy_sum` do, and a non-finite node value (a node on a near
+    of at most BASE_SUM_BLOCK source-by-circle and node elements, as tiles
+    of `tiled_sum` do, and a non-finite node value (a node on a near
     source) gives non-finite columns in its own row only."""
     centre, radius, e = _circle_batch(circles, orders, nodes)
     b, w = np.asarray(b, dtype=complex), np.asarray(w)
@@ -1131,9 +1115,10 @@ def count_zeros(f, contours, nodes=512):
     f.dlog, the contour integral of f.dlog by the trapezoid rule on
     `nodes` equiangular nodes per circle. The moments are
     `f.dlog_moments(contours, 2, nodes)` when f has them (psi in the
-    product mode: `cauchy_moments`, which sums only the sources near each
-    circle) and `contour_integral(f.dlog, contours, orders=2,
-    nodes=nodes)[:, 1:]` otherwise.
+    product mode and `builders.EntireApprox`: `cauchy_moments`, which sums
+    only the sources near each circle) and `contour_integral(f.dlog,
+    contours, orders=2, nodes=nodes)[:, 1:]` otherwise (a hand-written
+    function with only a dlog).
 
     Returns the integer counts, the pre-rounding residuals and the first
     moments, one per circle. The first moment is column 2 of the same

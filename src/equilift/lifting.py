@@ -58,10 +58,7 @@ evaluation. A batch of points goes through a far field per tile
 (`core.tiled_sum`): the points are grouped into square tiles of about 64,
 the offsets far from a tile are summed as one Taylor series in the
 distance to its centre, and only the near (tile, offset) pairs are summed
-term by term. On a modes-200 grid (128 x 128 points, 205 offsets; one core
-of an Intel Xeon, numpy 2.4.6) that takes a grid from about 50 to 19 ms in
-the product mode, 36 to 16 ms in the additive one and 22 to 13 ms in the
-harmonic one. Small batches (Newton iterates, a single point) and
+term by term. Small batches (Newton iterates, a single point) and
 non-finite points are summed directly, and so is the log form:
 `log_value` and `log_eval` read each term on its principal branch. The
 terms themselves avoid numpy's slow complex primitives: on a block of 205
@@ -78,11 +75,9 @@ contour moments (`LocalSolution.dlog_moments`, through
 `core.cauchy_moments`): each separating circle sums on its nodes only the
 correction's derivative and the offsets within FAR_RATIO radii of its
 centre, since on equiangular nodes a far offset adds nothing to the count
-or the first moment beyond a stated 2^-53 bound. On one core of an Intel
-Xeon (numpy 2.4.6) that took the membership check of the seed-3 Poisson
-inputs at 804, 3,162 and 7,192 points from about 0.052, 0.52 and 1.76 s
-to 0.029, 0.17 and 0.86 s (median of 3 runs). The Newton confirmation
-still reads dlog on one batch of every counted point. The docstrings of
+or the first moment beyond a stated 2^-53 bound. The Newton confirmation
+reads dlog, the direct `core.cauchy_sum`, on one batch of every counted
+point. The docstrings of
 `verify_divisor_match`, `cauchy_moments` and `refine_zero` give the
 contour nodes, the circles' gap, the dropped far part and the Newton
 batching.
@@ -129,13 +124,11 @@ class LocalSolution:
     and their tail bounds). `value` evaluates it through `core.tiled_sum`,
     a far field per tile of u, which sums small batches and non-finite
     points directly. `log_value` is the direct `core.base_sum` of the
-    product's terms, each on its principal branch, and `dlog` goes through
-    `core.cauchy_sum`, which sums the offsets far from each row of u (a 1-D
-    u is one row) as one Taylor series and the rest directly.
-    `dlog_moments` is `core.cauchy_moments` of the same dlog, which leaves
-    the far offsets out of each circle's nodes. Every sum
-    works in blocks of at most BASE_SUM_BLOCK elements, so its memory grows
-    with neither n nor the size of the input. The product is evaluated
+    product's terms, each on its principal branch, and `dlog` is the direct
+    `core.cauchy_sum`. `dlog_moments` is `core.cauchy_moments` of the same
+    dlog, which leaves the far offsets out of each circle's nodes. Every
+    sum works in blocks of at most BASE_SUM_BLOCK elements, so its memory
+    grows with neither n nor the size of the input. The product is evaluated
     through its logarithm: per-factor ratios stay O(1) where the raw
     product of hundreds of factors would overflow. Solutions compare by
     identity (arrays have no single truth value).

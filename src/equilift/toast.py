@@ -691,10 +691,15 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
 
     Raises NonFreeInput when the configuration has a translation stabilizer
     (or an unbreakable local tie) and WindowTooSmall when the window cannot
-    host even the base scale."""
+    host even the base scale. Settings are refused with a ValueError before
+    any level is built: r0 > 0, gamma > 1 and the top scale r0 * gamma**N
+    must be finite floats, whatever N."""
     N = as_depth(N)
-    if not (0 < r0 < math.inf and 1 < gamma < math.inf):
-        raise ValueError("need finite r0 > 0 and gamma > 1")
+    with np.errstate(over="ignore"):
+        top = r0 * np.float64(gamma) ** N
+    if not (0 < r0 and 1 < gamma < math.inf and np.isfinite(top)):
+        raise ValueError(f"need finite r0 > 0, gamma > 1 and top scale r0 * "
+                         f"gamma**N, not r0={r0!r}, gamma={gamma!r}, N={N}")
     if min(d.window.width, d.window.height) < 2 * r0:
         raise WindowTooSmall(
             f"window {d.window} cannot host base disks of radius {r0}"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilift import builders, core
 from equilift.builders import (
     EntireApprox,
     Potential,
@@ -27,7 +28,8 @@ from equilift.builders import (
     weierstrass,
 )
 from equilift.core import Circle, SampledFunction, Window, count_zeros, q26
-from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts
+from equilift.divisors import (
+    Divisor, PrincipalParts, extract_principal_parts, generate)
 from equilift.errors import EvaluationOnAtom
 
 W8 = Window(-8, 8, -8, 8)
@@ -176,6 +178,35 @@ class TestMembershipMismatches:
             verify_divisor_match(f, d)
         with pytest.raises(ValueError, match="zeros"):
             verify_divisor_match(f, d, Window(-1, 1, -1, 1))
+
+
+def test_products_count_on_the_moment_path(monkeypatch):
+    # oracle: count_zeros with dlog at every node, on every seventh
+    # point's circle and on the enclosing one; the product's own count
+    # evaluates dlog on no contour
+    d = generate("poisson", Window(-32, 32, -32, 32), seed=3,
+                 intensity=0.2)
+    assert len(d) == 804
+    f = weierstrass(d)
+    counted = []
+
+    def spy(g, contours, nodes):
+        counted.append((contours, nodes, count_zeros(g, contours, nodes)))
+        return counted[-1][2]
+
+    def generic_path(*args):
+        raise AssertionError("a product was counted from dlog")
+    monkeypatch.setattr(builders, "count_zeros", spy)
+    monkeypatch.setattr(core, "contour_integral", generic_path)
+    assert verify_divisor_match(f, d)["matched"]
+    monkeypatch.undo()
+    assert [len(contours) for contours, _, _ in counted] == [len(d), 1]
+    generic = SampledFunction(evaluator=f, dlog=f.dlog)
+    for contours, nodes, (counts, res, first) in counted:
+        want = count_zeros(generic, contours[::7], nodes)
+        assert counts[::7].tolist() == want[0].tolist()
+        assert np.max(np.abs(res[::7] - want[1])) <= 1e-13
+        assert np.max(np.abs(first[::7] - want[2])) <= 1e-13
 
 
 class TestMittagLeffler:

@@ -201,16 +201,25 @@ def test_count_zeros_refuses_nodes_that_are_not_a_positive_integer(path,
 
 
 @pytest.mark.parametrize("path", MOMENT_PATHS)
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
-def test_contour_integral_refuses_a_radius_not_finite_and_positive(path,
-                                                                   radius):
-    # a zero radius used to give NaN moments
-    with pytest.raises(ValueError, match=f"radius must be finite and "
-                                         f"positive, not {radius}"):
-        contour_moments(path, [Circle(0, 1), Circle(2, radius)])
+@pytest.mark.parametrize("centre, radius, refusal", [
+    (2, 0.0, "radius must be finite and positive, not 0.0"),
+    (2, -1.0, "radius must be finite and positive, not -1.0"),
+    (2, math.nan, "radius must be finite and positive, not nan"),
+    (2, math.inf, "radius must be finite and positive, not inf"),
+    (math.inf, 1.0, "centre must be finite, not (inf+0j)"),
+    (complex(0, -math.inf), 1.0, "centre must be finite, not -infj"),
+    (complex(math.nan, 0), 1.0, "centre must be finite, not (nan+0j)")],
+    ids=["radius-0", "radius-negative", "radius-nan", "radius-inf",
+         "centre-inf", "centre-minus-inf-j", "centre-nan"])
+def test_contour_moments_refuse_a_circle_not_finite(path, centre, radius,
+                                                    refusal):
+    # a zero radius used to give NaN moments, an infinite centre a count of
+    # 0 with residual 0, and a NaN centre ContourThroughZero
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        contour_moments(path, [Circle(0, 1), Circle(centre, radius)])
     f = cauchy_function(path, [0j], [1.0])
-    with pytest.raises(ValueError, match="radius"):
-        count_zeros(f, [Circle(0, radius)])
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        count_zeros(f, [Circle(centre, radius)])
 
 
 @pytest.mark.parametrize("path", MOMENT_PATHS)
@@ -304,7 +313,7 @@ def test_refine_zero_array_matches_one_guess_at_a_time():
 
 
 # ---------------------------------------------------------------------------
-# Cauchy sums: near sources directly, far sources as one Taylor series
+# Cauchy sums: the direct sum over every source
 
 
 def loop_cauchy(u, b, w):
@@ -314,25 +323,6 @@ def loop_cauchy(u, b, w):
         terms = [wj / (u - bj) for bj, wj in zip(b, w)]
     return sum(terms, np.zeros(u.shape, complex)), sum(
         (np.abs(t) for t in terms), np.zeros(u.shape))
-
-
-def far_mask(u, b):
-    """Sources the far field takes for the block u."""
-    u = np.asarray(u, dtype=complex)
-    c = u.mean()
-    return np.abs(b - c) > core.FAR_RATIO * np.abs(u - c).max()
-
-
-def assert_cauchy_matches_loop(u, b, w):
-    with np.errstate(all="ignore"):
-        got = core.cauchy_sum(u, b, w)
-    want, size = loop_cauchy(u, b, w)
-    assert got.shape == np.shape(u)
-    finite = np.isfinite(want)
-    assert np.array_equal(np.isfinite(got), finite)
-    err = np.abs(got[finite] - want[finite])
-    assert np.all(err <= 1e-13 * size[finite])
-    return got
 
 
 @pytest.fixture(scope="module")
@@ -355,220 +345,65 @@ def test_far_order_is_the_least_with_the_bound():
     assert q ** (core.FAR_ORDER - 1) / (1 - q) > 2.0 ** -53
 
 
-def test_cauchy_sum_on_a_membership_circle(poisson_804):
-    locs, w = poisson_804
-    for k in (0, 401, 803):
-        u = contour_circle(locs, k)
-        far = far_mask(u, locs)
-        assert far.sum() > 700 and (~far).sum() >= 1
-        assert_cauchy_matches_loop(u, locs, w)
-
-
-def test_cauchy_sum_on_a_window_side(poisson_804):
-    # a straight segment through the cloud, nodes at the midpoints of 128
-    # equal steps
-    locs, w = poisson_804
-    a, b = complex(-3.3, -2.1), complex(3.3, -2.1)
-    u = a + (b - a) * (np.arange(128) + 0.5) / 128
-    far = far_mask(u, locs)
-    assert far.any() and not far.all()
-    assert_cauchy_matches_loop(u, locs, w)
-
-
-def test_cauchy_sum_every_source_far():
+def cauchy_sum_case(name, locs, w):
+    """Targets, sources and weights of a `cauchy_sum` case on the 804-point
+    fixture, or on its own sources where the name says so."""
     rng = np.random.default_rng(11)
-    b = 40 * np.exp(2j * np.pi * rng.uniform(size=300))
-    w = rng.integers(1, 4, 300).astype(float)
-    u = 0.5 + 0.25j + rng.uniform(-2, 2, 64) + 1j * rng.uniform(-2, 2, 64)
-    assert far_mask(u, b).all()
-    assert_cauchy_matches_loop(u, b, w)
+    if name == "membership-circle":
+        # more than 700 sources beyond FAR_RATIO radii of the circle
+        return contour_circle(locs, 401), locs, w
+    if name == "window-side":
+        # a straight segment through the cloud, nodes at the midpoints of
+        # 128 equal steps
+        a, b = complex(-3.3, -2.1), complex(3.3, -2.1)
+        return a + (b - a) * (np.arange(128) + 0.5) / 128, locs, w
+    if name == "window-span":
+        # Newton's batch: targets across the window, no source far
+        return Window(-30, 30, -30, 30).grid(2.0).ravel(), locs, w
+    if name == "every-source-far":
+        b = 40 * np.exp(2j * np.pi * rng.uniform(size=300))
+        u = 0.5 + 0.25j + rng.uniform(-2, 2, 64) + 1j * rng.uniform(-2, 2, 64)
+        return u, b, rng.integers(1, 4, 300).astype(float)
+    if name == "far-edge":
+        # every source just beyond FAR_RATIO radii on one ray, so every
+        # term has the same sign
+        b = 1.0 + core.FAR_RATIO * (1 + 1e-9 * np.arange(1, 6))
+        return 1.0 + np.exp(2j * np.pi * np.arange(64) / 64), b, np.ones(5)
+    if name == "complex-weights":
+        wc = rng.normal(size=len(locs)) + 1j * rng.normal(size=len(locs))
+        return contour_circle(locs, 222), locs, wc
+    if name == "target-on-a-source":
+        # a batch of four membership circles, one node moved onto a source
+        u = np.array([contour_circle(locs, k) for k in (3, 401, 9, 700)])
+        u[1, 17] = locs[401]
+        return u, locs, w
+    return {"scalar": 0.3 - 1.7j, "0-d": np.array(2.5 + 0.5j),
+            "2-D": Window(-1, 1, -1, 1).grid(0.25),
+            "empty": np.zeros((0, 3), dtype=complex)}[name], locs, w
 
 
-def test_cauchy_sum_truncation_bound_at_the_far_edge():
-    # the worst case of the bound: every source just beyond FAR_RATIO * rho
-    # on one ray, and a target at distance rho towards them, so every term
-    # of every series has the same sign and |t x_j| is close to q
-    e = np.exp(2j * np.pi * np.arange(64) / 64)
-    u = 1.0 + e
-    b = 1.0 + core.FAR_RATIO * (1 + 1e-9 * np.arange(1, 6))
-    w = np.ones(5)
-    assert far_mask(u, b).all()
-    got = assert_cauchy_matches_loop(u, b, w)
+@pytest.mark.parametrize("name", [
+    "membership-circle", "window-side", "window-span", "every-source-far",
+    "far-edge", "complex-weights", "target-on-a-source", "scalar", "0-d",
+    "2-D", "empty"])
+def test_cauchy_sum_is_the_direct_sum(monkeypatch, poisson_804, name):
+    u, b, w = cauchy_sum_case(name, *poisson_804)
+
+    def far_series(*args):
+        raise AssertionError("cauchy_sum took a far series")
+    for helper in ("_series_rows", "power_moments", "_horner"):
+        monkeypatch.setattr(core, helper, far_series)
+    with np.errstate(all="ignore"):
+        got = core.cauchy_sum(u, b, w)
+        direct = core.base_sum(lambda row: 1 / (row - b[:, None]), u, w)
+    assert got.shape == direct.shape == np.shape(u)
+    assert got.tobytes() == direct.tobytes()
     want, size = loop_cauchy(u, b, w)
-    q = 1 / core.FAR_RATIO
-    bound = q ** core.FAR_ORDER / (1 - q) * np.sum(np.abs(w / (b - 1.0)))
-    assert abs(got[0] - want[0]) <= bound + 8 * np.finfo(float).eps * size[0]
-
-
-def test_cauchy_sum_no_source_far_is_the_direct_sum(poisson_804):
-    locs, w = poisson_804
-    u = Window(-30, 30, -30, 30).grid(2.0).ravel()
-    assert not far_mask(u, locs).any()
-    with np.errstate(all="ignore"):
-        got = core.cauchy_sum(u, locs, w)
-        direct = core.base_sum(lambda row: 1 / (row - locs[:, None]), u, w)
-    assert np.array_equal(got, direct)
-    assert_cauchy_matches_loop(u, locs, w)
-
-
-def test_cauchy_sum_small_blocks_are_the_direct_sum(poisson_804):
-    # no more targets than FAR_ORDER: bit for bit the direct sum, although
-    # most sources would be far
-    locs, w = poisson_804
-    for size in (1, core.FAR_ORDER):
-        u = contour_circle(locs, 5, nodes=size)
-        assert far_mask(u, locs).any()
-        got = core.cauchy_sum(u, locs, w)
-        direct = core.base_sum(lambda row: 1 / (row - locs[:, None]), u, w)
-        assert np.array_equal(got, direct)
-
-
-@pytest.mark.parametrize("u", [0.3 - 1.7j, np.array(2.5 + 0.5j),
-                               Window(-1, 1, -1, 1).grid(0.25),
-                               np.zeros((0, 3), dtype=complex)],
-                         ids=["scalar", "0-d", "2-D", "empty"])
-def test_cauchy_sum_keeps_shapes(poisson_804, u):
-    locs, w = poisson_804
-    assert_cauchy_matches_loop(u, locs, w)
-
-
-def test_cauchy_sum_target_on_a_near_source(poisson_804):
-    locs, w = poisson_804
-    u = contour_circle(locs, 401)
-    u[17] = locs[401]
-    assert far_mask(u, locs).any()
-    got = assert_cauchy_matches_loop(u, locs, w)
-    assert not np.isfinite(got[17]) and np.isfinite(np.delete(got, 17)).all()
-
-
-def test_cauchy_sum_complex_weights(poisson_804):
-    locs, _ = poisson_804
-    rng = np.random.default_rng(2)
-    w = rng.normal(size=len(locs)) + 1j * rng.normal(size=len(locs))
-    u = contour_circle(locs, 222)
-    assert far_mask(u, locs).any()
-    assert_cauchy_matches_loop(u, locs, w)
-
-
-# rows: every u is a batch of rows along its last axis, each summed alone
-
-
-def direct_cauchy(u, b, w):
-    """The direct sum of cauchy_sum's rows without far sources."""
-    with np.errstate(all="ignore"):
-        return core.base_sum(lambda row: 1 / (row - b[:, None]), u, w)
-
-
-def row_chunk(b, nodes):
-    """Rows per chunk of a 2-D cauchy_sum."""
-    return core.BASE_SUM_BLOCK // max(len(b), nodes)
-
-
-def membership_rows(locs, ks, nodes=512):
-    return np.array([contour_circle(locs, k, nodes) for k in ks])
-
-
-def assert_row_far_sets(monkeypatch, u, b, w):
-    """The far sets cauchy_sum takes for a 2-D u, one per row, each the
-    far_mask of its row alone; returns them stacked."""
-    taken = []
-    far_sources = core._far_sources
-
-    def spy(block, sources):
-        c, far = far_sources(block, sources)
-        taken.append(np.broadcast_to(far, (len(block), len(sources))))
-        return c, far
-
-    monkeypatch.setattr(core, "_far_sources", spy)
-    with np.errstate(all="ignore"):
-        core.cauchy_sum(u, b, w)
-    monkeypatch.undo()
-    far = np.vstack(taken)
-    rows = u.reshape(len(far), u.shape[-1])
-    assert far.shape == (len(rows), len(b))
-    for i, row in enumerate(rows):
-        want = far_mask(row, b) if len(row) > core.FAR_ORDER else False
-        assert np.array_equal(far[i], np.broadcast_to(want, len(b))), i
-    return far
-
-
-def test_cauchy_sum_rows_of_membership_circles(monkeypatch, poisson_804):
-    locs, w = poisson_804
-    ks = list(range(0, 804, 17))
-    u = membership_rows(locs, ks)
-    assert len(ks) % row_chunk(locs, 512) and len(ks) > row_chunk(locs, 512)
-    far = assert_row_far_sets(monkeypatch, u, locs, w)
-    # every row has its own far set
-    assert len({f.tobytes() for f in far}) == len(ks)
-    assert_cauchy_matches_loop(u, locs, w)
-    # the leading axes are only a batch of rows
-    assert_cauchy_matches_loop(u.reshape(2, -1, 512)[:, :4], locs, w)
-
-
-def test_cauchy_sum_one_row_on_a_near_source(poisson_804):
-    locs, w = poisson_804
-    u = membership_rows(locs, [3, 401, 9, 700])
-    u[1, 17] = locs[401]
-    got = assert_cauchy_matches_loop(u, locs, w)
-    bad = ~np.isfinite(got)
-    assert bad[1, 17] and bad.sum() == 1
-
-
-def test_cauchy_sum_rows_without_far_sources_are_the_direct_sum(
-        monkeypatch, poisson_804):
-    # a row without far sources is the direct base_sum of that row alone,
-    # whatever the other rows of its chunk take
-    locs, w = poisson_804
-    big = np.exp(2j * np.pi * np.arange(512) / 512) * 30
-    u = np.vstack([big, membership_rows(locs, [5, 6])])
-    far = assert_row_far_sets(monkeypatch, u, locs, w)
-    assert not far[0].any() and far[1].sum() > 700 and far[2].sum() > 700
-    got = assert_cauchy_matches_loop(u, locs, w)
-    assert np.array_equal(got[0], direct_cauchy(u[0], locs, w))
-    # rows of no more than FAR_ORDER targets take no far source at all
-    short = membership_rows(locs, [5, 6, 7], nodes=core.FAR_ORDER)
-    assert not assert_row_far_sets(monkeypatch, short, locs, w).any()
-    got = core.cauchy_sum(short, locs, w)
-    for row, want in zip(short, got):
-        assert np.array_equal(want, direct_cauchy(row, locs, w))
-    # and so are empty rows
-    empty = np.zeros((3, 0), dtype=complex)
-    assert not assert_row_far_sets(monkeypatch, empty, locs, w).any()
-    assert core.cauchy_sum(empty, locs, w).shape == (3, 0)
-
-
-def test_cauchy_sum_rows_at_the_far_edge(monkeypatch):
-    # rows with exact centres (0 and 1/2) and radius 1: a source at
-    # distance exactly FAR_RATIO * rho from a row's centre is near it
-    ring = np.tile([1, 1j, -1, -1j], 8)
-    u = np.array([ring, 0.5 + ring])
-    edge = core.FAR_RATIO
-    b = np.array([edge, edge + 2.0 ** -20, -edge * 1j, edge + 0.5, 0.5 - edge])
-    w = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
-    far = assert_row_far_sets(monkeypatch, u, b, w)
-    assert far.tolist() == [[False, True, False, True, False],
-                            [False, False, True, False, False]]
-    assert_cauchy_matches_loop(u, b, w)
-
-
-def test_cauchy_sum_one_dimensional_u_is_a_one_row_batch(poisson_804):
-    # a membership circle (far sources) and a window-spanning block (none,
-    # so the direct sum), with real and complex weights
-    locs, w = poisson_804
-    rng = np.random.default_rng(4)
-    wc = rng.normal(size=len(locs)) + 1j * rng.normal(size=len(locs))
-    circle = contour_circle(locs, 0, nodes=64)
-    span = Window(-30, 30, -30, 30).grid(2.0).ravel()
-    assert far_mask(circle, locs).any() and not far_mask(span, locs).any()
-    for weights in (w, wc):
-        for u in (circle, span):
-            assert np.array_equal(core.cauchy_sum(u, locs, weights),
-                                  core.cauchy_sum(u[None], locs, weights)[0])
-        assert np.array_equal(core.cauchy_sum(span, locs, weights),
-                              direct_cauchy(span, locs, weights))
-    u = np.array(2.5 + 0.5j)
-    assert np.array_equal(core.cauchy_sum(u, locs, w),
-                          core.cauchy_sum(u.reshape(1, 1), locs, w)[0, 0])
+    on_source = np.isin(u, b)
+    assert np.array_equal(~np.isfinite(got), on_source)
+    assert on_source.any() == (name == "target-on-a-source")
+    err = np.abs(got[~on_source] - want[~on_source])
+    assert np.all(err <= 1e-13 * size[~on_source])
 
 
 # ---------------------------------------------------------------------------
@@ -1139,6 +974,15 @@ def test_q26_quantization():
     assert q26(1 + 2j) == 1 + 2j
     v = q26(0.37)
     assert v != 0.37 and abs(v - 0.37) < 2 ** -26
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, 1e308,
+                               complex(math.nan, 0), complex(0, -math.inf),
+                               complex(1e308, 1)])
+def test_q26_refuses_a_scalar_whose_lattice_multiple_is_not_finite(z):
+    # inf raised OverflowError, NaN "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=re.escape(f"not {z!r}")):
+        q26(z)
 
 
 # both signs of zero, values that round to a zero of either sign, a tie

@@ -2,8 +2,9 @@
 a callable in the package, the pipeline modules import without scipy,
 every error class is raised somewhere in the package, every module-level
 private name or constant is read somewhere in it, every function the
-benchmark tracer rebinds exists, and every public function, class and
-method of the package is read somewhere outside its own definition."""
+benchmark tracer rebinds exists, every public function, class and method
+of the package is read somewhere outside its own definition, and every
+class with a `dlog` also has its contour moments."""
 
 import ast
 import importlib
@@ -175,3 +176,24 @@ def test_every_public_helper_is_called():
                   ast.parse(path.read_text()))
               if refs[node.name] == Counter(_references(node))[node.name]]
     assert unused == []
+
+
+def _class_members(node):
+    """Names a class body binds as methods or annotated fields."""
+    for sub in node.body:
+        if isinstance(sub, ast.FunctionDef):
+            yield sub.name
+        elif isinstance(sub, ast.AnnAssign):
+            yield sub.target.id
+
+
+def test_every_dlog_has_contour_moments():
+    # zero counts read `dlog_moments` when a function has them; a class with
+    # a dlog and no moments would send its counts down a second path
+    missing = [f"{path.name}:{node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and "dlog" in (members := set(_class_members(node)))
+               and "dlog_moments" not in members]
+    assert missing == []
