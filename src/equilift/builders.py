@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Circle, ComplexPoly, SampledFunction, Window, base_sum,
-                   cauchy_moments, cauchy_sum, count_zeros, log_modulus_arg,
-                   nearest_gaps, q26, refine_zero)
+from .core import (Circle, ComplexPoly, PoleSum, SampledFunction, Window,
+                   base_sum, count_zeros, log_modulus_arg, nearest_gaps, q26,
+                   refine_zero)
 from .divisors import Divisor, PrincipalParts
 from .errors import EvaluationOnAtom
 
@@ -39,7 +39,10 @@ from .errors import EvaluationOnAtom
 
 @dataclass(frozen=True)
 class EntireApprox:
-    """z^{m_0} * prod (1 - z/a)^{m_a} * exp(gauge(z))."""
+    """z^{m_0} * prod (1 - z/a)^{m_a} * exp(gauge(z)).
+
+    `dlog` is a `core.PoleSum` of gauge' and the zeros, so zero counts sum
+    on each contour's nodes only the zeros near it."""
 
     locs: np.ndarray
     mults: np.ndarray
@@ -62,15 +65,9 @@ class EntireApprox:
             lambda u: log_modulus_arg(np.where(at_origin, u, 1 - u / a)), z,
             self.mults)
 
-    def dlog(self, z):
-        return self.gauge.derivative()(z) + cauchy_sum(
-            z, self.locs, self.mults)
-
-    def dlog_moments(self, circles, orders, nodes):
-        """Contour moments of `dlog` (`core.cauchy_moments`: only the zeros
-        near each circle are summed on its nodes)."""
-        return cauchy_moments(self.gauge.derivative(), self.locs, self.mults,
-                              circles, orders, nodes)
+    @property
+    def dlog(self):
+        return PoleSum(self.gauge.derivative(), self.locs, self.mults)
 
     def divisor(self):
         return Divisor(self.locs, self.mults, self.window)
@@ -110,25 +107,26 @@ POSITION_TOL = 1e-8
 def verify_divisor_match(f, d: Divisor, window=None) -> dict:
     """Argument-principle check that f's zeros are the points of d.
 
-    d is f's whole prescribed divisor, and f needs only `dlog`; it may also
-    have `dlog_moments`, the contour moments of its dlog. The points
-    checked are d's points inside `window`, or all of them when window is
-    None. Per checked point: the winding count on a separating circle
-    equals the multiplicity. The circle's radius is min(0.25, 0.45 x the
-    gap to the nearest other point of d), so every circle clears every
-    point of d, those outside the window included. The gaps come from
+    d is f's whole prescribed divisor, and f needs only `dlog` (a
+    ValueError names it when f has none). The points checked are d's
+    points inside `window`, or all of them when window is None. Per checked
+    point: the winding count on a separating circle equals the
+    multiplicity. The circle's radius is min(0.25, 0.45 x the gap to the
+    nearest other point of d), so every circle clears every point of d,
+    those outside the window included. The gaps come from
     `core.nearest_gaps`, and every circle is counted in one `count_zeros`
-    call, on f.dlog_moments when f has them (psi's and `EntireApprox`'s sum
-    only the zeros near each circle on its nodes) and on f.dlog at every
-    node otherwise. The same integral gives each circle's first moment s1,
-    the sum of (z - p) over the zeros z inside, so a point of multiplicity
-    m whose count matches has its zero at p + s1 / m. Every such point is
-    refined, all at once, by one `refine_zero` call started at q26(p + s1 /
-    m), the moment position on the lattice the data live on, and its root
-    must stay within POSITION_TOL of the prescribed location. A zero on
-    that lattice is then its own start: dlog is not finite there and Newton
-    takes no step. With no window, d claims to be f's whole zero set, and
-    one circle enclosing every point catches stray extra zeros.
+    call on f.dlog: a `core.PoleSum` dlog (psi's and `EntireApprox`'s) is
+    summed on each circle's nodes only at the zeros near it, any other
+    dlog whole on every node. The same integral gives each circle's first
+    moment s1, the sum of (z - p) over the zeros z inside, so a point of
+    multiplicity m whose count matches has its zero at p + s1 / m. Every
+    such point is refined, all at once, by one `refine_zero` call started
+    at q26(p + s1 / m), the moment position on the lattice the data live
+    on, and its root must stay within POSITION_TOL of the prescribed
+    location. A zero on that lattice is then its own start: dlog is not
+    finite there and Newton takes no step. With no window, d claims to be
+    f's whole zero set, and one circle enclosing every point catches stray
+    extra zeros.
 
     The report holds `matched`, the `mismatches` (count failures first,
     then position failures, then the total), the largest root offset

@@ -16,7 +16,8 @@ Conventions that the rest of the toolkit relies on:
   boundary, and no interior points are sampled.
 * Functions are wrapped in ``SampledFunction``: a vectorized evaluator plus
   optional logarithmic derivative and log-scale evaluator closures. Zero
-  counting and zero refinement read the logarithmic derivative only.
+  counting and zero refinement read the logarithmic derivative only, and a
+  ``PoleSum`` logarithmic derivative carries its poles as data.
 """
 
 from __future__ import annotations
@@ -645,21 +646,17 @@ def _circle_covered(c, r, centers, radii):
 @dataclass
 class SampledFunction:
     """A function on the plane: vectorized evaluator plus optional
-    closures: ``dlog`` (f'/f, all that zero counting and refinement read),
-    ``log_eval`` (a value L with exp(L) = f, stable where |f| overflows)
-    and ``dlog_moments``. When given, ``dlog_moments(circles, orders,
-    nodes)`` must be the contour moments of ``dlog``, columns 1..orders of
-    ``contour_integral(dlog, circles, orders, nodes)`` up to rounding;
-    ``count_zeros`` then reads it instead of evaluating ``dlog`` on the
-    nodes. psi in the product mode carries it (`cauchy_moments`, as
-    `builders.EntireApprox` has it); a function given by ``dlog`` alone is
-    counted from ``dlog`` at every node.
+    closures: ``dlog`` (f'/f, all that zero counting and refinement read)
+    and ``log_eval`` (a value L with exp(L) = f, stable where |f|
+    overflows). A ``dlog`` that is a `PoleSum` carries its poles as data:
+    ``count_zeros`` then sums on each contour's nodes only the poles near
+    it (psi in the product mode and `builders.EntireApprox` have one). Any
+    other callable is evaluated whole on every node.
     """
 
     evaluator: Callable
     dlog: Optional[Callable] = None
     log_eval: Optional[Callable] = None
-    dlog_moments: Optional[Callable] = None
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -801,23 +798,40 @@ def _horner(coeffs, t):
     return acc
 
 
-def cauchy_sum(u, b, w):
-    """sum_j w[j] / (u - b[j]) at every entry of u, shaped like u: the
-    direct `base_sum` over every source, in blocks of at most
-    BASE_SUM_BLOCK source-by-target elements, so its memory grows with
-    neither the source count nor the size of u. A target on a source gives
-    a non-finite value at that target only. Zero counts read the moments of
-    this sum through `cauchy_moments`; the sum itself serves Newton, whose
-    batch of every counted point spans the window and so leaves no source
-    for a far field to take."""
-    return _cauchy_kernel(np.asarray(b, dtype=complex),
-                          np.asarray(w)).direct(u)
-
-
 def _cauchy_kernel(b, w):
-    """The source sum of w_j / (u - b_j), with no far series: `cauchy_sum`
-    sums it directly and `cauchy_moments` only near each circle."""
+    """The source sum of w_j / (u - b_j), with no far series: a `PoleSum`
+    sums it directly, and `contour_integral` only near each circle."""
     return SourceSum(b, w, term=lambda v, j: 1 / (v - b[j]))
+
+
+@dataclass(frozen=True, eq=False)
+class PoleSum:
+    """smooth(u) + sum_j w[j] / (u - b[j]) in u = z - origin: a
+    logarithmic derivative that carries its simple poles b_j (the zeros of
+    its function, of multiplicity w_j) as data, so that `contour_integral`
+    can leave each circle's far poles out of its nodes.
+
+    A call sums every pole directly (`base_sum`, in blocks of at most
+    BASE_SUM_BLOCK pole-by-target elements, so its memory grows with
+    neither the pole count nor the size of z) with floating-point warnings
+    off; a target on a pole gives a non-finite value at that target only.
+    Newton reads it so: its batch of every counted point spans the window
+    and leaves no pole for a far field to take. Compares by identity
+    (arrays have no single truth value)."""
+
+    smooth: Callable
+    b: np.ndarray = ()
+    w: np.ndarray = ()
+    origin: complex = 0j
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
+        object.__setattr__(self, "w", np.asarray(self.w))
+
+    def __call__(self, z):
+        u = np.asarray(z, dtype=complex) - self.origin
+        with np.errstate(all="ignore"):
+            return self.smooth(u) + _cauchy_kernel(self.b, self.w).direct(u)
 
 
 # targets per tile of a `tiled_sum`
@@ -1046,79 +1060,73 @@ def contour_integral(g, circles, orders=1, nodes=256):
     circle with centre c. Column 0 is the circle mean of g, and column
     j >= 1 is (1/2 pi i) times the contour integral of g(z) (z - c)^(j-1)
     dz. The rule is spectrally accurate for integrands analytic near the
-    circle (Trefethen and Weideman, SIAM Review 56(3), 2014).
+    circle (Trefethen and Weideman, SIAM Review 56(3), 2014). Contours
+    must be Circles (TypeError); centres finite, radii finite and
+    positive, `orders` a non-negative integer and `nodes` a positive
+    integer (ValueError).
 
-    g is evaluated once, with floating-point warnings off, on a (circles x
-    nodes) array with one row per circle, in chunks of at most
-    BASE_SUM_BLOCK nodes (one circle when it has more); every order is read
-    from those same values. A non-finite value of g gives non-finite
-    moments in its own row only. Contours must be Circles (TypeError);
-    centres finite, radii finite and positive, `orders` a non-negative
-    integer and `nodes` a positive integer (ValueError). This is the path
-    for any g; a sum of Cauchy kernels has its own (`cauchy_moments`)."""
-    centre, radius, e = _circle_batch(circles, orders, nodes)
-    out = np.empty((len(centre), orders + 1), dtype=complex)
-    step = max(1, BASE_SUM_BLOCK // nodes)
-    for s in range(0, len(centre), step):
-        re = radius[s:s + step, None] * e
-        with np.errstate(all="ignore"):
-            term = np.asarray(g(centre[s:s + step, None] + re), dtype=complex)
-            out[s:s + step] = _trapezoid(term, re, orders)
-    return out
-
-
-def cauchy_moments(smooth, b, w, circles, orders=1, nodes=256, origin=0j):
-    """Columns 1..orders of `contour_integral(g, circles, orders, nodes)`
-    for g(z) = smooth(u) + sum_j w[j] / (u - b[j]), read in u = z -
-    origin: the circle (c, r) has the nodes (c - origin) + r e^(i theta_k),
-    exact when c and origin lie on the 2^-26 lattice. Same checks as
-    `contour_integral`.
-
-    The nodes take only the smooth part and each circle's near sources.
-    A source with |b_k - c| > FAR_RATIO * r is far from the circle (c, r),
-    and its columns vanish: with t = u - c and x_k = 1 / (b_k - c),
+    A g that is not a `PoleSum` is read as PoleSum(g), with no poles. Its
+    smooth part is evaluated once, with floating-point warnings off, on
+    every node, every order read from those same values, so a smooth part
+    that swamps the poles in rounding still shows in the moments. The
+    circle (c, r) has the nodes (c - origin) + r e^(i theta_k) in u,
+    exact when c and origin lie on the 2^-26 lattice. Of the poles, each
+    circle sums on its nodes only the near ones (`_near_sum`, the near
+    loop of `tiled_sum`'s tiles). A pole with |b_k - c| > FAR_RATIO * r is
+    far from the circle (c, r): with t = u - c and x_k = 1 / (b_k - c),
     w_k / (u - b_k) = -w_k x_k sum_m (t x_k)^m, and on N equiangular nodes
     the trapezoid mean of t^(m+j) is r^(m+j) when N divides m + j and 0
-    otherwise (Trefethen and Weideman, SIAM Review 56(3), 2014). So far
-    source k adds -w_k x_k sum_{l >= 1} x_k^(lN-j) r^(lN) to column j, at
-    most q^(N-j) / (1 - q^N) |w_k x_k| r^j with q = 1 / FAR_RATIO. Once
-    N - j >= FAR_ORDER, the dropped part of column j is below 2^-53
-    sum_far |w_k x_k| r^j; with fewer nodes (N - orders < FAR_ORDER) every
-    source is summed on the nodes. The near sources go through
-    `_near_sum`, the near loop of `tiled_sum`'s tiles.
+    otherwise. So far pole k adds -w_k x_k sum_{l >= 0} x_k^(lN-j) r^(lN)
+    to column j (terms with lN >= j). Its l = 0 term, -w_k x_k in column 0
+    and nothing in the others, is added in closed form; the rest, at most
+    q^(N-j) / (1 - q^N) |w_k x_k| r^j with q = 1 / FAR_RATIO, is dropped.
+    Once N - j >= FAR_ORDER that is below 2^-53 sum_far |w_k x_k| r^j;
+    with fewer nodes (N - orders < FAR_ORDER) every pole is summed on the
+    nodes.
 
-    smooth is evaluated on every node, so a smooth part that swamps the
-    sources in rounding still shows in the columns. The nodes go in chunks
-    of at most BASE_SUM_BLOCK source-by-circle and node elements, as tiles
-    of `tiled_sum` do, and a non-finite node value (a node on a near
-    source) gives non-finite columns in its own row only."""
+    The nodes go in chunks of at most BASE_SUM_BLOCK pole-by-circle and
+    node elements (one circle when it has more), as tiles of `tiled_sum`
+    do, and a non-finite node value (a node on a near pole) gives
+    non-finite moments in its own row only."""
     centre, radius, e = _circle_batch(circles, orders, nodes)
-    b, w = np.asarray(b, dtype=complex), np.asarray(w)
-    s = _cauchy_kernel(b, w)
-    out = np.empty((len(centre), orders), dtype=complex)
-    step = _rows_per_chunk(len(b), nodes)
+    g = g if isinstance(g, PoleSum) else PoleSum(g)
+    s = _cauchy_kernel(g.b, g.w)
+    out = np.empty((len(centre), orders + 1), dtype=complex)
+    step = _rows_per_chunk(len(g.b), nodes)
     for i in range(0, len(centre), step):
-        c, r = centre[i:i + step, None] - origin, radius[i:i + step, None]
+        c, r = centre[i:i + step, None] - g.origin, radius[i:i + step, None]
         re = r * e
         with np.errstate(all="ignore"):
-            far = (np.abs(b - c) > FAR_RATIO * r) & (
-                nodes - orders >= FAR_ORDER)
             u = c + re
-            term = np.asarray(smooth(u), dtype=complex) + _near_sum(u, far, s)
-            out[i:i + step] = _trapezoid(term, re, orders)[:, 1:]
+            term = np.asarray(g.smooth(u), dtype=complex)
+            d = g.b - c
+            far = (np.abs(d) > FAR_RATIO * r) & (nodes - orders >= FAR_ORDER)
+            if len(g.b):  # adding no poles would turn -0.0 into +0.0
+                term = term + _near_sum(u, far, s)
+            out[i:i + step] = _trapezoid(term, re, orders)
+            # the far poles' circle means, the l = 0 terms
+            out[i:i + step, 0] -= np.divide(
+                1, d, out=np.zeros(d.shape, dtype=complex), where=far) @ g.w
     return out
+
+
+def _dlog(f):
+    """f.dlog, refused with a ValueError that names it when f has none."""
+    if getattr(f, "dlog", None) is None:
+        raise ValueError("f has no dlog to count or refine zeros on")
+    return f.dlog
 
 
 def count_zeros(f, contours, nodes=512):
     """Argument-principle counts of zeros minus poles of f inside each
-    circle of the sequence `contours`: column 1 of the contour moments of
-    f.dlog, the contour integral of f.dlog by the trapezoid rule on
-    `nodes` equiangular nodes per circle. The moments are
-    `f.dlog_moments(contours, 2, nodes)` when f has them (psi in the
-    product mode and `builders.EntireApprox`: `cauchy_moments`, which sums
-    only the sources near each circle) and `contour_integral(f.dlog,
-    contours, orders=2, nodes=nodes)[:, 1:]` otherwise (a hand-written
-    function with only a dlog).
+    circle of the sequence `contours`: column 1 of
+    `contour_integral(f.dlog, contours, 2, nodes)`, the contour integral
+    of f.dlog by the trapezoid rule on `nodes` equiangular nodes per
+    circle. A `PoleSum` dlog (psi in the product mode and
+    `builders.EntireApprox`) is summed on each circle's nodes only at the
+    zeros near it; any other dlog is evaluated whole on every node. An f
+    without a dlog is refused with a ValueError before any node is
+    evaluated.
 
     Returns the integer counts, the pre-rounding residuals and the first
     moments, one per circle. The first moment is column 2 of the same
@@ -1129,12 +1137,7 @@ def count_zeros(f, contours, nodes=512):
     integral, raises ContourThroughZero for the first such circle in input
     order.
     """
-    if getattr(f, "dlog_moments", None) is not None:
-        columns = f.dlog_moments(contours, 2, nodes)
-    else:
-        columns = contour_integral(f.dlog, contours, orders=2,
-                                   nodes=nodes)[:, 1:]
-    vals, first = columns.T
+    vals, first = contour_integral(_dlog(f), contours, 2, nodes)[:, 1:].T
     finite = np.isfinite(vals)
     counts = np.round(np.where(finite, vals.real, 0.0))
     residual = np.abs(vals - counts)
@@ -1165,9 +1168,12 @@ def refine_zero(f, guesses, multiplicities):
     read: a log-represented function's value scale is a free plateau
     factor, so |f| says nothing about the distance to a zero. A zero dlog,
     or a guess still moving after NEWTON_CAP steps, raises NoConvergence.
-    Each step evaluates dlog once, on every guess still moving. Returns the
-    roots and the number of Newton steps each guess took.
+    Each step evaluates dlog once, on every guess still moving (a
+    `PoleSum` dlog sums every pole directly). An f without a dlog is
+    refused with a ValueError before any guess is read. Returns the roots
+    and the number of Newton steps each guess took.
     """
+    dlog = _dlog(f)
     start = np.asarray(guesses, dtype=complex).reshape(-1)
     z = start.copy()
     m = np.maximum(1, np.asarray(multiplicities, dtype=int)).reshape(-1)
@@ -1177,7 +1183,7 @@ def refine_zero(f, guesses, multiplicities):
         if not len(moving):
             break
         with np.errstate(all="ignore"):
-            g = np.asarray(f.dlog(z[moving]), dtype=complex)
+            g = np.asarray(dlog(z[moving]), dtype=complex)
         if np.any(g == 0):
             raise NoConvergence("zero logarithmic derivative")
         moving, g = moving[np.isfinite(g)], g[np.isfinite(g)]

@@ -70,15 +70,14 @@ kernel takes one reciprocal per pole and point and runs Horner over the
 orders (each kernel's docstring has the formulas and its series).
 
 Membership (`verify_membership`) hands `verify_divisor_match` the whole
-divisor and the inner window. In the product mode psi carries its dlog's
-contour moments (`LocalSolution.dlog_moments`, through
-`core.cauchy_moments`): each separating circle sums on its nodes only the
-correction's derivative and the offsets within FAR_RATIO radii of its
-centre, since on equiangular nodes a far offset adds nothing to the count
-or the first moment beyond a stated 2^-53 bound. The Newton confirmation
-reads dlog, the direct `core.cauchy_sum`, on one batch of every counted
-point. The docstrings of
-`verify_divisor_match`, `cauchy_moments` and `refine_zero` give the
+divisor and the inner window. In the product mode psi's dlog is a
+`core.PoleSum`: the correction's derivative plus the offsets as poles. So
+`contour_integral` sums on each separating circle's nodes only the
+derivative and the offsets within FAR_RATIO radii of its centre, since on
+equiangular nodes a far offset adds nothing to the count or the first
+moment beyond a stated 2^-53 bound. The Newton confirmation calls the same
+dlog, the direct sum, on one batch of every counted point. The docstrings
+of `verify_divisor_match`, `contour_integral` and `refine_zero` give the
 contour nodes, the circles' gap, the dropped far part and the Newton
 batching.
 """
@@ -93,10 +92,9 @@ import numpy as np
 
 from . import runge
 from .builders import Potential, verify_divisor_match
-from .core import (FAR_RATIO, Circle, CompactRegion, ComplexPoly,
-                   SampledFunction, SourceSum, Window, cauchy_moments,
-                   cauchy_sum, contour_integral, log_modulus_arg,
-                   power_moments, q26, tiled_sum)
+from .core import (FAR_RATIO, Circle, CompactRegion, ComplexPoly, PoleSum,
+                   SampledFunction, SourceSum, Window, contour_integral,
+                   log_modulus_arg, power_moments, q26, tiled_sum)
 from .divisors import Divisor, PrincipalParts
 from .errors import DegreeCapExceeded, DivisorMismatch, NonFreeInput, RungeFailure
 from .toast import ToastForest, as_depth, build_covariant_toast
@@ -124,14 +122,15 @@ class LocalSolution:
     and their tail bounds). `value` evaluates it through `core.tiled_sum`,
     a far field per tile of u, which sums small batches and non-finite
     points directly. `log_value` is the direct `core.base_sum` of the
-    product's terms, each on its principal branch, and `dlog` is the direct
-    `core.cauchy_sum`. `dlog_moments` is `core.cauchy_moments` of the same
-    dlog, which leaves the far offsets out of each circle's nodes. Every
-    sum works in blocks of at most BASE_SUM_BLOCK elements, so its memory
-    grows with neither n nor the size of the input. The product is evaluated
-    through its logarithm: per-factor ratios stay O(1) where the raw
-    product of hundreds of factors would overflow. Solutions compare by
-    identity (arrays have no single truth value).
+    product's terms, each on its principal branch. The product's dlog is
+    not a method: psi carries it as a `core.PoleSum` of the correction's
+    derivative and the offsets, whose contour moments leave the far
+    offsets out of each circle's nodes. Every sum works in blocks of at
+    most BASE_SUM_BLOCK elements, so its memory grows with neither n nor
+    the size of the input. The product is evaluated through its
+    logarithm: per-factor ratios stay O(1) where the raw product of
+    hundreds of factors would overflow. Solutions compare by identity
+    (arrays have no single truth value).
     """
 
     anchor: complex
@@ -149,18 +148,6 @@ class LocalSolution:
     def log_value(self, u):
         with np.errstate(all="ignore"):
             return self.correction(u) + _product_sum(self).direct(u)
-
-    def dlog(self, u):
-        with np.errstate(all="ignore"):
-            return self.correction.derivative()(u) + cauchy_sum(
-                u, self.offsets, self.weights)
-
-    def dlog_moments(self, circles, orders, nodes, origin):
-        """Contour moments of `dlog` on circles given in z = u + origin
-        (`core.cauchy_moments`: only the offsets near each circle are
-        summed on its nodes)."""
-        return cauchy_moments(self.correction.derivative(), self.offsets,
-                              self.weights, circles, orders, nodes, origin)
 
 
 def _gauge_offset(offsets, u0):
@@ -460,16 +447,15 @@ class LiftingTrace:
         product-mode values overflow away from the fitted regions, so
         product-mode comparisons (`verify_equivariance`) read `log_eval`."""
         m, anchor, sol = self.solution(n)
-        dlog, log_eval, dlog_moments = None, None, None
+        dlog, log_eval = None, None
         if _KERNELS[self.mode].product:
-            dlog = lambda z: sol.dlog(np.asarray(z, dtype=complex) - anchor)
+            dlog = PoleSum(sol.correction.derivative(), sol.offsets,
+                           sol.weights, anchor)
             log_eval = lambda z: sol.log_value(
                 np.asarray(z, dtype=complex) - anchor)
-            dlog_moments = lambda circles, orders, nodes: sol.dlog_moments(
-                circles, orders, nodes, anchor)
         return SampledFunction(
             evaluator=lambda z: sol.value(np.asarray(z, dtype=complex) - anchor),
-            dlog=dlog, log_eval=log_eval, dlog_moments=dlog_moments)
+            dlog=dlog, log_eval=log_eval)
 
     def rate(self, n, K: CompactRegion, density=64) -> float:
         """r_n(K): sup over K of the step from psi_{n-1} to psi_n, read on

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -695,11 +696,14 @@ def build_covariant_toast(d: Divisor, N: int, r0=1.0, gamma=4.0) -> ToastForest:
     any level is built: r0 > 0, gamma > 1 and the top scale r0 * gamma**N
     must be finite floats, whatever N."""
     N = as_depth(N)
+    # compared before any conversion: an integer r0 or gamma beyond the
+    # float range would raise OverflowError on its way to float
+    fits = 0 < r0 <= sys.float_info.max and 1 < gamma <= sys.float_info.max
     with np.errstate(over="ignore"):
-        top = r0 * np.float64(gamma) ** N
-    if not (0 < r0 and 1 < gamma < math.inf and np.isfinite(top)):
-        raise ValueError(f"need finite r0 > 0, gamma > 1 and top scale r0 * "
-                         f"gamma**N, not r0={r0!r}, gamma={gamma!r}, N={N}")
+        if not (fits and np.isfinite(r0 * np.float64(gamma) ** N)):
+            raise ValueError(f"need finite r0 > 0, gamma > 1 and top scale "
+                             f"r0 * gamma**N, not r0={r0!r}, gamma={gamma!r}, "
+                             f"N={N}")
     if min(d.window.width, d.window.height) < 2 * r0:
         raise WindowTooSmall(
             f"window {d.window} cannot host base disks of radius {r0}"

@@ -9,6 +9,7 @@ log max(|c|, r). The Riesz-growth claim is tested in tests/test_periodic.py.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestWeierstrass:
         assert abs(f(1.0 + 0j) - 0.125) < 1e-14
         # dlog = 2/z + 3/(z-2)
         assert abs(f.dlog(1.0 + 0j) - (2.0 - 3.0)) < 1e-13
+
+    def test_dlog_is_not_finite_at_a_zero_without_a_warning(self):
+        # as psi's: a PoleSum sums with floating-point warnings off, where
+        # the direct sum used to warn of a division by zero
+        f = weierstrass(D([(0j, 1), (2 + 0j, 3)]))
+        assert isinstance(f.dlog, core.PoleSum)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.dlog(np.array([0j, 2 + 0j, 1 + 0j]))
+        assert np.isfinite(got).tolist() == [False, False, True]
+        assert abs(got[2] - (1.0 - 3.0)) < 1e-13
 
     def test_log_eval_consistency(self):
         f = weierstrass(D([(1 + 1j, 2), (-2 + 0j, 1)]))
@@ -169,6 +181,15 @@ class TestMembershipMismatches:
                                          "total_counted": 3}]
         assert verify_divisor_match(f, d, Window(-1, 2.25, -1, 1))["matched"]
 
+    def test_a_function_without_dlog_is_refused(self):
+        # it used to raise TypeError ("'NoneType' object is not callable")
+        def evaluator(z):
+            raise AssertionError("a value was read")
+        f = SampledFunction(evaluator=evaluator)
+        for window in (None, Window(-1, 1, -1, 1)):
+            with pytest.raises(ValueError, match="has no dlog"):
+                verify_divisor_match(f, D([(0j, 1), (2 + 0j, 1)]), window)
+
     def test_a_pole_in_the_divisor_is_refused(self):
         # Newton used to run from the pole at 2 to a zero and report a
         # position error of 1.0 there
@@ -181,9 +202,9 @@ class TestMembershipMismatches:
 
 
 def test_products_count_on_the_moment_path(monkeypatch):
-    # oracle: count_zeros with dlog at every node, on every seventh
-    # point's circle and on the enclosing one; the product's own count
-    # evaluates dlog on no contour
+    # oracle: count_zeros with a plain callable dlog, every zero on every
+    # node, on every seventh point's circle and on the enclosing one; the
+    # product's own count evaluates its dlog whole on no contour
     d = generate("poisson", Window(-32, 32, -32, 32), seed=3,
                  intensity=0.2)
     assert len(d) == 804
@@ -194,14 +215,18 @@ def test_products_count_on_the_moment_path(monkeypatch):
         counted.append((contours, nodes, count_zeros(g, contours, nodes)))
         return counted[-1][2]
 
-    def generic_path(*args):
-        raise AssertionError("a product was counted from dlog")
+    call = core.PoleSum.__call__
+
+    def on_nodes(self, z):
+        if np.ndim(z) >= 2:
+            raise AssertionError("a product's dlog was evaluated on nodes")
+        return call(self, z)
     monkeypatch.setattr(builders, "count_zeros", spy)
-    monkeypatch.setattr(core, "contour_integral", generic_path)
+    monkeypatch.setattr(core.PoleSum, "__call__", on_nodes)
     assert verify_divisor_match(f, d)["matched"]
     monkeypatch.undo()
     assert [len(contours) for contours, _, _ in counted] == [len(d), 1]
-    generic = SampledFunction(evaluator=f, dlog=f.dlog)
+    generic = SampledFunction(evaluator=f, dlog=lambda z: f.dlog(z))
     for contours, nodes, (counts, res, first) in counted:
         want = count_zeros(generic, contours[::7], nodes)
         assert counts[::7].tolist() == want[0].tolist()

@@ -32,41 +32,41 @@ from equilift.errors import (ContourThroughZero, EquiliftError,
 
 UNIT_DISK = CompactRegion.disk(0, 1)
 
-# the two paths to the contour moments of a dlog: "generic" evaluates any
-# dlog on the nodes (contour_integral), "cauchy" sums a smooth part plus
-# Cauchy kernels with only the near sources on the nodes (cauchy_moments)
-MOMENT_PATHS = ("generic", "cauchy")
+# the two kinds of dlog that contour moments read: a plain callable is
+# evaluated on every node, a PoleSum sums its smooth part on every node and
+# only the near poles
+MOMENT_PATHS = ("callable", "pole-sum")
 ZERO = ComplexPoly((0j,))
+
+
+def direct_dlog(smooth, b, w, origin=0j):
+    """z -> smooth(u) + sum_j w_j / (u - b_j) in u = z - origin, one source
+    at a time: the PoleSum's value as a plain callable."""
+    def dlog(z):
+        u = np.asarray(z, dtype=complex) - origin
+        return smooth(u) + sum((wj / (u - bj) for bj, wj in zip(b, w)),
+                               np.zeros(u.shape, complex))
+    return dlog
+
+
+def pole_dlog(path, b, w, smooth=ZERO):
+    """smooth + sum_j w_j / (z - b_j) as the kind of dlog `path` names."""
+    if path == "pole-sum":
+        return core.PoleSum(smooth, b, w)
+    return direct_dlog(smooth, b, w)
 
 
 def contour_moments(path, circles, orders=1, nodes=256):
     """Columns 1..orders of the contour moments of 1/z through `path`."""
-    if path == "generic":
-        return contour_integral(lambda z: 1 / z, circles, orders,
-                                nodes)[:, 1:]
-    return core.cauchy_moments(ZERO, [0j], [1.0], circles, orders, nodes)
-
-
-def direct_dlog(smooth, b, w):
-    """z -> smooth(z) + sum_j w_j / (z - b_j), one source at a time."""
-    def dlog(z):
-        z = np.asarray(z, dtype=complex)
-        return smooth(z) + sum((wj / (z - bj) for bj, wj in zip(b, w)),
-                               np.zeros(z.shape, complex))
-    return dlog
+    return contour_integral(pole_dlog(path, [0j], [1.0]), circles, orders,
+                            nodes)[:, 1:]
 
 
 def cauchy_function(path, b, w, smooth=ZERO):
-    """A function with dlog smooth + sum_j w_j / (z - b_j), whose contour
-    moments count_zeros reads through `path`. count_zeros reads no value,
-    so there is no evaluator."""
+    """A function with dlog smooth + sum_j w_j / (z - b_j) of the kind
+    `path` names. count_zeros reads no value, so there is no evaluator."""
     b, w = np.asarray(b, dtype=complex), np.asarray(w, dtype=float)
-    moments = None
-    if path == "cauchy":
-        def moments(circles, orders, nodes):
-            return core.cauchy_moments(smooth, b, w, circles, orders, nodes)
-    return SampledFunction(evaluator=None, dlog=direct_dlog(smooth, b, w),
-                           dlog_moments=moments)
+    return SampledFunction(evaluator=None, dlog=pole_dlog(path, b, w, smooth))
 
 
 def dyadic(lo, hi):
@@ -240,6 +240,21 @@ def test_count_zeros_nodes_parameter():
     assert params["nodes"].default == builders.CONTOUR_NODES
 
 
+def test_zero_counts_and_newton_refuse_a_function_without_dlog():
+    # a missing dlog used to raise TypeError ("'NoneType' object is not
+    # callable") from the first node; the refusal names it before any
+    # value is read
+    def evaluator(z):
+        raise AssertionError("a value was read")
+    f = SampledFunction(evaluator=evaluator)
+    with pytest.raises(ValueError, match="has no dlog"):
+        count_zeros(f, [Circle(0, 1)])
+    with pytest.raises(ValueError, match="has no dlog"):
+        count_zeros(f, [])
+    with pytest.raises(ValueError, match="has no dlog"):
+        refine_zero(f, [0.5], [1])
+
+
 def test_refine_zero_linear():
     # oracle: the step -1 / dlog = -(z - 1/2) lands on the root
     f = SampledFunction(evaluator=lambda z: z - 0.5,
@@ -313,7 +328,7 @@ def test_refine_zero_array_matches_one_guess_at_a_time():
 
 
 # ---------------------------------------------------------------------------
-# Cauchy sums: the direct sum over every source
+# pole sums: a call is the direct sum over every pole
 
 
 def loop_cauchy(u, b, w):
@@ -345,8 +360,8 @@ def test_far_order_is_the_least_with_the_bound():
     assert q ** (core.FAR_ORDER - 1) / (1 - q) > 2.0 ** -53
 
 
-def cauchy_sum_case(name, locs, w):
-    """Targets, sources and weights of a `cauchy_sum` case on the 804-point
+def pole_sum_case(name, locs, w):
+    """Targets, sources and weights of a `PoleSum` call on the 804-point
     fixture, or on its own sources where the name says so."""
     rng = np.random.default_rng(11)
     if name == "membership-circle":
@@ -386,16 +401,19 @@ def cauchy_sum_case(name, locs, w):
     "membership-circle", "window-side", "window-span", "every-source-far",
     "far-edge", "complex-weights", "target-on-a-source", "scalar", "0-d",
     "2-D", "empty"])
-def test_cauchy_sum_is_the_direct_sum(monkeypatch, poisson_804, name):
-    u, b, w = cauchy_sum_case(name, *poisson_804)
+def test_pole_sum_is_the_direct_sum(monkeypatch, poisson_804, name):
+    # called outside np.errstate: a target on a pole gives a non-finite
+    # value and no RuntimeWarning, which this suite turns into an error
+    u, b, w = pole_sum_case(name, *poisson_804)
 
     def far_series(*args):
-        raise AssertionError("cauchy_sum took a far series")
+        raise AssertionError("a PoleSum call took a far series")
     for helper in ("_series_rows", "power_moments", "_horner"):
         monkeypatch.setattr(core, helper, far_series)
+    got = core.PoleSum(ZERO, b, w)(u)
     with np.errstate(all="ignore"):
-        got = core.cauchy_sum(u, b, w)
-        direct = core.base_sum(lambda row: 1 / (row - b[:, None]), u, w)
+        direct = ZERO(u) + core.base_sum(lambda row: 1 / (row - b[:, None]),
+                                         u, w)
     assert got.shape == direct.shape == np.shape(u)
     assert got.tobytes() == direct.tobytes()
     want, size = loop_cauchy(u, b, w)
@@ -448,93 +466,111 @@ def test_contour_integral_every_order_from_one_evaluation():
     assert np.max(np.abs(moments[:, 1:])) < 1e-12
 
 
-# contour moments of Cauchy sums: far sources add nothing to columns >= 1
+# contour moments of pole sums: a far pole adds its circle mean to column 0
+# and nothing to the others
 
 
-@st.composite
-def cauchy_cases(draw):
-    """Sources (integer weights, so that counts are integers), a smooth
-    part, circles, one of them with source 0 at exactly FAR_RATIO * r from
-    its centre, and a node count: 8 and 16 nodes sum every source on the
-    nodes, FAR_ORDER + 2 sits at the edge of the far test for 2 orders."""
-    n = draw(st.integers(1, 12))
-    b = np.array(draw(st.lists(dyadic(-8, 8), min_size=n, max_size=n)))
-    w = np.array(draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)),
-                 dtype=float)
-    smooth = ComplexPoly(tuple(draw(st.lists(dyadic(-1, 1), min_size=1,
-                                             max_size=3))))
-    radii = st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0])
-    circles = [Circle(c, r) for c, r in draw(st.lists(
-        st.tuples(dyadic(-8, 8), radii), min_size=1, max_size=6))]
-    r = draw(radii)
-    circles.append(Circle(b[0] - core.FAR_RATIO * r, r))
-    nodes = draw(st.sampled_from([8, 16, core.FAR_ORDER + 2, 64, 512]))
-    return b, w, smooth, circles, nodes, draw(st.integers(0, 3))
-
-
-def count_outcome(f, circles, nodes):
-    try:
-        return count_zeros(f, circles, nodes)[0].tolist()
-    except ContourThroughZero:
-        return "refused"
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=cauchy_cases())
-def test_cauchy_moments_match_the_generic_path(case):
-    # oracle: the trapezoid moments of the direct sum; a far source adds
-    # at most q^(N-j) / (1 - q^N) |w x| r^j to column j
-    b, w, smooth, circles, nodes, orders = case
-    edge = circles[-1]
-    assert abs(b[0] - edge.center) == core.FAR_RATIO * edge.radius
-    got = core.cauchy_moments(smooth, b, w, circles, orders, nodes)
-    want = contour_integral(direct_dlog(smooth, b, w), circles, orders,
-                            nodes)[:, 1:]
-    assert got.shape == want.shape == (len(circles), orders)
-    assert np.array_equal(np.isfinite(got), np.isfinite(want))
-    q, e = 1 / core.FAR_RATIO, np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    j = np.arange(1, orders + 1)
-    for k, circle in enumerate(circles):
-        c, r = circle.center, circle.radius
-        z = c + r * e
-        with np.errstate(all="ignore"):
-            size = np.max(np.abs(smooth(z)) + loop_cauchy(z, b, w)[1])
-        far = (np.abs(b - c) > core.FAR_RATIO * r) & (
-            nodes - orders >= core.FAR_ORDER)
-        tail = q ** (nodes - j) / (1 - q ** nodes) * np.sum(
-            np.abs(w[far] / (b[far] - c))) * r ** j
-        ok = np.isfinite(want[k])
-        err = np.abs(got[k] - want[k])[ok]
-        assert np.all(err <= tail[ok] + 1e-13 * size * r ** j[ok]), k
-    # counts through count_zeros agree, unless the reference sits on a
-    # rounding or refusal edge
-    vals = contour_integral(direct_dlog(smooth, b, w), circles, 2,
-                            nodes)[:, 1]
-    with np.errstate(invalid="ignore"):
-        res = np.abs(vals - np.round(vals.real))
-        edge = np.isfinite(vals) & ((np.abs(res - 0.25) < 1e-9)
-                                    | (np.abs(vals.real % 1 - 0.5) < 1e-9))
-    if not edge.any():
-        assert count_outcome(cauchy_function("cauchy", b, w, smooth),
-                             circles, nodes) == count_outcome(
-            cauchy_function("generic", b, w, smooth), circles, nodes)
-
-
-def test_cauchy_moments_of_membership_circles(poisson_804):
-    # 804 sources, most of them far from each circle: counts equal the
-    # generic path's and columns agree within 1e-13 of the term sizes
-    locs, w = poisson_804
-    ks = range(0, 804, 7)
-    gaps = core.nearest_gaps(locs[list(ks)], locs)
-    circles = [Circle(locs[k], min(0.25, 0.45 * g)) for k, g in zip(ks, gaps)]
+def pole_moment_case(name, locs, mults):
+    """(PoleSum, circles, orders, nodes) of a contour-moment case: the
+    804-point membership circles or hand-made poles and circles."""
     smooth = ComplexPoly((0.5 - 0.25j, 0.01))
-    generic = cauchy_function("generic", locs, w, smooth)
-    fast = cauchy_function("cauchy", locs, w, smooth)
-    counts, res, first = count_zeros(fast, circles)
-    want = count_zeros(generic, circles)
-    assert counts.tolist() == want[0].tolist() == [1] * len(circles)
-    assert np.max(np.abs(res - want[1])) < 1e-13
-    assert np.max(np.abs(first - want[2])) < 1e-13
+    if name == "membership-circles":
+        # every seventh point's separating circle, as membership draws it
+        ks = range(0, 804, 7)
+        gaps = core.nearest_gaps(locs[list(ks)], locs)
+        circles = [Circle(locs[k], min(0.25, 0.45 * g))
+                   for k, g in zip(ks, gaps)]
+        return core.PoleSum(smooth, locs, mults), circles, 2, 512
+    if name == "complex-weights":
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=len(locs)) + 1j * rng.normal(size=len(locs))
+        circles = [Circle(locs[k], 0.125) for k in (3, 222, 401, 700)]
+        return core.PoleSum(smooth, locs, w), circles, 3, 512
+    if name == "far-edge":
+        # N - orders = FAR_ORDER, the fewest nodes with a far field; pole
+        # 0 at exactly FAR_RATIO radii (near), five just beyond it on one
+        # ray, so every dropped term has the same sign, and two at 2 and 4
+        # radii, whose dropped parts would be about 2^-18 and 4^-18 of them
+        r, orders = 0.5, 2
+        b = np.concatenate([1.0 + core.FAR_RATIO * r * (
+            1 + 1e-9 * np.arange(6)), [1.0 + 2 * r * 1j, 1.0 - 4 * r]])
+        return (core.PoleSum(smooth, b, np.arange(1.0, 9.0)),
+                [Circle(1.0, r), Circle(1.25 + 0.5j, 0.25)], orders,
+                core.FAR_ORDER + orders)
+    if name == "origin":
+        # u = z - origin: the circles are given in z, the poles in u
+        b = np.array([0.5 + 0.25j, -6.0 + 2.0j, 7.375 - 3.0j, 0.25 - 9.0j])
+        circles = [Circle(3.75 - 1.25j, 0.5), Circle(-2.75 + 0.5j, 1.0),
+                   Circle(10.5 - 4.5j, 0.25)]
+        return (core.PoleSum(smooth, b, [1.0, 2.0, -1.0, 3.0], 3.25 - 1.5j),
+                circles, 2, 256)
+    if name == "node-on-a-near-pole":
+        # node 0 of the circle (0, 1) is the pole at 1: that row alone is
+        # not finite
+        b = np.array([1.0, 0.25j, 20.0 + 5.0j])
+        circles = [Circle(-3.0, 0.5), Circle(0, 1.0), Circle(0.25j, 0.125)]
+        return core.PoleSum(smooth, b, [1.0, 1.0, 2.0]), circles, 2, 256
+    if name == "no-poles":
+        return (core.PoleSum(smooth), [Circle(0.5j, 2.0), Circle(3, 0.25)],
+                3, 64)
+    # N - orders < FAR_ORDER: every pole is summed on the nodes, even one
+    # 40 radii away, whose dropped part would be about q^6 = 4e-6 of it
+    b = np.array([20.0 + 0j, -0.25 + 0.25j, 0.125])
+    return (core.PoleSum(smooth, b, [2.0, 1.0, 1.0]),
+            [Circle(0, 0.5), Circle(0.5 + 0.5j, 0.25)], 2, 8)
+
+
+@pytest.mark.parametrize("name", [
+    "membership-circles", "complex-weights", "far-edge", "origin",
+    "node-on-a-near-pole", "no-poles", "few-nodes"])
+def test_pole_sum_moments_are_every_pole_on_the_nodes(monkeypatch,
+                                                      poisson_804, name):
+    # oracle: the trapezoid moments of the direct sum over every pole, as
+    # a plain callable; a far pole's dropped part is below 2^-53 of its
+    # terms, far inside 1e-13 of the term sizes, in every column 0..orders
+    g, circles, orders, nodes = pole_moment_case(name, *poisson_804)
+    near_rows = []
+    near_sum = core._near_sum
+
+    def spy(u, far, s):
+        near_rows.extend(len(g.b) - np.count_nonzero(far, axis=1))
+        return near_sum(u, far, s)
+    monkeypatch.setattr(core, "_near_sum", spy)
+    got = contour_integral(g, circles, orders, nodes)
+    monkeypatch.undo()
+    plain = direct_dlog(g.smooth, g.b, g.w, g.origin)
+    want = contour_integral(plain, circles, orders, nodes)
+    assert got.shape == want.shape == (len(circles), orders + 1)
+    if name == "no-poles":
+        assert not near_rows
+        assert got.tobytes() == want.tobytes()
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert finite.all(axis=1).tolist() == [
+        name != "node-on-a-near-pole" or k != 1 for k in range(len(circles))]
+    assert not finite[~finite.all(axis=1)].any()
+    e = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    for k, circle in enumerate(circles):
+        if not finite[k].all():
+            continue
+        u = circle.center - g.origin + circle.radius * e
+        size = np.max(np.abs(g.smooth(u)) + loop_cauchy(u, g.b, g.w)[1])
+        err = np.abs(got[k] - want[k])
+        assert np.all(err <= 1e-13 * size * circle.radius ** np.arange(
+            orders + 1)), k
+    if name == "membership-circles":
+        # more than 700 poles are far from each circle, and the counts, the
+        # residuals and the first moments are the direct sum's
+        assert len(near_rows) == len(circles) and max(near_rows) < 804 - 700
+        counts, res, first = count_zeros(
+            SampledFunction(evaluator=None, dlog=g), circles)
+        want = count_zeros(SampledFunction(evaluator=None, dlog=plain),
+                           circles)
+        assert counts.tolist() == want[0].tolist() == [1] * len(circles)
+        assert np.max(np.abs(res - want[1])) < 1e-13
+        assert np.max(np.abs(first - want[2])) < 1e-13
+    if name == "few-nodes":
+        assert max(near_rows) == len(g.b)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from equilift import core, lifting, runge
 from equilift.builders import Potential, verify_divisor_match
 from equilift.core import (BASE_SUM_BLOCK, FAR_ORDER, FAR_RATIO, Circle,
-                           CompactRegion, ComplexPoly, Window, base_sum,
-                           count_zeros, q26)
+                           CompactRegion, ComplexPoly, PoleSum, Window,
+                           base_sum, count_zeros, q26)
 from equilift.divisors import Divisor, PrincipalParts, extract_principal_parts, generate
 from equilift.errors import (ContourThroughZero, DegreeCapExceeded,
                              DivisorMismatch, NonFreeInput, RungeFailure)
@@ -154,10 +154,10 @@ class TestDivisorRecovery:
         assert report["matched"], report["mismatches"]
 
     def test_membership_parity_with_the_direct_sum(self):
-        # psi counts on its contour moments, which skip each contour's far
-        # zeros; a copy of psi without them, whose dlog takes every zero
-        # directly on the nodes, must give the same report on a 196-point
-        # input
+        # psi's PoleSum dlog leaves each contour's far zeros out of its
+        # nodes; a copy of psi whose dlog is a plain callable, every zero
+        # summed directly on the nodes, must give the same report on a
+        # 196-point input
         d = generate("poisson", Window(-16, 16, -16, 16), seed=3,
                      intensity=0.2)
         assert len(d) == 196
@@ -179,7 +179,7 @@ class TestDivisorRecovery:
         assert np.all(np.sum(reach > FAR_RATIO * 0.25, axis=0) > 100)
         got = trace.verify_membership()
         want = verify_divisor_match(
-            replace(psi, dlog=direct_dlog, dlog_moments=None), d, inner)
+            replace(psi, dlog=direct_dlog), d, inner)
         assert got["matched"] and want["matched"]
         for key in ("mismatches", "max_position_error", "max_newton_steps"):
             assert got[key] == want[key], key
@@ -524,6 +524,18 @@ def lift_mode(mode, d, toast, N=4):
     return lift_poisson_2d(mu, toast, N)
 
 
+@pytest.mark.parametrize("mode", [ADDITIVE, HARMONIC])
+def test_membership_refuses_a_psi_without_dlog(mode):
+    # only the product mode's psi has a dlog; the others used to raise
+    # TypeError ("'NoneType' object is not callable") from the first node
+    d = six_point_divisor()
+    psi = lift_mode(mode, d, build_covariant_toast(d, N=3, r0=1.0,
+                                                   gamma=4.0), 3).psi()
+    assert psi.dlog is None
+    with pytest.raises(ValueError, match="has no dlog"):
+        verify_divisor_match(psi, d, d.window.inner())
+
+
 class TestChainOnly:
     @pytest.mark.parametrize("mode", [MULTIPLICATIVE, ADDITIVE, HARMONIC])
     def test_only_the_chain_is_solved(self, poisson_196, monkeypatch, mode):
@@ -734,14 +746,19 @@ class TestBlockedBaseSums:
                 want = loop_value(sol, coeffs, np.asarray(u, dtype=complex))
                 assert_matches_loop(sol.value(u), want, u)
 
-    @pytest.mark.parametrize("method, loop", [("log_value", loop_log_value),
-                                              ("dlog", loop_dlog)])
-    def test_product_log_forms_match_loop(self, method, loop):
+    @pytest.mark.parametrize("form, loop", [
+        (lambda sol: sol.log_value, loop_log_value),
+        (lambda sol: PoleSum(sol.correction.derivative(), sol.offsets,
+                             sol.weights), loop_dlog)],
+        ids=["log_value-loop_log_value", "dlog-loop_dlog"])
+    def test_product_log_forms_match_loop(self, form, loop):
+        # the dlog is psi's: a PoleSum of the correction's derivative and
+        # the offsets
         sol, _ = blocked_solution(MULTIPLICATIVE)
         with np.errstate(all="ignore"):
             for u in blocked_inputs(sol):
                 want = loop(sol, np.asarray(u, dtype=complex))
-                assert_matches_loop(getattr(sol, method)(u), want, u)
+                assert_matches_loop(form(sol)(u), want, u)
 
     def test_offsets_are_one_array(self, poisson_trace):
         trace, d = poisson_trace
@@ -1082,7 +1099,9 @@ class TestFarField:
         # log_value and dlog do not take psi's far field
         sol, grid = grid_solution(MULTIPLICATIVE), benchmark_grid()
         with np.errstate(all="ignore"):
-            log_value, dlog = sol.log_value(grid), sol.dlog(grid)
+            log_value = sol.log_value(grid)
+        dlog = PoleSum(sol.correction.derivative(), sol.offsets,
+                       sol.weights)(grid)
         assert hashlib.sha256(log_value.tobytes()).hexdigest() == (
             "d6d381885a0b94d06f658ba7627790c40d928ed5f2b9d74997ed8f38668383d7")
         assert hashlib.sha256(dlog.tobytes()).hexdigest() == (
@@ -1145,10 +1164,16 @@ def spy_moments(monkeypatch):
 
 
 def forbid_generic_moments(monkeypatch):
-    """Fail a zero count that evaluates dlog on the contour nodes."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("count_zeros took the generic contour path")
-    monkeypatch.setattr(core, "contour_integral", forbidden)
+    """Fail a zero count that evaluates a PoleSum dlog whole, every zero,
+    on the contour nodes (a batch of circles by nodes); Newton's 1-D
+    batches still call it."""
+    call = core.PoleSum.__call__
+
+    def on_nodes(self, z):
+        if np.ndim(z) >= 2:
+            raise AssertionError("count_zeros took every zero on the nodes")
+        return call(self, z)
+    monkeypatch.setattr(core.PoleSum, "__call__", on_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ a callable in the package, the pipeline modules import without scipy,
 every error class is raised somewhere in the package, every module-level
 private name or constant is read somewhere in it, every function the
 benchmark tracer rebinds exists, every public function, class and method
-of the package is read somewhere outside its own definition, and every
-class with a `dlog` also has its contour moments."""
+of the package is read somewhere outside its own definition, and the near
+field of every contour moment lives in core."""
 
 import ast
 import importlib
@@ -17,6 +17,10 @@ import sys
 from collections import Counter
 
 import pytest
+
+from equilift import builders, core, lifting
+from equilift.divisors import generate
+from equilift.toast import build_covariant_toast
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -187,13 +191,25 @@ def _class_members(node):
             yield sub.target.id
 
 
-def test_every_dlog_has_contour_moments():
-    # zero counts read `dlog_moments` when a function has them; a class with
-    # a dlog and no moments would send its counts down a second path
-    missing = [f"{path.name}:{node.name}"
+def test_the_near_field_lives_in_core():
+    # one contour engine: only core reads the near-field helpers, no class
+    # carries moments of its own, and the package's log-derivatives hand
+    # their poles to that engine as a PoleSum
+    helpers = {"_near_sum", "_cauchy_kernel"}
+    readers = sorted(
+        f"{path.name}:{ref}" for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "core.py"
+        for ref in set(_references(ast.parse(path.read_text()))) & helpers)
+    assert readers == []
+    moments = [f"{path.name}:{node.name}"
                for path in sorted(PACKAGE.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ClassDef)
-               and "dlog" in (members := set(_class_members(node)))
-               and "dlog_moments" not in members]
-    assert missing == []
+               and "dlog_moments" in set(_class_members(node))]
+    assert moments == []
+    d = generate("poisson", core.Window(-8, 8, -8, 8), seed=3,
+                 intensity=0.2)
+    psi = lifting.lift_weierstrass(
+        d, build_covariant_toast(d, N=2), 2, check_membership=False).psi()
+    assert isinstance(psi.dlog, core.PoleSum)
+    assert isinstance(builders.weierstrass(d).dlog, core.PoleSum)

@@ -1151,19 +1151,24 @@ class TestRejections:
         with pytest.raises(ValueError, match="finite"):
             build_covariant_toast(d, N=2, r0=r0, gamma=gamma)
 
-    @pytest.mark.parametrize("gamma, N", [(1e300, 3), (4, 600)])
+    @pytest.mark.parametrize("r0, gamma, N", [
+        (1.0, 1e300, 3), (1.0, 4, 600), (1.0, 10 ** 400, 2),
+        (10 ** 400, 4.0, 2)], ids=["gamma-1e300", "N-600", "gamma-int-1e400",
+                                   "r0-int-1e400"])
     def test_a_top_scale_that_overflows_is_refused_up_front(
-            self, monkeypatch, gamma, N):
+            self, monkeypatch, r0, gamma, N):
         # gamma ** n raised OverflowError, for N=600 only after 7.7 s of
-        # building levels
+        # building levels, and an integer r0 or gamma beyond the float
+        # range raised it from the check ("int too large to convert to
+        # float")
         def build(*args):
             raise AssertionError("a level was started")
         monkeypatch.setattr(toast_module, "detect_stabilizer", build)
         monkeypatch.setattr(toast_module, "_Grid", build)
         d = generate("poisson", WIN8, seed=3, intensity=0.2)
         with pytest.raises(ValueError, match=re.escape(
-                f"not r0=1.0, gamma={gamma!r}, N={N}")):
-            build_covariant_toast(d, N=N, r0=1.0, gamma=gamma)
+                f"not r0={r0!r}, gamma={gamma!r}, N={N}")):
+            build_covariant_toast(d, N=N, r0=r0, gamma=gamma)
 
     def test_endless_pockets_are_a_typed_error(self, monkeypatch):
         # a filler that never closes the pocket exhausts the fill budget;
