@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Circle, ComplexPoly, PoleSum, SampledFunction, Window,
-                   base_sum, count_zeros, log_modulus_arg, nearest_gaps, q26,
+                   _disk_pairs, base_sum, count_zeros, log_modulus_arg, q26,
                    refine_zero)
 from .divisors import Divisor, PrincipalParts
 from .errors import EvaluationOnAtom
@@ -98,9 +98,7 @@ def mittag_leffler(pp: PrincipalParts) -> SampledFunction:
     return SampledFunction(evaluator=ev)
 
 
-# membership: contour nodes per separating circle, and the largest offset
-# of a refined root from its prescribed point
-CONTOUR_NODES = 512
+# membership: the largest offset of a refined root from its prescribed point
 POSITION_TOL = 1e-8
 
 
@@ -113,11 +111,14 @@ def verify_divisor_match(f, d: Divisor, window=None) -> dict:
     point: the winding count on a separating circle equals the
     multiplicity. The circle's radius is min(0.25, 0.45 x the gap to the
     nearest other point of d), so every circle clears every point of d,
-    those outside the window included. The gaps come from
-    `core.nearest_gaps`, and every circle is counted in one `count_zeros`
-    call on f.dlog: a `core.PoleSum` dlog (psi's and `EntireApprox`'s) is
-    summed on each circle's nodes only at the zeros near it, any other
-    dlog whole on every node. The same integral gives each circle's first
+    those outside the window included. The gaps come from one
+    `core._disk_pairs` sweep over d's points at pad 1.0: a point with no
+    other within 1.0 has 0.45 x gap > 0.25, so its radius is 0.25 without
+    its gap. Every circle is counted in one `count_zeros` call on f.dlog
+    at its default nodes: a `core.PoleSum` dlog (psi's and
+    `EntireApprox`'s) is summed on each circle's nodes only at the zeros
+    within FAR_RATIO radii of its centre, which one more sweep finds, any
+    other dlog whole on every node. The same integral gives each circle's first
     moment s1, the sum of (z - p) over the zeros z inside, so a point of
     multiplicity m whose count matches has its zero at p + s1 / m. Every
     such point is refined, all at once, by one `refine_zero` call started
@@ -142,10 +143,12 @@ def verify_divisor_match(f, d: Divisor, window=None) -> dict:
                          f"multiplicity {d.mults[k]}")
     keep = slice(None) if window is None else window.contains(d.locs)
     locs, mults = d.locs[keep], d.mults[keep]
-    radii = np.minimum(0.25, 0.45 * nearest_gaps(locs, d.locs))
+    i, j, dist = _disk_pairs(d.locs, np.zeros(len(d.locs)), 1.0)
+    gap = np.full(len(d.locs), np.inf)
+    np.minimum.at(gap, np.concatenate([i, j]), np.concatenate([dist, dist]))
+    radii = np.minimum(0.25, 0.45 * gap[keep])
     counts, residuals, moments = count_zeros(
-        f, [Circle(p, r) for p, r in zip(locs.tolist(), radii.tolist())],
-        nodes=CONTOUR_NODES)
+        f, [Circle(p, r) for p, r in zip(locs.tolist(), radii.tolist())])
     max_residual = float(residuals.max(initial=0.0))
     ok = counts == mults
     mismatches = [{"point": p, "expected": int(m), "counted": int(n)}

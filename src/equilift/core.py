@@ -374,15 +374,18 @@ def _disks_triple_meet(c1, r1, c2, r2, c3, r3, tol):
     return False
 
 
-# candidate pairs per chunk of the disk-pair sweep and `_max_dist`
-NERVE_CHUNK = 1 << 16
+# candidate pairs per chunk of the disk-pair sweep and `_max_dist`: a
+# sweep chunk's temporaries take about 110 bytes per candidate, so about
+# 2 MB, whatever the disk count
+NERVE_CHUNK = 1 << 14
 
 
 def _disk_pairs(c, r, pad):
-    """(i, j, dist): the pairs i < j of the disks (c, r), n >= 1, in
-    row-major order with dist - (r_i + r_j) <= pad, and their centre
-    distances, each the one a dense n x n table held, though no such table
-    is built. At pad 0 the test is `disks_meet`'s.
+    """(i, j, dist): the pairs i < j of the disks (c, r) in row-major order
+    with dist - (r_i + r_j) <= pad, and their centre distances, each the
+    one a dense n x n table held, though no such table is built; three
+    empty arrays when there are no disks. At pad 0 the test is
+    `disks_meet`'s.
 
     Such a pair's shadows on an axis, c_i +- (r_i + pad / 2), overlap. So
     the disks are swept along the longer side of their bounding box in the
@@ -392,6 +395,8 @@ def _disk_pairs(c, r, pad):
     candidates its own shadow reaches, where one uniform grid would put it
     in many cells."""
     n = len(c)
+    if not n:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
     x, y = c.real, c.imag
     if y.max() - y.min() > x.max() - x.min():
         x = y
@@ -711,24 +716,6 @@ def base_sum(term, u, weights):
     return np.concatenate(parts).reshape(u.shape)
 
 
-def nearest_gaps(points, others=None):
-    """Least distance from each of `points` to `others`, skipping distance
-    0 (the point itself); with `others` None, to the other entries of
-    `points`, so that a repeated entry has gap 0. NaN distances are
-    skipped. The table goes in chunks of rows of BASE_SUM_BLOCK elements."""
-    points = np.asarray(points, dtype=complex)
-    ref = points if others is None else np.asarray(others, dtype=complex)
-    gaps = np.empty(len(points))
-    step = max(1, BASE_SUM_BLOCK // max(1, len(ref)))
-    for s in range(0, len(points), step):
-        dist = np.abs(ref - points[s:s + step, None])
-        if others is None:
-            dist[np.arange(len(dist)), np.arange(s, s + len(dist))] = np.nan
-        keep = dist >= 0 if others is None else dist > 0
-        gaps[s:s + step] = np.where(keep, dist, np.inf).min(1, initial=np.inf)
-    return gaps
-
-
 # the far field of a source sum: a source is far from a tile of targets
 # (centre c, radius rho) when |b - c| > FAR_RATIO * rho, and from a contour
 # circle (c, r) when |b - c| > FAR_RATIO * r. FAR_ORDER is the least p with
@@ -809,7 +796,8 @@ class PoleSum:
     """smooth(u) + sum_j w[j] / (u - b[j]) in u = z - origin: a
     logarithmic derivative that carries its simple poles b_j (the zeros of
     its function, of multiplicity w_j) as data, so that `contour_integral`
-    can leave each circle's far poles out of its nodes.
+    can leave each circle's far poles out of its nodes. A pole or weight
+    that is not finite is refused with a ValueError naming the first.
 
     A call sums every pole directly (`base_sum`, in blocks of at most
     BASE_SUM_BLOCK pole-by-target elements, so its memory grows with
@@ -827,6 +815,10 @@ class PoleSum:
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
         object.__setattr__(self, "w", np.asarray(self.w))
+        for name, v in (("pole", self.b), ("weight", self.w)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, not "
+                                 f"{v[~np.isfinite(v)][0]}")
 
     def __call__(self, z):
         u = np.asarray(z, dtype=complex) - self.origin
@@ -926,23 +918,23 @@ def _series_rows(u, s):
     u, c, far = u[rows], c[rows], far[rows]
     x = np.divide(1, s.sources - c, out=np.zeros(far.shape, dtype=complex),
                   where=far)
-    out[rows] = _near_sum(u, far, s) + _horner(s.taylor(x, far, c), u - c)
+    out[rows] = (_near_sum(u, *np.nonzero(~far), s)
+                 + _horner(s.taylor(x, far, c), u - c))
     return out
 
 
-def _near_sum(u, far, s):
-    """The source sum `s` over the near sources of each row of a 2-D u
-    (those with `far` False in the row's mask), term by term in source
-    order; a row without near sources sums to 0."""
+def _near_sum(u, rows, sources, s):
+    """The source sum `s` over the near sources of each row of a 2-D u,
+    given as (row, source) pairs in row-major order, term by term in
+    source order; a row without pairs sums to 0."""
     # rows by their count of near sources, most first: the rows with a q-th
     # near source are then a leading slice, and step q adds the term of
     # that source to each of them (at most BASE_SUM_BLOCK elements)
-    sizes = np.count_nonzero(~far, axis=1)
-    by_size = np.argsort(-sizes, kind="stable")
-    sizes = sizes[by_size]
-    ri, sj = np.nonzero(~far[by_size])
+    sizes = np.bincount(rows, minlength=len(u))
     nearest = np.zeros((len(u), sizes.max(initial=0)), dtype=int)
-    nearest[ri, np.arange(len(ri)) - np.searchsorted(ri, ri)] = sj
+    nearest[rows, np.arange(len(rows)) - rows.searchsorted(rows)] = sources
+    by_size = np.argsort(-sizes, kind="stable")
+    sizes, nearest = sizes[by_size], nearest[by_size]
     near = np.zeros(u.shape, dtype=complex)
     sorted_u = u[by_size]
     for q in range(nearest.shape[1]):
@@ -1015,20 +1007,17 @@ class ComplexPoly:
 # contour quadrature
 
 
-def _circle_batch(circles, orders, nodes):
+def _circle_batch(circles, nodes):
     """Centres and radii of the sequence `circles`, and the unit roots
     e^(i theta_k) of `nodes` equiangular nodes, after the checks that every
-    contour quadrature makes: each contour a Circle (TypeError), its centre
-    finite, its radius finite and positive, `orders` a non-negative integer
-    and `nodes` a positive integer (ValueError naming the value)."""
+    circle quadrature makes: each contour a Circle (TypeError), its centre
+    finite, its radius finite and positive, and `nodes` a positive integer
+    (ValueError naming the value)."""
     circles = list(circles)
     if not all(isinstance(c, Circle) for c in circles):
         raise TypeError("contours must be Circles")
     if not (isinstance(nodes, numbers.Integral) and nodes > 0):
         raise ValueError(f"nodes must be a positive integer, not {nodes!r}")
-    if not (isinstance(orders, numbers.Integral) and orders >= 0):
-        raise ValueError(
-            f"orders must be a non-negative integer, not {orders!r}")
     centre = np.array([complex(c.center) for c in circles], dtype=complex)
     radius = np.array([float(c.radius) for c in circles], dtype=float)
     bad = np.flatnonzero(~np.isfinite(centre))
@@ -1042,71 +1031,68 @@ def _circle_batch(circles, orders, nodes):
     return centre, radius, np.exp(1j * theta)
 
 
-def _trapezoid(term, re, orders):
-    """Columns 0..orders of the trapezoid moments of node values `term`
-    (circles, nodes): column j is mean_k term_k re_k^j."""
-    nodes = term.shape[1]
-    cols = [np.sum(term, axis=1) / nodes]
-    for _ in range(orders):
-        term = term * re
-        cols.append(np.sum(term, axis=1) / nodes)
-    return np.stack(cols, axis=1)
-
-
 def contour_integral(g, circles, orders=1, nodes=256):
-    """Trapezoid moments of g on every circle of the sequence `circles`:
-    a complex array shaped (circles, orders + 1) whose entry j is
-    mean_k g(z_k) (z_k - c)^j over `nodes` equiangular nodes z_k of the
-    circle with centre c. Column 0 is the circle mean of g, and column
-    j >= 1 is (1/2 pi i) times the contour integral of g(z) (z - c)^(j-1)
-    dz. The rule is spectrally accurate for integrands analytic near the
-    circle (Trefethen and Weideman, SIAM Review 56(3), 2014). Contours
-    must be Circles (TypeError); centres finite, radii finite and
-    positive, `orders` a non-negative integer and `nodes` a positive
-    integer (ValueError).
+    """Contour integrals of g on every circle of the sequence `circles`: a
+    complex array shaped (circles, orders) whose column j - 1, for j = 1
+    .. orders, is the trapezoid moment mean_k g(z_k) (z_k - c)^j over
+    `nodes` equiangular nodes z_k of the circle with centre c, that is
+    (1/2 pi i) times the contour integral of g(z) (z - c)^(j-1) dz. The
+    rule is spectrally accurate for integrands analytic near the circle
+    (Trefethen and Weideman, SIAM Review 56(3), 2014). Contours must be
+    Circles (TypeError); centres finite, radii finite and positive, and
+    `orders` and `nodes` positive integers (ValueError).
 
     A g that is not a `PoleSum` is read as PoleSum(g), with no poles. Its
     smooth part is evaluated once, with floating-point warnings off, on
     every node, every order read from those same values, so a smooth part
-    that swamps the poles in rounding still shows in the moments. The
+    that swamps the poles in rounding still shows in the integrals. The
     circle (c, r) has the nodes (c - origin) + r e^(i theta_k) in u,
     exact when c and origin lie on the 2^-26 lattice. Of the poles, each
     circle sums on its nodes only the near ones (`_near_sum`, the near
-    loop of `tiled_sum`'s tiles). A pole with |b_k - c| > FAR_RATIO * r is
-    far from the circle (c, r): with t = u - c and x_k = 1 / (b_k - c),
-    w_k / (u - b_k) = -w_k x_k sum_m (t x_k)^m, and on N equiangular nodes
-    the trapezoid mean of t^(m+j) is r^(m+j) when N divides m + j and 0
-    otherwise. So far pole k adds -w_k x_k sum_{l >= 0} x_k^(lN-j) r^(lN)
-    to column j (terms with lN >= j). Its l = 0 term, -w_k x_k in column 0
-    and nothing in the others, is added in closed form; the rest, at most
-    q^(N-j) / (1 - q^N) |w_k x_k| r^j with q = 1 / FAR_RATIO, is dropped.
-    Once N - j >= FAR_ORDER that is below 2^-53 sum_far |w_k x_k| r^j;
-    with fewer nodes (N - orders < FAR_ORDER) every pole is summed on the
-    nodes.
+    loop of `tiled_sum`'s tiles), the poles within FAR_RATIO * r of c.
+    One `_disk_pairs` sweep at pad 0 finds them, each circle a disk
+    (c - origin, FAR_RATIO * r) and each pole a point. A far pole adds
+    almost nothing: with t = u - c and x_k = 1 / (b_k - c), w_k / (u -
+    b_k) = -w_k x_k sum_m (t x_k)^m, and on N equiangular nodes the
+    trapezoid mean of t^(m+j) is r^(m+j) when N divides m + j and 0
+    otherwise. So far pole k adds -w_k x_k sum_{l >= 1} x_k^(lN-j) r^(lN)
+    to column j, at most q^(N-j) / (1 - q^N) |w_k x_k| r^j with q = 1 /
+    FAR_RATIO, and it is dropped. Once N - j >= FAR_ORDER that is below
+    2^-53 sum_far |w_k x_k| r^j; with fewer nodes (N - orders <
+    FAR_ORDER) every pole is summed on the nodes.
 
-    The nodes go in chunks of at most BASE_SUM_BLOCK pole-by-circle and
-    node elements (one circle when it has more), as tiles of `tiled_sum`
-    do, and a non-finite node value (a node on a near pole) gives
-    non-finite moments in its own row only."""
-    centre, radius, e = _circle_batch(circles, orders, nodes)
+    The circles go in chunks of BASE_SUM_BLOCK // nodes (one circle when
+    it has more nodes), whatever the pole count, and a non-finite node
+    value (a node on a near pole) gives non-finite integrals in its own
+    row only."""
+    if not (isinstance(orders, numbers.Integral) and orders > 0):
+        raise ValueError(f"orders must be a positive integer, not {orders!r}")
+    centre, radius, e = _circle_batch(circles, nodes)
     g = g if isinstance(g, PoleSum) else PoleSum(g)
-    s = _cauchy_kernel(g.b, g.w)
-    out = np.empty((len(centre), orders + 1), dtype=complex)
-    step = _rows_per_chunk(len(g.b), nodes)
-    for i in range(0, len(centre), step):
-        c, r = centre[i:i + step, None] - g.origin, radius[i:i + step, None]
+    centre = centre - g.origin
+    n, b = len(centre), g.b
+    if nodes - orders < FAR_ORDER or not len(b):
+        rows, poles = np.divmod(np.arange(n * len(b)), max(1, len(b)))
+    else:
+        p, q, _ = _disk_pairs(np.concatenate([centre, b]), np.concatenate(
+            [FAR_RATIO * radius, np.zeros(len(b))]), 0.0)
+        keep = (p < n) & (q >= n)
+        rows, poles = p[keep], q[keep] - n
+    s = _cauchy_kernel(b, g.w)
+    out = np.empty((n, orders), dtype=complex)
+    step = max(1, BASE_SUM_BLOCK // nodes)
+    for i in range(0, n, step):
+        lo, hi = rows.searchsorted([i, i + step])
+        c, r = centre[i:i + step, None], radius[i:i + step, None]
         re = r * e
         with np.errstate(all="ignore"):
             u = c + re
             term = np.asarray(g.smooth(u), dtype=complex)
-            d = g.b - c
-            far = (np.abs(d) > FAR_RATIO * r) & (nodes - orders >= FAR_ORDER)
-            if len(g.b):  # adding no poles would turn -0.0 into +0.0
-                term = term + _near_sum(u, far, s)
-            out[i:i + step] = _trapezoid(term, re, orders)
-            # the far poles' circle means, the l = 0 terms
-            out[i:i + step, 0] -= np.divide(
-                1, d, out=np.zeros(d.shape, dtype=complex), where=far) @ g.w
+            if len(b):  # adding no poles would turn -0.0 into +0.0
+                term = term + _near_sum(u, rows[lo:hi] - i, poles[lo:hi], s)
+            for k in range(orders):
+                term = term * re
+                out[i:i + step, k] = np.sum(term, axis=1) / nodes
     return out
 
 
@@ -1119,25 +1105,26 @@ def _dlog(f):
 
 def count_zeros(f, contours, nodes=512):
     """Argument-principle counts of zeros minus poles of f inside each
-    circle of the sequence `contours`: column 1 of
+    circle of the sequence `contours`: the first column (j = 1) of
     `contour_integral(f.dlog, contours, 2, nodes)`, the contour integral
     of f.dlog by the trapezoid rule on `nodes` equiangular nodes per
     circle. A `PoleSum` dlog (psi in the product mode and
     `builders.EntireApprox`) is summed on each circle's nodes only at the
-    zeros near it; any other dlog is evaluated whole on every node. An f
-    without a dlog is refused with a ValueError before any node is
-    evaluated.
+    zeros within FAR_RATIO radii of its centre, which one disk sweep finds
+    (no circles x zeros table); any other dlog is evaluated whole on every
+    node. An f without a dlog is refused with a ValueError before any node
+    is evaluated.
 
     Returns the integer counts, the pre-rounding residuals and the first
-    moments, one per circle. The first moment is column 2 of the same
-    integral, sum m_k (z_k - c) over the zeros z_k (multiplicity m_k; a
-    pole counts with its negative order) inside the circle with centre c:
-    a lone zero of multiplicity m sits at c + moment / m (Delves and
-    Lyness, Math. Comp. 21, 1967). A residual above 0.25, or a non-finite
-    integral, raises ContourThroughZero for the first such circle in input
-    order.
+    moments, one per circle. The first moment is the second column (j =
+    2) of the same call, sum m_k (z_k - c) over the zeros z_k
+    (multiplicity m_k; a pole counts with its negative order) inside the
+    circle with centre c: a lone zero of multiplicity m sits at c +
+    moment / m (Delves and Lyness, Math. Comp. 21, 1967). A residual above
+    0.25, or a non-finite integral, raises ContourThroughZero for the
+    first such circle in input order.
     """
-    vals, first = contour_integral(_dlog(f), contours, 2, nodes)[:, 1:].T
+    vals, first = contour_integral(_dlog(f), contours, 2, nodes).T
     finite = np.isfinite(vals)
     counts = np.round(np.where(finite, vals.real, 0.0))
     residual = np.abs(vals - counts)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circle, Window, contour_integral, nearest_gaps, q26
+from .core import (Circle, Window, _circle_batch, _disk_pairs,
+                   contour_integral, q26)
 from .errors import EmptyWindow, OverlappingCircles
 
 
@@ -374,25 +375,28 @@ def extract_principal_parts(f, suspected_poles, radius) -> PrincipalParts:
     """Laurent-coefficient extraction: c_j = (1/2pi i) contour integral of
     f(z) (z-p)^(j-1) around each suspected pole, for j = 1..ORDER_CAP.
     Every circle of radius `radius` is read by one `contour_integral`
-    call, so f is evaluated once on all poles' nodes. Circles that overlap
-    (poles less than 2 * radius apart, a repeated pole included) raise
-    OverlappingCircles, which names the first pole in input order that
-    overlaps another and its first partner after it. Trailing coefficients
-    at or below TRUNCATE are dropped, and poles with no surviving
-    coefficients are omitted."""
+    call, so f is evaluated once on all poles' nodes. After the checks of
+    that call on the circles (a radius not finite and positive is a
+    ValueError), circles that overlap (poles less than 2 * radius apart, a
+    repeated pole included) raise OverlappingCircles, before f is read.
+    The overlapping pairs come from one `core._disk_pairs` sweep in
+    row-major order, and the first names the first pole in input order
+    that overlaps another and its first partner after it; poles exactly
+    2 * radius apart do not overlap. Trailing coefficients at or below
+    TRUNCATE are dropped, and poles with no surviving coefficients are
+    omitted."""
     poles = [complex(p) for p in suspected_poles]
-    clash = np.flatnonzero(nearest_gaps(poles) < 2 * radius)
+    circles = [Circle(p, radius) for p in poles]
+    c, r, _ = _circle_batch(circles, 1)
+    i, j, dist = _disk_pairs(c, r, 0.0)
+    clash = np.flatnonzero(dist < r[i] + r[j])
     if len(clash):
-        # the first pole that overlaps another has partners after it only
-        i = clash[0]
-        j = next(j for j in range(i + 1, len(poles))
-                 if abs(poles[i] - poles[j]) < 2 * radius)
-        raise OverlappingCircles(
-            f"extraction circles at {poles[i]} and {poles[j]} overlap")
-    moments = contour_integral(f, [Circle(p, radius) for p in poles],
-                               orders=ORDER_CAP)
+        k = clash[0]
+        raise OverlappingCircles(f"extraction circles at {poles[i[k]]} and "
+                                 f"{poles[j[k]]} overlap")
+    moments = contour_integral(f, circles, orders=ORDER_CAP)
     entries = []
-    for p, coeffs in zip(poles, moments[:, 1:].tolist()):
+    for p, coeffs in zip(poles, moments.tolist()):
         while coeffs and abs(coeffs[-1]) <= TRUNCATE:
             coeffs.pop()
         if coeffs:

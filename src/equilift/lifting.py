@@ -70,14 +70,17 @@ kernel takes one reciprocal per pole and point and runs Horner over the
 orders (each kernel's docstring has the formulas and its series).
 
 Membership (`verify_membership`) hands `verify_divisor_match` the whole
-divisor and the inner window. In the product mode psi's dlog is a
-`core.PoleSum`: the correction's derivative plus the offsets as poles. So
-`contour_integral` sums on each separating circle's nodes only the
-derivative and the offsets within FAR_RATIO radii of its centre, since on
-equiangular nodes a far offset adds nothing to the count or the first
-moment beyond a stated 2^-53 bound. The Newton confirmation calls the same
-dlog, the direct sum, on one batch of every counted point. The docstrings
-of `verify_divisor_match`, `contour_integral` and `refine_zero` give the
+divisor and the inner window. Its separating circles take their radii
+from the gaps that one `core._disk_pairs` sweep over the divisor finds. In
+the product mode psi's dlog is a `core.PoleSum`: the correction's
+derivative plus the offsets as poles. So `contour_integral` sums on each
+circle's nodes only the derivative and the offsets within FAR_RATIO radii
+of its centre, which one more sweep pairs with the circle: on equiangular
+nodes a far offset adds nothing to the count or the first moment beyond a
+stated 2^-53 bound. Neither step builds a circles x offsets or a points x
+points table. The Newton confirmation calls the same dlog, the direct
+sum, on one batch of every counted point. The docstrings of
+`verify_divisor_match`, `contour_integral` and `refine_zero` give the
 contour nodes, the circles' gap, the dropped far part and the Newton
 batching.
 """
@@ -93,7 +96,7 @@ import numpy as np
 from . import runge
 from .builders import Potential, verify_divisor_match
 from .core import (FAR_RATIO, Circle, CompactRegion, ComplexPoly, PoleSum,
-                   SampledFunction, SourceSum, Window, contour_integral,
+                   SampledFunction, SourceSum, Window, _circle_batch,
                    log_modulus_arg, power_moments, q26, tiled_sum)
 from .divisors import Divisor, PrincipalParts
 from .errors import DegreeCapExceeded, DivisorMismatch, NonFreeInput, RungeFailure
@@ -732,8 +735,12 @@ def poisson_submean_probe(trace: LiftingTrace, seed=0, count=50):
     inner(0.2) and radii uniform in PROBE_RADII. Circles passing within
     0.1 of an atom are re-drawn (trapezoid quadrature cannot see through a
     log singularity). That rule reads no value of psi, so every circle is
-    drawn first; psi is then evaluated once at the centres, and the circle
-    means are column 0 of one `contour_integral` call."""
+    drawn first; psi is then evaluated once at the centres and once on
+    every circle's 256 equiangular nodes, and each circle mean is the mean
+    of its node values. A `count` that is not a positive integer is
+    refused with a ValueError naming it."""
+    if not (isinstance(count, (int, np.integer)) and count > 0):
+        raise ValueError(f"count must be a positive integer, not {count!r}")
     if trace.mode != HARMONIC:
         raise ValueError("sub-mean-value probes apply to harmonic traces")
     psi = trace.psi()
@@ -755,8 +762,9 @@ def poisson_submean_probe(trace: LiftingTrace, seed=0, count=50):
         circles.append(Circle(c, r))
     if len(circles) < count:
         raise ValueError("could not place the requested probe count")
-    u_center = np.real(psi([c.center for c in circles])).tolist()
-    means = contour_integral(psi, circles, orders=0)[:, 0].real.tolist()
+    centre, radius, e = _circle_batch(circles, 256)
+    u_center = np.real(psi(centre)).tolist()
+    means = psi(centre[:, None] + radius[:, None] * e).mean(axis=1)
     return [{"center": c.center, "radius": c.radius, "u_center": u,
              "sphere_mean": m, "slack": m - u}
-            for c, u, m in zip(circles, u_center, means)]
+            for c, u, m in zip(circles, u_center, means.real.tolist())]

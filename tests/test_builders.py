@@ -211,8 +211,8 @@ def test_products_count_on_the_moment_path(monkeypatch):
     f = weierstrass(d)
     counted = []
 
-    def spy(g, contours, nodes):
-        counted.append((contours, nodes, count_zeros(g, contours, nodes)))
+    def spy(g, contours, **nodes):
+        counted.append((contours, nodes, count_zeros(g, contours, **nodes)))
         return counted[-1][2]
 
     call = core.PoleSum.__call__
@@ -228,7 +228,7 @@ def test_products_count_on_the_moment_path(monkeypatch):
     assert [len(contours) for contours, _, _ in counted] == [len(d), 1]
     generic = SampledFunction(evaluator=f, dlog=lambda z: f.dlog(z))
     for contours, nodes, (counts, res, first) in counted:
-        want = count_zeros(generic, contours[::7], nodes)
+        want = count_zeros(generic, contours[::7], **nodes)
         assert counts[::7].tolist() == want[0].tolist()
         assert np.max(np.abs(res[::7] - want[1])) <= 1e-13
         assert np.max(np.abs(first[::7] - want[2])) <= 1e-13

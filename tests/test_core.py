@@ -25,6 +25,7 @@ from equilift.core import (
     q26,
     refine_zero,
 )
+from conftest import traced_peak
 from equilift.builders import weierstrass
 from equilift.divisors import Divisor, generate
 from equilift.errors import (ContourThroughZero, EquiliftError,
@@ -57,9 +58,9 @@ def pole_dlog(path, b, w, smooth=ZERO):
 
 
 def contour_moments(path, circles, orders=1, nodes=256):
-    """Columns 1..orders of the contour moments of 1/z through `path`."""
+    """The contour moments j = 1..orders of 1/z through `path`."""
     return contour_integral(pole_dlog(path, [0j], [1.0]), circles, orders,
-                            nodes)[:, 1:]
+                            nodes)
 
 
 def cauchy_function(path, b, w, smooth=ZERO):
@@ -223,21 +224,30 @@ def test_contour_moments_refuse_a_circle_not_finite(path, centre, radius,
 
 
 @pytest.mark.parametrize("path", MOMENT_PATHS)
-@pytest.mark.parametrize("orders", [-1, 1.5, "2", None])
-def test_contour_moments_refuse_orders_not_a_non_negative_integer(path,
-                                                                  orders):
-    # -1 raised IndexError and 1.5 TypeError
+@pytest.mark.parametrize("orders", [-1, 0, 1.5, "2", None])
+def test_contour_moments_refuse_orders_not_a_positive_integer(path, orders):
+    # -1 raised IndexError and 1.5 TypeError; 0 asks for no moment at all
     with pytest.raises(ValueError, match=re.escape(
-            f"orders must be a non-negative integer, not {orders!r}")):
+            f"orders must be a positive integer, not {orders!r}")):
         contour_moments(path, [Circle(0, 1)], orders=orders)
 
 
-def test_count_zeros_nodes_parameter():
+def test_count_zeros_nodes_parameter(monkeypatch):
     # the benchmark tracer reads `nodes` by name, or as the third
-    # positional argument, with this default
+    # positional argument, with its default; membership's per-point count
+    # passes no node count, so that default is the one it runs at
     params = inspect.signature(count_zeros).parameters
     assert list(params)[2] == "nodes"
-    assert params["nodes"].default == builders.CONTOUR_NODES
+    assert params["nodes"].default == 512
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return count_zeros(*args, **kwargs)
+    monkeypatch.setattr(builders, "count_zeros", spy)
+    d = Divisor([0j, 1 + 0j, 3j], [1, 2, 1], Window(-4, 4, -4, 4))
+    assert builders.verify_divisor_match(weierstrass(d), d)["matched"]
+    assert calls[0] == (2, {})
 
 
 def test_zero_counts_and_newton_refuse_a_function_without_dlog():
@@ -429,45 +439,48 @@ def test_pole_sum_is_the_direct_sum(monkeypatch, poisson_804, name):
 
 
 def test_contour_integral_residue():
-    (val,) = contour_integral(lambda z: 1 / z, [Circle(0, 1)])[:, 1]
+    (val,) = contour_integral(lambda z: 1 / z, [Circle(0, 1)])[:, 0]
     assert abs(val - 1) < 1e-12
 
 
 def test_contour_integral_holomorphic():
-    (val,) = contour_integral(np.exp, [Circle(0, 1.7)])[:, 1]
+    (val,) = contour_integral(np.exp, [Circle(0, 1.7)])[:, 0]
     assert abs(val) < 1e-12
 
 
 def test_contour_integral_double_pole():
     (val,) = contour_integral(lambda z: 1 / (z * z), [Circle(0, 1)],
-                              orders=2)[:, 2]
+                              orders=2)[:, 1]
     assert abs(val - 1) < 1e-12
 
 
 def test_contour_integral_every_order_from_one_evaluation():
-    # oracle: exp is entire, so its circle mean is exp(centre) and every
-    # contour moment of order j >= 1 vanishes. 70 circles at 256 nodes make
-    # two chunks of at most BASE_SUM_BLOCK nodes, and g sees each chunk once
+    # oracle: the residue theorem. exp(z) / z has one simple pole, at 0
+    # with residue 1, so moment j of a circle (c, r) is (-c)^(j-1) when the
+    # circle encloses 0 and 0 when it does not; every circle here keeps 0
+    # at half its radius from it, or at twice its radius outside it. 70
+    # circles at 256 nodes make two chunks of at most BASE_SUM_BLOCK nodes,
+    # and g sees each chunk once
     rng = np.random.default_rng(5)
-    circles = [Circle(complex(*rng.uniform(-2, 2, 2)), rng.uniform(0.1, 2))
-               for _ in range(70)]
+    centres = rng.uniform(-1, 1, 70) + 1j * rng.uniform(-1, 1, 70)
+    inside = np.arange(70) % 2 == 0
+    radii = np.abs(centres) * np.where(inside, 2.0, 0.5)
+    circles = [Circle(c, r) for c, r in zip(centres, radii)]
     shapes = []
 
     def g(z):
         shapes.append(z.shape)
-        return np.exp(z)
+        return np.exp(z) / z
 
     moments = contour_integral(g, circles, orders=3)
     step = core.BASE_SUM_BLOCK // 256
     assert shapes == [(step, 256), (70 - step, 256)]
-    assert moments.shape == (70, 4)
-    centres = np.array([c.center for c in circles])
-    assert np.max(np.abs(moments[:, 0] - np.exp(centres))) < 1e-12
-    assert np.max(np.abs(moments[:, 1:])) < 1e-12
+    assert moments.shape == (70, 3)
+    want = np.where(inside[:, None], (-centres[:, None]) ** np.arange(3), 0)
+    assert np.max(np.abs(moments - want)) < 1e-12
 
 
-# contour moments of pole sums: a far pole adds its circle mean to column 0
-# and nothing to the others
+# contour moments of pole sums: a far pole adds nothing to any of them
 
 
 def pole_moment_case(name, locs, mults):
@@ -476,10 +489,10 @@ def pole_moment_case(name, locs, mults):
     smooth = ComplexPoly((0.5 - 0.25j, 0.01))
     if name == "membership-circles":
         # every seventh point's separating circle, as membership draws it
-        ks = range(0, 804, 7)
-        gaps = core.nearest_gaps(locs[list(ks)], locs)
-        circles = [Circle(locs[k], min(0.25, 0.45 * g))
-                   for k, g in zip(ks, gaps)]
+        gaps = np.abs(locs[::7, None] - locs)
+        gaps[gaps == 0] = np.inf
+        circles = [Circle(p, min(0.25, 0.45 * g))
+                   for p, g in zip(locs[::7], gaps.min(axis=1))]
         return core.PoleSum(smooth, locs, mults), circles, 2, 512
     if name == "complex-weights":
         rng = np.random.default_rng(7)
@@ -527,20 +540,20 @@ def test_pole_sum_moments_are_every_pole_on_the_nodes(monkeypatch,
                                                       poisson_804, name):
     # oracle: the trapezoid moments of the direct sum over every pole, as
     # a plain callable; a far pole's dropped part is below 2^-53 of its
-    # terms, far inside 1e-13 of the term sizes, in every column 0..orders
+    # terms, far inside 1e-13 of the term sizes, in every column 1..orders
     g, circles, orders, nodes = pole_moment_case(name, *poisson_804)
     near_rows = []
     near_sum = core._near_sum
 
-    def spy(u, far, s):
-        near_rows.extend(len(g.b) - np.count_nonzero(far, axis=1))
-        return near_sum(u, far, s)
+    def spy(u, rows, sources, s):
+        near_rows.extend(np.bincount(rows, minlength=len(u)))
+        return near_sum(u, rows, sources, s)
     monkeypatch.setattr(core, "_near_sum", spy)
     got = contour_integral(g, circles, orders, nodes)
     monkeypatch.undo()
     plain = direct_dlog(g.smooth, g.b, g.w, g.origin)
     want = contour_integral(plain, circles, orders, nodes)
-    assert got.shape == want.shape == (len(circles), orders + 1)
+    assert got.shape == want.shape == (len(circles), orders)
     if name == "no-poles":
         assert not near_rows
         assert got.tobytes() == want.tobytes()
@@ -557,7 +570,7 @@ def test_pole_sum_moments_are_every_pole_on_the_nodes(monkeypatch,
         size = np.max(np.abs(g.smooth(u)) + loop_cauchy(u, g.b, g.w)[1])
         err = np.abs(got[k] - want[k])
         assert np.all(err <= 1e-13 * size * circle.radius ** np.arange(
-            orders + 1)), k
+            1, orders + 1)), k
     if name == "membership-circles":
         # more than 700 poles are far from each circle, and the counts, the
         # residuals and the first moments are the direct sum's
@@ -571,6 +584,59 @@ def test_pole_sum_moments_are_every_pole_on_the_nodes(monkeypatch,
         assert np.max(np.abs(first - want[2])) < 1e-13
     if name == "few-nodes":
         assert max(near_rows) == len(g.b)
+
+
+@pytest.mark.parametrize("b, w, refusal", [
+    ([0j, complex("nan")], [1.0, 1.0], "pole must be finite, not (nan+0j)"),
+    ([0j, complex("inf")], [1.0, 1.0], "pole must be finite, not (inf+0j)"),
+    ([0j, 50 + 0j], [1.0, math.nan], "weight must be finite, not nan"),
+    ([0j, 50 + 0j], [1.0, -math.inf], "weight must be finite, not -inf")])
+def test_pole_sum_refuses_a_pole_or_weight_not_finite(b, w, refusal):
+    # a NaN pole raised ContourThroughZero only because the far mask kept
+    # it near, and a NaN weight on a far pole counted as nothing: the
+    # circle (0, 0.25) counted 1 with the weights [1, nan]
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        core.PoleSum(ZERO, b, w)
+
+
+def test_disk_pairs_of_no_disk_and_of_one():
+    for n in (0, 1):
+        i, j, dist = core._disk_pairs(np.full(n, 2 + 1j), np.ones(n), 0.0)
+        assert i.shape == j.shape == dist.shape == (0,)
+        assert i.dtype.kind == j.dtype.kind == "i" and dist.dtype.kind == "f"
+    # a contour batch with no circles, and the membership of an empty
+    # divisor, sweep no disk or only poles
+    g = core.PoleSum(ZERO, [0j, 3 + 0j], [1.0, 2.0])
+    assert contour_integral(g, [], 2, 512).shape == (0, 2)
+    empty = Divisor(np.zeros(0, complex), np.zeros(0, int), Window(0, 1, 0, 1))
+    report = builders.verify_divisor_match(weierstrass(empty), empty)
+    assert report["matched"] and report["max_residual"] == 0.0
+
+
+def test_contour_chunks_hold_circles_by_nodes_alone(monkeypatch):
+    # 7,192 poles drawn uniformly over a 96 x 75 box, about the Poisson
+    # membership input of that size, and 400 of their separating circles
+    # at 512 nodes: a chunk holds BASE_SUM_BLOCK // 512 = 32 circles
+    # whatever the pole count (a circles x poles far mask held 2), and the
+    # count holds no circles x poles table
+    rng = np.random.default_rng(11)
+    b = rng.uniform(0, 96, 7192) + 1j * rng.uniform(0, 75, 7192)
+    ks = rng.choice(7192, 400, replace=False)
+    gaps = [np.partition(np.abs(b - b[k]), 1)[1] for k in ks]
+    circles = [Circle(b[k], min(0.25, 0.45 * g)) for k, g in zip(ks, gaps)]
+    f = SampledFunction(evaluator=None, dlog=core.PoleSum(ZERO, b, np.ones(
+        len(b))))
+    chunks = []
+    near_sum = core._near_sum
+
+    def spy(u, rows, sources, s):
+        chunks.append(len(u))
+        return near_sum(u, rows, sources, s)
+    monkeypatch.setattr(core, "_near_sum", spy)
+    (counts, _, _), peak = traced_peak(lambda: count_zeros(f, circles))
+    assert chunks == [32] * 12 + [16]
+    assert counts.tolist() == [1] * 400
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
@@ -978,22 +1044,43 @@ def test_contained_in_arc_coverage():
     assert not target.contained_in(not_covered)
 
 
-def test_nearest_gaps():
-    pts = np.array([0j, 1 + 0j, 1 + 0j, 3 + 0j, complex("nan")])
-    # among themselves a repeated point is at gap 0; against a set the
-    # point itself (distance 0) is skipped, and so is every NaN distance
-    assert core.nearest_gaps(pts).tolist()[:4] == [1.0, 0.0, 0.0, 2.0]
-    assert core.nearest_gaps(pts, pts).tolist()[:4] == [1.0, 1.0, 1.0, 2.0]
-    assert core.nearest_gaps([5j], [5j]).tolist() == [math.inf]
-    assert core.nearest_gaps([5j]).tolist() == [math.inf]
-    assert core.nearest_gaps([], [1j]).shape == (0,)
-    # chunks of rows give the dense table's answer
-    rng = np.random.default_rng(8)
-    z = rng.uniform(-9, 9, 1200) + 1j * rng.uniform(-9, 9, 1200)
-    dense = np.abs(z[:, None] - z[None, :])
+def test_membership_radii_are_the_dense_gaps(monkeypatch):
+    # oracle: the dense points x points table. Each separating circle has
+    # radius min(0.25, 0.45 x the gap to the nearest other point of d, those
+    # outside the window included); the sweep sees only the pairs within
+    # 1.0, beyond which 0.45 x gap > 0.25. Pairs 1.0 apart and the two
+    # lattice steps either side of 0.25 / 0.45 apart sit at the edges
+    cloud = generate("poisson", Window(-8, 8, -8, 8), seed=4, intensity=1.0)
+    lo, hi = np.floor(0.25 / 0.45 * 2 ** 26) / 2 ** 26, np.ceil(
+        0.25 / 0.45 * 2 ** 26) / 2 ** 26
+    assert 0.45 * lo < 0.25 < 0.45 * hi
+    edges = np.array([12j, lo + 12j, 14j, hi + 14j, -12j, 1 - 12j,
+                      12 + 0j, 12 + 1.5j])
+    d = Divisor(np.concatenate([cloud.locs, edges]),
+                np.ones(len(cloud) + len(edges), dtype=int),
+                Window(-16, 16, -16, 16))
+    locs = d.locs
+    assert np.abs(locs[-8:-2:2] - locs[-7:-2:2]).tolist() == [lo, hi, 1.0]
+    dense = np.abs(locs[:, None] - locs[None, :])
     np.fill_diagonal(dense, np.inf)
-    assert np.array_equal(core.nearest_gaps(z), dense.min(axis=1))
-    assert np.array_equal(core.nearest_gaps(z, z), dense.min(axis=1))
+    radii = np.minimum(0.25, 0.45 * dense.min(axis=1))
+    calls = []
+
+    def spy(f, contours, **nodes):
+        calls.append(contours)
+        return count_zeros(f, contours, **nodes)
+    monkeypatch.setattr(builders, "count_zeros", spy)
+    for window in (None, Window(-16, 16, -10, 16)):
+        keep = slice(None) if window is None else window.contains(locs)
+        calls.clear()
+        report = builders.verify_divisor_match(weierstrass(d), d, window)
+        assert report["matched"]
+        got = calls[0]
+        assert [c.center for c in got] == locs[keep].tolist()
+        assert np.array([c.radius for c in got]).tobytes() == (
+            radii[keep].tobytes())
+    assert len(got) == len(locs) - 2
+    assert radii[-8:-2].tolist() == [0.45 * lo] * 2 + [0.25] * 4
 
 
 @settings(max_examples=20, deadline=None)

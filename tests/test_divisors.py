@@ -397,6 +397,19 @@ class TestExtractPrincipalParts:
         assert str(err.value) == (f"extraction circles at {poles[1200]} and "
                                   f"{poles[1900]} overlap")
 
+    def test_poles_exactly_two_radii_apart_do_not_overlap(self):
+        # the circles touch but do not overlap: only a distance strictly
+        # below 2 * radius is refused, though the sweep's own test keeps
+        # the touching pair
+        f = SampledFunction(lambda z: 1 / z + 2 / (z - 1) + 3 / (z - 1j))
+        pp = extract_principal_parts(f, [0j, 1 + 0j, 1j], radius=0.5)
+        got = {p: cs for p, cs in pp.entries}
+        assert got.keys() == {0j, 1 + 0j, 1j}
+        assert [len(cs) for cs in got.values()] == [1, 1, 1]
+        with pytest.raises(OverlappingCircles):
+            extract_principal_parts(f, [0j, 1 + 0j, 1j],
+                                    radius=np.nextafter(0.5, 1))
+
     def test_repeated_pole_overlaps(self):
         f = SampledFunction(lambda z: 1 / z)
         for poles in ([1 + 0j, 1 + 0j], [0j, 5 + 0j, 3j, 5 + 0j]):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -1436,6 +1437,15 @@ class TestPoisson2d:
         assert len(rows) == 50
         for row in rows:
             assert row["slack"] >= -1e-8, row
+
+    @pytest.mark.parametrize("count", [1.5, 0, -3, "4", None])
+    def test_probes_refuse_a_count_not_a_positive_integer(self, count):
+        # 1.5 returned 2 probes, and 0 or -3 none
+        mu = Potential((((0.5, 0.5), 1.0), ((2.25, -0.75), 1.5)), dim=2)
+        trace = lift_poisson_2d(mu, potential_toast(mu), 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"count must be a positive integer, not {count!r}")):
+            poisson_submean_probe(trace, count=count)
 
     def test_probes_need_a_harmonic_trace(self, six_trace):
         with pytest.raises(ValueError, match="harmonic traces"):
